@@ -398,12 +398,16 @@ impl MonitorEngine {
         })
     }
 
-    /// Cumulative entries for the given keys, ascending by key —
-    /// live streams only; unknown keys are skipped. This is the delta
-    /// extraction a transport collector uses for its dirty set.
+    /// Cumulative entries for the given keys, ascending by key, one
+    /// per distinct key — live streams only; unknown keys are skipped.
+    /// A [`crate::topology::Collector`] builds its flush deltas this
+    /// way from the keys its shards listed on first touch since the
+    /// last flush.
     pub fn entries_for(&self, keys: impl IntoIterator<Item = u64>) -> Vec<StreamEntry> {
-        let mut out: Vec<StreamEntry> = keys
-            .into_iter()
+        let mut keys: Vec<u64> = keys.into_iter().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter()
             .filter_map(|key| {
                 self.shards.get(key).map(|state| StreamEntry {
                     key,
@@ -411,10 +415,25 @@ impl MonitorEngine {
                     summary: state.summary.snapshot(),
                 })
             })
-            .collect();
-        out.sort_by_key(|e| e.key);
-        out.dedup_by_key(|e| e.key);
-        out
+            .collect()
+    }
+
+    /// Switches on first-touch dirty tracking: each shard then lists
+    /// the keys offered since the last [`MonitorEngine::clear_dirty`].
+    /// Only a collector needs the list, so a plain engine keeps none.
+    pub(crate) fn track_dirty(&mut self) {
+        self.shards.track_dirty();
+    }
+
+    /// [`MonitorEngine::entries_for`] the keys touched since the last
+    /// [`MonitorEngine::clear_dirty`] that are still live.
+    pub(crate) fn dirty_entries(&self) -> Vec<StreamEntry> {
+        self.entries_for(self.shards.dirty_keys())
+    }
+
+    /// Forgets the touched keys: the next flush starts empty.
+    pub(crate) fn clear_dirty(&mut self) {
+        self.shards.clear_dirty();
     }
 
     /// A point-in-time snapshot of the **live** streams, in sorted key

@@ -229,7 +229,10 @@ fn shuttle(mut client: SessionStream, target: &Target, plan: FaultPlan) -> io::R
             match back_up.read(&mut buf) {
                 Ok(0) | Err(_) => break,
                 Ok(n) => {
-                    if back_client.write_all(&buf[..n]).is_err() {
+                    // A reader claiming more than the buffer ends the
+                    // relay like any other broken back-channel.
+                    let Some(chunk) = buf.get(..n) else { break };
+                    if back_client.write_all(chunk).is_err() {
                         break;
                     }
                 }

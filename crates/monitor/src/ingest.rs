@@ -108,12 +108,26 @@ pub(crate) struct StreamState {
     /// LRU eviction; ticks are per-point and unique, so recency is a
     /// total order independent of sharding).
     pub(crate) last_touch: u64,
+    /// Dirty epoch in which the stream last joined its shard's dirty
+    /// list (see [`Shard::epoch`]); a fresh stream starts at 0.
+    dirty_epoch: u64,
 }
 
-/// One shard: the streams routed to it.
+/// One shard: the streams routed to it, plus the keys first touched
+/// since the last flush when dirty tracking is on.
 #[derive(Default)]
 pub(crate) struct Shard {
     pub(crate) streams: HashMap<u64, StreamState>,
+    /// Current dirty epoch; 0 means tracking is off. A stream whose
+    /// `dirty_epoch` differs joins [`Shard::dirty`] on its next point
+    /// and takes the current epoch, so each stream is listed once per
+    /// epoch. Ending the epoch is a counter bump, not a walk over the
+    /// listed streams.
+    epoch: u64,
+    /// Keys first touched in the current epoch, in first-touch order.
+    /// A key evicted and re-created within the epoch is listed twice;
+    /// readers dedup.
+    dirty: Vec<u64>,
 }
 
 impl Shard {
@@ -127,8 +141,13 @@ impl Shard {
                     .expect("sampler spec validated at engine construction"),
                 summary: StreamSummary::new(&config.summary, seed),
                 last_touch: tick,
+                dirty_epoch: 0,
             }
         });
+        if state.dirty_epoch != self.epoch {
+            state.dirty_epoch = self.epoch;
+            self.dirty.push(key);
+        }
         state.last_touch = tick;
         let decision = state.sampler.offer(value);
         if decision.is_kept() {
@@ -209,6 +228,29 @@ impl ShardSet {
                 shard
             })
             .collect();
+    }
+
+    /// Switches dirty tracking on: from now on every shard lists the
+    /// keys first touched since the last [`ShardSet::clear_dirty`].
+    pub(crate) fn track_dirty(&mut self) {
+        for s in &mut self.shards {
+            s.epoch = s.epoch.max(1);
+        }
+    }
+
+    /// Keys touched since the last [`ShardSet::clear_dirty`], unsorted
+    /// and possibly repeated (empty while tracking is off). Some may no
+    /// longer be live: evicted or demoted since their first touch.
+    pub(crate) fn dirty_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.shards.iter().flat_map(|s| s.dirty.iter().copied())
+    }
+
+    /// Empties every shard's dirty list and starts a new epoch.
+    pub(crate) fn clear_dirty(&mut self) {
+        for s in self.shards.iter_mut().filter(|s| s.epoch != 0) {
+            s.epoch += 1;
+            s.dirty.clear();
+        }
     }
 
     /// Streams currently tracked.

@@ -4,8 +4,11 @@
 //!
 //! A [`Collector`] wraps a [`MonitorEngine`] and speaks the
 //! [`crate::wire`] protocol over any `io::Write` (an in-memory buffer,
-//! a Unix socket, a file). It tracks the keys touched since the last
-//! flush and ships them as cumulative `Delta` frames, plus `Evicted`
+//! a Unix socket, a file). Its engine's shards list each stream on its
+//! first point since the last flush, so a flush visits only the keys
+//! touched since the previous one and ships them as cumulative `Delta`
+//! frames (or, sequenced, as `DeltaDiff` patches against the last
+//! shipped entry, moved into place rather than cloned), plus `Evicted`
 //! frames for streams its lifecycle layer retired.
 //!
 //! An [`Aggregator`] consumes frames from many collectors. Its state is
@@ -45,6 +48,7 @@ use crate::wire::{
 use bytes::Bytes;
 use sst_core::stream::StreamDecision;
 use sst_core::summary::{Compactable, MergeableSummary};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::io::Write;
@@ -107,14 +111,26 @@ impl SeqState {
         self.window.push_back((seq, encode_frame_seq(seq, frame)));
         seq
     }
+
+    /// Seals `finals` as `Evicted` frames and moves each final into
+    /// the eviction log, tagged with its frame's seq.
+    fn seal_evicted(&mut self, finals: Vec<StreamEntry>) {
+        for chunk in frame_chunks(finals, entry_frame_bytes) {
+            let frame = Frame::Evicted(chunk);
+            let seq = self.seal(&frame);
+            if let Frame::Evicted(chunk) = frame {
+                self.evicted_log.extend(chunk.into_iter().map(|e| (seq, e)));
+            }
+        }
+    }
 }
 
 /// A monitoring engine that streams its state over the wire protocol.
 pub struct Collector {
     id: u64,
+    /// Tracks dirty keys: its shards list each stream on its first
+    /// point since the last flush.
     engine: MonitorEngine,
-    /// Keys touched since the last flush.
-    dirty: BTreeSet<u64>,
     /// Evicted finals drained from the engine but not yet successfully
     /// written — survives a failed flush so totals are never lost.
     pending_evicted: Vec<StreamEntry>,
@@ -140,50 +156,70 @@ const TARGET_FRAME_BYTES: usize = 16 << 20;
 /// than never diffing.
 const RESYNC_DIFF_LIMIT: u32 = 2;
 
-/// Splits `entries` at [`TARGET_FRAME_BYTES`] boundaries (estimated
-/// entry footprint; always at least one entry per chunk).
-fn frame_chunks(entries: &[StreamEntry]) -> impl Iterator<Item = &[StreamEntry]> {
-    let mut rest = entries;
-    std::iter::from_fn(move || {
-        if rest.is_empty() {
-            return None;
-        }
-        let mut bytes = 0usize;
-        let mut n = 0usize;
-        for e in rest {
-            bytes += 64 + e.summary.estimated_bytes();
-            if n > 0 && bytes > TARGET_FRAME_BYTES {
-                break;
-            }
-            n += 1;
-        }
-        let (chunk, tail) = rest.split_at(n);
-        rest = tail;
-        Some(chunk)
-    })
+/// Estimated frame footprint of a `Delta`/`Evicted` entry.
+fn entry_frame_bytes(e: &StreamEntry) -> usize {
+    64 + e.summary.estimated_bytes()
 }
 
-/// Splits `diffs` at [`TARGET_FRAME_BYTES`] boundaries of exact
-/// encoded size (always at least one diff per chunk).
-fn diff_chunks(diffs: &[StreamDiff]) -> impl Iterator<Item = &[StreamDiff]> {
-    let mut rest = diffs;
-    std::iter::from_fn(move || {
-        if rest.is_empty() {
-            return None;
+/// Lengths of the chunks `items` splits into at [`TARGET_FRAME_BYTES`]
+/// boundaries of `size` (always at least one item per chunk).
+fn chunk_lens<T>(items: &[T], size: impl Fn(&T) -> usize) -> Vec<usize> {
+    let mut lens = Vec::new();
+    let (mut bytes, mut n) = (0usize, 0usize);
+    for item in items {
+        let b = size(item);
+        if n > 0 && bytes + b > TARGET_FRAME_BYTES {
+            lens.push(n);
+            (bytes, n) = (0, 0);
         }
-        let mut bytes = 0usize;
-        let mut n = 0usize;
-        for d in rest {
-            bytes += encoded_diff_len(d);
-            if n > 0 && bytes > TARGET_FRAME_BYTES {
-                break;
-            }
-            n += 1;
-        }
-        let (chunk, tail) = rest.split_at(n);
-        rest = tail;
-        Some(chunk)
-    })
+        bytes += b;
+        n += 1;
+    }
+    if n > 0 {
+        lens.push(n);
+    }
+    lens
+}
+
+/// Splits `items` into owned chunks at [`TARGET_FRAME_BYTES`]
+/// boundaries of `size`, moving every item once; a single chunk is
+/// `items` itself.
+fn frame_chunks<T>(mut items: Vec<T>, size: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
+    let lens = chunk_lens(&items, size);
+    let Some((_, tail)) = lens.split_first() else {
+        return Vec::new();
+    };
+    // Split from the back so each `split_off` moves only its chunk.
+    let mut chunks = Vec::with_capacity(lens.len());
+    for &n in tail.iter().rev() {
+        chunks.push(items.split_off(items.len() - n));
+    }
+    chunks.push(items);
+    chunks.reverse();
+    chunks
+}
+
+/// The `Delta` frames of one flush: `entries` chunked at
+/// [`TARGET_FRAME_BYTES`], with a tiered engine's cumulative sketch
+/// image riding the *last* one (replace semantics at the aggregator) —
+/// on an empty `Delta` when no entry ships cumulatively.
+fn delta_frames(entries: Vec<StreamEntry>, mut sketch: Option<SketchSnapshot>) -> Vec<Frame> {
+    let chunks = frame_chunks(entries, entry_frame_bytes);
+    let last = chunks.len().saturating_sub(1);
+    let mut frames: Vec<Frame> = chunks
+        .into_iter()
+        .enumerate()
+        .map(|(i, chunk)| {
+            let sk = if i == last { sketch.take() } else { None };
+            Frame::Delta(EngineSnapshot::from_streams(chunk).with_sketch(sk))
+        })
+        .collect();
+    if let Some(sk) = sketch {
+        frames.push(Frame::Delta(
+            EngineSnapshot::from_streams(Vec::new()).with_sketch(Some(sk)),
+        ));
+    }
+    frames
 }
 
 impl Collector {
@@ -197,10 +233,11 @@ impl Collector {
     ///
     /// As [`MonitorEngine::new`] (invalid sampler spec or shard count).
     pub fn new(id: u64, config: MonitorConfig) -> Self {
+        let mut engine = MonitorEngine::new(config.retain_evicted(false));
+        engine.track_dirty();
         Collector {
             id,
-            engine: MonitorEngine::new(config.retain_evicted(false)),
-            dirty: BTreeSet::new(),
+            engine,
             pending_evicted: Vec::new(),
             hello_sent: false,
             seq: None,
@@ -272,15 +309,18 @@ impl Collector {
         &self.engine
     }
 
-    /// Offers one point of stream `key`.
+    /// Offers one point of stream `key`. The stream's first point
+    /// since the last flush lists its key on its shard for the next
+    /// flush; later points cost one branch on state the shard already
+    /// holds.
     pub fn offer(&mut self, key: u64, value: f64) -> StreamDecision {
-        self.dirty.insert(key);
         self.engine.offer(key, value)
     }
 
-    /// Offers a batch of keyed points.
+    /// Offers a batch of keyed points, tracking touched keys as
+    /// [`Collector::offer`] does — per stream, not per point, on the
+    /// serial, parallel and tiered ingest paths alike.
     pub fn offer_batch(&mut self, points: &[(u64, f64)]) {
-        self.dirty.extend(points.iter().map(|&(k, _)| k));
         self.engine.offer_batch(points);
     }
 
@@ -289,8 +329,9 @@ impl Collector {
     /// `Delta` frames with the cumulative entries of every dirty key
     /// still live (chunked at [`TARGET_FRAME_BYTES`] of estimated
     /// entry footprint so no frame approaches the wire's length cap,
-    /// whatever the configured reservoir size). The dirty set is
-    /// cleared only once everything was written.
+    /// whatever the configured reservoir size). The dirty set — the
+    /// keys the shards listed on first touch — is cleared only once
+    /// everything was written.
     ///
     /// # Errors
     ///
@@ -321,34 +362,16 @@ impl Collector {
         // Evicted keys may sit in the dirty set; their live state is
         // gone (or fresh, in which case the deltas below re-add it).
         self.pending_evicted.extend(self.engine.drain_evicted());
-        while !self.pending_evicted.is_empty() {
-            let n = frame_chunks(&self.pending_evicted)
-                .next()
-                .expect("non-empty")
-                .len();
+        for n in chunk_lens(&self.pending_evicted, entry_frame_bytes) {
             write_frame(w, &Frame::Evicted(self.pending_evicted[..n].to_vec()))?;
             // Drop a chunk only after its frame was fully written.
             self.pending_evicted.drain(..n);
         }
-        let entries = self.engine.entries_for(self.dirty.iter().copied());
-        // A tiered engine's cumulative sketch image rides the *last*
-        // Delta of each flush (replace semantics at the aggregator); a
-        // flush with no dirty entries ships it on an empty Delta.
-        let mut sketch = self.engine.sketch_snapshot();
-        let chunks: Vec<&[StreamEntry]> = frame_chunks(&entries).collect();
-        let last = chunks.len().saturating_sub(1);
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut snap = EngineSnapshot::from_streams(chunk.to_vec());
-            if i == last {
-                snap = snap.with_sketch(sketch.take());
-            }
-            write_frame(w, &Frame::Delta(snap))?;
+        let entries = self.engine.dirty_entries();
+        for frame in delta_frames(entries, self.engine.sketch_snapshot()) {
+            write_frame(w, &frame)?;
         }
-        if let Some(sk) = sketch {
-            let snap = EngineSnapshot::from_streams(Vec::new()).with_sketch(Some(sk));
-            write_frame(w, &Frame::Delta(snap))?;
-        }
-        self.dirty.clear();
+        self.engine.clear_dirty();
         Ok(())
     }
 
@@ -385,75 +408,64 @@ impl Collector {
     /// the encoded cumulative entry. Anything else falls back to the
     /// cumulative `Delta` path — correctness never depends on diffing.
     ///
+    /// The seal costs one baseline lookup per dirty key and clones an
+    /// entry only when it ships cumulatively while diffing is on: each
+    /// new entry is diffed against the old baseline and then *moved*
+    /// into its place, and the diff, cumulative and evicted vectors
+    /// move into their frames.
+    ///
     /// # Panics
     ///
     /// On an unsequenced collector.
     pub fn seal_flush(&mut self) {
         self.pending_evicted.extend(self.engine.drain_evicted());
         let evicted = std::mem::take(&mut self.pending_evicted);
+        let entries = self.engine.dirty_entries();
+        self.engine.clear_dirty();
+        let sketch = self.engine.sketch_snapshot();
+        let st = self.seq.as_mut().expect("sequenced collector");
         // An evicted key's baseline is gone on both sides: the
         // aggregator drops it from the live view, so a reappearing key
         // must re-ship cumulatively.
-        {
-            let st = self.seq.as_mut().expect("sequenced collector");
-            for e in &evicted {
-                st.baseline.remove(&e.key);
-            }
+        for e in &evicted {
+            st.baseline.remove(&e.key);
         }
-        for chunk in frame_chunks(&evicted) {
-            let frame = Frame::Evicted(chunk.to_vec());
-            let st = self.seq.as_mut().expect("sequenced collector");
-            let seq = st.seal(&frame);
-            st.evicted_log
-                .extend(chunk.iter().map(|e| (seq, e.clone())));
-        }
-        let entries = self.engine.entries_for(self.dirty.iter().copied());
+        st.seal_evicted(evicted);
         // Partition dirty entries: diff where the differential encoding
         // wins, cumulative otherwise. Either way the new entry becomes
         // the key's baseline for the next flush.
         let mut diffs: Vec<StreamDiff> = Vec::new();
         let mut full: Vec<StreamEntry> = Vec::new();
-        {
-            let st = self.seq.as_mut().expect("sequenced collector");
-            for e in &entries {
-                let diff = if st.diff_enabled {
-                    st.baseline
-                        .get(&e.key)
-                        .and_then(|base| diff_entry(base, e))
-                        .filter(|d| encoded_diff_len(d) < encoded_entry_len(e))
-                } else {
-                    None
-                };
-                match diff {
-                    Some(d) => diffs.push(d),
-                    None => full.push(e.clone()),
+        for e in entries {
+            if !st.diff_enabled {
+                full.push(e);
+                continue;
+            }
+            match st.baseline.entry(e.key) {
+                Entry::Occupied(mut base) => {
+                    let diff = diff_entry(base.get(), &e)
+                        .filter(|d| encoded_diff_len(d) < encoded_entry_len(&e));
+                    match diff {
+                        Some(d) => diffs.push(d),
+                        None => full.push(e.clone()),
+                    }
+                    base.insert(e);
                 }
-                if st.diff_enabled {
-                    st.baseline.insert(e.key, e.clone());
+                Entry::Vacant(slot) => {
+                    full.push(e.clone());
+                    slot.insert(e);
                 }
             }
         }
-        for chunk in diff_chunks(&diffs) {
-            self.seq_mut().seal(&Frame::DeltaDiff(chunk.to_vec()));
+        for chunk in frame_chunks(diffs, encoded_diff_len) {
+            st.seal(&Frame::DeltaDiff(chunk));
         }
         // As in `flush`: the cumulative sketch image rides the last
-        // sealed Delta (or an empty one when nothing ships cumulative)
-        // — never a DeltaDiff, whose payload is per-stream only.
-        let mut sketch = self.engine.sketch_snapshot();
-        let chunks: Vec<&[StreamEntry]> = frame_chunks(&full).collect();
-        let last = chunks.len().saturating_sub(1);
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut snap = EngineSnapshot::from_streams(chunk.to_vec());
-            if i == last {
-                snap = snap.with_sketch(sketch.take());
-            }
-            self.seq_mut().seal(&Frame::Delta(snap));
+        // sealed Delta — never a DeltaDiff, whose payload is per-stream
+        // only.
+        for frame in delta_frames(full, sketch) {
+            st.seal(&frame);
         }
-        if let Some(sk) = sketch {
-            let snap = EngineSnapshot::from_streams(Vec::new()).with_sketch(Some(sk));
-            self.seq_mut().seal(&Frame::Delta(snap));
-        }
-        self.dirty.clear();
     }
 
     /// Seals pending state, then a `Bye`. Idempotent across resyncs:
@@ -541,15 +553,9 @@ impl Collector {
         }
         resend.extend(pending);
         st.evicted_log = kept;
-        for chunk in frame_chunks(&resend) {
-            let frame = Frame::Evicted(chunk.to_vec());
-            let st = self.seq.as_mut().expect("sequenced collector");
-            let seq = st.seal(&frame);
-            st.evicted_log
-                .extend(chunk.iter().map(|e| (seq, e.clone())));
-        }
+        st.seal_evicted(resend);
         let snap = self.engine.snapshot();
-        self.dirty.clear();
+        self.engine.clear_dirty();
         let st = self.seq_mut();
         // The FullSnapshot re-baselines both sides at once: the
         // aggregator's live view becomes exactly these entries, so
@@ -1588,6 +1594,24 @@ mod tests {
                 (key, 1.0 + (i % 97) as f64)
             })
             .collect()
+    }
+
+    #[test]
+    fn frame_chunks_split_greedily_at_the_target_and_keep_order() {
+        const MIB: usize = 1 << 20;
+        // Sizes in MiB against the 16 MiB target: a chunk closes before
+        // the item that would overflow it, and an oversized item still
+        // ships alone.
+        let sizes = vec![6, 6, 6, 20, 1, 15, 2];
+        let chunks = frame_chunks(sizes.clone(), |&mb| mb * MIB);
+        assert_eq!(
+            chunks,
+            vec![vec![6, 6], vec![6], vec![20], vec![1, 15], vec![2]]
+        );
+        assert_eq!(chunks.concat(), sizes);
+        assert_eq!(chunk_lens(&sizes, |&mb| mb * MIB), vec![2, 1, 1, 2, 1]);
+        assert_eq!(frame_chunks(vec![3], |_| MIB), vec![vec![3]]);
+        assert!(frame_chunks(Vec::<usize>::new(), |_| MIB).is_empty());
     }
 
     fn config() -> MonitorConfig {

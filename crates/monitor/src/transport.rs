@@ -676,6 +676,16 @@ pub fn accept_error_is_transient(e: &io::Error) -> bool {
         || matches!(e.raw_os_error(), Some(23) | Some(24))
 }
 
+/// The error a `read` reporting more bytes than its buffer holds ends
+/// the session with — a broken reader, handled like corrupt input
+/// instead of a slice-index panic.
+fn short_read(n: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("read reported {n} bytes, more than its buffer holds"),
+    )
+}
+
 /// How [`EventLoopServer::run`] decides it is done.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
@@ -1413,8 +1423,11 @@ impl EventLoopServer {
                     return (end, total);
                 }
                 Ok(n) => {
+                    let Some(bytes) = buf.get(..n) else {
+                        return (SessionEnd::Failed(short_read(n).to_string()), total);
+                    };
                     total += n;
-                    if let Err(e) = session.driver.push_admitted(&buf[..n], agg, &mut admit) {
+                    if let Err(e) = session.driver.push_admitted(bytes, agg, &mut admit) {
                         return (SessionEnd::Failed(e.to_string()), total);
                     }
                     if total >= Self::MAX_ROUND_BYTES {
@@ -1795,7 +1808,10 @@ pub fn pump_blocking(
             res.map_err(|e| fail(&driver, io::Error::new(io::ErrorKind::InvalidData, e)))?;
             return Ok(driver.frames_delivered());
         }
-        let res = driver.push(&buf[..n], &mut lock(agg));
+        let Some(bytes) = buf.get(..n) else {
+            return Err(fail(&driver, short_read(n)));
+        };
+        let res = driver.push(bytes, &mut lock(agg));
         res.map_err(|e| fail(&driver, io::Error::new(io::ErrorKind::InvalidData, e)))?;
     }
 }

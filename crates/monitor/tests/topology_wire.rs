@@ -2,12 +2,17 @@
 //! streaming frames to one aggregator reassemble **byte-identical**
 //! `EngineSnapshot` output to a single unsharded engine on the same
 //! keyed trace — over in-memory pipes and over Unix sockets, with and
-//! without eviction in the collectors.
+//! without eviction in the collectors. Also pins which keys a flush
+//! ships: exactly the distinct keys offered since the previous flush
+//! that are still live, whatever the ingest path or shard count.
 
 use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::{encode_snapshot, EngineSnapshot, MonitorConfig, MonitorEngine, SamplerSpec};
+use sst_monitor::{
+    encode_snapshot, EngineSnapshot, Frame, FrameDecoder, MonitorConfig, MonitorEngine, SamplerSpec,
+};
 use sst_nettrace::TraceSynthesizer;
-use std::io::Write;
+use std::collections::BTreeSet;
+use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{Arc, Mutex};
 
@@ -277,4 +282,225 @@ fn legacy_snapshot_files_feed_the_aggregator() {
         agg.snapshot(),
         EngineSnapshot::from_streams(snap.streams().to_vec())
     );
+}
+
+/// One SplitMix64 step: the tests' own seeded source, independent of
+/// the crate's RNGs.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The points of flush round `round`: half on 32 hot keys, half on one
+/// of four groups of 100 cold keys. The cold group rotates every three
+/// rounds, so its keys sit idle for nine rounds (evicted) and then
+/// reappear; within a round a cold key's gaps sometimes exceed the
+/// idle limit too, so it is evicted and re-created mid-round.
+fn churn_round(seed: u64, round: u64, n: usize) -> Vec<(u64, f64)> {
+    let mut s = seed ^ round.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    let group = (round / 3) % 4;
+    (0..n)
+        .map(|_| {
+            let r = splitmix(&mut s);
+            let key = if r & 1 == 0 {
+                r >> 59
+            } else {
+                1000 + group * 100 + (r >> 32) % 100
+            };
+            (key, ((r >> 8) % 1500) as f64)
+        })
+        .collect()
+}
+
+/// What a run of [`sealed_rounds`] saw.
+struct SealedRun {
+    /// Every sealed frame, in seal order.
+    window_bytes: Vec<u8>,
+    /// Keys shipped in a `Delta`/`DeltaDiff` after they had left in an
+    /// `Evicted` frame.
+    reappeared: usize,
+    promotions: u64,
+    demotions: u64,
+    evicted: u64,
+}
+
+/// Offers `rounds` rounds of [`churn_round`] points to a sequenced
+/// collector — through `offer_batch` on even rounds, point by point
+/// on odd ones — sealing after each. Asserts that every seal ships, in
+/// its `Delta`/`DeltaDiff` frames, exactly the distinct keys offered
+/// that round that are still live at seal time, each once.
+fn sealed_rounds(config: MonitorConfig, seed: u64, rounds: u64, per_round: usize) -> SealedRun {
+    let mut c = Collector::new_sequenced(3, config);
+    let mut run = SealedRun {
+        window_bytes: Vec::new(),
+        reappeared: 0,
+        promotions: 0,
+        demotions: 0,
+        evicted: 0,
+    };
+    let mut gone: BTreeSet<u64> = BTreeSet::new();
+    for round in 0..rounds {
+        let points = churn_round(seed, round, per_round);
+        if round % 2 == 0 {
+            c.offer_batch(&points);
+        } else {
+            for &(k, v) in &points {
+                c.offer(k, v);
+            }
+        }
+        let offered: BTreeSet<u64> = points.iter().map(|&(k, _)| k).collect();
+        let live: BTreeSet<u64> = c
+            .engine()
+            .snapshot()
+            .streams()
+            .iter()
+            .map(|e| e.key)
+            .collect();
+        let expected: Vec<u64> = offered.intersection(&live).copied().collect();
+
+        let first = c.next_seq();
+        c.seal_flush();
+        let mut decoder = FrameDecoder::new();
+        for (_, bytes) in c.unsent_window(first) {
+            run.window_bytes.extend_from_slice(bytes);
+            decoder.push(bytes);
+        }
+        let mut shipped: Vec<u64> = Vec::new();
+        while let Some(frame) = decoder.next_frame().expect("sealed frames decode") {
+            match frame {
+                Frame::Delta(snap) => shipped.extend(snap.streams().iter().map(|e| e.key)),
+                Frame::DeltaDiff(diffs) => shipped.extend(diffs.iter().map(|d| d.key)),
+                Frame::Evicted(finals) => gone.extend(finals.iter().map(|e| e.key)),
+                other => panic!("round {round}: unexpected {}", other.kind_name()),
+            }
+        }
+        run.reappeared += shipped.iter().filter(|k| gone.remove(k)).count();
+        shipped.sort_unstable();
+        assert_eq!(shipped, expected, "round {round}: shipped keys");
+        if c.next_seq() > first {
+            c.ack(c.next_seq() - 1);
+        }
+    }
+    if let Some(t) = c.engine().tier_stats() {
+        run.promotions = t.promotions;
+        run.demotions = t.demotions;
+    }
+    run.evicted = c.engine().lifecycle_stats().evicted;
+    run
+}
+
+#[test]
+fn seal_flush_ships_exactly_the_live_keys_touched_since_the_last_seal() {
+    let base = config(SamplerSpec::Bss {
+        interval: 5,
+        epsilon: 1.0,
+        n_pre: 8,
+        l: 2,
+    })
+    .evict_idle_after(400)
+    .sweep_every(64);
+    // Tiered (serial ingest, promotions and demotions) and untiered
+    // with batches past the parallel fan-out threshold.
+    let cases = [
+        (
+            "tiered",
+            base.clone()
+                .max_exact_keys(96)
+                .promote_after(4)
+                .sketch_bytes(1 << 14),
+            2048,
+        ),
+        ("parallel", base, 6000),
+    ];
+    for (name, config, per_round) in cases {
+        let runs: Vec<SealedRun> = [1, 2, 8]
+            .into_iter()
+            .map(|n| sealed_rounds(config.clone().shards(n), 77, 30, per_round))
+            .collect();
+        let one = &runs[0];
+        assert!(one.evicted > 0, "{name}: no evictions");
+        assert!(
+            one.reappeared > 0,
+            "{name}: no key came back after eviction"
+        );
+        if name == "tiered" {
+            assert!(one.promotions > 0, "{name}: no promotions");
+            assert!(one.demotions > 0, "{name}: no demotions");
+        }
+        for (run, n) in runs.iter().zip([1, 2, 8]).skip(1) {
+            assert!(
+                run.window_bytes == one.window_bytes,
+                "{name}: sealed bytes differ between shards(1) and shards({n})"
+            );
+        }
+    }
+}
+
+/// A sink that accepts `budget` bytes, then fails every write.
+struct FailAfter {
+    budget: usize,
+}
+
+impl Write for FailAfter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.budget == 0 {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "cut"));
+        }
+        let n = buf.len().min(self.budget);
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_failed_flush_keeps_its_dirty_keys_for_the_next_one() {
+    let spec = SamplerSpec::Systematic { interval: 3 };
+    // Round 1 ships cleanly; round 2's flush dies part-way (its bytes
+    // are lost, like a dropped connection); round 3 flushes into the
+    // good pipe. Keys 100..140 are touched only in round 2, so only
+    // the retained dirty set can ship their cumulative entries.
+    let round = |keys: std::ops::Range<u64>, salt: u64| -> Vec<(u64, f64)> {
+        (0..3000u64)
+            .map(|i| {
+                let k = keys.start + (i * 7 + salt) % (keys.end - keys.start);
+                (k, ((i * 31 + salt) % 1400) as f64)
+            })
+            .collect()
+    };
+    let rounds = [round(0..40, 1), round(20..140, 2), round(0..30, 3)];
+    let mut reference = MonitorEngine::new(config(spec));
+    for &(k, v) in rounds.iter().flatten() {
+        reference.offer(k, v);
+    }
+    for budget in [0, 1, 40, 2000, 20_000] {
+        let mut c = Collector::new(4, config(spec).shards(2));
+        let mut pipe: Vec<u8> = Vec::new();
+        c.offer_batch(&rounds[0]);
+        c.flush(&mut pipe).expect("round 1");
+        for &(k, v) in &rounds[1] {
+            c.offer(k, v);
+        }
+        assert!(
+            c.flush(&mut FailAfter { budget }).is_err(),
+            "budget {budget}: the flush must fail part-way"
+        );
+        c.offer_batch(&rounds[2]);
+        c.finish(&mut pipe).expect("round 3");
+
+        let mut agg = Aggregator::new();
+        agg.ingest_stream(&mut pipe.as_slice(), 4).expect("ingest");
+        assert!(agg.all_done());
+        assert_eq!(
+            encode_snapshot(&agg.snapshot()),
+            encode_snapshot(&reference.snapshot()),
+            "budget {budget}: assembled bytes"
+        );
+    }
 }

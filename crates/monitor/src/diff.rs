@@ -18,7 +18,8 @@
 //! to a `Resync{from_seq}` re-baseline rather than corrupt state.
 
 use crate::engine::StreamEntry;
-use crate::summary::SummaryPatch;
+use crate::summary::{SummaryPatch, SummaryView};
+use sst_core::stream::SamplerSnapshot;
 
 /// Integer fingerprint of the baseline entry a [`StreamDiff`] applies
 /// to: the monotone counters plus the two compactable lengths. Any
@@ -74,13 +75,25 @@ pub struct StreamDiff {
 /// identity or tail ladder changed, cascade or sample shrank) — the
 /// collector ships the full cumulative entry instead.
 pub fn diff_entry(base: &StreamEntry, new: &StreamEntry) -> Option<StreamDiff> {
-    if base.key != new.key {
+    diff_view(base, new.key, &new.sampler, new.summary.view())
+}
+
+/// [`diff_entry`] with the new side borrowed — a snapshot's parts or a
+/// live stream's, so a collector diffs its live state against the
+/// baseline without materialising an entry first.
+pub(crate) fn diff_view(
+    base: &StreamEntry,
+    key: u64,
+    sampler: &SamplerSnapshot,
+    summary: SummaryView<'_>,
+) -> Option<StreamDiff> {
+    if base.key != key {
         return None;
     }
-    let sampler_delta = new.sampler.delta_from(&base.sampler)?;
-    let patch = new.summary.diff_from(&base.summary)?;
+    let sampler_delta = sampler.delta_from(&base.sampler)?;
+    let patch = summary.diff_from(&base.summary)?;
     Some(StreamDiff {
-        key: new.key,
+        key,
         sampler_delta,
         base: BaseFingerprint::of(base),
         patch,

@@ -16,7 +16,8 @@
 //! `(base_seed, key)` only, and its points are processed in arrival
 //! order — so per-stream state is independent of the shard count and of
 //! whether points arrived through [`MonitorEngine::offer`] or a
-//! parallel [`MonitorEngine::offer_batch`]. Snapshots list streams in
+//! key-grouped [`MonitorEngine::offer_batch`], whose per-key runs keep
+//! arrival order (see [`crate::ingest`]). Snapshots list streams in
 //! sorted key order and aggregate by folding in that order, which makes
 //! the whole [`EngineSnapshot`] **bit-for-bit identical** across shard
 //! counts (the `merge_equivalence` integration tests pin N ∈ {1, 2, 8}),
@@ -25,7 +26,7 @@
 //! Lifecycle sweeps are driven by the tick sequence alone, so the
 //! contract survives eviction and compaction too.
 
-use crate::ingest::ShardSet;
+use crate::ingest::{ShardSet, StreamState};
 use crate::lifecycle::{LifecycleConfig, LifecycleState, LifecycleStats};
 use crate::sketch::{SketchSnapshot, SketchTier, TierConfig, TierStats};
 use crate::summary::{SummaryConfig, SummarySnapshot};
@@ -239,15 +240,21 @@ impl MonitorEngine {
         decision
     }
 
-    /// Offers a batch of keyed points, fanning the shards across the
-    /// persistent worker pool. Exactly equivalent to offering the
-    /// points one by one in order (lifecycle sweeps excepted: a batch
-    /// runs at most one sweep, at its end — see [`crate::lifecycle`]).
+    /// Offers a batch of keyed points, grouped by key so each stream is
+    /// looked up once per pass and fed its run of points in arrival
+    /// order; large passes fan the shards across the persistent worker
+    /// pool. Exactly equivalent to offering the points one by one in
+    /// order (lifecycle sweeps excepted: a batch runs at most one
+    /// sweep, at its end — see [`crate::lifecycle`]).
     ///
-    /// With the sketch tier enabled the batch is ingested serially:
-    /// the tier's aggregate state is a single arrival-order fold, and
-    /// keeping that order is what makes tiered snapshots bit-for-bit
-    /// reproducible across shard counts.
+    /// With the sketch tier enabled the batch is ingested serially, in
+    /// arrival order across keys: where a point goes depends on every
+    /// point before it, whatever its key — on the exact table's size
+    /// (first-sight admission, demotion of the coldest stream) and on
+    /// the sketch's count-min (promotion) — and the tier's aggregate
+    /// state is a single arrival-order fold. Keeping that order is what
+    /// makes tiered snapshots bit-for-bit reproducible; grouping by key
+    /// would reorder it.
     pub fn offer_batch(&mut self, points: &[(u64, f64)]) {
         let first_tick = self.lifecycle.advance(points.len() as u64);
         if self.tier.is_some() {
@@ -316,12 +323,8 @@ impl MonitorEngine {
             .min();
         if let Some((_, _, key)) = victim {
             if let Some(state) = self.shards.remove(key) {
-                let entry = StreamEntry {
-                    key,
-                    sampler: state.sampler.snapshot(),
-                    summary: state.summary.snapshot(),
-                };
-                self.lifecycle.retire(entry, &self.config.lifecycle);
+                self.lifecycle
+                    .retire(state.entry(key), &self.config.lifecycle);
                 self.tier
                     .as_mut()
                     .expect("demotion implies tiering")
@@ -404,17 +407,20 @@ impl MonitorEngine {
     /// way from the keys its shards listed on first touch since the
     /// last flush.
     pub fn entries_for(&self, keys: impl IntoIterator<Item = u64>) -> Vec<StreamEntry> {
+        self.live_states(keys)
+            .into_iter()
+            .map(|(key, state)| state.entry(key))
+            .collect()
+    }
+
+    /// The live states of `keys`, ascending by key, one per distinct
+    /// key; unknown keys are skipped.
+    fn live_states(&self, keys: impl IntoIterator<Item = u64>) -> Vec<(u64, &StreamState)> {
         let mut keys: Vec<u64> = keys.into_iter().collect();
         keys.sort_unstable();
         keys.dedup();
         keys.into_iter()
-            .filter_map(|key| {
-                self.shards.get(key).map(|state| StreamEntry {
-                    key,
-                    sampler: state.sampler.snapshot(),
-                    summary: state.summary.snapshot(),
-                })
-            })
+            .filter_map(|key| self.shards.get(key).map(|state| (key, state)))
             .collect()
     }
 
@@ -431,6 +437,12 @@ impl MonitorEngine {
         self.entries_for(self.shards.dirty_keys())
     }
 
+    /// The live states behind [`MonitorEngine::dirty_entries`], for a
+    /// seal that reads them in place.
+    pub(crate) fn dirty_states(&self) -> Vec<(u64, &StreamState)> {
+        self.live_states(self.shards.dirty_keys())
+    }
+
     /// Forgets the touched keys: the next flush starts empty.
     pub(crate) fn clear_dirty(&mut self) {
         self.shards.clear_dirty();
@@ -444,11 +456,7 @@ impl MonitorEngine {
         let mut streams: Vec<StreamEntry> = self
             .shards
             .iter()
-            .map(|(key, state)| StreamEntry {
-                key,
-                sampler: state.sampler.snapshot(),
-                summary: state.summary.snapshot(),
-            })
+            .map(|(key, state)| state.entry(key))
             .collect();
         streams.sort_by_key(|e| e.key);
         EngineSnapshot {

@@ -12,12 +12,29 @@
 //! (`splitmix(key) mod n_shards`), its sampler is seeded from
 //! `(base_seed, key)` only, and its points are processed in arrival
 //! order — so per-stream state is independent of the shard count and of
-//! whether points arrived one by one or through a parallel batch (the
-//! batch partition preserves each stream's sub-order and shards share
-//! no state). The engine's merge-equivalence tests pin this bit-for-bit
-//! for shard counts N ∈ {1, 2, 8}.
+//! whether points arrived one by one or through a batch. A stream's
+//! state depends on nothing but its own values, in order, and the tick
+//! of its last point, and shards share no state.
+//!
+//! ## Key-grouped batch ingest
+//!
+//! Heavy-tailed traffic puts a window's points into few flows, so batch
+//! ingest works per flow, not per point. [`ShardSet::offer_batch`] cuts
+//! a batch into passes of at most 2¹⁶ points. Each pass routes its
+//! points to their shards, and each shard counting-sorts its share by
+//! key into contiguous runs: a direct-mapped memo, checked by key
+//! equality, names most points' group; a miss falls back to the pass's
+//! keyed-hash index, so adversarial keys cost what every point used to.
+//! Runs are grouped in arrival order and keys are numbered in
+//! first-appearance order, so each stream sees exactly its per-point
+//! sequence, `last_touch` becomes its run's last tick, and the dirty
+//! list lists keys in first-appearance order. The stream table is then
+//! probed once per key. The engine's merge-equivalence tests pin this
+//! bit-for-bit for shard counts N ∈ {1, 2, 8}, and the `batch_grouping`
+//! tests pin batched ≡ per-point across samplers, batch sizes and
+//! lifecycle sweeps.
 
-use crate::engine::MonitorConfig;
+use crate::engine::{MonitorConfig, StreamEntry};
 use crate::summary::StreamSummary;
 use rayon::prelude::*;
 use sst_core::bss::{BssConfigError, OnlineTuning, ThresholdPolicy};
@@ -113,6 +130,17 @@ pub(crate) struct StreamState {
     dirty_epoch: u64,
 }
 
+impl StreamState {
+    /// The stream's cumulative entry under `key`.
+    pub(crate) fn entry(&self, key: u64) -> StreamEntry {
+        StreamEntry {
+            key,
+            sampler: self.sampler.snapshot(),
+            summary: self.summary.snapshot(),
+        }
+    }
+}
+
 /// One shard: the streams routed to it, plus the keys first touched
 /// since the last flush when dirty tracking is on.
 #[derive(Default)]
@@ -131,7 +159,10 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn offer(&mut self, config: &MonitorConfig, key: u64, value: f64, tick: u64) -> StreamDecision {
+    /// The live state of `key`, created on first sight (the sampler and
+    /// reservoir seeded from `(base_seed, key)`), listed on the dirty
+    /// list on its first point of the epoch.
+    fn touch(&mut self, config: &MonitorConfig, key: u64, tick: u64) -> &mut StreamState {
         let state = self.streams.entry(key).or_insert_with(|| {
             let seed = derive_seed(config.base_seed, key);
             StreamState {
@@ -149,24 +180,171 @@ impl Shard {
             self.dirty.push(key);
         }
         state.last_touch = tick;
+        state
+    }
+
+    fn offer(&mut self, config: &MonitorConfig, key: u64, value: f64, tick: u64) -> StreamDecision {
+        let state = self.touch(config, key, tick);
         let decision = state.sampler.offer(value);
         if decision.is_kept() {
             state.summary.push(value);
         }
         decision
     }
+
+    /// Offers the points of one batch pass routed to this shard, as
+    /// `(pass index, key, value)` in arrival order, grouped by key in
+    /// `grouping`: one table probe per key, then its run of values in
+    /// arrival order. Point `i` of the pass is at tick `first_tick + i`.
+    fn offer_pass(
+        &mut self,
+        config: &MonitorConfig,
+        grouping: &mut Grouping,
+        points: impl Iterator<Item = RoutedPoint> + Clone,
+        first_tick: u64,
+    ) {
+        grouping.group(points);
+        for g in 0..grouping.len() {
+            let (key, values, last) = grouping.run(g);
+            let state = self.touch(config, key, first_tick + u64::from(last));
+            for &v in values {
+                if state.sampler.offer(v).is_kept() {
+                    state.summary.push(v);
+                }
+            }
+        }
+    }
 }
 
-/// Points below this batch size are ingested inline — the partition +
-/// fan-out bookkeeping costs more than it saves.
+/// Passes at or above this many points fan the shards across the
+/// worker pool — below it the fan-out bookkeeping costs more than it
+/// saves.
 const PAR_BATCH_MIN: usize = 4096;
 
-/// A keyed point with its engine tick: `(key, value, tick)`.
-type TickedPoint = (u64, f64, u64);
+/// Points per grouping pass: bounds the scratch (it does not grow with
+/// the batch) and keeps group ids and run offsets in `u32`.
+const GROUP_PASS_MAX: usize = 1 << 16;
+
+/// Slots of the grouping pass's direct-mapped key memo (64 KiB of group
+/// ids): enough that a shard's share of thousands of live flows mostly
+/// keeps its slots between a key's recurrences.
+const MEMO_SLOTS: usize = 1 << 14;
+
+/// The memo slot of `key`: the top 14 bits of a Fibonacci hash. A
+/// collision only costs a lookup in the pass's keyed index.
+fn memo_slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 50) as usize
+}
+
+/// A point of a batch pass: `(index in the pass, key, value)`.
+type RoutedPoint = (u32, u64, f64);
+
+/// Reusable scratch of one grouping pass: a counting sort of (some of)
+/// the pass's points by key into contiguous per-key runs. Groups are
+/// numbered in first-appearance order, and each run keeps its points in
+/// arrival order.
+struct Grouping {
+    /// Memo slot → a recent group id. Checked against `keys`, so a
+    /// stale id (from an earlier pass) is just a miss.
+    memo: Vec<u32>,
+    /// The pass's key → group id index, consulted on a memo miss
+    /// (std's keyed hasher, as the stream table itself uses).
+    index: HashMap<u64, u32>,
+    /// Group id → key.
+    keys: Vec<u64>,
+    /// Group id → index in the pass of the group's last point.
+    last: Vec<u32>,
+    /// Group id → end of its run in `values` (a point count until the
+    /// scatter turns it into the run's end offset).
+    ends: Vec<u32>,
+    /// The group id of each grouped point, in pass order.
+    gids: Vec<u32>,
+    /// The grouped values, scattered into per-group runs.
+    values: Vec<f64>,
+}
+
+impl Default for Grouping {
+    fn default() -> Self {
+        Grouping {
+            memo: vec![0; MEMO_SLOTS],
+            index: HashMap::new(),
+            keys: Vec::new(),
+            last: Vec::new(),
+            ends: Vec::new(),
+            gids: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl Grouping {
+    /// Groups `points` — `(pass index, key, value)`, from a pass of at
+    /// most [`GROUP_PASS_MAX`] points, in arrival order — by key.
+    fn group(&mut self, points: impl Iterator<Item = RoutedPoint> + Clone) {
+        self.index.clear();
+        self.keys.clear();
+        self.last.clear();
+        self.ends.clear();
+        self.gids.clear();
+        for (i, key, _) in points.clone() {
+            let slot = memo_slot(key);
+            let memo = self.memo[slot];
+            let g = if self.keys.get(memo as usize) == Some(&key) {
+                memo
+            } else {
+                let next = u32::try_from(self.keys.len()).expect("pass bounded by GROUP_PASS_MAX");
+                let g = *self.index.entry(key).or_insert(next);
+                if g == next {
+                    self.keys.push(key);
+                    self.last.push(0);
+                    self.ends.push(0);
+                }
+                self.memo[slot] = g;
+                g
+            };
+            self.last[g as usize] = i;
+            self.ends[g as usize] += 1;
+            self.gids.push(g);
+        }
+        // Counts → run start offsets, then scatter; each group's cursor
+        // finishes at its run's end.
+        let mut start = 0u32;
+        for e in &mut self.ends {
+            let n = *e;
+            *e = start;
+            start += n;
+        }
+        self.values.clear();
+        self.values.resize(self.gids.len(), 0.0);
+        for (&g, (_, _, v)) in self.gids.iter().zip(points) {
+            let cursor = &mut self.ends[g as usize];
+            self.values[*cursor as usize] = v;
+            *cursor += 1;
+        }
+    }
+
+    /// Number of groups in the current pass.
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Group `g`'s key, its run of values in arrival order, and the
+    /// pass index of its last point.
+    fn run(&self, g: usize) -> (u64, &[f64], u32) {
+        let start = g.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        let end = self.ends[g] as usize;
+        (self.keys[g], &self.values[start..end], self.last[g])
+    }
+}
 
 /// The sharded stream table: routing plus per-stream ingest.
 pub(crate) struct ShardSet {
     shards: Vec<Shard>,
+    /// Per-shard batch-ingest scratch, reused across calls.
+    groupings: Vec<Grouping>,
+    /// Per-shard copies of the points routed to it (multi-shard sets
+    /// only), reused across calls.
+    routed: Vec<Vec<RoutedPoint>>,
 }
 
 impl ShardSet {
@@ -175,6 +353,8 @@ impl ShardSet {
         assert!(n >= 1, "need at least one shard");
         ShardSet {
             shards: (0..n).map(|_| Shard::default()).collect(),
+            groupings: (0..n).map(|_| Grouping::default()).collect(),
+            routed: vec![Vec::new(); n],
         }
     }
 
@@ -196,38 +376,63 @@ impl ShardSet {
     }
 
     /// Offers a batch of keyed points (point `i` at tick
-    /// `first_tick + i`), fanning the shards across the persistent
-    /// worker pool. Exactly equivalent to offering the points one by
-    /// one in order: the partition preserves each stream's sub-order
-    /// (and hence its final `last_touch`) and shards share no state.
+    /// `first_tick + i`), in passes of at most [`GROUP_PASS_MAX`]
+    /// points. Each pass routes its points to their shards, and each
+    /// shard groups its share by key, then looks every key up once and
+    /// feeds it its run — so per-pass table work scales with the flows
+    /// in the pass, not its points. Large passes over several shards
+    /// fan the shards across the persistent worker pool.
+    ///
+    /// Exactly equivalent to offering the points one by one in order:
+    /// a stream's state depends only on its own values, in arrival
+    /// order (which its run keeps), and on the tick of its last point
+    /// (its `last_touch`); shards share no state.
     pub(crate) fn offer_batch(
         &mut self,
         config: &MonitorConfig,
         points: &[(u64, f64)],
         first_tick: u64,
     ) {
-        if self.shards.len() == 1 || points.len() < PAR_BATCH_MIN {
-            for (i, &(k, v)) in points.iter().enumerate() {
-                self.offer(config, k, v, first_tick + i as u64);
+        for (pass, chunk) in (first_tick..)
+            .step_by(GROUP_PASS_MAX)
+            .zip(points.chunks(GROUP_PASS_MAX))
+        {
+            self.offer_pass(config, chunk, pass);
+        }
+    }
+
+    /// One pass of [`ShardSet::offer_batch`].
+    fn offer_pass(&mut self, config: &MonitorConfig, points: &[(u64, f64)], first_tick: u64) {
+        if self.shards.len() == 1 {
+            let points = (0u32..).zip(points).map(|(i, &(k, v))| (i, k, v));
+            self.shards[0].offer_pass(config, &mut self.groupings[0], points, first_tick);
+            return;
+        }
+        self.routed.iter_mut().for_each(Vec::clear);
+        for (i, &(key, value)) in (0u32..).zip(points) {
+            let idx = self.shard_index(key);
+            self.routed[idx].push((i, key, value));
+        }
+        if points.len() < PAR_BATCH_MIN {
+            let shards = self.shards.iter_mut().zip(&mut self.groupings);
+            for ((shard, grouping), routed) in shards.zip(&self.routed) {
+                shard.offer_pass(config, grouping, routed.iter().copied(), first_tick);
             }
             return;
         }
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<TickedPoint>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, &(k, v)) in points.iter().enumerate() {
-            per_shard[self.shard_index(k)].push((k, v, first_tick + i as u64));
-        }
-        let shards = std::mem::take(&mut self.shards);
-        let work: Vec<(Shard, Vec<TickedPoint>)> = shards.into_iter().zip(per_shard).collect();
-        self.shards = work
+        let work: Vec<((Shard, Grouping), &Vec<RoutedPoint>)> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .zip(std::mem::take(&mut self.groupings))
+            .zip(&self.routed)
+            .collect();
+        let done: Vec<(Shard, Grouping)> = work
             .into_par_iter()
-            .map(|(mut shard, pts)| {
-                for (k, v, tick) in pts {
-                    shard.offer(config, k, v, tick);
-                }
-                shard
+            .map(|((mut shard, mut grouping), routed)| {
+                shard.offer_pass(config, &mut grouping, routed.iter().copied(), first_tick);
+                (shard, grouping)
             })
             .collect();
+        (self.shards, self.groupings) = done.into_iter().unzip();
     }
 
     /// Switches dirty tracking on: from now on every shard lists the
@@ -282,5 +487,52 @@ impl ShardSet {
         self.shards
             .iter_mut()
             .flat_map(|s| s.streams.iter_mut().map(|(&k, st)| (k, st)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::encode_snapshot;
+    use crate::engine::MonitorEngine;
+
+    #[test]
+    fn memo_slot_collisions_take_the_index_path_and_match_pointwise() {
+        // Distinct keys that all share one memo slot, interleaved so no
+        // two consecutive points carry the same key: every memo lookup
+        // finds the previous point's group and misses, so every point
+        // is resolved through the pass's keyed index — the path
+        // adversarial keys force.
+        let slot = memo_slot(0);
+        let keys: Vec<u64> = (0u64..)
+            .filter(|&k| memo_slot(k) == slot)
+            .take(40)
+            .collect();
+        let points: Vec<(u64, f64)> = (0..9000)
+            .map(|i| (keys[i % keys.len()], ((i * 37) % 1500) as f64))
+            .collect();
+        assert!(points.windows(2).all(|w| w[0].0 != w[1].0));
+        for shards in [1, 2] {
+            let config = MonitorConfig::default()
+                .sampler(SamplerSpec::Bss {
+                    interval: 4,
+                    epsilon: 1.0,
+                    n_pre: 8,
+                    l: 2,
+                })
+                .shards(shards)
+                .seed(21);
+            let mut pointwise = MonitorEngine::new(config.clone());
+            for &(k, v) in &points {
+                pointwise.offer(k, v);
+            }
+            let mut grouped = MonitorEngine::new(config);
+            grouped.offer_batch(&points);
+            assert!(
+                encode_snapshot(&grouped.full_snapshot())
+                    == encode_snapshot(&pointwise.full_snapshot()),
+                "shards {shards}: snapshot bytes differ"
+            );
+        }
     }
 }

@@ -97,6 +97,15 @@ impl Reservoir {
         }
     }
 
+    fn view(&self) -> ReservoirView<'_> {
+        ReservoirView {
+            cap: self.cap,
+            seed: self.seed,
+            seen: self.seen,
+            items: &self.items,
+        }
+    }
+
     /// Shrinks the reservoir to at most `max_items` retained samples
     /// (deterministic uniform subsample) and clamps the capacity so it
     /// stays there — the lifecycle layer's compaction primitive.
@@ -197,28 +206,16 @@ impl ReservoirSnapshot {
     /// replacement draw changes, so the patch is tiny next to `cap`
     /// retained items.
     pub fn diff_from(&self, base: &ReservoirSnapshot) -> Option<ReservoirPatch> {
-        if self.cap != base.cap
-            || self.seed != base.seed
-            || self.seen < base.seen
-            || self.items.len() < base.items.len()
-        {
-            return None;
+        self.view().diff_from(base)
+    }
+
+    fn view(&self) -> ReservoirView<'_> {
+        ReservoirView {
+            cap: self.cap,
+            seed: self.seed,
+            seen: self.seen,
+            items: &self.items,
         }
-        let mut slots = Vec::new();
-        for (i, v) in self.items.iter().enumerate() {
-            let same = base
-                .items
-                .get(i)
-                .is_some_and(|b| b.to_bits() == v.to_bits());
-            if !same {
-                slots.push((i, *v));
-            }
-        }
-        Some(ReservoirPatch {
-            seen_delta: self.seen - base.seen,
-            new_len: self.items.len(),
-            slots,
-        })
     }
 
     /// Applies a [`ReservoirSnapshot::diff_from`] patch. Returns
@@ -321,10 +318,48 @@ pub struct ReservoirPatch {
     pub slots: Vec<(usize, f64)>,
 }
 
+/// A borrowed image of a reservoir — live ([`Reservoir`]) or snapshot
+/// ([`ReservoirSnapshot`]) — which both diff through.
+#[derive(Clone, Copy)]
+struct ReservoirView<'a> {
+    cap: usize,
+    seed: u64,
+    seen: u64,
+    items: &'a [f64],
+}
+
+impl ReservoirView<'_> {
+    /// [`ReservoirSnapshot::diff_from`] on either form.
+    fn diff_from(self, base: &ReservoirSnapshot) -> Option<ReservoirPatch> {
+        if self.cap != base.cap
+            || self.seed != base.seed
+            || self.seen < base.seen
+            || self.items.len() < base.items.len()
+        {
+            return None;
+        }
+        let mut slots = Vec::new();
+        for (i, v) in self.items.iter().enumerate() {
+            let same = base
+                .items
+                .get(i)
+                .is_some_and(|b| b.to_bits() == v.to_bits());
+            if !same {
+                slots.push((i, *v));
+            }
+        }
+        Some(ReservoirPatch {
+            seen_delta: self.seen - base.seen,
+            new_len: self.items.len(),
+            slots,
+        })
+    }
+}
+
 /// Exceedance counters over a fixed ascending threshold ladder — the
 /// mergeable form of the paper's tail interest (how often the rate
 /// process exceeds a level; counts of disjoint streams add).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct TailCounter {
     /// Ascending thresholds.
     thresholds: Vec<f64>,
@@ -332,6 +367,23 @@ pub struct TailCounter {
     counts: Vec<u64>,
     /// Total observations.
     total: u64,
+}
+
+impl Clone for TailCounter {
+    fn clone(&self) -> Self {
+        TailCounter {
+            thresholds: self.thresholds.clone(),
+            counts: self.counts.clone(),
+            total: self.total,
+        }
+    }
+
+    /// Reuses `self`'s ladder and count buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.thresholds.clone_from(&source.thresholds);
+        self.counts.clone_from(&source.counts);
+        self.total = source.total;
+    }
 }
 
 impl TailCounter {
@@ -543,6 +595,29 @@ impl StreamSummary {
         }
     }
 
+    /// Overwrites `out` with [`StreamSummary::snapshot`], reusing its
+    /// buffers — a collector's per-key baseline is refreshed this way
+    /// on every seal instead of being rebuilt.
+    pub(crate) fn snapshot_into(&self, out: &mut SummarySnapshot) {
+        out.moments = self.moments;
+        out.hurst.clone_from(&self.hurst);
+        let (r, o) = (&self.reservoir, &mut out.reservoir);
+        (o.cap, o.seed, o.seen) = (r.cap, r.seed, r.seen);
+        o.items.clone_from(&r.items);
+        out.tail.clone_from(&self.tail);
+    }
+
+    /// The borrowed image [`SummarySnapshot::diff_from`] runs on, so a
+    /// live summary diffs against a baseline without a snapshot.
+    pub(crate) fn view(&self) -> SummaryView<'_> {
+        SummaryView {
+            moments: &self.moments,
+            hurst: &self.hurst,
+            reservoir: self.reservoir.view(),
+            tail: &self.tail,
+        }
+    }
+
     /// Approximate in-memory footprint of the live summary.
     pub fn estimated_bytes(&self) -> usize {
         40 + self.hurst.estimated_bytes()
@@ -652,31 +727,17 @@ impl SummarySnapshot {
     /// is not diffable (reservoir identity changed, cascade or sample
     /// shrank, ladder changed — ship the full entry instead).
     pub fn diff_from(&self, base: &SummarySnapshot) -> Option<SummaryPatch> {
-        let moments =
-            (moments_bits(&self.moments) != moments_bits(&base.moments)).then_some(self.moments);
-        let hurst = {
-            let p = self.hurst.diff_from(&base.hurst)?;
-            let unchanged = p.count_delta == 0
-                && p.changed.is_empty()
-                && p.new_levels == base.hurst.level_count();
-            (!unchanged).then_some(p)
-        };
-        let reservoir = {
-            let p = self.reservoir.diff_from(&base.reservoir)?;
-            let unchanged =
-                p.seen_delta == 0 && p.slots.is_empty() && p.new_len == base.reservoir.items.len();
-            (!unchanged).then_some(p)
-        };
-        let tail = {
-            let (deltas, total) = self.tail.diff_from(&base.tail)?;
-            (total != 0 || deltas.iter().any(|&d| d != 0)).then_some((deltas, total))
-        };
-        Some(SummaryPatch {
-            moments,
-            hurst,
-            reservoir,
-            tail,
-        })
+        self.view().diff_from(base)
+    }
+
+    /// The borrowed image [`SummarySnapshot::diff_from`] runs on.
+    pub(crate) fn view(&self) -> SummaryView<'_> {
+        SummaryView {
+            moments: &self.moments,
+            hurst: &self.hurst,
+            reservoir: self.reservoir.view(),
+            tail: &self.tail,
+        }
     }
 
     /// Applies a [`SummarySnapshot::diff_from`] patch. Returns `false`
@@ -704,6 +765,48 @@ impl SummarySnapshot {
             }
         }
         true
+    }
+}
+
+/// A borrowed image of a summary — live ([`StreamSummary`]) or
+/// snapshot ([`SummarySnapshot`]) — which both diff through, so the
+/// diff rule exists once.
+#[derive(Clone, Copy)]
+pub(crate) struct SummaryView<'a> {
+    moments: &'a RunningStats,
+    hurst: &'a OnlineVarianceTime,
+    reservoir: ReservoirView<'a>,
+    tail: &'a TailCounter,
+}
+
+impl SummaryView<'_> {
+    /// [`SummarySnapshot::diff_from`] on either form.
+    pub(crate) fn diff_from(self, base: &SummarySnapshot) -> Option<SummaryPatch> {
+        let moments =
+            (moments_bits(self.moments) != moments_bits(&base.moments)).then_some(*self.moments);
+        let hurst = {
+            let p = self.hurst.diff_from(&base.hurst)?;
+            let unchanged = p.count_delta == 0
+                && p.changed.is_empty()
+                && p.new_levels == base.hurst.level_count();
+            (!unchanged).then_some(p)
+        };
+        let reservoir = {
+            let p = self.reservoir.diff_from(&base.reservoir)?;
+            let unchanged =
+                p.seen_delta == 0 && p.slots.is_empty() && p.new_len == base.reservoir.items.len();
+            (!unchanged).then_some(p)
+        };
+        let tail = {
+            let (deltas, total) = self.tail.diff_from(&base.tail)?;
+            (total != 0 || deltas.iter().any(|&d| d != 0)).then_some((deltas, total))
+        };
+        Some(SummaryPatch {
+            moments,
+            hurst,
+            reservoir,
+            tail,
+        })
     }
 }
 
@@ -894,5 +997,27 @@ mod tests {
         let one: SummarySnapshot = merge_all(&parts);
         let two: SummarySnapshot = merge_all(&parts);
         assert_eq!(one, two, "same order, same inputs → identical bits");
+    }
+
+    #[test]
+    fn live_view_diffs_and_snapshot_into_refresh_like_a_fresh_snapshot() {
+        let mut live = StreamSummary::new(&SummaryConfig::default(), 9);
+        for v in ramp(3000, 2.0) {
+            live.push(v);
+        }
+        let base = live.snapshot();
+        for v in ramp(700, 5.0) {
+            live.push(v);
+        }
+        let fresh = live.snapshot();
+        // The live form diffs exactly as its snapshot does.
+        assert_eq!(live.view().diff_from(&base), fresh.diff_from(&base));
+        assert!(fresh.diff_from(&base).is_some_and(|p| !p.is_empty()));
+        // Refreshing a stale (here also compacted, so shorter) baseline
+        // in place gives the fresh snapshot's exact state.
+        let mut stale = base.clone();
+        stale.compact(256);
+        live.snapshot_into(&mut stale);
+        assert_eq!(stale, fresh);
     }
 }

@@ -8,8 +8,8 @@
 //! first point since the last flush, so a flush visits only the keys
 //! touched since the previous one and ships them as cumulative `Delta`
 //! frames (or, sequenced, as `DeltaDiff` patches against the last
-//! shipped entry, moved into place rather than cloned), plus `Evicted`
-//! frames for streams its lifecycle layer retired.
+//! shipped entry, which the live state then overwrites in place), plus
+//! `Evicted` frames for streams its lifecycle layer retired.
 //!
 //! An [`Aggregator`] consumes frames from many collectors. Its state is
 //! *per collector*: a live view (replaced by `Delta`/`FullSnapshot`
@@ -38,7 +38,7 @@
 //! in-memory pipes and Unix sockets.
 
 use crate::codec::{encoded_diff_len, encoded_entry_len};
-use crate::diff::{apply_diff, diff_entry, StreamDiff};
+use crate::diff::{apply_diff, diff_view, StreamDiff};
 use crate::engine::{EngineSnapshot, MonitorConfig, MonitorEngine, StreamEntry};
 use crate::sketch::SketchSnapshot;
 use crate::wire::{
@@ -408,11 +408,13 @@ impl Collector {
     /// the encoded cumulative entry. Anything else falls back to the
     /// cumulative `Delta` path — correctness never depends on diffing.
     ///
-    /// The seal costs one baseline lookup per dirty key and clones an
-    /// entry only when it ships cumulatively while diffing is on: each
-    /// new entry is diffed against the old baseline and then *moved*
-    /// into its place, and the diff, cumulative and evicted vectors
-    /// move into their frames.
+    /// The seal costs one baseline lookup per dirty key and builds no
+    /// snapshot for a key that already has a baseline: the key's *live*
+    /// state is diffed against the baseline, then the baseline is
+    /// overwritten with that state in place, reusing its buffers
+    /// (`clone_from`). An entry is cloned only when it ships
+    /// cumulatively while diffing is on, and the diff, cumulative and
+    /// evicted vectors move into their frames.
     ///
     /// # Panics
     ///
@@ -420,8 +422,6 @@ impl Collector {
     pub fn seal_flush(&mut self) {
         self.pending_evicted.extend(self.engine.drain_evicted());
         let evicted = std::mem::take(&mut self.pending_evicted);
-        let entries = self.engine.dirty_entries();
-        self.engine.clear_dirty();
         let sketch = self.engine.sketch_snapshot();
         let st = self.seq.as_mut().expect("sequenced collector");
         // An evicted key's baseline is gone on both sides: the
@@ -431,32 +431,34 @@ impl Collector {
             st.baseline.remove(&e.key);
         }
         st.seal_evicted(evicted);
-        // Partition dirty entries: diff where the differential encoding
-        // wins, cumulative otherwise. Either way the new entry becomes
-        // the key's baseline for the next flush.
+        // Partition dirty keys: diff where the differential encoding
+        // wins, cumulative otherwise. Either way the key's live state
+        // becomes its baseline for the next flush.
         let mut diffs: Vec<StreamDiff> = Vec::new();
         let mut full: Vec<StreamEntry> = Vec::new();
-        for e in entries {
+        for (key, state) in self.engine.dirty_states() {
             if !st.diff_enabled {
-                full.push(e);
+                full.push(state.entry(key));
                 continue;
             }
-            match st.baseline.entry(e.key) {
-                Entry::Occupied(mut base) => {
-                    let diff = diff_entry(base.get(), &e)
-                        .filter(|d| encoded_diff_len(d) < encoded_entry_len(&e));
-                    match diff {
+            match st.baseline.entry(key) {
+                Entry::Occupied(mut slot) => {
+                    let base = slot.get_mut();
+                    let sampler = state.sampler.snapshot();
+                    let diff = diff_view(base, key, &sampler, state.summary.view());
+                    // Overwrite the baseline in place, reusing its
+                    // buffers; it is now the entry a `Delta` would ship.
+                    base.sampler = sampler;
+                    state.summary.snapshot_into(&mut base.summary);
+                    match diff.filter(|d| encoded_diff_len(d) < encoded_entry_len(base)) {
                         Some(d) => diffs.push(d),
-                        None => full.push(e.clone()),
+                        None => full.push(base.clone()),
                     }
-                    base.insert(e);
                 }
-                Entry::Vacant(slot) => {
-                    full.push(e.clone());
-                    slot.insert(e);
-                }
+                Entry::Vacant(slot) => full.push(slot.insert(state.entry(key)).clone()),
             }
         }
+        self.engine.clear_dirty();
         for chunk in frame_chunks(diffs, encoded_diff_len) {
             st.seal(&Frame::DeltaDiff(chunk));
         }

@@ -11,9 +11,11 @@
 //!   noise), plus min/max;
 //! * when the `CRITERION_JSON` environment variable names a file, one
 //!   JSON line per benchmark is appended:
-//!   `{"id":…,"ns_per_iter":…,"iters":…,"throughput_elems":…}` — the
-//!   workspace's `scripts/bench_json.sh` uses this to build
-//!   `BENCH_samplers.json`.
+//!   `{"id":…,"ns_per_iter":…,"min_ns":…,"mad_ns":…,"samples":…,"iters":…,"throughput_elems":…}`
+//!   — `ns_per_iter` is the median, `mad_ns` the median absolute
+//!   deviation of the samples from it, `samples` their count and `iters`
+//!   the iterations per sample; the workspace's `scripts/bench_json.sh`
+//!   uses this to build `BENCH_samplers.json`.
 //!
 //! `cargo test` executes harness-less bench binaries with `--test`; in
 //! that mode every benchmark runs exactly one iteration as a smoke test
@@ -257,7 +259,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         // output was requested: `scripts/check_bench_ids.sh` runs the
         // harness in smoke mode to enumerate the current benchmark ids
         // and diff them against the committed BENCH_samplers.json.
-        append_json(id, b.elapsed.as_nanos() as f64, 1, throughput);
+        append_json(id, &[b.elapsed.as_nanos() as f64], 1, throughput);
         return;
     }
     // Calibration: time one iteration to size the warm-up and samples.
@@ -296,7 +298,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         samples_ns.push(sb.elapsed.as_nanos() as f64 / iters as f64);
     }
     samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    let median = samples_ns[samples_ns.len() / 2];
+    let median = median_of(&samples_ns);
     let lo = samples_ns[0];
     let hi = samples_ns[samples_ns.len() - 1];
 
@@ -315,7 +317,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         human_time(median),
         human_time(hi)
     );
-    append_json(id, median, iters, throughput);
+    append_json(id, &samples_ns, iters, throughput);
 }
 
 fn human_time(ns: f64) -> String {
@@ -342,25 +344,21 @@ fn human_rate(per_s: f64) -> String {
     }
 }
 
-fn append_json(id: &str, median_ns: f64, iters: u64, throughput: Option<Throughput>) {
+/// The median of ascending `sorted` (its upper middle when even).
+fn median_of(sorted: &[f64]) -> f64 {
+    sorted[sorted.len() / 2]
+}
+
+/// Appends one benchmark's [`record_line`] to the `CRITERION_JSON`
+/// file, when that names one.
+fn append_json(id: &str, sorted_ns: &[f64], iters: u64, throughput: Option<Throughput>) {
     let Ok(path) = std::env::var("CRITERION_JSON") else {
         return;
     };
     if path.is_empty() {
         return;
     }
-    let thr = match throughput {
-        Some(Throughput::Elements(n)) => format!(",\"throughput_elems\":{n}"),
-        Some(Throughput::Bytes(n)) => format!(",\"throughput_bytes\":{n}"),
-        None => String::new(),
-    };
-    let line = format!(
-        "{{\"id\":\"{}\",\"ns_per_iter\":{:.1},\"iters\":{}{}}}\n",
-        id.replace('"', "'"),
-        median_ns,
-        iters,
-        thr
-    );
+    let line = record_line(id, sorted_ns, iters, throughput);
     if let Ok(mut fh) = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -368,6 +366,29 @@ fn append_json(id: &str, median_ns: f64, iters: u64, throughput: Option<Throughp
     {
         let _ = fh.write_all(line.as_bytes());
     }
+}
+
+/// One benchmark's JSON record from its per-iteration sample times
+/// (ascending, at least one), newline-terminated.
+fn record_line(id: &str, sorted_ns: &[f64], iters: u64, throughput: Option<Throughput>) -> String {
+    let median = median_of(sorted_ns);
+    let mut deviations: Vec<f64> = sorted_ns.iter().map(|t| (t - median).abs()).collect();
+    deviations.sort_by(f64::total_cmp);
+    let thr = match throughput {
+        Some(Throughput::Elements(n)) => format!(",\"throughput_elems\":{n}"),
+        Some(Throughput::Bytes(n)) => format!(",\"throughput_bytes\":{n}"),
+        None => String::new(),
+    };
+    format!(
+        "{{\"id\":\"{}\",\"ns_per_iter\":{:.1},\"min_ns\":{:.1},\"mad_ns\":{:.1},\"samples\":{},\"iters\":{}{}}}\n",
+        id.replace('"', "'"),
+        median,
+        sorted_ns[0],
+        median_of(&deviations),
+        sorted_ns.len(),
+        iters,
+        thr
+    )
 }
 
 /// Declares a benchmark group: either `criterion_group!(name, fn…)` or the
@@ -434,5 +455,25 @@ mod tests {
         assert!(human_time(12_000.0).ends_with("µs"));
         assert!(human_time(12_000_000.0).ends_with("ms"));
         assert!(human_time(2e9).ends_with('s'));
+    }
+
+    #[test]
+    fn record_carries_median_min_mad_and_sample_count() {
+        let line = record_line(
+            "g/\"x\"",
+            &[10.0, 11.0, 12.0, 15.0, 40.0],
+            7,
+            Some(Throughput::Elements(3)),
+        );
+        // Median 12; deviations {0, 1, 2, 3, 28} → MAD 2.
+        assert_eq!(
+            line,
+            "{\"id\":\"g/'x'\",\"ns_per_iter\":12.0,\"min_ns\":10.0,\"mad_ns\":2.0,\"samples\":5,\"iters\":7,\"throughput_elems\":3}\n"
+        );
+        let smoke = record_line("one", &[5.0], 1, None);
+        assert_eq!(
+            smoke,
+            "{\"id\":\"one\",\"ns_per_iter\":5.0,\"min_ns\":5.0,\"mad_ns\":0.0,\"samples\":1,\"iters\":1}\n"
+        );
     }
 }

@@ -5,7 +5,11 @@
 #
 # The workspace's offline criterion harness appends one JSON object per
 # benchmark to the file named by $CRITERION_JSON:
-#   {"id": "...", "ns_per_iter": ..., "iters": ..., "throughput_elems": ...}
+#   {"id": "...", "ns_per_iter": ..., "min_ns": ..., "mad_ns": ...,
+#    "samples": ..., "iters": ..., "throughput_elems": ...}
+# ns_per_iter is the median per-iteration time over the samples, min_ns
+# the fastest sample, mad_ns the median absolute deviation from the
+# median, samples the sample count and iters the iterations per sample.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -84,24 +84,28 @@ impl RuleConfig {
                 // intentional caller-bug panics (oversize frames).
                 (
                     "crates/monitor/src/wire.rs",
-                    Scope::Fns(vec!["decode", "push_bytes", "finish"]),
+                    Scope::Fns(vec!["decode", "push", "finish"]),
                 ),
-                // diff.rs: the apply/patch half mutates state from
-                // network bytes; the diff-building half reads only
-                // trusted local state.
+                // diff.rs: the apply half mutates state from network
+                // bytes; the diff-building half reads only trusted
+                // local state.
+                ("crates/monitor/src/diff.rs", Scope::Fns(vec!["apply"])),
+                // summary.rs: the patch appliers `apply_diff` hands
+                // each decoded section to.
                 (
-                    "crates/monitor/src/diff.rs",
-                    Scope::Fns(vec!["apply", "patch"]),
+                    "crates/monitor/src/summary.rs",
+                    Scope::Fns(vec!["apply_patch"]),
                 ),
                 // The fault-injection proxy forwards a hostile
                 // back-channel verbatim: whole file.
                 ("crates/monitor/src/fault.rs", Scope::All),
                 // transport.rs: the session/dispatch paths that touch
-                // frames from live sockets.
+                // frames from live sockets (`pump` also covers
+                // `pump_ready_session`).
                 (
                     "crates/monitor/src/transport.rs",
                     Scope::Fns(vec![
-                        "handle_ready",
+                        "drain_intake",
                         "settle_failed",
                         "pump",
                         "run",
@@ -564,6 +568,34 @@ fn decode(b: &[u8]) -> u8 { let v = b.first().unwrap(); *v as u32 as u8 }
             f[1].fingerprint,
             "no-panic-on-untrusted-input:x.rs:unwrap#1"
         );
+    }
+
+    #[test]
+    fn every_scoped_surface_name_matches_a_fn_in_its_file() {
+        // A renamed or deleted fn must not silently drop code out of
+        // the no-panic gate: every `Scope::Fns` name has to match (by
+        // substring, as `in_surface` does) some non-test fn of its file.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (path, scope) in RuleConfig::workspace().untrusted_surface {
+            let Scope::Fns(names) = scope else {
+                continue;
+            };
+            let src = std::fs::read_to_string(root.join(path))
+                .unwrap_or_else(|e| panic!("read {path}: {e}"));
+            let lexed = lex(&src, false);
+            let fns: BTreeSet<&str> = lexed
+                .tokens
+                .iter()
+                .filter(|t| !t.ctx.test)
+                .flat_map(|t| t.ctx.fns.iter().map(String::as_str))
+                .collect();
+            for name in names {
+                assert!(
+                    fns.iter().any(|f| f.contains(name)),
+                    "{path}: surface name `{name}` matches no fn (have {fns:?})"
+                );
+            }
+        }
     }
 
     #[test]

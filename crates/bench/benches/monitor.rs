@@ -3,12 +3,12 @@
 //! ingest (the persistent-worker-pool payoff), snapshot/merge cost,
 //! summary compaction, wire-frame round-trips, eviction churn, the
 //! sketch tier (key-flood absorption and promote/demote turnover), and
-//! the event-loop transport (64-session serve on the poll(2) and
-//! epoll(7) backends, multi-loop sharded serve, TCP round-trip).
+//! the event-loop transport (64-session epoll serve, multi-loop
+//! sharded serve, TCP round-trip).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::transport::{BackendKind, EventLoopServer, MultiLoopServer, ServeOptions};
+use sst_monitor::transport::{EventLoopServer, MultiLoopServer, ServeOptions};
 use sst_monitor::EngineSnapshot;
 use sst_monitor::{
     decode_frames, encode_frame, Frame, MonitorConfig, MonitorEngine, SamplerSpec, WIRE_VERSION,
@@ -266,16 +266,12 @@ fn serve_pipes(sessions: u64) -> Vec<Vec<u8>> {
 }
 
 fn bench_event_loop_serve(c: &mut Criterion) {
-    // 64 collector sessions drained by one event loop, once per
-    // readiness backend. Delivery is *staged*: a writer thread feeds
-    // one session at a time (yielding after each) while the other
-    // sessions sit connected but idle — the steady state a live
-    // aggregator actually sees, and the one where the backends differ.
-    // Every round the poll(2) backend has the kernel walk the whole
-    // registered table to find the single ready fd, while epoll(7)'s
-    // wait returns just the ready event: O(registered) vs O(ready)
-    // per round, at identical session count, byte volume, and decode
-    // work.
+    // 64 collector sessions drained by one event loop. Delivery is
+    // *staged*: a writer thread feeds one session at a time (yielding
+    // after each) while the other sessions sit connected but idle —
+    // the steady state a live aggregator actually sees, where each
+    // epoll(7) wait returns just the ready event, O(ready) rather than
+    // O(registered) per round.
     use std::io::Write;
     use std::os::unix::net::UnixStream;
     const SESSIONS: u64 = 64;
@@ -284,49 +280,43 @@ fn bench_event_loop_serve(c: &mut Criterion) {
     let mut g = c.benchmark_group("monitor");
     g.sample_size(10);
     g.throughput(Throughput::Bytes(total_bytes as u64));
-    for (id, kind) in [
-        ("serve_event_loop_64_sessions", BackendKind::Poll),
-        ("serve_epoll_64_sessions", BackendKind::Epoll),
-    ] {
-        g.bench_function(id, |b| {
-            b.iter(|| {
-                let mut server = EventLoopServer::new(
-                    Aggregator::new(),
-                    ServeOptions {
-                        collectors: SESSIONS as usize,
-                        accept_timeout: None,
-                    },
-                )
-                .with_backend(kind);
-                let mut writers = Vec::with_capacity(pipes.len());
-                for _ in 0..pipes.len() {
-                    let (tx, rx) = UnixStream::pair().expect("socketpair");
-                    writers.push(tx);
-                    server.add_session(rx).expect("add_session");
-                }
-                let feeder = std::thread::spawn({
-                    let pipes = pipes.clone();
-                    move || {
-                        for (mut tx, pipe) in writers.into_iter().zip(&pipes) {
-                            tx.write_all(pipe).expect("buffered write");
-                            drop(tx);
-                            std::thread::yield_now();
-                        }
+    g.bench_function("serve_epoll_64_sessions", |b| {
+        b.iter(|| {
+            let mut server = EventLoopServer::new(
+                Aggregator::new(),
+                ServeOptions {
+                    collectors: SESSIONS as usize,
+                    accept_timeout: None,
+                },
+            );
+            let mut writers = Vec::with_capacity(pipes.len());
+            for _ in 0..pipes.len() {
+                let (tx, rx) = UnixStream::pair().expect("socketpair");
+                writers.push(tx);
+                server.add_session(rx).expect("add_session");
+            }
+            let feeder = std::thread::spawn({
+                let pipes = pipes.clone();
+                move || {
+                    for (mut tx, pipe) in writers.into_iter().zip(&pipes) {
+                        tx.write_all(pipe).expect("buffered write");
+                        drop(tx);
+                        std::thread::yield_now();
                     }
-                });
-                let (agg, rep) = server.run().expect("event loop");
-                feeder.join().expect("feeder");
-                assert_eq!(rep.completed, SESSIONS as usize);
-                agg.snapshot().stream_count()
+                }
             });
+            let (agg, rep) = server.run().expect("event loop");
+            feeder.join().expect("feeder");
+            assert_eq!(rep.completed, SESSIONS as usize);
+            agg.snapshot().stream_count()
         });
-    }
+    });
     g.finish();
 }
 
 fn bench_multi_loop_serve(c: &mut Criterion) {
-    // The same 64 pre-encoded sessions sharded across N event loops
-    // (default backend), dealt round-robin to per-loop aggregators and
+    // The same 64 pre-encoded sessions sharded across N event loops,
+    // dealt round-robin to per-loop aggregators and
     // merged at snapshot time. On a single core this prices the
     // sharding machinery (threads, wake pipes, snapshot merge); on N
     // cores it is the scaling row.
@@ -365,9 +355,9 @@ fn bench_multi_loop_serve(c: &mut Criterion) {
 
 fn bench_tcp_roundtrip(c: &mut Criterion) {
     // The wire_roundtrip workload (Hello + 4096-stream Delta + Bye)
-    // pushed through a real TCP loopback connection into the event
-    // loop — wire_roundtrip minus this row is the in-memory floor, this
-    // row adds the socket + poll cost.
+    // pushed through a real TCP loopback connection into a one-loop
+    // serve — wire_roundtrip minus this row is the in-memory floor,
+    // this row adds the socket, accept and epoll cost.
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     let pts = points(1 << 19, 4096);
@@ -392,8 +382,8 @@ fn bench_tcp_roundtrip(c: &mut Criterion) {
         b.iter(|| {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
+            let mut server = MultiLoopServer::new(
+                vec![Aggregator::new()],
                 ServeOptions {
                     collectors: 1,
                     accept_timeout: None,
@@ -407,10 +397,10 @@ fn bench_tcp_roundtrip(c: &mut Criterion) {
                     sock.write_all(&session).expect("write session");
                 }
             });
-            let (agg, rep) = server.run().expect("event loop");
+            let (aggs, rep) = server.run().expect("event loop");
             writer.join().expect("writer");
             assert_eq!(rep.completed, 1);
-            agg.snapshot().stream_count()
+            aggs.snapshot().stream_count()
         });
     });
     g.finish();
@@ -440,8 +430,8 @@ fn bench_resync_after_kill(c: &mut Criterion) {
         b.iter(|| {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
+            let mut server = MultiLoopServer::new(
+                vec![Aggregator::new()],
                 ServeOptions {
                     collectors: 1,
                     accept_timeout: None,

@@ -28,26 +28,22 @@
 //!  │           Aggregator          │  state, interleaving-proof,
 //!  │           SessionDriver       │  per-session state machine
 //!  ├───────────────────────────────┤
-//!  │ transport event loops (epoll  │  UDS + TCP listeners, hostile
-//!  │           or poll backend),   │  sessions isolated, no mutex;
-//!  │           1 loop or 1/core    │  per-loop aggs merge at the end
+//!  │ transport epoll event loops,  │  UDS + TCP listeners, hostile
+//!  │           1 or 1/core, one    │  sessions isolated, no mutex;
+//!  │           accept dispatcher   │  per-loop aggs merge at the end
 //!  └───────────────────────────────┘
 //! ```
 //!
 //! [`MonitorEngine`] (in [`engine`]) is the facade over the top two
 //! layers and keeps the original single-process API; [`wire`] and
 //! [`topology`] extend it across process boundaries, and [`transport`]
-//! puts it on real sockets: an event loop
-//! ([`transport::EventLoopServer`]) over a pluggable readiness backend
-//! ([`transport::BackendKind`]: `epoll(7)` by default on Linux,
-//! `poll(2)` as the portable baseline) multiplexing any number of
-//! Unix-domain and TCP collector sessions — one bad session is rolled
-//! back and logged, never fatal. [`transport::MultiLoopServer`] shards
-//! sessions across one loop per core behind an accept dispatcher
-//! (per-loop [`topology::Aggregator`]s merge at snapshot time via
-//! [`topology::AggregatorSet`]; spoof rejection stays global through
-//! the shared [`topology::AdmissionRegistry`]), and a blocking
-//! [`transport::pump_blocking`] serves thread-per-connection callers.
+//! puts it on real sockets: [`transport::MultiLoopServer`] accepts
+//! Unix-domain and TCP collector sessions on one dispatcher and shards
+//! them across `epoll(7)` event loops ([`transport::EventLoopServer`]),
+//! one per core or just one — one bad session is rolled back and
+//! logged, never fatal. Per-loop [`topology::Aggregator`]s merge at
+//! snapshot time via [`topology::AggregatorSet`]; spoof rejection
+//! stays global through the shared [`topology::AdmissionRegistry`].
 //!
 //! ## The merge-equivalence guarantee
 //!
@@ -132,8 +128,7 @@ pub use topology::{
     AdmissionRegistry, Aggregator, AggregatorSet, Collector, SessionDriver, SessionError,
 };
 pub use transport::{
-    BackendKind, EventLoopServer, MultiLoopServer, ServeOptions, ServeReport, SessionStats,
-    SessionStream,
+    EventLoopServer, MultiLoopServer, ServeOptions, ServeReport, SessionStats, SessionStream,
 };
 pub use wire::{
     decode_frames, encode_frame, Frame, FrameDecoder, WireError, WIRE_VERSION,

@@ -16,17 +16,18 @@
 //!   (serve restart, replay gap). `monitor_tool forward --retry` is a
 //!   thin shell around it.
 //!
-//! ## Ack-less peers
+//! ## Silence is not delivery
 //!
-//! The threaded transport ([`pump_blocking`]) reads to EOF and never
-//! writes, so a sender talking to it would wait for acks forever.
-//! [`SequencedSender::finish`] therefore treats *silence* — a read
-//! timeout with the connection still open and no server frame ever
-//! received — as optimistic success, while EOF or reset before the
-//! final ack still triggers a retry. A server that has spoken (any
-//! `Ack`/`Resync`) is held to the full acknowledged handshake.
-//!
-//! [`pump_blocking`]: crate::transport::pump_blocking
+//! [`SequencedSender::finish`] returns `Ok` only once an `Ack` covers
+//! every frame through the `Bye`. A peer that reads the bytes but
+//! never acks them — stuck, mid-restart, or not speaking the
+//! back-channel at all — has confirmed nothing, so a read timeout
+//! after the final window is a connection failure like EOF or a
+//! reset: it consumes a retry, and the reconnect replays the unacked
+//! window. Replay is idempotent (the aggregator's seq watermark skips
+//! frames it already applied), so retrying a tail that did land costs
+//! bytes, never correctness; once the budget is spent, `finish`
+//! reports the error instead of claiming delivery.
 
 use crate::topology::Collector;
 use crate::transport::SessionStream;
@@ -102,7 +103,7 @@ impl Backoff {
 }
 
 /// How long [`SequencedSender::finish`] waits for an ack before
-/// deciding the peer is silent (ack-less threaded transport) or stuck.
+/// treating the connection as stuck and retrying.
 const ACK_WAIT: Duration = Duration::from_millis(500);
 
 /// What one bounded read of the server's back-channel produced.
@@ -171,9 +172,6 @@ pub struct SequencedSender<F: FnMut() -> io::Result<SessionStream>> {
     backoff: Backoff,
     retries_left: u32,
     conn: Option<Conn>,
-    /// `true` once any server frame arrived on any connection — the
-    /// peer speaks the back-channel, so silence is never success.
-    server_speaks: bool,
     /// Reconnects performed (observability; `forward` prints it).
     reconnects: u32,
 }
@@ -197,7 +195,6 @@ impl<F: FnMut() -> io::Result<SessionStream>> SequencedSender<F> {
             backoff,
             retries_left: retries,
             conn: None,
-            server_speaks: false,
             reconnects: 0,
         }
     }
@@ -280,7 +277,6 @@ impl<F: FnMut() -> io::Result<SessionStream>> SequencedSender<F> {
     /// snapshot under a `Resync`-mode `Hello`), `Shutdown` converts to
     /// a connection error so the retry path reconnects elsewhere.
     fn apply_server_frame(&mut self, frame: Frame) -> io::Result<()> {
-        self.server_speaks = true;
         match frame {
             Frame::Ack { through_seq } => {
                 self.collector.ack(through_seq);
@@ -356,13 +352,13 @@ impl<F: FnMut() -> io::Result<SessionStream>> SequencedSender<F> {
     }
 
     /// Seals the `Bye` and runs the session to durable completion:
-    /// everything written, and — against an acking server — every
-    /// frame through the `Bye` acknowledged. Consumes the sender and
+    /// every frame through the `Bye` written and acknowledged. Consumes the sender and
     /// returns the collector (tests inspect its engine).
     ///
     /// # Errors
     ///
-    /// The last connection error once the retry budget is spent.
+    /// The last connection error once the retry budget is spent — a
+    /// peer that never acks the final frames ends here too.
     pub fn finish(mut self) -> io::Result<Collector> {
         self.collector.seal_finish();
         loop {
@@ -391,18 +387,12 @@ impl<F: FnMut() -> io::Result<SessionStream>> SequencedSender<F> {
             }
             match self.conn.as_mut().expect("connected").read_event()? {
                 ReadEvent::Silence => {
-                    if self.server_speaks {
-                        // The server acks — silence means it is stuck
-                        // (or we are mid-restart). Retry.
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "no ack for the final frames",
-                        ));
-                    }
-                    // Never heard a frame: an ack-less (threaded)
-                    // transport. Everything is written; optimistic
-                    // success is the best available contract.
-                    return Ok(true);
+                    // No ack within the wait: the peer is stuck (or we
+                    // are mid-restart). Retry.
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "no ack for the final frames",
+                    ));
                 }
                 ReadEvent::Frames(frames) => {
                     for f in frames {
@@ -458,5 +448,41 @@ mod tests {
         let d = b.next_delay_ms();
         assert!(d >= 1, "zero base must clamp to at least 1ms, got {d}");
         assert!(b.next_delay_ms() >= d);
+    }
+
+    #[test]
+    fn finish_fails_against_a_peer_that_never_acks() {
+        // The peer drains every byte and never writes back: nothing was
+        // confirmed, so once the retries are spent `finish` must report
+        // an error, not delivery.
+        use crate::engine::{MonitorConfig, SamplerSpec};
+        use std::os::unix::net::UnixStream;
+        let mut drains = Vec::new();
+        let connect = || -> io::Result<SessionStream> {
+            let (client, mut peer) = UnixStream::pair()?;
+            drains.push(std::thread::spawn(move || {
+                let _ = io::copy(&mut peer, &mut io::sink());
+            }));
+            Ok(SessionStream::from(client))
+        };
+        let config = MonitorConfig::default()
+            .sampler(SamplerSpec::Systematic { interval: 2 })
+            .seed(1);
+        let mut sender = SequencedSender::new(
+            Collector::new_sequenced(1, config),
+            connect,
+            Backoff::new(1, 2, 7),
+            1,
+        );
+        sender
+            .collector_mut()
+            .offer_batch(&[(1, 2.0), (2, 3.0), (1, 4.0)]);
+        sender.flush().expect("writes need no ack");
+        let err = sender.finish().err().expect("silence must not be delivery");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(drains.len(), 2, "one retry taken before giving up");
+        for d in drains {
+            d.join().expect("drain thread");
+        }
     }
 }

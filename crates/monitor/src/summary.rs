@@ -250,7 +250,11 @@ impl ReservoirSnapshot {
         }
         self.items.resize(p.new_len, 0.0);
         for &(i, v) in &p.slots {
-            self.items[i] = v;
+            // Every `i < new_len` was checked above; `get_mut` keeps
+            // the network-fed path free of an index panic regardless.
+            if let Some(slot) = self.items.get_mut(i) {
+                *slot = v;
+            }
         }
         self.seen = seen;
         true

@@ -1305,8 +1305,8 @@ impl fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// The per-session state machine every transport shares: bytes in,
-/// aggregator mutations out.
+/// The per-session state machine the serve loop runs for every
+/// connection: bytes in, aggregator mutations out.
 ///
 /// A `SessionDriver` owns one connection's [`FrameDecoder`] and session
 /// identity. Push bytes as they arrive ([`SessionDriver::push`]), call
@@ -1317,10 +1317,10 @@ impl std::error::Error for SessionError {}
 ///
 /// The driver never touches the aggregator except through
 /// [`Aggregator::feed`]/[`Aggregator::remove_collector`], so the same
-/// state machine serves the blocking thread-per-connection transport
-/// (aggregator behind a mutex, pushed under the lock) and the
-/// single-threaded event loop (exclusive aggregator, no lock) — and is
-/// unit-testable against in-memory byte slices.
+/// state machine serves live sockets in the event loop (which owns its
+/// aggregator, no lock) and in-memory byte slices pushed directly —
+/// the reference replay the transport tests compare served bytes
+/// against.
 pub struct SessionDriver {
     dec: FrameDecoder,
     session: Option<u64>,

@@ -1,62 +1,50 @@
-//! Socket transport for the collector topology: event-loop serving of
-//! many collector sessions at once — over a pluggable readiness
-//! [`Backend`] (`poll(2)` or `epoll(7)`), on one loop or one loop per
-//! core — plus the blocking per-connection pump the threaded transport
-//! shares.
+//! Socket transport for the collector topology: `epoll(7)` event loops
+//! serving many collector sessions at once, on one loop or one loop per
+//! core, behind one accept dispatcher.
 //!
 //! ## Why an event loop
 //!
-//! The original `monitor_tool serve` burned one blocking OS thread per
-//! collector connection. Sampled-NetFlow-style deployments put
-//! *hundreds* of exporters behind one aggregation point; at that fan-in
-//! the thread-per-connection model costs a stack and a scheduler slot
-//! per mostly-idle socket, and a mutex around the aggregator besides.
-//! The frame protocol is already incremental ([`FrameDecoder`] is
-//! push-based) and the per-session logic is a pure state machine
-//! ([`SessionDriver`]), so only the socket layer had to change:
+//! Sampled-NetFlow-style deployments put *hundreds* of exporters behind
+//! one aggregation point; at that fan-in a thread per connection costs
+//! a stack and a scheduler slot per mostly-idle socket, and a mutex
+//! around the aggregator besides. The frame protocol is already
+//! incremental ([`FrameDecoder`] is push-based) and the per-session
+//! logic is a pure state machine ([`SessionDriver`]), so only the
+//! socket layer is needed:
 //!
 //! * every listener and connection is non-blocking,
-//! * one readiness call multiplexes all of them (level-triggered — a
-//!   partially-drained buffer simply reports readable again),
+//! * one `epoll_wait` multiplexes all of a loop's sessions
+//!   (level-triggered — a partially-drained buffer simply reports
+//!   readable again, which the per-round read budget relies on),
 //! * readable bytes feed each session's [`SessionDriver`], which feeds
-//!   the [`Aggregator`] **directly** — no mutex, no threads,
+//!   the [`Aggregator`] **directly** — no mutex,
 //! * both Unix-domain and TCP listeners can serve concurrently, and
 //!   pre-accepted streams can be injected for tests and benches.
 //!
 //! Because the aggregator keys state per session and is
-//! interleaving-independent, the event loop's snapshot is
-//! **byte-identical** to the threaded transport's (and to a single
-//! unsharded engine over the same points) — pinned by
+//! interleaving-independent, the served snapshot is **byte-identical**
+//! to an in-memory [`SessionDriver`] replay of the same sessions (and
+//! to a single unsharded engine over the same points) — pinned by
 //! `tests/transport_live.rs`.
 //!
-//! ## Readiness backends
+//! ## Serving
 //!
-//! The loop drives a [`Backend`] — register/deregister fds under a
-//! token, wait for readiness. Two implementations ship:
-//!
-//! * [`BackendKind::Poll`] — `poll(2)` over one *persistent* pollfd
-//!   set (re-marshalled only when the session set changes, not every
-//!   wakeup). Portable, O(sessions) per wakeup in the kernel.
-//! * [`BackendKind::Epoll`] — `epoll(7)`, the Linux default: the
-//!   interest set lives in the kernel, so steady state is O(ready)
-//!   per wakeup regardless of how many idle sessions are parked.
-//!
-//! Both are level-triggered, which the per-round read budget relies on
-//! (a capped session's fd simply reports readable again next round).
-//!
-//! ## Multi-loop serving
-//!
-//! One event loop saturates one core. [`MultiLoopServer`] shards
-//! sessions across `N` loops (one per core): a dispatcher thread owns
+//! [`MultiLoopServer`] is the one accept path. A dispatcher thread owns
 //! the listeners and hands accepted connections round-robin to `N`
 //! worker loops over SPSC queues (an in-band wake pipe makes a blocked
-//! worker notice the handoff). Each worker owns a **private**
-//! [`Aggregator`] its sessions feed lock-free; the only cross-loop
-//! state is the [`AdmissionRegistry`] — consulted once per session id,
-//! not per frame — so a spoofed collector id is rejected no matter
-//! which loop its victim landed on. Per-loop aggregators are merged at
-//! snapshot time ([`AggregatorSet`]), and the canonical merge makes
-//! the assembled snapshot independent of dispatcher placement.
+//! worker notice the handoff); `N = 1` is the single-loop serve. Each
+//! worker owns a **private** [`Aggregator`] its sessions feed
+//! lock-free; the only cross-loop state is the [`AdmissionRegistry`] —
+//! consulted once per session id, not per frame — so a spoofed
+//! collector id is rejected no matter which loop its victim landed on.
+//! Per-loop aggregators are merged at snapshot time
+//! ([`AggregatorSet`]), and the canonical merge makes the assembled
+//! snapshot independent of dispatcher placement.
+//!
+//! [`EventLoopServer`] is one such loop standing alone, for callers
+//! that accept their own connections (benches, an embedding
+//! supervisor): it serves the sessions injected into it and returns its
+//! one [`Aggregator`].
 //!
 //! ## Failure isolation
 //!
@@ -70,14 +58,15 @@
 //!
 //! ## Shutdown
 //!
-//! [`EventLoopServer::run`] returns when `collectors` sessions have
-//! completed, or — with [`ServeOptions::accept_timeout`] — when no
-//! session delivered bytes for that long (so a serve waiting on clients
-//! that never come, or that stall, terminates instead of blocking
-//! forever). Under [`MultiLoopServer`] both conditions are global:
-//! completions count across loops, and activity on any loop defers the
-//! idle deadline for all. Sessions still in flight at shutdown are
-//! aborted and counted in [`ServeReport::aborted`].
+//! A serve returns when `collectors` sessions have completed, or —
+//! with [`ServeOptions::accept_timeout`] — when no session delivered
+//! bytes for that long (so a serve waiting on clients that never come,
+//! or that stall, terminates instead of blocking forever). Both
+//! conditions are global: completions count across loops, and activity
+//! on any loop defers the idle deadline for all. A standalone loop also
+//! returns once it has no session left to serve. Sessions still in
+//! flight at shutdown are aborted and counted in
+//! [`ServeReport::aborted`].
 //!
 //! `io_uring` (batched submission, zero-syscall steady state) is the
 //! natural next step past `epoll(7)` and is tracked in the ROADMAP.
@@ -92,37 +81,18 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Minimal FFI bindings for `poll(2)` and `epoll(7)` — the one hole in
-/// the crate's no-unsafe rule, confined to this module and wrapped by
-/// the safe [`sys::poll_fds`] / [`sys::Epoll`]. (No `libc` dependency:
-/// the container's workspace is offline, and a handful of `#[repr(C)]`
-/// lines beat a vendored crate.)
+/// Minimal FFI bindings for `epoll(7)` — the one hole in the crate's
+/// no-unsafe rule, confined to this module and wrapped by the safe
+/// [`sys::Epoll`]. (No `libc` dependency: the workspace builds offline,
+/// and a handful of `#[repr(C)]` lines beat a vendored crate.)
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
     use std::os::fd::RawFd;
-    use std::os::raw::{c_int, c_ulong};
-
-    /// `struct pollfd` from `<poll.h>` (identical layout on every
-    /// Linux ABI this workspace targets).
-    #[repr(C)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    /// There is input to read.
-    pub const POLLIN: i16 = 0x001;
-    /// Writing is possible without blocking.
-    pub const POLLOUT: i16 = 0x004;
-    /// Error condition (revents only).
-    pub const POLLERR: i16 = 0x008;
-    /// Peer hung up (revents only).
-    pub const POLLHUP: i16 = 0x010;
+    use std::os::raw::c_int;
 
     /// `struct epoll_event` from `<sys/epoll.h>`. On x86-64 the kernel
     /// ABI packs it (no padding between the `u32` and the `u64`);
@@ -130,17 +100,17 @@ mod sys {
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    struct EpollEvent {
         /// Ready-event bitmask (`EPOLLIN` | …).
-        pub events: u32,
+        events: u32,
         /// The caller's token, returned verbatim with each event.
-        pub data: u64,
+        data: u64,
     }
 
     /// There is input to read (interest and ready mask).
-    pub const EPOLLIN: u32 = 0x001;
+    const EPOLLIN: u32 = 0x001;
     /// Writing is possible without blocking (interest and ready mask).
-    pub const EPOLLOUT: u32 = 0x004;
+    const EPOLLOUT: u32 = 0x004;
 
     const EPOLL_CLOEXEC: c_int = 0o2000000;
     const EPOLL_CTL_ADD: c_int = 1;
@@ -148,7 +118,6 @@ mod sys {
     const EPOLL_CTL_MOD: c_int = 3;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
         fn epoll_wait(
@@ -160,28 +129,17 @@ mod sys {
         fn close(fd: c_int) -> c_int;
     }
 
-    /// Blocks until an fd in `fds` is ready or `timeout_ms` elapses
-    /// (`-1` = forever), retrying on `EINTR`. Returns the ready count
-    /// (`0` on timeout); `revents` is filled in place.
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        loop {
-            // SAFETY: `fds` is a valid, exclusively-borrowed slice of
-            // `#[repr(C)]` pollfd-layout structs; the kernel writes
-            // only `revents` within it.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms as c_int) };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-
-    /// An owned epoll instance; the fd is closed on drop.
+    /// An owned, level-triggered epoll instance: fds are watched under
+    /// a caller-chosen `u64` token, and [`Epoll::wait`] reports the
+    /// tokens of ready fds. The interest set lives in the kernel, so a
+    /// wakeup costs O(ready), not O(watched) — the difference between
+    /// draining 64 hot sessions and re-scanning 10 000 idle ones to
+    /// find them. The fd is closed on drop.
     pub struct Epoll {
         epfd: RawFd,
+        /// Reused event buffer; 256 ready fds per wakeup is far past
+        /// the serve loop's per-round appetite.
+        events: Vec<EpollEvent>,
     }
 
     impl Epoll {
@@ -192,7 +150,10 @@ mod sys {
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            Ok(Epoll { epfd })
+            Ok(Epoll {
+                epfd,
+                events: vec![EpollEvent { events: 0, data: 0 }; 256],
+            })
         }
 
         fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
@@ -209,40 +170,58 @@ mod sys {
             Ok(())
         }
 
-        /// Adds `fd` to the interest set, level-triggered, tagged with
-        /// `token`, watching for the given event mask.
-        pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, events)
+        /// Starts watching `fd` for readability, tagged `token`.
+        pub fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN)
         }
 
-        /// Re-tags and/or re-masks an fd already in the interest set.
-        pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        /// Adds or removes write interest on a watched `fd` (read
+        /// interest stays armed either way). The serve loop arms this
+        /// only while a session has undelivered outbound bytes —
+        /// level-triggered write readiness on an idle healthy socket
+        /// would otherwise busy-spin the loop.
+        pub fn set_writable(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+            let events = if writable {
+                EPOLLIN | EPOLLOUT
+            } else {
+                EPOLLIN
+            };
             self.ctl(EPOLL_CTL_MOD, fd, token, events)
         }
 
-        /// Removes `fd` from the interest set.
-        pub fn del(&self, fd: RawFd) -> io::Result<()> {
+        /// Stops watching `fd`.
+        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
-        /// Blocks until ≥ 1 event or `timeout_ms` (`-1` = forever),
-        /// retrying on `EINTR`. Returns how many entries of `events`
-        /// were filled (`0` on timeout).
-        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        /// Blocks until ≥ 1 watched fd is readable / writable / hung
+        /// up / errored, or `timeout_ms` elapses (`-1` = forever),
+        /// retrying on `EINTR`. Appends the tokens of ready fds to
+        /// `ready` (which the caller clears) and returns the count —
+        /// `0` means timeout.
+        pub fn wait(&mut self, timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<usize> {
             loop {
                 // SAFETY: `events` is a valid, exclusively-borrowed
-                // slice of `#[repr(C)]` epoll_event structs; the
+                // buffer of `#[repr(C)]` epoll_event structs; the
                 // kernel writes at most `events.len()` entries.
                 let rc = unsafe {
                     epoll_wait(
                         self.epfd,
-                        events.as_mut_ptr(),
-                        events.len() as c_int,
+                        self.events.as_mut_ptr(),
+                        self.events.len() as c_int,
                         timeout_ms as c_int,
                     )
                 };
                 if rc >= 0 {
-                    return Ok(rc as usize);
+                    let n = rc as usize;
+                    for ev in self.events.iter().take(n) {
+                        // Copy out first: the struct is packed on
+                        // x86-64, so a direct field borrow would be
+                        // misaligned.
+                        let ev = *ev;
+                        ready.push(ev.data);
+                    }
+                    return Ok(n);
                 }
                 let err = io::Error::last_os_error();
                 if err.kind() != io::ErrorKind::Interrupted {
@@ -260,254 +239,7 @@ mod sys {
     }
 }
 
-/// A readiness multiplexer the serve loop drives: fds are watched for
-/// readability under a caller-chosen `u64` token, and [`Backend::wait`]
-/// reports the tokens of ready fds. Both implementations are
-/// level-triggered — an fd with unread data keeps reporting ready —
-/// which the per-round read budget relies on.
-pub trait Backend: Send {
-    /// Human-readable backend name (`"poll"` / `"epoll"`).
-    fn name(&self) -> &'static str;
-
-    /// Starts watching `fd` for readability, tagged `token`.
-    ///
-    /// # Errors
-    ///
-    /// The underlying registration syscall's error, if any.
-    fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
-
-    /// Re-tags an already-watched `fd` with a new `token`.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall's error; `NotFound` when `fd` was never
-    /// registered.
-    fn modify(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
-
-    /// Adds or removes write interest on an already-watched `fd`
-    /// (read interest stays armed either way). The serve loop arms
-    /// this only while a session has undelivered outbound bytes —
-    /// level-triggered write readiness on an idle healthy socket would
-    /// otherwise busy-spin the loop.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall's error; `NotFound` when `fd` was never
-    /// registered.
-    fn set_writable(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()>;
-
-    /// Stops watching `fd`. Must be called *before* the fd is closed
-    /// (the poll backend keeps a private fd table).
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall's error; `NotFound` when `fd` was never
-    /// registered.
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-
-    /// Blocks until ≥ 1 watched fd is readable / hung up / errored, or
-    /// `timeout_ms` elapses (`-1` = forever). Appends the tokens of
-    /// ready fds to `ready` (which the caller clears) and returns the
-    /// count — `0` means timeout.
-    ///
-    /// # Errors
-    ///
-    /// Only loop-fatal errors from the wait syscall itself.
-    fn wait(&mut self, timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<usize>;
-}
-
-/// `poll(2)` over one **persistent** pollfd set.
-///
-/// The fd table and its parallel token list live across rounds and
-/// mutate only on register/deregister — the old per-wakeup
-/// rebuild-the-whole-`Vec` marshalling is gone. The kernel still scans
-/// all entries per wakeup (inherent to `poll`), which is what
-/// [`EpollBackend`] improves on.
-struct PollBackend {
-    fds: Vec<sys::PollFd>,
-    tokens: Vec<u64>,
-}
-
-impl PollBackend {
-    fn new() -> PollBackend {
-        PollBackend {
-            fds: Vec::new(),
-            tokens: Vec::new(),
-        }
-    }
-
-    fn position(&self, fd: RawFd) -> io::Result<usize> {
-        self.fds
-            .iter()
-            .position(|p| p.fd == fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-    }
-}
-
-impl Backend for PollBackend {
-    fn name(&self) -> &'static str {
-        "poll"
-    }
-
-    fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        self.fds.push(sys::PollFd {
-            fd,
-            events: sys::POLLIN,
-            revents: 0,
-        });
-        self.tokens.push(token);
-        Ok(())
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        let i = self.position(fd)?;
-        self.tokens[i] = token;
-        Ok(())
-    }
-
-    fn set_writable(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-        let i = self.position(fd)?;
-        self.tokens[i] = token;
-        self.fds[i].events = if writable {
-            sys::POLLIN | sys::POLLOUT
-        } else {
-            sys::POLLIN
-        };
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let i = self.position(fd)?;
-        self.fds.swap_remove(i);
-        self.tokens.swap_remove(i);
-        Ok(())
-    }
-
-    fn wait(&mut self, timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<usize> {
-        let n = sys::poll_fds(&mut self.fds, timeout_ms)?;
-        if n > 0 {
-            for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
-                let mask = sys::POLLIN | sys::POLLOUT | sys::POLLERR | sys::POLLHUP;
-                if pfd.revents & mask != 0 {
-                    ready.push(token);
-                }
-            }
-        }
-        Ok(ready.len())
-    }
-}
-
-/// `epoll(7)`: the interest set lives in the kernel, so a wakeup costs
-/// O(ready), not O(watched) — the difference between draining 64 hot
-/// sessions and re-scanning 10 000 idle ones to find them.
-struct EpollBackend {
-    ep: sys::Epoll,
-    /// Reused event buffer; 256 ready fds per wakeup is far past the
-    /// serve loop's per-round appetite.
-    events: Vec<sys::EpollEvent>,
-}
-
-impl EpollBackend {
-    fn new() -> io::Result<EpollBackend> {
-        Ok(EpollBackend {
-            ep: sys::Epoll::new()?,
-            events: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
-        })
-    }
-}
-
-impl Backend for EpollBackend {
-    fn name(&self) -> &'static str {
-        "epoll"
-    }
-
-    fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        self.ep.add(fd, token, sys::EPOLLIN)
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        self.ep.modify(fd, token, sys::EPOLLIN)
-    }
-
-    fn set_writable(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-        let events = if writable {
-            sys::EPOLLIN | sys::EPOLLOUT
-        } else {
-            sys::EPOLLIN
-        };
-        self.ep.modify(fd, token, events)
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        self.ep.del(fd)
-    }
-
-    fn wait(&mut self, timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<usize> {
-        let n = self.ep.wait(&mut self.events, timeout_ms)?;
-        for ev in &self.events[..n] {
-            // Copy out first: the struct is packed on x86-64, so a
-            // direct field borrow would be misaligned.
-            let ev = *ev;
-            ready.push(ev.data);
-        }
-        Ok(n)
-    }
-}
-
-/// Which readiness backend a serve loop uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// `poll(2)` with a persistent pollfd set — portable baseline.
-    Poll,
-    /// `epoll(7)` — O(ready) wakeups; the Linux default.
-    Epoll,
-}
-
-impl Default for BackendKind {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            BackendKind::Epoll
-        } else {
-            BackendKind::Poll
-        }
-    }
-}
-
-impl BackendKind {
-    /// The name [`Backend::name`] will report.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Poll => "poll",
-            BackendKind::Epoll => "epoll",
-        }
-    }
-
-    /// Instantiates the backend.
-    fn create(self) -> io::Result<Box<dyn Backend>> {
-        match self {
-            BackendKind::Poll => Ok(Box::new(PollBackend::new())),
-            BackendKind::Epoll => Ok(Box::new(EpollBackend::new()?)),
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "poll" => Ok(BackendKind::Poll),
-            "epoll" => Ok(BackendKind::Epoll),
-            other => Err(format!("unknown backend '{other}' (poll|epoll)")),
-        }
-    }
-}
+use sys::Epoll;
 
 /// A connected collector stream over either supported transport.
 pub enum SessionStream {
@@ -649,11 +381,12 @@ impl Listener {
             Ok(s) => Ok(Some(s)),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             // Transient conditions (peer reset, fd exhaustion) must
-            // not kill the loop: losing the whole assembled aggregator
-            // over them would be the total-loss failure this transport
-            // exists to prevent. Back off briefly — under EMFILE the
-            // listener stays readable, so poll would otherwise spin
-            // hot — and retry next round.
+            // not kill the dispatcher: losing every assembled
+            // aggregator over them would be the total-loss failure
+            // this transport exists to prevent. Back off briefly —
+            // under EMFILE the listener stays readable, so level-
+            // triggered epoll would otherwise spin hot — and retry
+            // next round.
             Err(e) if accept_error_is_transient(&e) => {
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 Ok(None)
@@ -667,10 +400,8 @@ impl Listener {
 /// resource condition rather than a broken listener: the peer reset
 /// before we got to it (`ECONNABORTED`), or process/system fd
 /// exhaustion (`EMFILE`/`ENFILE`). Callers should back off briefly and
-/// keep serving — dying would discard every completed session. Shared
-/// by the event loop and the threaded accept loop so the two
-/// transports classify identically.
-pub fn accept_error_is_transient(e: &io::Error) -> bool {
+/// keep serving — dying would discard every completed session.
+fn accept_error_is_transient(e: &io::Error) -> bool {
     e.kind() == io::ErrorKind::ConnectionAborted
         // EMFILE = 24, ENFILE = 23 on every Linux ABI this targets.
         || matches!(e.raw_os_error(), Some(23) | Some(24))
@@ -686,17 +417,16 @@ fn short_read(n: usize) -> io::Error {
     )
 }
 
-/// How [`EventLoopServer::run`] decides it is done.
+/// How a serve run decides it is done.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Stop once this many sessions completed (≥ 1 frame delivered,
-    /// clean EOF). Probes and failed sessions do not count. Under
-    /// [`MultiLoopServer`] the count is global across loops.
+    /// clean EOF), counted across loops. Probes and failed sessions do
+    /// not count.
     pub collectors: usize,
-    /// Stop when no session delivered bytes for this long — the guard
-    /// against clients that never connect (or stall forever). `None`
-    /// waits indefinitely. Under [`MultiLoopServer`] activity on any
-    /// loop defers the deadline for all.
+    /// Stop when no session on any loop delivered bytes for this long
+    /// — the guard against clients that never connect (or stall
+    /// forever). `None` waits indefinitely.
     pub accept_timeout: Option<Duration>,
 }
 
@@ -731,7 +461,9 @@ pub struct SessionStats {
     pub full_bytes: u64,
     /// `Resync` requests the serve side issued to this session.
     pub resyncs: u64,
-    /// Which serve loop pumped it (always `0` single-loop).
+    /// Which serve loop pumped it (`0` on a single loop). A report's
+    /// [`ServeReport::sessions`] is always sorted by `(collector id,
+    /// worker)`.
     pub worker: usize,
 }
 
@@ -753,8 +485,9 @@ pub struct ServeReport {
     /// `true` when the run ended on `accept_timeout` instead of
     /// reaching the collector target.
     pub timed_out: bool,
-    /// Per-session delivery counters for every completed session
-    /// (multi-loop: sorted by collector id, then worker).
+    /// Per-session delivery counters for every completed session,
+    /// always sorted by `(collector id, worker)` — independent of
+    /// completion order and loop placement.
     pub sessions: Vec<SessionStats>,
 }
 
@@ -783,7 +516,7 @@ struct Session {
     /// Outbound bytes (acks/resyncs to a sequenced collector) not yet
     /// accepted by the socket — the partial-write carry-over buffer.
     out: Vec<u8>,
-    /// Whether write interest is currently armed with the backend.
+    /// Whether write interest is currently armed with epoll.
     /// Tracked so the interest set is only touched on transitions.
     write_armed: bool,
 }
@@ -827,10 +560,12 @@ enum SessionEnd {
     Failed(String),
 }
 
-/// Cross-loop coordination for one multi-loop serve run: the global
-/// completion count, the stop/timeout flags, the shared idle clock,
-/// and one wake pipe per worker so a loop blocked in its backend can
-/// be nudged (for a handed-off session or a stop).
+/// What every loop of one serve run shares: the completion count, the
+/// stop/timeout flags, the idle clock, the id-admission registry, the
+/// session-token allocator, and one wake pipe per worker so a loop
+/// blocked in `epoll_wait` can be nudged (for a handed-off session or
+/// a stop). A standalone [`EventLoopServer`] owns a private one, so
+/// each stop condition has one code path.
 struct ServeShared {
     start: Instant,
     completed: AtomicUsize,
@@ -839,40 +574,44 @@ struct ServeShared {
     /// Milliseconds after `start` of the latest byte delivery, on any
     /// loop. (Accepting alone is *not* activity — see the dispatcher.)
     last_activity_ms: AtomicU64,
-    /// Write ends of each worker's wake pipe, by worker index.
-    wakers: Mutex<Vec<UnixStream>>,
+    /// Spoofed-id admission, consulted by every loop.
+    admission: AdmissionRegistry,
+    /// Session-token allocator — shared across loops so tokens stay
+    /// globally unique (they are the admission ownership handles).
+    next_token: AtomicU64,
+    /// Write ends of each worker's wake pipe, by worker index (none
+    /// for a standalone loop).
+    wakers: Vec<UnixStream>,
     /// Workers whose `run()` returned (so the dispatcher does not wait
     /// for handoffs nobody will take).
     exited: AtomicUsize,
 }
 
 impl ServeShared {
-    fn new() -> ServeShared {
+    fn new(wakers: Vec<UnixStream>) -> ServeShared {
         ServeShared {
             start: Instant::now(),
             completed: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             timed_out: AtomicBool::new(false),
             last_activity_ms: AtomicU64::new(0),
-            wakers: Mutex::new(Vec::new()),
+            admission: AdmissionRegistry::new(),
+            next_token: AtomicU64::new(FALLBACK_ID_BASE),
+            wakers,
             exited: AtomicUsize::new(0),
         }
     }
 
-    fn wakers(&self) -> std::sync::MutexGuard<'_, Vec<UnixStream>> {
-        self.wakers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Nudges worker `i` out of its backend wait. A full pipe is fine
+    /// Nudges worker `i` out of its `epoll_wait`. A full pipe is fine
     /// — the worker is waking anyway.
     fn wake(&self, i: usize) {
-        if let Some(w) = self.wakers().get_mut(i) {
+        if let Some(mut w) = self.wakers.get(i) {
             let _ = w.write(&[1]);
         }
     }
 
     fn wake_all(&self) {
-        for w in self.wakers().iter_mut() {
+        for mut w in &self.wakers {
             let _ = w.write(&[1]);
         }
     }
@@ -918,9 +657,10 @@ struct Intake {
     open: bool,
 }
 
-/// Token space: listeners get `0..n` and sessions get unique ids from
-/// [`FALLBACK_ID_BASE`] up, so one `u64` names either; the intake wake
-/// pipe takes the top value.
+/// A loop's token space: sessions get unique ids from
+/// [`FALLBACK_ID_BASE`] up and the intake wake pipe takes the top
+/// value, so one `u64` names either. (The dispatcher's own epoll names
+/// listeners by index.)
 const TOKEN_WAKE: u64 = u64::MAX;
 
 /// Base of the fallback session-id range handed to legacy (Hello-less)
@@ -928,46 +668,41 @@ const TOKEN_WAKE: u64 = u64::MAX;
 /// collector ids.
 pub const FALLBACK_ID_BASE: u64 = 1 << 32;
 
-/// The single-threaded serve loop: non-blocking listeners,
-/// per-connection [`SessionDriver`]s, one exclusively-owned
-/// [`Aggregator`], a pluggable readiness [`Backend`] — see the module
-/// docs for the design.
+/// One serve loop: per-connection [`SessionDriver`]s over one
+/// exclusively-owned [`Aggregator`] and one epoll instance — see the
+/// module docs. [`MultiLoopServer`] runs one per worker; standing
+/// alone, a loop serves the connections its caller accepted
+/// ([`EventLoopServer::add_session`]).
 ///
 /// ```no_run
 /// use sst_monitor::topology::Aggregator;
-/// use sst_monitor::transport::{BackendKind, EventLoopServer, ServeOptions};
-/// use std::os::unix::net::UnixListener;
+/// use sst_monitor::transport::{EventLoopServer, ServeOptions};
+/// use std::os::unix::net::UnixStream;
 ///
 /// let mut server = EventLoopServer::new(
 ///     Aggregator::new(),
-///     ServeOptions { collectors: 64, accept_timeout: Some(std::time::Duration::from_secs(30)) },
-/// )
-/// .with_backend(BackendKind::Epoll);
-/// server.add_unix_listener(UnixListener::bind("/tmp/agg.sock")?)?;
+///     ServeOptions { collectors: 1, accept_timeout: Some(std::time::Duration::from_secs(30)) },
+/// );
+/// let (collector_end, serve_end) = UnixStream::pair()?;
+/// server.add_session(serve_end)?;
+/// // … a collector streams its session into `collector_end` …
+/// # drop(collector_end);
 /// let (agg, report) = server.run()?;
-/// assert_eq!(report.completed, 64);
 /// let snapshot = agg.snapshot();
 /// # std::io::Result::Ok(())
 /// ```
 pub struct EventLoopServer {
-    listeners: Vec<Listener>,
     /// Keyed by session token — stable across removals, unlike the
     /// old `Vec` + swap-remove indexing.
     sessions: BTreeMap<u64, Session>,
     agg: Aggregator,
     opts: ServeOptions,
     report: ServeReport,
-    backend_kind: BackendKind,
-    /// Shared under [`MultiLoopServer`]; private otherwise. Either
-    /// way, spoofed-id admission goes through it.
-    admission: Arc<AdmissionRegistry>,
-    /// Session-token allocator — shared across loops so tokens stay
-    /// globally unique (they are the admission ownership handles).
-    next_token: Arc<AtomicU64>,
     /// This loop's index, stamped into [`SessionStats::worker`].
     worker: usize,
-    /// Multi-loop coordination; `None` when serving standalone.
-    shared: Option<Arc<ServeShared>>,
+    /// Stop conditions, admission and token allocation: shared across
+    /// a [`MultiLoopServer`]'s loops, private to a standalone loop.
+    shared: Arc<ServeShared>,
     /// Dispatcher handoff queue; `None` when serving standalone.
     intake: Option<Intake>,
 }
@@ -975,78 +710,28 @@ pub struct EventLoopServer {
 impl EventLoopServer {
     /// A standalone serve loop that will assemble into `agg`
     /// (pre-configure its compaction budget there) under the given
-    /// stop conditions, on the platform-default backend.
+    /// stop conditions.
     pub fn new(agg: Aggregator, opts: ServeOptions) -> Self {
-        EventLoopServer {
-            listeners: Vec::new(),
-            sessions: BTreeMap::new(),
-            agg,
-            opts,
-            report: ServeReport::default(),
-            backend_kind: BackendKind::default(),
-            admission: Arc::new(AdmissionRegistry::new()),
-            next_token: Arc::new(AtomicU64::new(FALLBACK_ID_BASE)),
-            worker: 0,
-            shared: None,
-            intake: None,
-        }
+        Self::with_shared(agg, opts, 0, Arc::new(ServeShared::new(Vec::new())), None)
     }
 
-    /// Selects the readiness backend (default: epoll on Linux).
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend_kind = kind;
-        self
-    }
-
-    /// A worker loop for [`MultiLoopServer`]: shared admission, shared
-    /// token allocator, shared stop/idle state, dispatcher intake.
-    #[allow(clippy::too_many_arguments)]
-    fn for_worker(
+    /// Loop `worker` of a serve run coordinated through `shared`.
+    fn with_shared(
         agg: Aggregator,
         opts: ServeOptions,
-        backend_kind: BackendKind,
-        admission: Arc<AdmissionRegistry>,
-        next_token: Arc<AtomicU64>,
         worker: usize,
         shared: Arc<ServeShared>,
-        intake: Intake,
+        intake: Option<Intake>,
     ) -> Self {
         EventLoopServer {
-            listeners: Vec::new(),
             sessions: BTreeMap::new(),
             agg,
             opts,
             report: ServeReport::default(),
-            backend_kind,
-            admission,
-            next_token,
             worker,
-            shared: Some(shared),
-            intake: Some(intake),
+            shared,
+            intake,
         }
-    }
-
-    /// Registers a Unix-domain listener (switched to non-blocking).
-    ///
-    /// # Errors
-    ///
-    /// The `set_nonblocking` I/O error.
-    pub fn add_unix_listener(&mut self, l: UnixListener) -> io::Result<()> {
-        l.set_nonblocking(true)?;
-        self.listeners.push(Listener::Unix(l));
-        Ok(())
-    }
-
-    /// Registers a TCP listener (switched to non-blocking).
-    ///
-    /// # Errors
-    ///
-    /// The `set_nonblocking` I/O error.
-    pub fn add_tcp_listener(&mut self, l: TcpListener) -> io::Result<()> {
-        l.set_nonblocking(true)?;
-        self.listeners.push(Listener::Tcp(l));
-        Ok(())
     }
 
     /// Registers an already-accepted connection (tests, benches, or a
@@ -1061,12 +746,12 @@ impl EventLoopServer {
     }
 
     /// Makes `stream` a tracked session and returns its token (the
-    /// caller registers the fd with the backend when one is live).
+    /// caller registers the fd with epoll when the loop is live).
     fn install_session(&mut self, stream: SessionStream) -> io::Result<u64> {
         stream.set_nonblocking(true)?;
         // Globally unique even across loops, so it doubles as the
         // ownership token in the shared id registry.
-        let token = self.next_token.fetch_add(1, Ordering::SeqCst);
+        let token = self.shared.next_token.fetch_add(1, Ordering::SeqCst);
         let driver = SessionDriver::new(token);
         let peer = stream.peer_label();
         self.sessions.insert(
@@ -1084,66 +769,45 @@ impl EventLoopServer {
         Ok(token)
     }
 
-    /// Whether any event can still arrive: a live listener, an open
-    /// session, or a dispatcher that may still hand sessions over.
-    fn can_make_progress(&self) -> bool {
-        !self.listeners.is_empty()
-            || !self.sessions.is_empty()
-            || self.intake.as_ref().is_some_and(|i| i.open)
-    }
-
     /// Runs the loop to completion and returns the assembled
     /// aggregator plus the session report.
     ///
     /// # Errors
     ///
-    /// Only loop-fatal I/O errors: backend creation, the readiness
-    /// syscall, or a listener accept failing. Per-session errors never
-    /// surface here — they are isolated into [`ServeReport::failures`].
+    /// Only loop-fatal I/O errors: epoll creation or the wait syscall.
+    /// Per-session errors never surface here — they are isolated into
+    /// [`ServeReport::failures`].
     pub fn run(mut self) -> io::Result<(Aggregator, ServeReport)> {
-        let mut backend = self.backend_kind.create()?;
-        for (i, l) in self.listeners.iter().enumerate() {
-            backend.register(l.as_raw_fd(), i as u64)?;
-        }
+        let mut epoll = Epoll::new()?;
         for (&token, s) in &self.sessions {
-            backend.register(s.stream.as_raw_fd(), token)?;
+            epoll.register(s.stream.as_raw_fd(), token)?;
         }
         if let Some(intake) = &self.intake {
-            backend.register(intake.wake.as_raw_fd(), TOKEN_WAKE)?;
+            epoll.register(intake.wake.as_raw_fd(), TOKEN_WAKE)?;
         }
-        let mut last_activity = Instant::now();
+        let shared = Arc::clone(&self.shared);
+        // The idle clock starts when the loop does.
+        shared.note_activity();
         let mut ready: Vec<u64> = Vec::new();
         loop {
-            // Global stop (multi-loop): another loop reached the
-            // target or the idle deadline.
-            if self.shared.as_ref().is_some_and(|sh| sh.stopped()) {
+            // This or another loop reached the target or the idle
+            // deadline.
+            if shared.stopped() || shared.completed.load(Ordering::SeqCst) >= self.opts.collectors {
                 break;
             }
-            let completed = match &self.shared {
-                Some(sh) => sh.completed.load(Ordering::SeqCst),
-                None => self.report.completed,
-            };
-            if completed >= self.opts.collectors {
-                break;
-            }
-            // Nothing connected and nothing to connect through: no
-            // event can ever arrive, so waiting would hang forever.
-            // (Not a timeout — `completed < collectors` in the report
-            // already tells the caller the target was unreachable.)
-            if !self.can_make_progress() {
+            // No open session and no dispatcher that may still hand
+            // one over: no event can ever arrive, so waiting would
+            // hang forever. (Not a timeout — `completed < collectors`
+            // in the report already tells the caller the target was
+            // unreachable.)
+            if self.sessions.is_empty() && !self.intake.as_ref().is_some_and(|i| i.open) {
                 break;
             }
             let timeout_ms = match self.opts.accept_timeout {
                 Some(t) => {
-                    let idle = match &self.shared {
-                        Some(sh) => sh.idle_for(),
-                        None => last_activity.elapsed(),
-                    };
+                    let idle = shared.idle_for();
                     if idle >= t {
-                        match &self.shared {
-                            Some(sh) => sh.request_stop(true),
-                            None => self.report.timed_out = true,
-                        }
+                        shared.request_stop(true);
                         break;
                     }
                     // +1 so a sub-millisecond remainder still sleeps
@@ -1155,37 +819,19 @@ impl EventLoopServer {
                 None => -1,
             };
             ready.clear();
-            if backend.wait(timeout_ms, &mut ready)? == 0 {
+            if epoll.wait(timeout_ms, &mut ready)? == 0 {
                 continue; // Timeout tick; the deadline check above decides.
             }
-            // Ascending token order: listeners first, then sessions
-            // oldest-accepted first, the wake pipe last — the same
-            // deterministic sweep on both backends (epoll reports in
-            // readiness order, which tests must not depend on).
+            // Ascending token order: sessions oldest-accepted first,
+            // the wake pipe last — a deterministic sweep (epoll
+            // reports in readiness order, which tests must not depend
+            // on).
             ready.sort_unstable();
             for &token in &ready {
                 if token == TOKEN_WAKE {
-                    self.drain_intake(backend.as_mut())?;
-                } else if token < FALLBACK_ID_BASE {
-                    // Accepting alone is *not* activity: a periodic
-                    // prober (health check, port scan) must not defer
-                    // the idle deadline forever — only delivered
-                    // bytes do, below.
-                    loop {
-                        let accepted = self
-                            .listeners
-                            .get(token as usize)
-                            .ok_or_else(|| io::Error::other("ready token out of listener range"))?
-                            .accept()?;
-                        let Some(stream) = accepted else {
-                            break;
-                        };
-                        let fd = stream.as_raw_fd();
-                        let t = self.install_session(stream)?;
-                        backend.register(fd, t)?;
-                    }
+                    self.drain_intake(&epoll)?;
                 } else {
-                    self.pump_ready_session(token, backend.as_mut(), &mut last_activity)?;
+                    self.pump_ready_session(token, &epoll)?;
                 }
             }
         }
@@ -1204,12 +850,14 @@ impl EventLoopServer {
                 self.report.aborted += 1;
             }
         }
+        self.report.timed_out = shared.timed_out.load(Ordering::SeqCst);
+        self.report.sessions.sort_by_key(|s| (s.session, s.worker));
         Ok((self.agg, self.report))
     }
 
     /// Handles a wake-pipe readiness: swallows the wake bytes and
     /// takes every handed-off session out of the intake queue.
-    fn drain_intake(&mut self, backend: &mut dyn Backend) -> io::Result<()> {
+    fn drain_intake(&mut self, epoll: &Epoll) -> io::Result<()> {
         let Some(intake) = self.intake.as_mut() else {
             return Ok(());
         };
@@ -1218,9 +866,9 @@ impl EventLoopServer {
             match intake.wake.read(&mut buf) {
                 Ok(0) => {
                     // Every waker write end is gone (teardown): drop
-                    // out of the interest set or a level-triggered
-                    // backend would spin on the EOF.
-                    backend.deregister(intake.wake.as_raw_fd())?;
+                    // out of the interest set or level-triggered epoll
+                    // would spin on the EOF.
+                    epoll.deregister(intake.wake.as_raw_fd())?;
                     intake.open = false;
                     break;
                 }
@@ -1235,7 +883,7 @@ impl EventLoopServer {
                 Ok(stream) => {
                     let fd = stream.as_raw_fd();
                     let t = self.install_session(stream)?;
-                    backend.register(fd, t)?;
+                    epoll.register(fd, t)?;
                 }
                 Err(mpsc::TryRecvError::Empty) => break,
                 Err(mpsc::TryRecvError::Disconnected) => {
@@ -1254,12 +902,7 @@ impl EventLoopServer {
     /// completed (counted, its ids sealed), or failed (sequenced:
     /// parked for resumption; otherwise rolled back; either way its
     /// open ids are released and the failure recorded).
-    fn pump_ready_session(
-        &mut self,
-        token: u64,
-        backend: &mut dyn Backend,
-        last_activity: &mut Instant,
-    ) -> io::Result<()> {
+    fn pump_ready_session(&mut self, token: u64, epoll: &Epoll) -> io::Result<()> {
         let Some(session) = self.sessions.get_mut(&token) else {
             return Ok(());
         };
@@ -1269,17 +912,14 @@ impl EventLoopServer {
         // waiting on them).
         if !session.out.is_empty() {
             if let Err(e) = session.flush_outbound() {
-                self.settle_failed(token, backend, format!("write: {e}"))?;
+                self.settle_failed(token, epoll, format!("write: {e}"))?;
                 return Ok(());
             }
         }
-        let (end, bytes_read) = Self::pump(session, &mut self.agg, &self.admission);
+        let (end, bytes_read) = Self::pump(session, &mut self.agg, &self.shared.admission);
         session.bytes += bytes_read as u64;
         if bytes_read > 0 {
-            match &self.shared {
-                Some(sh) => sh.note_activity(),
-                None => *last_activity = Instant::now(),
-            }
+            self.shared.note_activity();
         }
         match end {
             SessionEnd::Open => {
@@ -1290,13 +930,13 @@ impl EventLoopServer {
                 session.out.extend_from_slice(&fresh);
                 if !session.out.is_empty() {
                     if let Err(e) = session.flush_outbound() {
-                        self.settle_failed(token, backend, format!("write: {e}"))?;
+                        self.settle_failed(token, epoll, format!("write: {e}"))?;
                         return Ok(());
                     }
                 }
                 let want = !session.out.is_empty();
                 if want != session.write_armed {
-                    backend.set_writable(session.stream.as_raw_fd(), token, want)?;
+                    epoll.set_writable(session.stream.as_raw_fd(), token, want)?;
                     session.write_armed = want;
                 }
             }
@@ -1306,12 +946,12 @@ impl EventLoopServer {
                     // event; there is nothing left to tear down.
                     return Ok(());
                 };
-                backend.deregister(session.stream.as_raw_fd())?;
+                epoll.deregister(session.stream.as_raw_fd())?;
                 if session.driver.frames_delivered() > 0 {
                     self.report.completed += 1;
                     // Its ids are spoken for within this run: a later
                     // claimant would be a spoof.
-                    self.admission.complete(session.driver.fed_ids());
+                    self.shared.admission.complete(session.driver.fed_ids());
                     self.report.sessions.push(SessionStats {
                         peer: session.peer.clone(),
                         session: session.driver.session_id(),
@@ -1322,17 +962,15 @@ impl EventLoopServer {
                         resyncs: session.driver.resyncs(),
                         worker: self.worker,
                     });
-                    if let Some(sh) = &self.shared {
-                        if sh.record_completed() >= self.opts.collectors {
-                            sh.request_stop(false);
-                        }
+                    if self.shared.record_completed() >= self.opts.collectors {
+                        self.shared.request_stop(false);
                     }
                 } else {
                     self.report.probes += 1;
                 }
             }
             SessionEnd::Failed(error) => {
-                self.settle_failed(token, backend, error)?;
+                self.settle_failed(token, epoll, error)?;
             }
         }
         Ok(())
@@ -1346,21 +984,17 @@ impl EventLoopServer {
     /// loop — with its delivery watermark intact; replayed frames at
     /// or below the watermark will be skipped, which is what makes the
     /// retry idempotent rather than double-counted.
-    fn settle_failed(
-        &mut self,
-        token: u64,
-        backend: &mut dyn Backend,
-        error: String,
-    ) -> io::Result<()> {
+    fn settle_failed(&mut self, token: u64, epoll: &Epoll, error: String) -> io::Result<()> {
         let Some(session) = self.sessions.remove(&token) else {
             // Already settled by an earlier error on the same tick.
             return Ok(());
         };
-        backend.deregister(session.stream.as_raw_fd())?;
+        epoll.deregister(session.stream.as_raw_fd())?;
+        let admission = &self.shared.admission;
         if session.driver.is_sequenced() {
             for id in session.driver.fed_ids() {
                 if let Some(parked) = self.agg.park_collector(id) {
-                    self.admission.suspend(id, parked);
+                    admission.suspend(id, parked);
                 }
             }
         } else {
@@ -1369,7 +1003,7 @@ impl EventLoopServer {
         // Free any ids still merely *open* under this session's token
         // (parked ids moved to Suspended above and are kept) so the
         // collector can reconnect and resend cumulative state.
-        self.admission.release(session.token);
+        admission.release(session.token);
         self.report.failures.push(SessionFailure {
             peer: session.peer.clone(),
             session: session.driver.session_id(),
@@ -1381,9 +1015,8 @@ impl EventLoopServer {
     /// Per-session byte budget for one readiness round. A firehose
     /// peer whose data arrives faster than we drain it would otherwise
     /// keep `read` returning data forever and monopolize the loop;
-    /// capping the round re-arms the level-triggered backend (the fd
-    /// stays readable) and lets every other session make progress in
-    /// between.
+    /// capping the round leaves the fd readable for level-triggered
+    /// epoll and lets every other session make progress in between.
     const MAX_ROUND_BYTES: usize = 4 << 20;
 
     /// Drains one readable session's socket buffer into its driver —
@@ -1444,11 +1077,12 @@ impl EventLoopServer {
     }
 }
 
-/// One serve loop per core: a dispatcher thread accepts and hands
-/// connections round-robin to `N` worker [`EventLoopServer`]s, each
-/// owning a private [`Aggregator`]; the admission registry is the only
-/// state shared while bytes flow, and the per-loop aggregators merge
-/// at snapshot time ([`AggregatorSet`]) — see the module docs.
+/// The serve front end: a dispatcher thread accepts and hands
+/// connections round-robin to `N` worker [`EventLoopServer`]s (one per
+/// core; `N = 1` is the single-loop serve), each owning a private
+/// [`Aggregator`]; the admission registry is the only state shared
+/// while bytes flow, and the per-loop aggregators merge at snapshot
+/// time ([`AggregatorSet`]) — see the module docs.
 ///
 /// ```no_run
 /// use sst_monitor::topology::Aggregator;
@@ -1468,7 +1102,6 @@ impl EventLoopServer {
 pub struct MultiLoopServer {
     aggs: Vec<Aggregator>,
     opts: ServeOptions,
-    backend_kind: BackendKind,
     listeners: Vec<Listener>,
     /// Pre-accepted sessions (tests, benches), dealt round-robin to
     /// the workers before the loops start.
@@ -1476,25 +1109,15 @@ pub struct MultiLoopServer {
 }
 
 impl MultiLoopServer {
-    /// A multi-loop serve: one worker loop per aggregator in `aggs`
-    /// (pre-configure compaction budgets there), platform-default
-    /// backend.
+    /// A serve with one worker loop per aggregator in `aggs`
+    /// (pre-configure compaction budgets there).
     pub fn new(aggs: Vec<Aggregator>, opts: ServeOptions) -> Self {
         MultiLoopServer {
             aggs,
             opts,
-            backend_kind: BackendKind::default(),
             listeners: Vec::new(),
             pre: Vec::new(),
         }
-    }
-
-    /// Selects the readiness backend for every loop (default: epoll
-    /// on Linux).
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend_kind = kind;
-        self
     }
 
     /// Registers a Unix-domain listener (switched to non-blocking);
@@ -1534,15 +1157,13 @@ impl MultiLoopServer {
     /// # Errors
     ///
     /// `InvalidInput` when constructed with zero aggregators;
-    /// otherwise only loop-fatal I/O errors (backend creation, the
-    /// readiness syscall, listener accept), from whichever thread hit
-    /// one first. Per-session errors are isolated into
-    /// [`ServeReport::failures`].
+    /// otherwise only loop-fatal I/O errors (epoll creation, the wait
+    /// syscall, listener accept), from whichever thread hit one first.
+    /// Per-session errors are isolated into [`ServeReport::failures`].
     pub fn run(self) -> io::Result<(AggregatorSet, ServeReport)> {
         let MultiLoopServer {
             aggs,
             opts,
-            backend_kind,
             listeners,
             pre,
         } = self;
@@ -1553,41 +1174,39 @@ impl MultiLoopServer {
                 "multi-loop serve needs at least one aggregator",
             ));
         }
-        let shared = Arc::new(ServeShared::new());
-        let admission = Arc::new(AdmissionRegistry::new());
-        let next_token = Arc::new(AtomicU64::new(FALLBACK_ID_BASE));
 
-        // The dispatcher's backend first, so a creation failure
-        // surfaces before any thread spawns.
-        let mut backend = backend_kind.create()?;
+        // The dispatcher's epoll first, so a creation failure surfaces
+        // before any thread spawns.
+        let mut epoll = Epoll::new()?;
         for (i, l) in listeners.iter().enumerate() {
-            backend.register(l.as_raw_fd(), i as u64)?;
+            epoll.register(l.as_raw_fd(), i as u64)?;
         }
 
-        let mut workers = Vec::with_capacity(n);
+        let mut wakers = Vec::with_capacity(n);
+        let mut intakes = Vec::with_capacity(n);
         let mut senders = Vec::with_capacity(n);
-        for (i, agg) in aggs.into_iter().enumerate() {
+        for _ in 0..n {
             let (tx, rx) = mpsc::channel();
             let (wake_tx, wake_rx) = UnixStream::pair()?;
             wake_tx.set_nonblocking(true)?;
             wake_rx.set_nonblocking(true)?;
-            shared.wakers().push(wake_tx);
-            workers.push(EventLoopServer::for_worker(
-                agg,
-                opts.clone(),
-                backend_kind,
-                admission.clone(),
-                next_token.clone(),
-                i,
-                shared.clone(),
-                Intake {
-                    rx,
-                    wake: wake_rx,
-                    open: true,
-                },
-            ));
+            wakers.push(wake_tx);
+            intakes.push(Intake {
+                rx,
+                wake: wake_rx,
+                open: true,
+            });
             senders.push(tx);
         }
+        let shared = Arc::new(ServeShared::new(wakers));
+        let mut workers: Vec<EventLoopServer> = aggs
+            .into_iter()
+            .zip(intakes)
+            .enumerate()
+            .map(|(i, (agg, intake))| {
+                EventLoopServer::with_shared(agg, opts.clone(), i, shared.clone(), Some(intake))
+            })
+            .collect();
         // Deterministic placement for injected sessions: worker i
         // gets pre[i], pre[i+n], …
         for (j, stream) in pre.into_iter().enumerate() {
@@ -1617,11 +1236,11 @@ impl MultiLoopServer {
                 // through the shared clock.
                 Ok(())
             } else {
-                Self::dispatch(&listeners, backend.as_mut(), &senders, &shared, &opts, n)
+                Self::dispatch(&listeners, &mut epoll, &senders, &shared, &opts, n)
             };
             // Hang up the handoff queues — workers drain what is
             // queued, then see `Disconnected` and finish — and nudge
-            // any worker parked in its backend so it notices.
+            // any worker parked in `epoll_wait` so it notices.
             drop(senders);
             shared.wake_all();
             if dispatch_res.is_err() {
@@ -1670,7 +1289,7 @@ impl MultiLoopServer {
     /// when every worker is parked on an empty loop.
     fn dispatch(
         listeners: &[Listener],
-        backend: &mut dyn Backend,
+        epoll: &mut Epoll,
         senders: &[mpsc::Sender<SessionStream>],
         shared: &ServeShared,
         opts: &ServeOptions,
@@ -1696,13 +1315,16 @@ impl MultiLoopServer {
                 None => 100,
             };
             ready.clear();
-            if backend.wait(timeout_ms, &mut ready)? == 0 {
+            if epoll.wait(timeout_ms, &mut ready)? == 0 {
                 continue;
             }
             for &token in &ready {
                 let Some(listener) = listeners.get(token as usize) else {
                     continue;
                 };
+                // Accepting alone is *not* activity: a periodic prober
+                // (health check, port scan) must not defer the idle
+                // deadline forever — only delivered bytes do.
                 while let Some(stream) = listener.accept()? {
                     let mut stream = Some(stream);
                     // Round-robin, skipping workers that already
@@ -1729,90 +1351,6 @@ impl MultiLoopServer {
                 }
             }
         }
-    }
-}
-
-/// The blocking per-connection pump the **threaded** transport uses:
-/// reads `stream` to EOF, feeding each chunk to a [`SessionDriver`]
-/// under a short-lived aggregator lock (held per chunk, so concurrent
-/// sessions interleave freely).
-///
-/// A poisoned mutex — some *other* session thread panicked mid-feed —
-/// is recovered via [`PoisonError::into_inner`]: the aggregator's
-/// per-collector state is keyed by session, so the panicking session's
-/// damage cannot extend past its own id, and losing every completed
-/// session to a poison flag would be strictly worse.
-///
-/// A failed blocking pump: the I/O-level cause plus the collector id
-/// the session had established before dying — the triage handle an
-/// operator needs to tell *which* of N collectors is flapping (the
-/// event loop reports the same through [`SessionFailure::session`]).
-#[derive(Debug)]
-pub struct PumpError {
-    /// The session's established id, if it got that far.
-    pub session: Option<u64>,
-    /// What killed it ([`SessionError`] wrapped as `InvalidData`, or
-    /// the stream's read error).
-    ///
-    /// [`SessionError`]: crate::topology::SessionError
-    pub error: io::Error,
-}
-
-impl std::fmt::Display for PumpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.session {
-            Some(id) => write!(f, "session {id}: {}", self.error),
-            None => self.error.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for PumpError {}
-
-/// Returns the number of frames delivered (`0` ⇒ the connection was a
-/// probe and must not consume a collector slot).
-///
-/// # Errors
-///
-/// [`PumpError`] carrying the established session id (if any) and the
-/// cause. On failure the session's partial contribution has already
-/// been rolled back ([`SessionDriver::abort`]).
-pub fn pump_blocking(
-    stream: &mut impl Read,
-    agg: &Mutex<Aggregator>,
-    fallback_id: u64,
-) -> Result<usize, PumpError> {
-    fn lock(agg: &Mutex<Aggregator>) -> std::sync::MutexGuard<'_, Aggregator> {
-        agg.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-    let mut driver = SessionDriver::new(fallback_id);
-    let mut buf = [0u8; 64 * 1024];
-    let fail = |driver: &SessionDriver, error: io::Error| {
-        driver.abort(&mut lock(agg));
-        PumpError {
-            session: driver.session_id(),
-            error,
-        }
-    };
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(fail(&driver, e)),
-        };
-        // Bind each step's result before inspecting it: the guard
-        // temporary in `lock(agg)` lives to the end of its statement,
-        // and `fail` needs the lock again.
-        if n == 0 {
-            let res = driver.finish(&mut lock(agg));
-            res.map_err(|e| fail(&driver, io::Error::new(io::ErrorKind::InvalidData, e)))?;
-            return Ok(driver.frames_delivered());
-        }
-        let Some(bytes) = buf.get(..n) else {
-            return Err(fail(&driver, short_read(n)));
-        };
-        let res = driver.push(bytes, &mut lock(agg));
-        res.map_err(|e| fail(&driver, io::Error::new(io::ErrorKind::InvalidData, e)))?;
     }
 }
 
@@ -1865,10 +1403,6 @@ mod tests {
             .expect("add_session");
     }
 
-    fn both_backends() -> [BackendKind; 2] {
-        [BackendKind::Poll, BackendKind::Epoll]
-    }
-
     #[test]
     fn event_loop_assembles_injected_sessions_to_the_reference_bits() {
         let points = keyed_points(12_000, 24);
@@ -1876,28 +1410,25 @@ mod tests {
         for &(k, v) in &points {
             reference.offer(k, v);
         }
-        for kind in both_backends() {
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 3,
-                    accept_timeout: None,
-                },
-            )
-            .with_backend(kind);
-            for part in 0..3u64 {
-                let mine: Vec<_> = points
-                    .iter()
-                    .filter(|&&(k, _)| k % 3 == part)
-                    .copied()
-                    .collect();
-                inject(&mut server, &session_bytes(part, &mine));
-            }
-            let (agg, report) = server.run().expect("serve");
-            assert_eq!(report.completed, 3, "backend {kind}");
-            assert!(report.failures.is_empty(), "backend {kind}");
-            assert_eq!(agg.snapshot(), reference.snapshot(), "backend {kind}");
+        let mut server = EventLoopServer::new(
+            Aggregator::new(),
+            ServeOptions {
+                collectors: 3,
+                accept_timeout: None,
+            },
+        );
+        for part in 0..3u64 {
+            let mine: Vec<_> = points
+                .iter()
+                .filter(|&&(k, _)| k % 3 == part)
+                .copied()
+                .collect();
+            inject(&mut server, &session_bytes(part, &mine));
         }
+        let (agg, report) = server.run().expect("serve");
+        assert_eq!(report.completed, 3);
+        assert!(report.failures.is_empty());
+        assert_eq!(agg.snapshot(), reference.snapshot());
     }
 
     #[test]
@@ -1907,41 +1438,38 @@ mod tests {
         for &(k, v) in &points {
             reference.offer(k, v);
         }
-        for kind in both_backends() {
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 2,
-                    accept_timeout: None,
-                },
-            )
-            .with_backend(kind);
-            // Two healthy halves…
-            for part in 0..2u64 {
-                let mine: Vec<_> = points
-                    .iter()
-                    .filter(|&&(k, _)| k % 2 == part)
-                    .copied()
-                    .collect();
-                inject(&mut server, &session_bytes(part, &mine));
-            }
-            // …plus a garbage client, a mid-frame disconnect (valid
-            // prefix, torn tail), and two connect-and-close probes.
-            inject(&mut server, b"SSWF this was never a frame");
-            let torn = session_bytes(700, &keyed_points(4000, 7));
-            inject(&mut server, &torn[..torn.len() - 5]);
-            inject(&mut server, b"");
-            inject(&mut server, b"");
-            let (agg, report) = server.run().expect("serve survives hostility");
-            assert_eq!(report.completed, 2, "backend {kind}");
-            assert_eq!(report.probes, 2, "backend {kind}");
-            assert_eq!(report.failures.len(), 2, "backend {kind}");
-            assert_eq!(
-                agg.snapshot(),
-                reference.snapshot(),
-                "hostile sessions must leave no trace in the snapshot ({kind})"
-            );
+        let mut server = EventLoopServer::new(
+            Aggregator::new(),
+            ServeOptions {
+                collectors: 2,
+                accept_timeout: None,
+            },
+        );
+        // Two healthy halves…
+        for part in 0..2u64 {
+            let mine: Vec<_> = points
+                .iter()
+                .filter(|&&(k, _)| k % 2 == part)
+                .copied()
+                .collect();
+            inject(&mut server, &session_bytes(part, &mine));
         }
+        // …plus a garbage client, a mid-frame disconnect (valid
+        // prefix, torn tail), and two connect-and-close probes.
+        inject(&mut server, b"SSWF this was never a frame");
+        let torn = session_bytes(700, &keyed_points(4000, 7));
+        inject(&mut server, &torn[..torn.len() - 5]);
+        inject(&mut server, b"");
+        inject(&mut server, b"");
+        let (agg, report) = server.run().expect("serve survives hostility");
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.probes, 2);
+        assert_eq!(report.failures.len(), 2);
+        assert_eq!(
+            agg.snapshot(),
+            reference.snapshot(),
+            "hostile sessions must leave no trace in the snapshot"
+        );
     }
 
     #[test]
@@ -1956,35 +1484,32 @@ mod tests {
         for &(k, v) in &points {
             reference.offer(k, v);
         }
-        for kind in both_backends() {
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 2, // Unreachable: the run ends when nothing is left.
-                    accept_timeout: None,
-                },
-            )
-            .with_backend(kind);
-            let mut spoof = Vec::new();
-            let mut c = Collector::new(4, config());
-            c.offer_batch(&keyed_points(2000, 4)); // Different data, same id.
-            c.finish(&mut spoof).unwrap();
-            inject(&mut server, &session_bytes(4, &points));
-            inject(&mut server, &spoof);
-            let (agg, report) = server.run().expect("serve");
-            assert_eq!(report.completed, 1, "backend {kind}");
-            assert_eq!(report.failures.len(), 1, "backend {kind}");
-            assert!(
-                report.failures[0].error.contains("already owned"),
-                "got: {} ({kind})",
-                report.failures[0].error
-            );
-            assert_eq!(
-                agg.snapshot(),
-                reference.snapshot(),
-                "the spoofer must leave no trace ({kind})"
-            );
-        }
+        let mut server = EventLoopServer::new(
+            Aggregator::new(),
+            ServeOptions {
+                collectors: 2, // Unreachable: the run ends when nothing is left.
+                accept_timeout: None,
+            },
+        );
+        let mut spoof = Vec::new();
+        let mut c = Collector::new(4, config());
+        c.offer_batch(&keyed_points(2000, 4)); // Different data, same id.
+        c.finish(&mut spoof).unwrap();
+        inject(&mut server, &session_bytes(4, &points));
+        inject(&mut server, &spoof);
+        let (agg, report) = server.run().expect("serve");
+        assert_eq!(report.completed, 1);
+        assert_eq!(report.failures.len(), 1);
+        assert!(
+            report.failures[0].error.contains("already owned"),
+            "got: {}",
+            report.failures[0].error
+        );
+        assert_eq!(
+            agg.snapshot(),
+            reference.snapshot(),
+            "the spoofer must leave no trace"
+        );
     }
 
     #[test]
@@ -2018,24 +1543,24 @@ mod tests {
     #[test]
     fn accept_timeout_unblocks_a_short_handed_serve() {
         // A live listener nobody else connects to: without the idle
-        // deadline the loop would wait forever for collectors 2–5.
+        // deadline the serve would wait forever for collectors 2–5.
         let dir = std::env::temp_dir().join(format!("sst_evl_timeout_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("socket dir");
         let path = dir.join("idle.sock");
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path).expect("bind");
         let points = keyed_points(5000, 8);
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
+        let mut server = MultiLoopServer::new(
+            vec![Aggregator::new()],
             ServeOptions {
                 collectors: 5, // Only one will ever arrive.
                 accept_timeout: Some(Duration::from_millis(50)),
             },
         );
         server.add_unix_listener(listener).expect("register");
-        inject(&mut server, &session_bytes(0, &points));
+        server.add_session(loaded_stream(&session_bytes(0, &points)));
         let start = Instant::now();
-        let (agg, report) = server.run().expect("serve");
+        let (aggs, report) = server.run().expect("serve");
         let _ = std::fs::remove_file(&path);
         assert!(report.timed_out);
         assert_eq!(report.completed, 1);
@@ -2043,7 +1568,7 @@ mod tests {
             start.elapsed() < Duration::from_secs(10),
             "must not block forever"
         );
-        assert_eq!(agg.collector_count(), 1, "the delivered session stays");
+        assert_eq!(aggs.collector_count(), 1, "the delivered session stays");
     }
 
     #[test]
@@ -2108,47 +1633,44 @@ mod tests {
         for &(k, v) in &points {
             reference.offer(k, v);
         }
-        for kind in both_backends() {
-            for loops in [1usize, 2, 4] {
-                let mut server = MultiLoopServer::new(
-                    (0..loops).map(|_| Aggregator::new()).collect(),
-                    ServeOptions {
-                        collectors: 4,
-                        accept_timeout: None,
-                    },
-                )
-                .with_backend(kind);
-                for part in 0..4u64 {
-                    let mine: Vec<_> = points
-                        .iter()
-                        .filter(|&&(k, _)| k % 4 == part)
-                        .copied()
-                        .collect();
-                    server.add_session(loaded_stream(&session_bytes(part, &mine)));
-                }
-                // Hostiles spread across loops: garbage, torn tail, a
-                // probe.
-                server.add_session(loaded_stream(b"SSWF this was never a frame"));
-                let torn = session_bytes(900, &keyed_points(4000, 7));
-                server.add_session(loaded_stream(&torn[..torn.len() - 5]));
-                server.add_session(loaded_stream(b""));
-                let (aggs, report) = server.run().expect("multi-loop serve");
-                assert_eq!(aggs.loops(), loops);
-                assert_eq!(report.completed, 4, "{kind} x{loops}");
-                assert_eq!(report.probes, 1, "{kind} x{loops}");
-                assert_eq!(report.failures.len(), 2, "{kind} x{loops}");
-                assert_eq!(
-                    aggs.snapshot(),
-                    reference.snapshot(),
-                    "assembled snapshot must not depend on backend ({kind}) or loop count ({loops})"
-                );
-                let by_worker: std::collections::BTreeSet<_> =
-                    report.sessions.iter().map(|s| s.worker).collect();
-                assert!(
-                    by_worker.len() > 1 || loops == 1,
-                    "round-robin must spread 4 sessions past one loop ({kind} x{loops})"
-                );
+        for loops in [1usize, 2, 4] {
+            let mut server = MultiLoopServer::new(
+                (0..loops).map(|_| Aggregator::new()).collect(),
+                ServeOptions {
+                    collectors: 4,
+                    accept_timeout: None,
+                },
+            );
+            for part in 0..4u64 {
+                let mine: Vec<_> = points
+                    .iter()
+                    .filter(|&&(k, _)| k % 4 == part)
+                    .copied()
+                    .collect();
+                server.add_session(loaded_stream(&session_bytes(part, &mine)));
             }
+            // Hostiles spread across loops: garbage, torn tail, a
+            // probe.
+            server.add_session(loaded_stream(b"SSWF this was never a frame"));
+            let torn = session_bytes(900, &keyed_points(4000, 7));
+            server.add_session(loaded_stream(&torn[..torn.len() - 5]));
+            server.add_session(loaded_stream(b""));
+            let (aggs, report) = server.run().expect("multi-loop serve");
+            assert_eq!(aggs.loops(), loops);
+            assert_eq!(report.completed, 4, "x{loops}");
+            assert_eq!(report.probes, 1, "x{loops}");
+            assert_eq!(report.failures.len(), 2, "x{loops}");
+            assert_eq!(
+                aggs.snapshot(),
+                reference.snapshot(),
+                "assembled snapshot must not depend on loop count ({loops})"
+            );
+            let by_worker: std::collections::BTreeSet<_> =
+                report.sessions.iter().map(|s| s.worker).collect();
+            assert!(
+                by_worker.len() > 1 || loops == 1,
+                "round-robin must spread 4 sessions past one loop (x{loops})"
+            );
         }
     }
 
@@ -2164,31 +1686,28 @@ mod tests {
             reference.offer(k, v);
         }
         let bytes = session_bytes(4, &points);
-        for kind in both_backends() {
-            let mut server = MultiLoopServer::new(
-                (0..2).map(|_| Aggregator::new()).collect(),
-                ServeOptions {
-                    collectors: 2, // Unreachable: one twin must lose.
-                    accept_timeout: None,
-                },
-            )
-            .with_backend(kind);
-            server.add_session(loaded_stream(&bytes)); // → worker 0
-            server.add_session(loaded_stream(&bytes)); // → worker 1
-            let (aggs, report) = server.run().expect("serve");
-            assert_eq!(report.completed, 1, "{kind}: exactly one twin may land");
-            assert_eq!(report.failures.len(), 1, "{kind}");
-            assert!(
-                report.failures[0].error.contains("already owned"),
-                "got: {} ({kind})",
-                report.failures[0].error
-            );
-            assert_eq!(
-                aggs.snapshot(),
-                reference.snapshot(),
-                "the losing twin must leave no trace ({kind})"
-            );
-        }
+        let mut server = MultiLoopServer::new(
+            (0..2).map(|_| Aggregator::new()).collect(),
+            ServeOptions {
+                collectors: 2, // Unreachable: one twin must lose.
+                accept_timeout: None,
+            },
+        );
+        server.add_session(loaded_stream(&bytes)); // → worker 0
+        server.add_session(loaded_stream(&bytes)); // → worker 1
+        let (aggs, report) = server.run().expect("serve");
+        assert_eq!(report.completed, 1, "exactly one twin may land");
+        assert_eq!(report.failures.len(), 1);
+        assert!(
+            report.failures[0].error.contains("already owned"),
+            "got: {}",
+            report.failures[0].error
+        );
+        assert_eq!(
+            aggs.snapshot(),
+            reference.snapshot(),
+            "the losing twin must leave no trace"
+        );
     }
 
     #[test]
@@ -2221,35 +1740,8 @@ mod tests {
     }
 
     #[test]
-    fn poll_backend_keeps_its_fd_table_across_deregisters() {
-        // The persistent-pollfd contract: register/deregister mutate
-        // the one table, and waits see exactly the surviving fds.
-        let mut b = PollBackend::new();
-        let (mut tx_a, rx_a) = UnixStream::pair().expect("pair");
-        let (mut tx_b, rx_b) = UnixStream::pair().expect("pair");
-        rx_a.set_nonblocking(true).expect("nonblocking");
-        rx_b.set_nonblocking(true).expect("nonblocking");
-        b.register(rx_a.as_raw_fd(), 10).expect("register a");
-        b.register(rx_b.as_raw_fd(), 20).expect("register b");
-        tx_a.write_all(b"x").expect("write a");
-        tx_b.write_all(b"y").expect("write b");
-        let mut ready = Vec::new();
-        b.wait(1000, &mut ready).expect("wait");
-        ready.sort_unstable();
-        assert_eq!(ready, vec![10, 20]);
-        b.deregister(rx_a.as_raw_fd()).expect("deregister a");
-        ready.clear();
-        b.wait(1000, &mut ready).expect("wait");
-        assert_eq!(ready, vec![20], "a deregistered fd must vanish");
-        assert!(
-            b.deregister(rx_a.as_raw_fd()).is_err(),
-            "double deregister is NotFound"
-        );
-    }
-
-    #[test]
     fn epoll_backend_reports_ready_tokens() {
-        let mut b = EpollBackend::new().expect("epoll_create1");
+        let mut b = Epoll::new().expect("epoll_create1");
         let (mut tx_a, rx_a) = UnixStream::pair().expect("pair");
         let (_tx_b, rx_b) = UnixStream::pair().expect("pair");
         rx_a.set_nonblocking(true).expect("nonblocking");
@@ -2267,41 +1759,5 @@ mod tests {
         b.deregister(rx_a.as_raw_fd()).expect("deregister");
         ready.clear();
         assert_eq!(b.wait(0, &mut ready).expect("wait"), 0);
-    }
-
-    #[test]
-    fn pump_blocking_recovers_a_poisoned_aggregator() {
-        let points = keyed_points(6000, 8);
-        let agg = Mutex::new(Aggregator::new());
-        // Poison the mutex the way a panicking session thread would.
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = agg.lock().unwrap();
-                panic!("session thread dies while holding the lock");
-            })
-            .join()
-        });
-        assert!(agg.lock().is_err(), "mutex must actually be poisoned");
-        let bytes = session_bytes(4, &points);
-        let frames =
-            pump_blocking(&mut bytes.as_slice(), &agg, FALLBACK_ID_BASE).expect("recovered");
-        assert!(frames > 0);
-        let guard = agg.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut reference = MonitorEngine::new(config());
-        for &(k, v) in &points {
-            reference.offer(k, v);
-        }
-        assert_eq!(guard.snapshot(), reference.snapshot());
-    }
-
-    #[test]
-    fn pump_blocking_rolls_back_failed_sessions() {
-        let agg = Mutex::new(Aggregator::new());
-        let bytes = session_bytes(6, &keyed_points(4000, 8));
-        let err = pump_blocking(&mut &bytes[..bytes.len() - 4], &agg, FALLBACK_ID_BASE)
-            .expect_err("mid-frame EOF must fail");
-        assert_eq!(err.error.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.session, Some(6), "failure names the collector");
-        assert_eq!(agg.lock().unwrap().collector_count(), 0);
     }
 }

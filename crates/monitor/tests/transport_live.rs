@@ -1,27 +1,19 @@
-//! Live-socket pins for the event-loop transport: real serve loops on
-//! Unix **and** TCP listeners — on both readiness backends (`poll`,
-//! `epoll`), single-loop and sharded across N loops — with many
-//! concurrent collector clients and hostile sessions injected, and the
-//! assembled snapshot still byte-identical to one unsharded engine
-//! over the same points (the ISSUE 5 acceptance criterion, N ≥ 64
-//! mixed transports, extended to the ISSUE 6 backend/loop matrix).
+//! Live-socket pins for the event-loop transport: real serves on Unix
+//! **and** TCP listeners — one loop and sharded across N loops behind
+//! the accept dispatcher — with many concurrent collector clients and
+//! hostile sessions injected, and the assembled snapshot still
+//! byte-identical to one unsharded engine over the same points (N ≥ 64
+//! mixed transports).
 //!
-//! Set `SST_BACKEND=poll|epoll` to pin one backend (the CI matrix
-//! does); unset, every test runs both.
-//!
-//! ISSUE 7 adds the robustness half: the same byte-identity invariant
-//! with seeded faults injected on the links ([`FaultyLink`]) and
-//! `--retry`-style sequenced forwarders ([`SequencedSender`]) riding
-//! them out — plus a serve *restart* mid-run survived via
-//! full-snapshot resync.
+//! The robustness half: the same byte-identity invariant with seeded
+//! faults injected on the links ([`FaultyLink`]) and `--retry`-style
+//! sequenced forwarders ([`SequencedSender`]) riding them out — plus a
+//! serve *restart* mid-run survived via full-snapshot resync.
 
 use sst_monitor::fault::{FaultyLink, Front, Target};
 use sst_monitor::retry::{Backoff, SequencedSender};
-use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::transport::{
-    pump_blocking, BackendKind, EventLoopServer, MultiLoopServer, ServeOptions, SessionStream,
-    FALLBACK_ID_BASE,
-};
+use sst_monitor::topology::{Aggregator, Collector, SessionDriver};
+use sst_monitor::transport::{MultiLoopServer, ServeOptions, SessionStream, FALLBACK_ID_BASE};
 use sst_monitor::{
     encode_frame, encode_snapshot, Frame, MonitorConfig, MonitorEngine, SamplerSpec,
 };
@@ -29,7 +21,6 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 fn config(spec: SamplerSpec) -> MonitorConfig {
@@ -39,12 +30,17 @@ fn config(spec: SamplerSpec) -> MonitorConfig {
         .tail_thresholds(vec![64.0, 576.0, 1400.0])
 }
 
-/// The backends to exercise: the one `SST_BACKEND` names, or both.
-fn backends_under_test() -> Vec<BackendKind> {
-    match std::env::var("SST_BACKEND") {
-        Ok(v) => vec![v.parse().unwrap_or_else(|e: String| panic!("{e}"))],
-        Err(_) => vec![BackendKind::Poll, BackendKind::Epoll],
-    }
+/// A serve over `loops` event loops, stopping at `collectors`
+/// completed sessions or after a minute without delivered bytes (the
+/// hang guard).
+fn serve(loops: usize, collectors: u64) -> MultiLoopServer {
+    MultiLoopServer::new(
+        (0..loops).map(|_| Aggregator::new()).collect(),
+        ServeOptions {
+            collectors: collectors as usize,
+            accept_timeout: Some(Duration::from_secs(60)),
+        },
+    )
 }
 
 /// A multiplexed keyed workload: enough keys that every one of 64
@@ -87,40 +83,11 @@ fn drive_collector(
     let _ = collector.finish(w);
 }
 
-/// Either serve shape under test, so the hostile-client scenario runs
-/// unchanged against a single loop or a multi-loop dispatcher.
-enum Serve {
-    Single(EventLoopServer),
-    Multi(MultiLoopServer),
-}
-
-impl Serve {
-    fn add_unix_listener(&mut self, l: UnixListener) {
-        match self {
-            Serve::Single(s) => s.add_unix_listener(l).expect("register uds"),
-            Serve::Multi(s) => s.add_unix_listener(l).expect("register uds"),
-        }
-    }
-
-    fn add_tcp_listener(&mut self, l: TcpListener) {
-        match self {
-            Serve::Single(s) => s.add_tcp_listener(l).expect("register tcp"),
-            Serve::Multi(s) => s.add_tcp_listener(l).expect("register tcp"),
-        }
-    }
-
-    fn run(self) -> (sst_monitor::EngineSnapshot, sst_monitor::ServeReport) {
-        match self {
-            Serve::Single(s) => {
-                let (agg, rep) = s.run().expect("event loop");
-                (agg.snapshot(), rep)
-            }
-            Serve::Multi(s) => {
-                let (aggs, rep) = s.run().expect("event loops");
-                (aggs.snapshot(), rep)
-            }
-        }
-    }
+/// Runs `server` to completion; returns the assembled snapshot and
+/// the report.
+fn run(server: MultiLoopServer) -> (sst_monitor::EngineSnapshot, sst_monitor::ServeReport) {
+    let (aggs, rep) = server.run().expect("event loops");
+    (aggs.snapshot(), rep)
 }
 
 /// The tentpole scenario: `n` collectors — even ids over the Unix
@@ -128,7 +95,7 @@ impl Serve {
 /// connect-and-close clients, against a live serve. The healthy `n`
 /// must assemble to the unsharded engine's bytes; the hostiles must be
 /// isolated, not fatal.
-fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve) {
+fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: MultiLoopServer) {
     let spec = SamplerSpec::Systematic { interval: 7 };
     let mut reference = MonitorEngine::new(config(spec));
     for &(k, v) in points {
@@ -142,8 +109,8 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
     let uds = UnixListener::bind(&uds_path).expect("bind uds");
     let tcp = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
     let tcp_addr = tcp.local_addr().expect("tcp addr");
-    server.add_unix_listener(uds);
-    server.add_tcp_listener(tcp);
+    server.add_unix_listener(uds).expect("register uds");
+    server.add_tcp_listener(tcp).expect("register tcp");
 
     // Collector 0 holds its whole session back until every hostile
     // client has connected, written, and closed — so the server cannot
@@ -154,7 +121,7 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
     const N_HOSTILE: usize = 6;
 
     let (assembled, rep) = std::thread::scope(|scope| {
-        let server_thread = scope.spawn(move || server.run());
+        let server_thread = scope.spawn(move || run(server));
         let mut clients = Vec::new();
         // Hostile client 1: garbage bytes on TCP.
         let hd = &hostiles_done;
@@ -275,40 +242,15 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
 fn event_loop_64_mixed_sessions_with_hostile_clients_match_unsharded_bytes() {
     const N: u64 = 64;
     let points = keyed_points(300_000, 512);
-    for kind in backends_under_test() {
-        let server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
-        hostile_mixed_scenario(&format!("single_{kind}"), N, &points, Serve::Single(server));
-    }
+    hostile_mixed_scenario("single", N, &points, serve(1, N));
 }
 
 #[test]
 fn multi_loop_mixed_sessions_with_hostile_clients_match_unsharded_bytes() {
     const N: u64 = 16;
     let points = keyed_points(120_000, 256);
-    for kind in backends_under_test() {
-        for loops in [2usize, 4] {
-            let server = MultiLoopServer::new(
-                (0..loops).map(|_| Aggregator::new()).collect(),
-                ServeOptions {
-                    collectors: N as usize,
-                    accept_timeout: Some(Duration::from_secs(60)),
-                },
-            )
-            .with_backend(kind);
-            hostile_mixed_scenario(
-                &format!("multi_{kind}_x{loops}"),
-                N,
-                &points,
-                Serve::Multi(server),
-            );
-        }
+    for loops in [2usize, 4] {
+        hostile_mixed_scenario(&format!("multi_x{loops}"), N, &points, serve(loops, N));
     }
 }
 
@@ -316,112 +258,106 @@ fn multi_loop_mixed_sessions_with_hostile_clients_match_unsharded_bytes() {
 /// must not starve slow sessions sharing its loop. The serve target is
 /// the four slow sessions alone — it is reachable only if their frames
 /// land while the firehose is still blasting (the per-round byte
-/// budget re-arms the level-triggered backend and hands the loop on).
+/// budget leaves the fd readable for level-triggered epoll and hands
+/// the loop on).
 #[test]
 fn slow_sessions_complete_while_a_firehose_is_streaming() {
-    for kind in backends_under_test() {
-        const SLOW: u64 = 4;
-        let spec = SamplerSpec::Systematic { interval: 7 };
-        let points = keyed_points(20_000, 64);
-        let mut reference = MonitorEngine::new(config(spec));
-        for &(k, v) in &points {
-            reference.offer(k, v);
-        }
+    const SLOW: u64 = 4;
+    let spec = SamplerSpec::Systematic { interval: 7 };
+    let points = keyed_points(20_000, 64);
+    let mut reference = MonitorEngine::new(config(spec));
+    for &(k, v) in &points {
+        reference.offer(k, v);
+    }
 
-        let dir = std::env::temp_dir().join(format!("sst_fair_{kind}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("socket dir");
-        let uds_path = dir.join("fair.sock");
-        let _ = std::fs::remove_file(&uds_path);
-        let uds = UnixListener::bind(&uds_path).expect("bind uds");
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: SLOW as usize,
-                // The hang guard: if the firehose *did* starve the
-                // slow sessions, this fails the test instead of
-                // wedging it.
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
-        server.add_unix_listener(uds).expect("register uds");
+    let dir = std::env::temp_dir().join(format!("sst_fair_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket dir");
+    let uds_path = dir.join("fair.sock");
+    let _ = std::fs::remove_file(&uds_path);
+    let uds = UnixListener::bind(&uds_path).expect("bind uds");
+    // One loop, so the firehose and the slow sessions share it. The
+    // minute-long idle deadline is the hang guard: if the firehose
+    // *did* starve the slow sessions, it fails the test instead of
+    // wedging it.
+    let mut server = serve(1, SLOW);
+    server.add_unix_listener(uds).expect("register uds");
 
-        let start = Instant::now();
-        let (agg, rep) = std::thread::scope(|scope| {
-            let server_thread = scope.spawn(move || server.run().expect("event loop"));
-            // The firehose: Hello, then an endless stream of large
-            // Delta frames until the server hangs up on it.
-            let fire_path = uds_path.clone();
-            scope.spawn(move || {
-                let mut sock = UnixStream::connect(&fire_path).expect("connect firehose");
-                let hello = encode_frame(&Frame::Hello {
-                    protocol: sst_monitor::WIRE_VERSION,
-                    collector_id: 9999,
-                    resume: None,
-                });
-                let mut engine = MonitorEngine::new(config(spec));
-                engine.offer_batch(&keyed_points(30_000, 128));
-                let delta = encode_frame(&Frame::Delta(engine.snapshot()));
-                if sock.write_all(&hello).is_err() {
+    let start = Instant::now();
+    let (assembled, rep) = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(move || run(server));
+        // The firehose: Hello, then an endless stream of large
+        // Delta frames until the server hangs up on it.
+        let fire_path = uds_path.clone();
+        scope.spawn(move || {
+            let mut sock = UnixStream::connect(&fire_path).expect("connect firehose");
+            let hello = encode_frame(&Frame::Hello {
+                protocol: sst_monitor::WIRE_VERSION,
+                collector_id: 9999,
+                resume: None,
+            });
+            let mut engine = MonitorEngine::new(config(spec));
+            engine.offer_batch(&keyed_points(30_000, 128));
+            let delta = encode_frame(&Frame::Delta(engine.snapshot()));
+            if sock.write_all(&hello).is_err() {
+                return;
+            }
+            loop {
+                // Ends with a write error once the serve reaches
+                // its target and closes the socket (Rust ignores
+                // SIGPIPE, so this is Err, not a signal death).
+                if sock.write_all(&delta).is_err() {
                     return;
                 }
-                loop {
-                    // Ends with a write error once the serve reaches
-                    // its target and closes the socket (Rust ignores
-                    // SIGPIPE, so this is Err, not a signal death).
-                    if sock.write_all(&delta).is_err() {
-                        return;
-                    }
-                }
-            });
-            // Give the firehose a head start so it is mid-stream (and
-            // has delivered frames) before any slow session arrives.
-            std::thread::sleep(Duration::from_millis(50));
-            for part in 0..SLOW {
-                let points = &points;
-                let uds_path = uds_path.clone();
-                scope.spawn(move || {
-                    let mut sock = UnixStream::connect(&uds_path).expect("connect slow");
-                    drive_collector(
-                        Collector::new(part, config(spec).shards(2)),
-                        points,
-                        part,
-                        SLOW,
-                        &mut sock,
-                    );
-                });
             }
-            server_thread.join().expect("server thread")
         });
-        let _ = std::fs::remove_file(&uds_path);
+        // Give the firehose a head start so it is mid-stream (and
+        // has delivered frames) before any slow session arrives.
+        std::thread::sleep(Duration::from_millis(50));
+        for part in 0..SLOW {
+            let points = &points;
+            let uds_path = uds_path.clone();
+            scope.spawn(move || {
+                let mut sock = UnixStream::connect(&uds_path).expect("connect slow");
+                drive_collector(
+                    Collector::new(part, config(spec).shards(2)),
+                    points,
+                    part,
+                    SLOW,
+                    &mut sock,
+                );
+            });
+        }
+        server_thread.join().expect("server thread")
+    });
+    let _ = std::fs::remove_file(&uds_path);
 
-        assert_eq!(
-            rep.completed, SLOW as usize,
-            "{kind}: every slow session must land despite the firehose"
-        );
-        assert!(!rep.timed_out, "{kind}: must not need the idle deadline");
-        assert_eq!(
-            rep.aborted, 1,
-            "{kind}: the firehose was still mid-stream at shutdown"
-        );
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "{kind}: slow sessions must land within a bounded time, took {:?}",
-            start.elapsed()
-        );
-        assert_eq!(
-            agg.snapshot(),
-            reference.snapshot(),
-            "{kind}: the aborted firehose must leave no trace"
-        );
-    }
+    assert_eq!(
+        rep.completed, SLOW as usize,
+        "every slow session must land despite the firehose"
+    );
+    assert!(!rep.timed_out, "must not need the idle deadline");
+    assert_eq!(
+        rep.aborted, 1,
+        "the firehose was still mid-stream at shutdown"
+    );
+    assert!(
+        start.elapsed() < Duration::from_secs(30),
+        "slow sessions must land within a bounded time, took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(
+        assembled,
+        reference.snapshot(),
+        "the aborted firehose must leave no trace"
+    );
 }
 
-/// The two transports share one state machine, so the same sessions
-/// must assemble to the same bytes: threaded `pump_blocking` (mutexed
-/// aggregator) vs the event loop, over live Unix sockets.
+/// The serve loop runs the same state machine an in-memory replay
+/// does, so the same sessions must assemble to the same bytes:
+/// [`SessionDriver::push`] straight into one aggregator vs the event
+/// loop over live Unix sockets.
 #[test]
-fn threaded_and_event_loop_transports_assemble_identical_bytes() {
+fn in_memory_driver_and_event_loop_assemble_identical_bytes() {
     let points = keyed_points(60_000, 96);
     let spec = SamplerSpec::Bss {
         interval: 11,
@@ -444,21 +380,19 @@ fn threaded_and_event_loop_transports_assemble_identical_bytes() {
         })
         .collect();
 
-    // Threaded: N concurrent blocking pumps over a shared mutex.
-    let threaded = {
-        let agg = Mutex::new(Aggregator::new());
-        std::thread::scope(|scope| {
-            for (i, pipe) in session_pipes.iter().enumerate() {
-                let agg = &agg;
-                scope.spawn(move || {
-                    let frames =
-                        pump_blocking(&mut pipe.as_slice(), agg, FALLBACK_ID_BASE + i as u64)
-                            .expect("clean session");
-                    assert!(frames > 0);
-                });
+    // In memory: each session's bytes pushed through its own driver,
+    // in socket-read-sized chunks.
+    let in_memory = {
+        let mut agg = Aggregator::new();
+        for (i, pipe) in session_pipes.iter().enumerate() {
+            let mut driver = SessionDriver::new(FALLBACK_ID_BASE + i as u64);
+            for chunk in pipe.chunks(64 * 1024) {
+                driver.push(chunk, &mut agg).expect("clean session");
             }
-        });
-        agg.into_inner().expect("no poison").snapshot()
+            driver.finish(&mut agg).expect("clean session");
+            assert!(driver.frames_delivered() > 0);
+        }
+        agg.snapshot()
     };
 
     // Event loop: the same byte streams over live sockets.
@@ -467,16 +401,10 @@ fn threaded_and_event_loop_transports_assemble_identical_bytes() {
     let uds_path = dir.join("eq.sock");
     let _ = std::fs::remove_file(&uds_path);
     let uds = UnixListener::bind(&uds_path).expect("bind uds");
-    let mut server = EventLoopServer::new(
-        Aggregator::new(),
-        ServeOptions {
-            collectors: N as usize,
-            accept_timeout: Some(Duration::from_secs(60)),
-        },
-    );
+    let mut server = serve(1, N);
     server.add_unix_listener(uds).expect("register uds");
     let event_loop = std::thread::scope(|scope| {
-        let server_thread = scope.spawn(move || server.run().expect("event loop"));
+        let server_thread = scope.spawn(move || run(server));
         for pipe in &session_pipes {
             let uds_path = uds_path.clone();
             scope.spawn(move || {
@@ -484,14 +412,14 @@ fn threaded_and_event_loop_transports_assemble_identical_bytes() {
                 sock.write_all(pipe).expect("write session");
             });
         }
-        let (agg, rep) = server_thread.join().expect("server thread");
+        let (snapshot, rep) = server_thread.join().expect("server thread");
         assert_eq!(rep.completed, N as usize);
-        agg.snapshot()
+        snapshot
     });
     let _ = std::fs::remove_file(dir.join("eq.sock"));
 
-    assert_eq!(threaded, event_loop);
-    assert_eq!(encode_snapshot(&threaded), encode_snapshot(&event_loop));
+    assert_eq!(in_memory, event_loop);
+    assert_eq!(encode_snapshot(&in_memory), encode_snapshot(&event_loop));
     // And both equal the unsharded engine (partitions cover every key).
     let mut reference = MonitorEngine::new(config(spec));
     for &(k, v) in &points {
@@ -540,7 +468,13 @@ fn drive_sequenced(
 /// kills, delays, split writes) by seed-determined plans. Every
 /// forwarder must converge through retries, and the assembled snapshot
 /// must still be byte-identical to the unsharded engine.
-fn faulted_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve, seed: u64) {
+fn faulted_scenario(
+    tag: &str,
+    n: u64,
+    points: &[(u64, f64)],
+    mut server: MultiLoopServer,
+    seed: u64,
+) {
     let spec = SamplerSpec::Systematic { interval: 7 };
     let mut reference = MonitorEngine::new(config(spec));
     for &(k, v) in points {
@@ -554,8 +488,8 @@ fn faulted_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve,
     let uds = UnixListener::bind(&uds_path).expect("bind uds");
     let tcp = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
     let tcp_addr = tcp.local_addr().expect("tcp addr");
-    server.add_unix_listener(uds);
-    server.add_tcp_listener(tcp);
+    server.add_unix_listener(uds).expect("register uds");
+    server.add_tcp_listener(tcp).expect("register tcp");
 
     // The proxies: every forwarder connects *through* these.
     const FAULTED_PER_PROXY: u64 = 40;
@@ -580,7 +514,7 @@ fn faulted_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve,
     .expect("spawn tcp proxy");
 
     let (assembled, rep) = std::thread::scope(|scope| {
-        let server_thread = scope.spawn(move || server.run());
+        let server_thread = scope.spawn(move || run(server));
         let mut clients = Vec::new();
         for part in 0..n {
             let proxy_uds_path = proxy_uds_path.clone();
@@ -638,47 +572,21 @@ fn faulted_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve,
 fn sequenced_sessions_survive_seeded_faults_single_loop() {
     const N: u64 = 64;
     let points = keyed_points(120_000, 256);
-    for kind in backends_under_test() {
-        let server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
-        faulted_scenario(
-            &format!("single_{kind}"),
-            N,
-            &points,
-            Serve::Single(server),
-            0xC0FFEE,
-        );
-    }
+    faulted_scenario("single", N, &points, serve(1, N), 0xC0FFEE);
 }
 
 #[test]
 fn sequenced_sessions_survive_seeded_faults_multi_loop() {
     const N: u64 = 64;
     let points = keyed_points(120_000, 256);
-    for kind in backends_under_test() {
-        for loops in [2usize, 4] {
-            let server = MultiLoopServer::new(
-                (0..loops).map(|_| Aggregator::new()).collect(),
-                ServeOptions {
-                    collectors: N as usize,
-                    accept_timeout: Some(Duration::from_secs(60)),
-                },
-            )
-            .with_backend(kind);
-            faulted_scenario(
-                &format!("multi_{kind}_x{loops}"),
-                N,
-                &points,
-                Serve::Multi(server),
-                0xC0FFEE ^ loops as u64,
-            );
-        }
+    for loops in [2usize, 4] {
+        faulted_scenario(
+            &format!("multi_x{loops}"),
+            N,
+            &points,
+            serve(loops, N),
+            0xC0FFEE ^ loops as u64,
+        );
     }
 }
 
@@ -695,55 +603,46 @@ fn mixed_v2_and_v3_sessions_assemble_identical_bytes() {
     for &(k, v) in &points {
         reference.offer(k, v);
     }
-    for kind in backends_under_test() {
-        let dir = std::env::temp_dir().join(format!("sst_mixed_{kind}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("socket dir");
-        let uds_path = dir.join("mixed.sock");
-        let _ = std::fs::remove_file(&uds_path);
-        let uds = UnixListener::bind(&uds_path).expect("bind uds");
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
-        server.add_unix_listener(uds).expect("register uds");
-        let (agg, rep) = std::thread::scope(|scope| {
-            let server_thread = scope.spawn(move || server.run().expect("event loop"));
-            for part in 0..N {
-                let uds_path = uds_path.clone();
-                let points = &points;
-                scope.spawn(move || {
-                    if part % 2 == 0 {
-                        // Unsequenced v2 — the pre-ISSUE-7 forward path.
-                        let mut sock = UnixStream::connect(&uds_path).expect("connect uds");
-                        drive_collector(
-                            Collector::new(part, config(spec).shards(2)),
-                            points,
-                            part,
-                            N,
-                            &mut sock,
-                        );
-                    } else {
-                        drive_sequenced(part, N, points, spec, move || {
-                            UnixStream::connect(&uds_path).map(SessionStream::from)
-                        });
-                    }
-                });
-            }
-            server_thread.join().expect("server thread")
-        });
-        let _ = std::fs::remove_file(dir.join("mixed.sock"));
-        assert_eq!(rep.completed, N as usize, "{kind}");
-        assert!(rep.failures.is_empty(), "{kind}: {:?}", rep.failures);
-        assert_eq!(
-            encode_snapshot(&agg.snapshot()),
-            encode_snapshot(&reference.snapshot()),
-            "{kind}: mixed-version serve must still assemble the reference bytes"
-        );
-    }
+    let dir = std::env::temp_dir().join(format!("sst_mixed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket dir");
+    let uds_path = dir.join("mixed.sock");
+    let _ = std::fs::remove_file(&uds_path);
+    let uds = UnixListener::bind(&uds_path).expect("bind uds");
+    let mut server = serve(1, N);
+    server.add_unix_listener(uds).expect("register uds");
+    let (assembled, rep) = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(move || run(server));
+        for part in 0..N {
+            let uds_path = uds_path.clone();
+            let points = &points;
+            scope.spawn(move || {
+                if part % 2 == 0 {
+                    // Unsequenced v2 — the pre-seq/ack forward path.
+                    let mut sock = UnixStream::connect(&uds_path).expect("connect uds");
+                    drive_collector(
+                        Collector::new(part, config(spec).shards(2)),
+                        points,
+                        part,
+                        N,
+                        &mut sock,
+                    );
+                } else {
+                    drive_sequenced(part, N, points, spec, move || {
+                        UnixStream::connect(&uds_path).map(SessionStream::from)
+                    });
+                }
+            });
+        }
+        server_thread.join().expect("server thread")
+    });
+    let _ = std::fs::remove_file(dir.join("mixed.sock"));
+    assert_eq!(rep.completed, N as usize);
+    assert!(rep.failures.is_empty(), "{:?}", rep.failures);
+    assert_eq!(
+        encode_snapshot(&assembled),
+        encode_snapshot(&reference.snapshot()),
+        "mixed-version serve must still assemble the reference bytes"
+    );
 }
 
 /// The serve process dies mid-run and a new one takes over the same
@@ -772,17 +671,11 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
     // Serve 1 stops after ONE completed session — the throwaway dummy
     // below — stranding the 8 sequenced forwarders mid-stream.
     let uds1 = UnixListener::bind(&uds_path).expect("bind uds 1");
-    let mut serve1 = EventLoopServer::new(
-        Aggregator::new(),
-        ServeOptions {
-            collectors: 1,
-            accept_timeout: Some(Duration::from_secs(60)),
-        },
-    );
+    let mut serve1 = serve(1, 1);
     serve1.add_unix_listener(uds1).expect("register uds 1");
 
-    let (agg2, rep2) = std::thread::scope(|scope| {
-        let serve1_thread = scope.spawn(move || serve1.run().expect("serve 1"));
+    let (assembled, rep2) = std::thread::scope(|scope| {
+        let serve1_thread = scope.spawn(move || run(serve1));
         let mut clients = Vec::new();
         for part in 0..N {
             let uds_path = uds_path.clone();
@@ -829,15 +722,9 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
         // Same path, fresh process state: the restart.
         let _ = std::fs::remove_file(&uds_path);
         let uds2 = UnixListener::bind(&uds_path).expect("bind uds 2");
-        let mut serve2 = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        );
+        let mut serve2 = serve(1, N);
         serve2.add_unix_listener(uds2).expect("register uds 2");
-        let serve2_thread = scope.spawn(move || serve2.run().expect("serve 2"));
+        let serve2_thread = scope.spawn(move || run(serve2));
         serve2_up.store(true, Ordering::SeqCst);
         for c in clients {
             c.join().expect("forwarder thread");
@@ -851,7 +738,7 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
         "every forwarder must land on the restarted serve"
     );
     assert_eq!(
-        encode_snapshot(&agg2.snapshot()),
+        encode_snapshot(&assembled),
         encode_snapshot(&reference.snapshot()),
         "restart must be invisible in the assembled bytes (full-snapshot resync)"
     );

@@ -12,8 +12,8 @@
 # monitor/{compact_4096_streams,wire_roundtrip,evict_churn} plus the
 # sketch-tier rows monitor/{sketch_churn,promote_demote} and the
 # event-loop transport rows
-# monitor/{serve_event_loop_64_sessions,serve_epoll_64_sessions,
-# serve_multi_loop_2x,serve_multi_loop_4x,tcp_roundtrip} and the
+# monitor/{serve_epoll_64_sessions,serve_multi_loop_2x,
+# serve_multi_loop_4x,tcp_roundtrip} and the
 # differential-wire rows
 # monitor/{diff_flush_steady,diff_vs_cumulative_bytes} ride in the
 # same --bench monitor harness below.

@@ -242,24 +242,28 @@ fn bench_promote_demote(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pre-encoded session byte streams for the serve benches: 64
-/// collectors, each flushing its partition of a 2^15-point workload in
-/// 128-point intervals.
+/// Pre-sealed session byte streams for the serve benches: 64
+/// collectors, each sealing its partition of a 2^15-point workload in
+/// 128-point intervals — the `Hello`, then every sealed frame through
+/// the `Bye`.
 fn serve_pipes(sessions: u64) -> Vec<Vec<u8>> {
     (0..sessions)
         .map(|part| {
             let mut collector =
-                Collector::new(part, MonitorConfig::default().sampler(spec()).seed(3));
+                Collector::new_sequenced(part, MonitorConfig::default().sampler(spec()).seed(3));
             let mine: Vec<(u64, f64)> = points(1 << 15, 256)
                 .into_iter()
                 .filter(|&(k, _)| k % sessions == part)
                 .collect();
-            let mut pipe = Vec::new();
+            let mut pipe = encode_frame(&collector.hello()).to_vec();
             for chunk in mine.chunks(128) {
                 collector.offer_batch(chunk);
-                collector.flush(&mut pipe).expect("flush");
+                collector.seal_flush();
             }
-            collector.finish(&mut pipe).expect("finish");
+            collector.seal_finish();
+            for (_, bytes) in collector.unsent_window(0) {
+                pipe.extend_from_slice(bytes);
+            }
             pipe
         })
         .collect()
@@ -295,18 +299,22 @@ fn bench_event_loop_serve(c: &mut Criterion) {
                 writers.push(tx);
                 server.add_session(rx).expect("add_session");
             }
+            // Each writer half-closes after its session and stays open
+            // until the run ends, so the serve's acks always land in a
+            // live socket buffer.
             let feeder = std::thread::spawn({
                 let pipes = pipes.clone();
                 move || {
-                    for (mut tx, pipe) in writers.into_iter().zip(&pipes) {
+                    for (tx, pipe) in writers.iter_mut().zip(&pipes) {
                         tx.write_all(pipe).expect("buffered write");
-                        drop(tx);
+                        tx.shutdown(std::net::Shutdown::Write).expect("half-close");
                         std::thread::yield_now();
                     }
+                    writers
                 }
             });
             let (agg, rep) = server.run().expect("event loop");
-            feeder.join().expect("feeder");
+            drop(feeder.join().expect("feeder"));
             assert_eq!(rep.completed, SESSIONS as usize);
             agg.snapshot().stream_count()
         });

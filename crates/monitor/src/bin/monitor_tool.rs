@@ -35,13 +35,14 @@
 //!                  [--max-exact-keys N] [--sketch-bytes B]
 //!                  [--retry N] [--backoff-ms B]
 //!     synthesize the shared trace, keep only keys hashing to partition
-//!     I of N, and stream Hello/Delta/Evicted/Bye frames to TARGET —
-//!     a Unix socket path, or host:port with --tcp. With --retry N the
-//!     session is *sequenced* (wire v3): every frame carries a seq,
-//!     acks trim an in-flight window, and up to N reconnects — connect
-//!     *and* mid-stream failures alike — replay the unacked tail (or
-//!     resync from a full snapshot after a serve restart) on a capped
-//!     exponential backoff starting at B ms (default 50).
+//!     I of N, and stream a sequenced (wire v4) session to TARGET — a
+//!     Unix socket path, or host:port with --tcp: every data frame
+//!     carries a seq, steady-state flushes ride differential DeltaDiff
+//!     frames, and acks trim an in-flight window. --retry N is the
+//!     reconnect budget (default 0: one connection, no reconnect): up
+//!     to N connect *or* mid-stream failures replay the unacked tail
+//!     (or resync from a full snapshot after a serve restart) on a
+//!     capped exponential backoff starting at B ms (default 50).
 //! ```
 //!
 //! With the default (no-eviction) configuration, `serve` + N×`forward`
@@ -62,7 +63,6 @@ use sst_monitor::{
     decode_snapshot, encode_snapshot, EngineSnapshot, MonitorConfig, MonitorEngine, SamplerSpec,
 };
 use sst_nettrace::TraceSynthesizer;
-use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::Duration;
@@ -447,72 +447,45 @@ fn forward(rest: Vec<String>) {
         .filter(|&(k, _)| k % n_parts == part)
         .collect();
     let collector_id = id.unwrap_or(part);
-    if retry > 0 {
-        // Sequenced (wire v3) path: seq/ack window, reconnect with
-        // backoff, replay or full-snapshot resync.
-        let target = socket.clone();
-        let connect = move || -> std::io::Result<SessionStream> {
-            if tcp {
-                TcpStream::connect(target.as_str()).map(SessionStream::from)
-            } else {
-                UnixStream::connect(target.as_str()).map(SessionStream::from)
-            }
+    // The sequenced (wire v4) session: seq/ack window, differential
+    // flushes, and up to `retry` reconnects that replay the unacked
+    // tail or resync from a full snapshot.
+    let connect = move || -> std::io::Result<SessionStream> {
+        let stream = if tcp {
+            TcpStream::connect(socket.as_str()).map(SessionStream::from)
+        } else {
+            UnixStream::connect(socket.as_str()).map(SessionStream::from)
         };
-        let backoff = Backoff::new(
-            backoff_ms,
-            backoff_ms.saturating_mul(64),
-            w.seed ^ collector_id,
-        );
-        let mut sender = SequencedSender::new(
-            Collector::new_sequenced(collector_id, w.config(2)),
-            connect,
-            backoff,
-            retry,
-        );
-        for chunk in points.chunks(flush_every.max(1)) {
-            sender.collector_mut().offer_batch(chunk);
-            sender
-                .flush()
-                .unwrap_or_else(|e| die(&format!("flush: {e}")));
-        }
-        let reconnects = sender.reconnects();
-        let collector = sender
-            .finish()
-            .unwrap_or_else(|e| die(&format!("finish: {e}")));
-        let stats = collector.engine().lifecycle_stats();
-        eprintln!(
-            "forwarded {} points as collector {collector_id} (partition {part}/{n_parts}, \
-             {} evicted, sequenced, {} reconnects)",
-            points.len(),
-            stats.evicted,
-            reconnects
-        );
-        return;
-    }
-    let mut sock: Box<dyn Write> = if tcp {
-        Box::new(
-            TcpStream::connect(&socket).unwrap_or_else(|e| die(&format!("connect {socket}: {e}"))),
-        )
-    } else {
-        Box::new(
-            UnixStream::connect(&socket).unwrap_or_else(|e| die(&format!("connect {socket}: {e}"))),
-        )
+        stream.map_err(|e| std::io::Error::new(e.kind(), format!("connect {socket}: {e}")))
     };
-    let mut collector = Collector::new(collector_id, w.config(2));
+    let backoff = Backoff::new(
+        backoff_ms,
+        backoff_ms.saturating_mul(64),
+        w.seed ^ collector_id,
+    );
+    let mut sender = SequencedSender::new(
+        Collector::new_sequenced(collector_id, w.config(2)),
+        connect,
+        backoff,
+        retry,
+    );
     for chunk in points.chunks(flush_every.max(1)) {
-        collector.offer_batch(chunk);
-        collector
-            .flush(&mut sock)
+        sender.collector_mut().offer_batch(chunk);
+        sender
+            .flush()
             .unwrap_or_else(|e| die(&format!("flush: {e}")));
     }
-    collector
-        .finish(&mut sock)
+    let reconnects = sender.reconnects();
+    let collector = sender
+        .finish()
         .unwrap_or_else(|e| die(&format!("finish: {e}")));
     let stats = collector.engine().lifecycle_stats();
     eprintln!(
-        "forwarded {} points as collector {collector_id} (partition {part}/{n_parts}, {} evicted)",
+        "forwarded {} points as collector {collector_id} (partition {part}/{n_parts}, \
+         {} evicted, sequenced, {} reconnects)",
         points.len(),
-        stats.evicted
+        stats.evicted,
+        reconnects
     );
 }
 

@@ -401,18 +401,6 @@ impl MonitorEngine {
         })
     }
 
-    /// Cumulative entries for the given keys, ascending by key, one
-    /// per distinct key — live streams only; unknown keys are skipped.
-    /// A [`crate::topology::Collector`] builds its flush deltas this
-    /// way from the keys its shards listed on first touch since the
-    /// last flush.
-    pub fn entries_for(&self, keys: impl IntoIterator<Item = u64>) -> Vec<StreamEntry> {
-        self.live_states(keys)
-            .into_iter()
-            .map(|(key, state)| state.entry(key))
-            .collect()
-    }
-
     /// The live states of `keys`, ascending by key, one per distinct
     /// key; unknown keys are skipped.
     fn live_states(&self, keys: impl IntoIterator<Item = u64>) -> Vec<(u64, &StreamState)> {
@@ -431,14 +419,9 @@ impl MonitorEngine {
         self.shards.track_dirty();
     }
 
-    /// [`MonitorEngine::entries_for`] the keys touched since the last
-    /// [`MonitorEngine::clear_dirty`] that are still live.
-    pub(crate) fn dirty_entries(&self) -> Vec<StreamEntry> {
-        self.entries_for(self.shards.dirty_keys())
-    }
-
-    /// The live states behind [`MonitorEngine::dirty_entries`], for a
-    /// seal that reads them in place.
+    /// The live states of the keys touched since the last
+    /// [`MonitorEngine::clear_dirty`], for a seal that reads them in
+    /// place.
     pub(crate) fn dirty_states(&self) -> Vec<(u64, &StreamState)> {
         self.live_states(self.shards.dirty_keys())
     }

@@ -3,8 +3,8 @@
 //! This is the bottom of the collector stack — it answers exactly one
 //! question: *which shard owns a key, and what happens when a point for
 //! that key arrives*. Everything above it (eviction, compaction, wire
-//! framing, topology) treats the [`ShardSet`] as a deterministic keyed
-//! map of live [`StreamState`]s.
+//! framing, topology) treats the `ShardSet` as a deterministic keyed
+//! map of live `StreamState`s.
 //!
 //! ## Determinism contract (inherited by every layer above)
 //!
@@ -19,7 +19,7 @@
 //! ## Key-grouped batch ingest
 //!
 //! Heavy-tailed traffic puts a window's points into few flows, so batch
-//! ingest works per flow, not per point. [`ShardSet::offer_batch`] cuts
+//! ingest works per flow, not per point. `ShardSet::offer_batch` cuts
 //! a batch into passes of at most 2¹⁶ points. Each pass routes its
 //! points to their shards, and each shard counting-sorts its share by
 //! key into contiguous runs: a direct-mapped memo, checked by key
@@ -401,7 +401,7 @@ impl ShardSet {
         }
     }
 
-    /// One pass of [`ShardSet::offer_batch`].
+    /// One pass of `ShardSet::offer_batch`.
     fn offer_pass(&mut self, config: &MonitorConfig, points: &[(u64, f64)], first_tick: u64) {
         if self.shards.len() == 1 {
             let points = (0u32..).zip(points).map(|(i, &(k, v))| (i, k, v));

@@ -98,7 +98,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the one sanctioned exception is the
-// minimal `poll(2)`/`epoll(7)` FFI in `transport::sys`, which carries
+// minimal `epoll(7)` FFI in `transport::sys`, which carries
 // its own narrowly-scoped `#[allow(unsafe_code)]` and safety comments.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,13 +8,13 @@
 //!   retrying component (connect and mid-stream alike) draws from the
 //!   same schedule so operators reason about one curve, and tests can
 //!   pin it exactly (same seed ⇒ same delays).
-//! * [`SequencedSender`] — drives a sequenced [`Collector`] over a
+//! * [`SequencedSender`] — drives a [`Collector`] over a
 //!   reconnecting [`SessionStream`]: seals frames into the in-flight
 //!   window, writes them, consumes `Ack`s to trim the window, replays
 //!   the unacked tail after a reconnect, and degrades to a
 //!   full-snapshot re-baseline when the aggregator answers `Resync`
-//!   (serve restart, replay gap). `monitor_tool forward --retry` is a
-//!   thin shell around it.
+//!   (serve restart, replay gap). `monitor_tool forward` is a thin
+//!   shell around it; `--retry N` sets its reconnect budget.
 //!
 //! ## Silence is not delivery
 //!
@@ -164,7 +164,7 @@ impl Conn {
     }
 }
 
-/// Drives a sequenced [`Collector`] over a reconnecting transport —
+/// Drives a [`Collector`] over a reconnecting transport —
 /// the client half of the seq/ack protocol. See the module docs.
 pub struct SequencedSender<F: FnMut() -> io::Result<SessionStream>> {
     collector: Collector,
@@ -177,18 +177,10 @@ pub struct SequencedSender<F: FnMut() -> io::Result<SessionStream>> {
 }
 
 impl<F: FnMut() -> io::Result<SessionStream>> SequencedSender<F> {
-    /// Wraps a sequenced `collector` (see [`Collector::new_sequenced`])
-    /// around a `connect` factory, allowing `retries` reconnect
-    /// attempts drawn from `backoff`.
-    ///
-    /// # Panics
-    ///
-    /// If `collector` is not sequenced.
+    /// Wraps `collector` around a `connect` factory, allowing `retries`
+    /// reconnect attempts drawn from `backoff` — `0` means one
+    /// connection and no reconnect.
     pub fn new(collector: Collector, connect: F, backoff: Backoff, retries: u32) -> Self {
-        assert!(
-            collector.is_sequenced(),
-            "SequencedSender needs a sequenced collector"
-        );
         SequencedSender {
             collector,
             connect,

@@ -8,7 +8,7 @@
 //!   per-stream state (sampler, moments, reservoir, Hurst cascade, tail
 //!   ladder), exactly as before.
 //! * **Sketch tier** — every other key shares one fixed-memory
-//!   [`SketchTier`]: a [`CountMinSketch`] for per-key volume, a
+//!   `SketchTier`: a [`CountMinSketch`] for per-key volume, a
 //!   [`SpaceSaving`] table for heavy-hitter candidates, one aggregate
 //!   [`crate::StreamSummary`] absorbing the sketched points in arrival
 //!   order, and a [`ProjectionBank`] of sign-projection dyadic cascades
@@ -247,7 +247,7 @@ impl SketchTier {
     }
 }
 
-/// A mergeable point-in-time image of a [`SketchTier`] — what rides in
+/// A mergeable point-in-time image of a `SketchTier` — what rides in
 /// an [`crate::EngineSnapshot`] and across the wire (the `SKT1`
 /// trailing section of the snapshot codec).
 #[derive(Clone, Debug, PartialEq)]

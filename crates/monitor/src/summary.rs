@@ -179,7 +179,7 @@ pub struct ReservoirSnapshot {
 impl ReservoirSnapshot {
     /// [`Reservoir::compact`] on the plain-data image: deterministic
     /// uniform subsample down to `max_items`, capacity clamped — the
-    /// shared [`compact_items`] primitive, so live and snapshot forms
+    /// shared `compact_items` primitive, so live and snapshot forms
     /// of the same reservoir compact to identical items.
     pub fn compact(&mut self, max_items: usize) {
         compact_items(

@@ -2,26 +2,30 @@
 //! aggregator whose merged state is bit-for-bit what a single unsharded
 //! engine would hold.
 //!
-//! A [`Collector`] wraps a [`MonitorEngine`] and speaks the
-//! [`crate::wire`] protocol over any `io::Write` (an in-memory buffer,
-//! a Unix socket, a file). Its engine's shards list each stream on its
-//! first point since the last flush, so a flush visits only the keys
-//! touched since the previous one and ships them as cumulative `Delta`
-//! frames (or, sequenced, as `DeltaDiff` patches against the last
-//! shipped entry, which the live state then overwrites in place), plus
+//! A [`Collector`] wraps a [`MonitorEngine`] and speaks the sequenced
+//! [`crate::wire`] protocol: it *seals* its state into numbered frames
+//! held in a replay window until the aggregator acks them, and a
+//! transport writer ([`crate::retry::SequencedSender`], or anything
+//! else that ships [`Collector::unsent_window`]) owns the socket. Its
+//! engine's shards list each stream on its first point since the last
+//! seal, so a seal visits only the keys touched since the previous one
+//! and ships each as a `DeltaDiff` patch against the last shipped
+//! entry where that is smaller, else as a cumulative `Delta`, plus
 //! `Evicted` frames for streams its lifecycle layer retired.
 //!
 //! An [`Aggregator`] consumes frames from many collectors. Its state is
 //! *per collector*: a live view (replaced by `Delta`/`FullSnapshot`
-//! entries — they are cumulative) and a retired store (folded from
-//! `Evicted` finals). Because each collector's frames are ordered
-//! within its own session and state is never shared across collectors,
-//! the aggregate is **independent of how sessions interleave** — feed
-//! the connections concurrently or one after another, the final
-//! snapshot is the same bits.
+//! entries — they are cumulative — and patched in place by
+//! `DeltaDiff`s) and a retired store (folded from `Evicted` finals).
+//! Because each collector's frames are ordered within its own session
+//! and state is never shared across collectors, the aggregate is
+//! **independent of how sessions interleave** — feed the connections
+//! concurrently or one after another, the final snapshot is the same
+//! bits. The aggregator still decodes the older one-way (v2) sessions
+//! and bare v1 `.ssm` snapshots through the same [`SessionDriver`].
 //!
 //! A tiered collector ([`crate::TierConfig`]) additionally ships its
-//! cumulative sketch-tier image on the last `Delta` of every flush;
+//! cumulative sketch-tier image on the last `Delta` of every seal;
 //! the aggregator holds the latest image per collector (replace
 //! semantics, like the live view) and folds them into its assembled
 //! snapshot. The aggregator can also tier *itself*:
@@ -42,8 +46,7 @@ use crate::diff::{apply_diff, diff_view, StreamDiff};
 use crate::engine::{EngineSnapshot, MonitorConfig, MonitorEngine, StreamEntry};
 use crate::sketch::SketchSnapshot;
 use crate::wire::{
-    encode_frame, encode_frame_seq, read_frames, write_frame, Frame, FrameDecoder, HelloResume,
-    WireError, WIRE_VERSION, WIRE_VERSION_FRAMED,
+    encode_frame, encode_frame_seq, Frame, FrameDecoder, HelloResume, WireError, WIRE_VERSION,
 };
 use bytes::Bytes;
 use sst_core::stream::StreamDecision;
@@ -51,18 +54,17 @@ use sst_core::summary::{Compactable, MergeableSummary};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::io::Write;
 use std::sync::{Mutex, PoisonError};
 
-/// Sequenced-mode (wire v3) state of a [`Collector`]: the unacked
-/// replay window and the eviction log behind resumable sessions.
+/// A [`Collector`]'s session state: the unacked replay window and the
+/// eviction log behind resumable sessions.
 struct SeqState {
     /// Sequence number the next sealed data frame gets.
     next_seq: u64,
     /// Highest sequence the aggregator has acknowledged.
     last_acked: Option<u64>,
-    /// Encoded, unacked v3 data frames, oldest first — replayed
-    /// verbatim after a reconnect.
+    /// Encoded, unacked data frames, oldest first — replayed verbatim
+    /// after a reconnect.
     window: VecDeque<(u64, Bytes)>,
     /// Every evicted final shipped this session, tagged with the seq
     /// of the frame that last carried it. `Evicted` finals *merge* at
@@ -83,8 +85,8 @@ struct SeqState {
     /// aggregator's live view diverged from `baseline` (lost frames, a
     /// restart, or server-side compaction rewriting entries under us).
     resyncs: u32,
-    /// Ship differential frames where they are smaller. Auto-cleared
-    /// past [`RESYNC_DIFF_LIMIT`]: against a peer that keeps diverging
+    /// Ship differential frames where they are smaller. Cleared past
+    /// [`RESYNC_DIFF_LIMIT`]: against a peer that keeps diverging
     /// (e.g. an aggregator compacting its live entries), diffs only
     /// buy resync storms — cumulative `Delta`s are then strictly
     /// better.
@@ -125,18 +127,14 @@ impl SeqState {
     }
 }
 
-/// A monitoring engine that streams its state over the wire protocol.
+/// A monitoring engine that seals its state into sequenced wire frames
+/// (protocol v4: seq/ack replay window, resync, differential flushes).
 pub struct Collector {
     id: u64,
     /// Tracks dirty keys: its shards list each stream on its first
-    /// point since the last flush.
+    /// point since the last seal.
     engine: MonitorEngine,
-    /// Evicted finals drained from the engine but not yet successfully
-    /// written — survives a failed flush so totals are never lost.
-    pending_evicted: Vec<StreamEntry>,
-    hello_sent: bool,
-    /// `Some` in sequenced (wire v3) mode.
-    seq: Option<SeqState>,
+    seq: SeqState,
 }
 
 /// Target payload per `Delta`/`Evicted` frame, in (estimated) bytes —
@@ -147,13 +145,13 @@ pub struct Collector {
 /// (`Evicted`).
 const TARGET_FRAME_BYTES: usize = 16 << 20;
 
-/// Resyncs a sequenced session tolerates before concluding the peer
-/// can't hold its baseline (most likely a server-side `compact_budget`
-/// rewriting live entries between flushes) and dropping back to
-/// cumulative `Delta` frames for the rest of the session. One resync
-/// is normal after a fault or aggregator restart; repeated ones mean
-/// every differential flush costs a full re-baseline — strictly worse
-/// than never diffing.
+/// Resyncs a session tolerates before concluding the peer can't hold
+/// its baseline (most likely a server-side `compact_budget` rewriting
+/// live entries between flushes) and dropping back to cumulative
+/// `Delta` frames for the rest of the session. One resync is normal
+/// after a fault or aggregator restart; repeated ones mean every
+/// differential flush costs a full re-baseline — strictly worse than
+/// never diffing.
 const RESYNC_DIFF_LIMIT: u32 = 2;
 
 /// Estimated frame footprint of a `Delta`/`Evicted` entry.
@@ -161,12 +159,14 @@ fn entry_frame_bytes(e: &StreamEntry) -> usize {
     64 + e.summary.estimated_bytes()
 }
 
-/// Lengths of the chunks `items` splits into at [`TARGET_FRAME_BYTES`]
-/// boundaries of `size` (always at least one item per chunk).
-fn chunk_lens<T>(items: &[T], size: impl Fn(&T) -> usize) -> Vec<usize> {
+/// Splits `items` into owned chunks at [`TARGET_FRAME_BYTES`]
+/// boundaries of `size` (always at least one item per chunk), moving
+/// every item once; a single chunk is `items` itself.
+fn frame_chunks<T>(mut items: Vec<T>, size: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
+    // Chunk lengths first, so the splits below move each item once.
     let mut lens = Vec::new();
     let (mut bytes, mut n) = (0usize, 0usize);
-    for item in items {
+    for item in &items {
         let b = size(item);
         if n > 0 && bytes + b > TARGET_FRAME_BYTES {
             lens.push(n);
@@ -178,14 +178,6 @@ fn chunk_lens<T>(items: &[T], size: impl Fn(&T) -> usize) -> Vec<usize> {
     if n > 0 {
         lens.push(n);
     }
-    lens
-}
-
-/// Splits `items` into owned chunks at [`TARGET_FRAME_BYTES`]
-/// boundaries of `size`, moving every item once; a single chunk is
-/// `items` itself.
-fn frame_chunks<T>(mut items: Vec<T>, size: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
-    let lens = chunk_lens(&items, size);
     let Some((_, tail)) = lens.split_first() else {
         return Vec::new();
     };
@@ -199,7 +191,7 @@ fn frame_chunks<T>(mut items: Vec<T>, size: impl Fn(&T) -> usize) -> Vec<Vec<T>>
     chunks
 }
 
-/// The `Delta` frames of one flush: `entries` chunked at
+/// The `Delta` frames of one seal: `entries` chunked at
 /// [`TARGET_FRAME_BYTES`], with a tiered engine's cumulative sketch
 /// image riding the *last* one (replace semantics at the aggregator) —
 /// on an empty `Delta` when no entry ships cumulatively.
@@ -224,6 +216,10 @@ fn delta_frames(entries: Vec<StreamEntry>, mut sketch: Option<SketchSnapshot>) -
 
 impl Collector {
     /// Wraps an engine configuration as a collector with the given id.
+    /// Data frames carry sequence numbers, unacked frames are retained
+    /// in a replay window, and evicted finals are logged for the
+    /// session lifetime so any suffix of the session can be resynced —
+    /// the price of surviving aggregator restarts byte-identically.
     ///
     /// The engine's `retain_evicted` is forced **off**: evicted finals
     /// leave through `Evicted` frames and the aggregator owns them —
@@ -232,71 +228,19 @@ impl Collector {
     /// # Panics
     ///
     /// As [`MonitorEngine::new`] (invalid sampler spec or shard count).
-    pub fn new(id: u64, config: MonitorConfig) -> Self {
+    pub fn new_sequenced(id: u64, config: MonitorConfig) -> Self {
         let mut engine = MonitorEngine::new(config.retain_evicted(false));
         engine.track_dirty();
         Collector {
             id,
             engine,
-            pending_evicted: Vec::new(),
-            hello_sent: false,
-            seq: None,
+            seq: SeqState::new(),
         }
     }
 
-    /// As [`Collector::new`], but in **sequenced** (wire v3) mode: data
-    /// frames carry sequence numbers, unacked frames are retained in a
-    /// replay window, and evicted finals are logged for the session
-    /// lifetime so any suffix of the session can be resynced — the
-    /// price of surviving aggregator restarts byte-identically.
-    ///
-    /// Sequenced collectors seal frames with [`Collector::seal_flush`]
-    /// / [`Collector::seal_finish`] and a transport-owned writer (e.g.
-    /// [`crate::retry::SequencedSender`]) ships the window; the direct
-    /// [`Collector::flush`] path is for unsequenced collectors.
-    ///
-    /// # Panics
-    ///
-    /// As [`MonitorEngine::new`].
-    pub fn new_sequenced(id: u64, config: MonitorConfig) -> Self {
-        let mut c = Collector::new(id, config);
-        c.seq = Some(SeqState::new());
-        c
-    }
-
-    /// `true` when this collector speaks the sequenced (v3) protocol.
-    pub fn is_sequenced(&self) -> bool {
-        self.seq.is_some()
-    }
-
-    /// Enables or disables differential (`DeltaDiff`, wire v4) frames
-    /// on a sequenced collector; on by default. Diffing trades memory
-    /// for bytes: the collector keeps a baseline copy of every live
-    /// entry it shipped (roughly doubling its summary memory) to ship
-    /// only the parts that moved — ~10× fewer steady-state bytes for
-    /// slowly-changing streams. Disable it for memory-bound collectors
-    /// or peers known to compact live entries server-side.
-    ///
-    /// # Panics
-    ///
-    /// On an unsequenced collector — differential frames need the seq
-    /// watermark and resync path.
-    pub fn diff_frames(mut self, enabled: bool) -> Self {
-        let st = self.seq.as_mut().expect("sequenced collector");
-        st.diff_enabled = enabled;
-        if !enabled {
-            st.baseline.clear();
-        }
-        self
-    }
-
-    /// `Resync` round-trips this sequenced collector has served.
-    ///
-    /// # Panics
-    ///
-    /// On an unsequenced collector.
+    /// `Resync` round-trips this collector has served.
     pub fn resyncs(&self) -> u32 {
-        self.seq.as_ref().expect("sequenced collector").resyncs
+        self.seq.resyncs
     }
 
     /// The collector id (sent in `Hello`).
@@ -310,8 +254,8 @@ impl Collector {
     }
 
     /// Offers one point of stream `key`. The stream's first point
-    /// since the last flush lists its key on its shard for the next
-    /// flush; later points cost one branch on state the shard already
+    /// since the last seal lists its key on its shard for the next
+    /// seal; later points cost one branch on state the shard already
     /// holds.
     pub fn offer(&mut self, key: u64, value: f64) -> StreamDecision {
         self.engine.offer(key, value)
@@ -324,73 +268,6 @@ impl Collector {
         self.engine.offer_batch(points);
     }
 
-    /// Ships everything pending to `w`: a `Hello` on first contact,
-    /// `Evicted` frames for streams retired since the last flush, and
-    /// `Delta` frames with the cumulative entries of every dirty key
-    /// still live (chunked at [`TARGET_FRAME_BYTES`] of estimated
-    /// entry footprint so no frame approaches the wire's length cap,
-    /// whatever the configured reservoir size). The dirty set — the
-    /// keys the shards listed on first touch — is cleared only once
-    /// everything was written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's I/O error. Nothing is lost on failure:
-    /// undelivered evicted finals are held and re-sent on the next
-    /// flush, and the dirty set keeps its keys so their cumulative
-    /// entries are rebuilt from the engine then. (A *torn* frame write
-    /// corrupts the byte stream itself — callers should drop the
-    /// connection and open a fresh session; an at-least-once redelivery
-    /// of `Evicted` finals across sessions needs the ack story the
-    /// ROADMAP tracks.)
-    pub fn flush(&mut self, w: &mut impl Write) -> std::io::Result<()> {
-        assert!(
-            self.seq.is_none(),
-            "sequenced collectors seal frames (seal_flush) instead of writing directly"
-        );
-        if !self.hello_sent {
-            write_frame(
-                w,
-                &Frame::Hello {
-                    protocol: WIRE_VERSION_FRAMED,
-                    collector_id: self.id,
-                    resume: None,
-                },
-            )?;
-            self.hello_sent = true;
-        }
-        // Evicted keys may sit in the dirty set; their live state is
-        // gone (or fresh, in which case the deltas below re-add it).
-        self.pending_evicted.extend(self.engine.drain_evicted());
-        for n in chunk_lens(&self.pending_evicted, entry_frame_bytes) {
-            write_frame(w, &Frame::Evicted(self.pending_evicted[..n].to_vec()))?;
-            // Drop a chunk only after its frame was fully written.
-            self.pending_evicted.drain(..n);
-        }
-        let entries = self.engine.dirty_entries();
-        for frame in delta_frames(entries, self.engine.sketch_snapshot()) {
-            write_frame(w, &frame)?;
-        }
-        self.engine.clear_dirty();
-        Ok(())
-    }
-
-    /// Flushes, then closes the session with `Bye`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's I/O error.
-    pub fn finish(&mut self, w: &mut impl Write) -> std::io::Result<()> {
-        self.flush(w)?;
-        write_frame(w, &Frame::Bye)
-    }
-
-    // ---- sequenced (v3) sealing API -------------------------------
-
-    fn seq_mut(&mut self) -> &mut SeqState {
-        self.seq.as_mut().expect("sequenced collector")
-    }
-
     /// Seals everything pending into the replay window as sequenced
     /// frames: `Evicted` frames for streams retired since the last
     /// seal (each final also tagged into the eviction log), then
@@ -401,11 +278,12 @@ impl Collector {
     /// [`Collector::ack`].
     ///
     /// A dirty entry ships as a diff only when all of: diffing is
-    /// enabled ([`Collector::diff_frames`]), a baseline for the key
-    /// exists (it was shipped before and not evicted since), the pair
-    /// is structurally diffable (counters only grew, reservoir/cascade
-    /// never shrank), and the encoded diff is strictly smaller than
-    /// the encoded cumulative entry. Anything else falls back to the
+    /// still on (it turns off for the session after more than two
+    /// resyncs, `RESYNC_DIFF_LIMIT`), a baseline for the key exists
+    /// (it was shipped before and not evicted since), the pair is
+    /// structurally diffable (counters only grew, reservoir/cascade
+    /// never shrank), and the encoded diff is strictly smaller than the
+    /// encoded cumulative entry. Anything else falls back to the
     /// cumulative `Delta` path — correctness never depends on diffing.
     ///
     /// The seal costs one baseline lookup per dirty key and builds no
@@ -415,15 +293,10 @@ impl Collector {
     /// (`clone_from`). An entry is cloned only when it ships
     /// cumulatively while diffing is on, and the diff, cumulative and
     /// evicted vectors move into their frames.
-    ///
-    /// # Panics
-    ///
-    /// On an unsequenced collector.
     pub fn seal_flush(&mut self) {
-        self.pending_evicted.extend(self.engine.drain_evicted());
-        let evicted = std::mem::take(&mut self.pending_evicted);
+        let evicted = self.engine.drain_evicted();
         let sketch = self.engine.sketch_snapshot();
-        let st = self.seq.as_mut().expect("sequenced collector");
+        let st = &mut self.seq;
         // An evicted key's baseline is gone on both sides: the
         // aggregator drops it from the live view, so a reappearing key
         // must re-ship cumulatively.
@@ -433,7 +306,7 @@ impl Collector {
         st.seal_evicted(evicted);
         // Partition dirty keys: diff where the differential encoding
         // wins, cumulative otherwise. Either way the key's live state
-        // becomes its baseline for the next flush.
+        // becomes its baseline for the next seal.
         let mut diffs: Vec<StreamDiff> = Vec::new();
         let mut full: Vec<StreamEntry> = Vec::new();
         for (key, state) in self.engine.dirty_states() {
@@ -462,9 +335,8 @@ impl Collector {
         for chunk in frame_chunks(diffs, encoded_diff_len) {
             st.seal(&Frame::DeltaDiff(chunk));
         }
-        // As in `flush`: the cumulative sketch image rides the last
-        // sealed Delta — never a DeltaDiff, whose payload is per-stream
-        // only.
+        // The cumulative sketch image rides the last sealed Delta —
+        // never a DeltaDiff, whose payload is per-stream only.
         for frame in delta_frames(full, sketch) {
             st.seal(&frame);
         }
@@ -473,26 +345,17 @@ impl Collector {
     /// Seals pending state, then a `Bye`. Idempotent across resyncs:
     /// [`Collector::handle_resync`] re-seals the `Bye` after the
     /// re-baseline frames.
-    ///
-    /// # Panics
-    ///
-    /// On an unsequenced collector.
     pub fn seal_finish(&mut self) {
         self.seal_flush();
-        self.seq_mut().seal(&Frame::Bye);
-        self.seq_mut().bye_sealed = true;
+        self.seq.seal(&Frame::Bye);
+        self.seq.bye_sealed = true;
     }
 
-    /// The `Hello` opening a sequenced connection: `Fresh` for a
-    /// never-connected session, otherwise `Replay` from the oldest
-    /// unacked frame (the aggregator skips any seq it already
-    /// applied).
-    ///
-    /// # Panics
-    ///
-    /// On an unsequenced collector.
+    /// The `Hello` opening a connection: `Fresh` for a never-connected
+    /// session, otherwise `Replay` from the oldest unacked frame (the
+    /// aggregator skips any seq it already applied).
     pub fn hello(&self) -> Frame {
-        let st = self.seq.as_ref().expect("sequenced collector");
+        let st = &self.seq;
         let resume = if st.next_seq == 0 && st.last_acked.is_none() {
             HelloResume::Fresh { first_seq: 0 }
         } else {
@@ -509,12 +372,8 @@ impl Collector {
 
     /// Records an aggregator `Ack {through_seq}`: acked frames leave
     /// the replay window.
-    ///
-    /// # Panics
-    ///
-    /// On an unsequenced collector.
     pub fn ack(&mut self, through_seq: u64) {
-        let st = self.seq_mut();
+        let st = &mut self.seq;
         while st.window.front().is_some_and(|&(s, _)| s <= through_seq) {
             st.window.pop_front();
         }
@@ -530,16 +389,13 @@ impl Collector {
     /// of the entire live engine state, then the `Bye` again if one
     /// was already sealed. Returns the `Resync`-mode `Hello` to send
     /// before the rebuilt window.
-    ///
-    /// # Panics
-    ///
-    /// On an unsequenced collector.
     pub fn handle_resync(&mut self, from_seq: u64) -> Frame {
         // Everything pending joins the baseline: dirty keys are in the
         // full snapshot, pending evictions seal first.
-        self.pending_evicted.extend(self.engine.drain_evicted());
-        let pending = std::mem::take(&mut self.pending_evicted);
-        let st = self.seq.as_mut().expect("sequenced collector");
+        let pending = self.engine.drain_evicted();
+        let snap = self.engine.snapshot();
+        self.engine.clear_dirty();
+        let st = &mut self.seq;
         st.window.clear();
         let first_seq = st.next_seq;
         // Re-send the evicted tail the aggregator is missing, fresh
@@ -556,9 +412,6 @@ impl Collector {
         resend.extend(pending);
         st.evicted_log = kept;
         st.seal_evicted(resend);
-        let snap = self.engine.snapshot();
-        self.engine.clear_dirty();
-        let st = self.seq_mut();
         // The FullSnapshot re-baselines both sides at once: the
         // aggregator's live view becomes exactly these entries, so
         // they are what future diffs must be computed against. Repeated
@@ -588,8 +441,6 @@ impl Collector {
     /// (encoded, ready to write).
     pub fn unsent_window(&self, from_seq: u64) -> impl Iterator<Item = (u64, &Bytes)> {
         self.seq
-            .as_ref()
-            .expect("sequenced collector")
             .window
             .iter()
             .filter(move |&&(s, _)| s >= from_seq)
@@ -598,14 +449,13 @@ impl Collector {
 
     /// Sequence number the next sealed frame will get.
     pub fn next_seq(&self) -> u64 {
-        self.seq.as_ref().expect("sequenced collector").next_seq
+        self.seq.next_seq
     }
 
     /// `true` once the sealed `Bye` (and everything before it) has
     /// been acknowledged — the session is durably complete.
     pub fn finish_acked(&self) -> bool {
-        let st = self.seq.as_ref().expect("sequenced collector");
-        st.bye_sealed && st.window.is_empty()
+        self.seq.bye_sealed && self.seq.window.is_empty()
     }
 }
 
@@ -710,19 +560,9 @@ impl Aggregator {
     }
 
     /// Applies one frame from the session of `collector_id` (the id
-    /// from that session's `Hello`; transports that already know the
-    /// session id may feed data frames directly). Unsequenced entry
-    /// point: equivalent to [`Aggregator::feed_seq`] with no sequence
-    /// number.
-    ///
-    /// # Errors
-    ///
-    /// As [`Aggregator::feed_seq`].
-    pub fn feed(&mut self, collector_id: u64, frame: Frame) -> Result<(), WireError> {
-        self.feed_seq(collector_id, None, frame).map(|_| ())
-    }
-
-    /// Applies one frame with its wire sequence number.
+    /// from that session's `Hello`) with its wire sequence number —
+    /// `None` for `Hello`s and for the data frames of unsequenced (v2)
+    /// sessions and bare v1 snapshots.
     ///
     /// Protocol-version negotiation happens here: any `Hello` is
     /// accepted, and the session runs at the highest version both
@@ -754,55 +594,31 @@ impl Aggregator {
         }
         let state = self.collectors.entry(collector_id).or_default();
         if let Frame::Hello { resume, .. } = &frame {
-            match resume {
-                None => {
-                    // A fresh Hello restarts the session's live view (a
-                    // reconnecting collector re-sends cumulative state);
-                    // retired finals (and server-side absorbed sketches)
-                    // were real evictions and stay. The reported sketch
-                    // is cumulative like the live view: cleared here,
-                    // replaced by the next sketch-bearing frame.
-                    state.live.clear();
-                    state.sketch = None;
-                    state.done = false;
-                    state.sequenced = false;
-                    state.last_seq = None;
-                    state.awaiting_resync = false;
+            state.done = false;
+            state.sequenced = resume.is_some();
+            if let Some(HelloResume::Replay { first_seq }) = resume {
+                // Keep everything: the whole point of a replay is that
+                // prior state (and its seq watermark) stands.
+                let expected = state.last_seq.map_or(0, |s| s + 1);
+                if *first_seq > expected {
+                    state.awaiting_resync = true;
+                    return Ok(SeqOutcome::NeedResync { from_seq: expected });
                 }
-                Some(HelloResume::Fresh { first_seq }) => {
-                    state.live.clear();
-                    state.sketch = None;
-                    state.done = false;
-                    state.sequenced = true;
-                    state.last_seq = first_seq.checked_sub(1);
-                    state.awaiting_resync = false;
-                }
-                Some(HelloResume::Replay { first_seq }) => {
-                    // Keep everything: the whole point of a replay is
-                    // that prior state (and its seq watermark) stands.
-                    state.done = false;
-                    state.sequenced = true;
-                    let expected = state.last_seq.map_or(0, |s| s + 1);
-                    if *first_seq > expected {
-                        state.awaiting_resync = true;
-                        return Ok(SeqOutcome::NeedResync { from_seq: expected });
-                    }
-                    state.awaiting_resync = false;
-                }
-                Some(HelloResume::Resync { first_seq }) => {
-                    // Re-baseline: the live view (and reported sketch)
-                    // is rebuilt by the coming FullSnapshot; retired
-                    // finals already applied stay (the collector
-                    // re-sends only the tail past the seq watermark we
-                    // reported).
-                    state.live.clear();
-                    state.sketch = None;
-                    state.done = false;
-                    state.sequenced = true;
-                    state.last_seq = first_seq.checked_sub(1);
-                    state.awaiting_resync = false;
-                }
+            } else {
+                // Any other Hello restarts the session's live view: a
+                // fresh (or v2) session re-sends cumulative state, and
+                // a `Resync` re-baselines it with the coming
+                // FullSnapshot. Retired finals (and server-side absorbed
+                // sketches) were real evictions and stay — a resyncing
+                // collector re-sends only the evicted tail past the
+                // watermark we reported. The reported sketch is
+                // cumulative like the live view: cleared here, replaced
+                // by the next sketch-bearing frame.
+                state.live.clear();
+                state.sketch = None;
+                state.last_seq = resume.and_then(|r| r.first_seq().checked_sub(1));
             }
+            state.awaiting_resync = false;
             return Ok(SeqOutcome::Applied);
         }
         // Data frame: sequence bookkeeping before any state change.
@@ -880,7 +696,6 @@ impl Aggregator {
                         e.summary.compact(b);
                     }
                     state.live.remove(&e.key);
-                    use std::collections::btree_map::Entry;
                     match state.retired.entry(e.key) {
                         Entry::Vacant(v) => {
                             v.insert(e);
@@ -989,49 +804,20 @@ impl Aggregator {
         self.collectors.insert(collector_id, parked.0);
     }
 
-    /// Runs a whole byte stream (one collector session) into the
-    /// aggregator: reads the `Hello`, then feeds every following frame
-    /// to that session. Legacy v1 snapshots (no `Hello`) are attributed
-    /// to `fallback_id`.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the reader; protocol errors as `InvalidData`.
-    pub fn ingest_stream(
-        &mut self,
-        r: &mut impl std::io::Read,
-        fallback_id: u64,
-    ) -> std::io::Result<usize> {
-        let mut session = fallback_id;
-        let mut first = true;
-        let mut result = Ok(());
-        let n = read_frames(r, |frame| {
-            if result.is_err() {
-                return;
-            }
-            if first {
-                if let Frame::Hello { collector_id, .. } = frame {
-                    session = collector_id;
-                }
-                first = false;
-            }
-            result = self.feed(session, frame);
-        })?;
-        result.map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Ok(n)
-    }
-
     /// Discards every entry (live *and* retired) fed under
     /// `collector_id`, as if that session had never connected.
     ///
-    /// Transports call this when a session fails mid-stream — a
-    /// half-delivered cumulative view must not leak into the assembled
-    /// snapshot, so the guarantee stays "the snapshot is exactly the
-    /// completed sessions". Retired finals the failed session delivered
-    /// are lost with it; redelivering them on reconnect needs the
-    /// ack story the ROADMAP tracks. (Sessions are trusted to use
-    /// distinct ids — a session that claims another's id already stomps
-    /// its live view at `Hello` time.)
+    /// Transports call this when an unsequenced (v1/v2) session fails
+    /// mid-stream — a half-delivered cumulative view must not leak into
+    /// the assembled snapshot, so the guarantee stays "the snapshot is
+    /// exactly the completed sessions". Retired finals the failed
+    /// session delivered are lost with it: such a peer has no replay
+    /// window to redeliver them from. A failed *sequenced* session is
+    /// parked instead ([`Aggregator::park_collector`]) and resumes with
+    /// its seq watermark, which makes the replay exactly-once.
+    /// (Sessions are trusted to use distinct ids — a session that
+    /// claims another's id already stomps its live view at `Hello`
+    /// time.)
     pub fn remove_collector(&mut self, collector_id: u64) {
         self.collectors.remove(&collector_id);
     }
@@ -1158,17 +944,10 @@ impl AdmissionRegistry {
         self.owners.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claims `id` on behalf of the session `token`. `true` when the
-    /// claim is granted ([`AdmissionRegistry::claim`] for the variant
-    /// that also hands back parked state — use that from transports
-    /// that support resumption, or the parked state is lost).
-    pub fn admit(&self, id: u64, token: u64) -> bool {
-        !matches!(self.claim(id, token), Claim::Rejected)
-    }
-
     /// Claims `id` on behalf of the session `token`: grants free ids,
     /// re-grants ids this very session holds, resumes suspended ids
-    /// (handing their parked state to the claimant), and rejects ids
+    /// (handing their parked state to the claimant, which must restore
+    /// it into its aggregator or the state is lost), and rejects ids
     /// owned by another open session or delivered by a completed one —
     /// the caller must then fail the claiming session *before* the
     /// frame touches any aggregator.
@@ -1227,7 +1006,7 @@ impl AdmissionRegistry {
 /// result is byte-identical to one unsharded engine (and to a
 /// single-loop serve of the same sessions), whatever the dispatcher's
 /// placement — pinned by `tests/transport_live.rs` for 1, 2 and 4
-/// loops on both readiness backends.
+/// loops.
 #[derive(Default)]
 pub struct AggregatorSet {
     aggs: Vec<Aggregator>,
@@ -1316,7 +1095,7 @@ impl std::error::Error for SessionError {}
 /// whose implicit `FullSnapshot` only decodes once EOF is signalled.
 ///
 /// The driver never touches the aggregator except through
-/// [`Aggregator::feed`]/[`Aggregator::remove_collector`], so the same
+/// [`Aggregator::feed_seq`]/[`Aggregator::remove_collector`], so the same
 /// state machine serves live sockets in the event loop (which owns its
 /// aggregator, no lock) and in-memory byte slices pushed directly —
 /// the reference replay the transport tests compare served bytes
@@ -1588,6 +1367,7 @@ impl SessionDriver {
 mod tests {
     use super::*;
     use crate::engine::SamplerSpec;
+    use crate::wire::SeqFrame;
 
     fn keyed_points(n: usize, n_keys: u64) -> Vec<(u64, f64)> {
         (0..n)
@@ -1611,7 +1391,6 @@ mod tests {
             vec![vec![6, 6], vec![6], vec![20], vec![1, 15], vec![2]]
         );
         assert_eq!(chunks.concat(), sizes);
-        assert_eq!(chunk_lens(&sizes, |&mb| mb * MIB), vec![2, 1, 1, 2, 1]);
         assert_eq!(frame_chunks(vec![3], |_| MIB), vec![vec![3]]);
         assert!(frame_chunks(Vec::<usize>::new(), |_| MIB).is_empty());
     }
@@ -1622,6 +1401,36 @@ mod tests {
             .seed(11)
     }
 
+    /// Appends every unacked frame `c` sealed to `pipe` and acks them,
+    /// as a lossless pipe delivers everything it accepted.
+    fn ship(c: &mut Collector, pipe: &mut Vec<u8>) {
+        let mut through = None;
+        for (seq, bytes) in c.unsent_window(0) {
+            pipe.extend_from_slice(bytes);
+            through = Some(seq);
+        }
+        if let Some(seq) = through {
+            c.ack(seq);
+        }
+    }
+
+    /// `c`'s whole session over a lossless pipe: `Hello`, one seal of
+    /// `points`, `Bye`.
+    fn session_pipe(mut c: Collector, points: &[(u64, f64)]) -> Vec<u8> {
+        let mut pipe = encode_frame(&c.hello()).to_vec();
+        c.offer_batch(points);
+        c.seal_finish();
+        ship(&mut c, &mut pipe);
+        pipe
+    }
+
+    /// Feeds one whole session's bytes to `agg`.
+    fn ingest(agg: &mut Aggregator, pipe: &[u8], fallback_id: u64) {
+        let mut driver = SessionDriver::new(fallback_id);
+        driver.push(pipe, agg).expect("clean session");
+        driver.finish(agg).expect("clean eof");
+    }
+
     #[test]
     fn two_collectors_assemble_to_the_unsharded_bits_over_a_pipe() {
         let points = keyed_points(40_000, 64);
@@ -1630,23 +1439,30 @@ mod tests {
         for &(k, v) in &points {
             reference.offer(k, v);
         }
-        // Two collectors partition the keys; several flushes each.
-        let mut pipes = [Vec::new(), Vec::new()];
-        let mut collectors = [Collector::new(0, config()), Collector::new(1, config())];
+        // Two collectors partition the keys; several seals each.
+        let mut collectors = [
+            Collector::new_sequenced(0, config()),
+            Collector::new_sequenced(1, config()),
+        ];
+        let mut pipes = collectors
+            .each_ref()
+            .map(|c| encode_frame(&c.hello()).to_vec());
         for (i, chunk) in points.chunks(7000).enumerate() {
             for &(k, v) in chunk {
                 collectors[(k % 2) as usize].offer(k, v);
             }
-            // Interleave flushes to exercise repeated deltas.
+            // Interleave seals to exercise repeated deltas and diffs.
             let c = i % 2;
-            collectors[c].flush(&mut pipes[c]).unwrap();
+            collectors[c].seal_flush();
+            ship(&mut collectors[c], &mut pipes[c]);
         }
         for c in 0..2 {
-            collectors[c].finish(&mut pipes[c]).unwrap();
+            collectors[c].seal_finish();
+            ship(&mut collectors[c], &mut pipes[c]);
         }
         let mut agg = Aggregator::new();
         for pipe in &pipes {
-            agg.ingest_stream(&mut pipe.as_slice(), 999).unwrap();
+            ingest(&mut agg, pipe, 999);
         }
         assert!(agg.all_done());
         assert_eq!(agg.collector_count(), 2);
@@ -1656,33 +1472,46 @@ mod tests {
     #[test]
     fn interleaving_does_not_change_the_aggregate() {
         let points = keyed_points(20_000, 32);
-        let mut pipes = [Vec::new(), Vec::new()];
-        let mut collectors = [Collector::new(0, config()), Collector::new(1, config())];
+        let mut collectors = [
+            Collector::new_sequenced(0, config()),
+            Collector::new_sequenced(1, config()),
+        ];
+        let mut pipes = collectors
+            .each_ref()
+            .map(|c| encode_frame(&c.hello()).to_vec());
         for chunk in points.chunks(3000) {
             for &(k, v) in chunk {
                 collectors[(k % 2) as usize].offer(k, v);
             }
             for c in 0..2 {
-                collectors[c].flush(&mut pipes[c]).unwrap();
+                collectors[c].seal_flush();
+                ship(&mut collectors[c], &mut pipes[c]);
             }
         }
         for c in 0..2 {
-            collectors[c].finish(&mut pipes[c]).unwrap();
+            collectors[c].seal_finish();
+            ship(&mut collectors[c], &mut pipes[c]);
         }
         // Sequential sessions vs frame-interleaved sessions.
         let mut seq = Aggregator::new();
-        seq.ingest_stream(&mut pipes[0].as_slice(), 0).unwrap();
-        seq.ingest_stream(&mut pipes[1].as_slice(), 1).unwrap();
+        ingest(&mut seq, &pipes[0], 0);
+        ingest(&mut seq, &pipes[1], 1);
         let mut interleaved = Aggregator::new();
-        let decoded: Vec<Vec<Frame>> = pipes
+        let decoded: Vec<Vec<SeqFrame>> = pipes
             .iter()
-            .map(|p| crate::wire::decode_frames(p).unwrap())
+            .map(|p| {
+                let mut dec = FrameDecoder::new();
+                dec.push(p);
+                std::iter::from_fn(|| dec.next_seq_frame().unwrap()).collect()
+            })
             .collect();
         let max = decoded[0].len().max(decoded[1].len());
         for i in 0..max {
             for (c, frames) in decoded.iter().enumerate() {
-                if let Some(f) = frames.get(i) {
-                    interleaved.feed(c as u64, f.clone()).unwrap();
+                if let Some(sf) = frames.get(i) {
+                    interleaved
+                        .feed_seq(c as u64, sf.seq, sf.frame.clone())
+                        .unwrap();
                 }
             }
         }
@@ -1696,8 +1525,9 @@ mod tests {
         // (resume: None ⇒ the one-way framed protocol).
         let mut agg = Aggregator::new();
         for protocol in [1u8, 2, 3, 77] {
-            agg.feed(
+            agg.feed_seq(
                 u64::from(protocol),
+                None,
                 Frame::Hello {
                     protocol,
                     collector_id: u64::from(protocol),
@@ -1804,13 +1634,13 @@ mod tests {
 
     #[test]
     fn session_driver_replays_a_collector_pipe_chunk_by_chunk() {
-        let mut collector = Collector::new(5, config());
-        collector.offer_batch(&keyed_points(8000, 16));
-        let mut pipe = Vec::new();
-        collector.finish(&mut pipe).unwrap();
-        // Reference: the whole-stream ingest path.
+        let pipe = session_pipe(
+            Collector::new_sequenced(5, config()),
+            &keyed_points(8000, 16),
+        );
+        // Reference: the whole session pushed at once.
         let mut want = Aggregator::new();
-        want.ingest_stream(&mut pipe.as_slice(), 99).unwrap();
+        ingest(&mut want, &pipe, 99);
         // Driver: awkward chunk sizes, EOF at the end.
         for chunk in [1usize, 13, 4096] {
             let mut agg = Aggregator::new();
@@ -1858,10 +1688,10 @@ mod tests {
     fn session_driver_mid_frame_eof_aborts_cleanly() {
         // A session that dies mid-frame must report the failure and be
         // removable, leaving the aggregator as if it never connected.
-        let mut collector = Collector::new(8, config());
-        collector.offer_batch(&keyed_points(5000, 8));
-        let mut pipe = Vec::new();
-        collector.finish(&mut pipe).unwrap();
+        let pipe = session_pipe(
+            Collector::new_sequenced(8, config()),
+            &keyed_points(5000, 8),
+        );
         let mut agg = Aggregator::new();
         let mut driver = SessionDriver::new(1);
         // Cut inside the final frame: earlier frames land, the cut one
@@ -1946,17 +1776,17 @@ mod tests {
 
     #[test]
     fn redelivered_delta_is_idempotent() {
-        // Deltas are cumulative: feeding the same one twice must not
+        // Deltas are cumulative: applying the same one twice must not
         // double-count (replacement, not merge).
-        let mut collector = Collector::new(3, config());
-        collector.offer_batch(&keyed_points(5000, 8));
-        let mut pipe = Vec::new();
-        collector.finish(&mut pipe).unwrap();
+        let mut engine = MonitorEngine::new(config());
+        engine.offer_batch(&keyed_points(5000, 8));
+        let delta = Frame::Delta(engine.snapshot());
         let mut once = Aggregator::new();
-        once.ingest_stream(&mut pipe.as_slice(), 3).unwrap();
+        once.feed_seq(3, None, delta.clone()).unwrap();
         let mut twice = Aggregator::new();
-        twice.ingest_stream(&mut pipe.as_slice(), 3).unwrap();
-        twice.ingest_stream(&mut pipe.as_slice(), 3).unwrap();
+        twice.feed_seq(3, None, delta.clone()).unwrap();
+        twice.feed_seq(3, None, delta).unwrap();
         assert_eq!(once.snapshot(), twice.snapshot());
+        assert_eq!(once.snapshot(), engine.snapshot());
     }
 }

@@ -1375,15 +1375,19 @@ mod tests {
             .collect()
     }
 
-    /// Encodes one collector session (Hello … Bye) as wire bytes.
+    /// Encodes one collector session (Hello … Bye) as wire bytes: a
+    /// seal per 1500 points, every sealed frame shipped in order.
     fn session_bytes(id: u64, points: &[(u64, f64)]) -> Vec<u8> {
-        let mut c = Collector::new(id, config());
-        let mut pipe = Vec::new();
+        let mut c = Collector::new_sequenced(id, config());
+        let mut pipe = crate::wire::encode_frame(&c.hello()).to_vec();
         for chunk in points.chunks(1500) {
             c.offer_batch(chunk);
-            c.flush(&mut pipe).unwrap();
+            c.seal_flush();
         }
-        c.finish(&mut pipe).unwrap();
+        c.seal_finish();
+        for (_, bytes) in c.unsent_window(0) {
+            pipe.extend_from_slice(bytes);
+        }
         pipe
     }
 
@@ -1491,10 +1495,8 @@ mod tests {
                 accept_timeout: None,
             },
         );
-        let mut spoof = Vec::new();
-        let mut c = Collector::new(4, config());
-        c.offer_batch(&keyed_points(2000, 4)); // Different data, same id.
-        c.finish(&mut spoof).unwrap();
+        // Different data, same id.
+        let spoof = session_bytes(4, &keyed_points(2000, 4));
         inject(&mut server, &session_bytes(4, &points));
         inject(&mut server, &spoof);
         let (agg, report) = server.run().expect("serve");
@@ -1515,8 +1517,9 @@ mod tests {
     #[test]
     fn a_failed_session_frees_its_id_for_reconnect() {
         // A collector that dies mid-frame and reconnects under the
-        // same id must be admitted again (its failed contribution was
-        // rolled back, the resent cumulative state replaces nothing).
+        // same id must be admitted again (its failed session was
+        // parked, and the fresh session's cumulative state replaces
+        // the parked live view).
         let points = keyed_points(8000, 16);
         let mut reference = MonitorEngine::new(config());
         for &(k, v) in &points {

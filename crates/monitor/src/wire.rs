@@ -61,8 +61,9 @@
 //! from the whole-buffer entry points), declared lengths are capped at
 //! [`MAX_FRAME_BYTES`] before any allocation, and payloads are
 //! validated by the v1 codec's structural checks. The `wire_fuzz`
-//! proptest drives random byte mutations through both decoders and
-//! both protocol versions.
+//! proptests drive random byte mutations through both decoders and
+//! every protocol version, and feed each valid version to
+//! [`FrameDecoder`] one byte at a time.
 
 use crate::codec::{
     decode_diff_payload, decode_snapshot, encode_diff_payload, encode_snapshot, SnapshotCodecError,
@@ -71,7 +72,6 @@ use crate::diff::StreamDiff;
 use crate::engine::{EngineSnapshot, StreamEntry};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
-use std::io::{Read, Write};
 
 /// Magic bytes opening every framed (v2/v3) frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"SSWF";
@@ -89,7 +89,7 @@ pub const WIRE_VERSION: u8 = 4;
 pub const WIRE_VERSION_SEQUENCED: u8 = 3;
 
 /// The one-way framed protocol version — still fully accepted; what
-/// unsequenced senders (pipes, `.ssm` frame files) emit.
+/// pre-sequencing collectors emit.
 pub const WIRE_VERSION_FRAMED: u8 = 2;
 
 /// Hard cap on a declared frame payload length — rejects
@@ -391,15 +391,6 @@ fn assemble(version: u8, kind: u8, payload: &[u8], seq: Option<u64>) -> Bytes {
     buf.freeze()
 }
 
-/// Writes one frame to a byte sink.
-///
-/// # Errors
-///
-/// Propagates the sink's I/O error.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    w.write_all(&encode_frame(frame))
-}
-
 /// Reads an exactly-8-byte little-endian `u64` field without a panic
 /// path: short or long slices are wire corruption, not programmer bugs.
 fn le_u64(bytes: &[u8]) -> Result<u64, WireError> {
@@ -586,31 +577,20 @@ impl FrameDecoder {
         if self.legacy {
             return self.try_legacy();
         }
-        if self.buf.len() < 4 {
-            // Could still become either form; wait, unless the prefix
-            // already mismatches both magics.
-            if !FRAME_MAGIC.starts_with(&self.buf[..self.buf.len().min(4)])
-                && !V1_MAGIC.starts_with(&self.buf[..self.buf.len().min(6)])
-            {
-                return Err(WireError::BadMagic);
-            }
-            return Ok(None);
-        }
-        if &self.buf[..4] == FRAME_MAGIC {
+        if self.buf.starts_with(FRAME_MAGIC) {
             return self.try_v2();
         }
-        if self.buf.len() < V1_MAGIC.len() {
-            return if V1_MAGIC.starts_with(&self.buf[..self.buf.len()]) {
-                Ok(None)
-            } else {
-                Err(WireError::BadMagic)
-            };
-        }
-        if &self.buf[..V1_MAGIC.len()] == V1_MAGIC {
+        if self.buf.starts_with(V1_MAGIC) {
             self.legacy = true;
             return self.try_legacy();
         }
-        Err(WireError::BadMagic)
+        // Neither magic is whole yet: wait while the buffer could still
+        // become either form, reject once it mismatches both.
+        if FRAME_MAGIC.starts_with(&self.buf) || V1_MAGIC.starts_with(&self.buf) {
+            Ok(None)
+        } else {
+            Err(WireError::BadMagic)
+        }
     }
 
     fn try_legacy(&mut self) -> Result<Option<SeqFrame>, WireError> {
@@ -639,22 +619,21 @@ impl FrameDecoder {
 
     fn try_v2(&mut self) -> Result<Option<SeqFrame>, WireError> {
         const HEADER: usize = 4 + 1 + 1 + 4;
-        if self.buf.len() < HEADER {
+        let Some((header, rest)) = self.buf.split_first_chunk::<HEADER>() else {
             return Ok(None);
-        }
-        let version = self.buf[4];
+        };
+        let &[_, _, _, _, version, kind, l0, l1, l2, l3] = header;
         if !(WIRE_VERSION_FRAMED..=WIRE_VERSION).contains(&version) {
             return Err(WireError::UnsupportedVersion(version));
         }
-        let kind = self.buf[5];
-        let len = u32::from_le_bytes([self.buf[6], self.buf[7], self.buf[8], self.buf[9]]) as usize;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if len > MAX_FRAME_BYTES {
             return Err(WireError::Oversize(len as u64));
         }
-        if self.buf.len() < HEADER + len {
+        let Some(payload) = rest.get(..len) else {
             return Ok(None);
-        }
-        let frame = decode_payload(version, kind, &self.buf[HEADER..HEADER + len])?;
+        };
+        let frame = decode_payload(version, kind, payload)?;
         self.buf.drain(..HEADER + len);
         self.last_frame_bytes = HEADER + len;
         Ok(Some(frame))
@@ -685,48 +664,6 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<Frame>, WireError> {
             }
         }
     }
-}
-
-/// Reads frames from a blocking byte source (socket, file) until EOF,
-/// handing each to `sink`. Returns the frame count.
-///
-/// # Errors
-///
-/// I/O errors from the source; decode errors surface as
-/// `InvalidData`.
-pub fn read_frames(r: &mut impl Read, mut sink: impl FnMut(Frame)) -> std::io::Result<usize> {
-    let mut dec = FrameDecoder::new();
-    let mut chunk = [0u8; 64 * 1024];
-    let mut count = 0usize;
-    loop {
-        let n = r.read(&mut chunk)?;
-        if n == 0 {
-            // EOF: a clean stream has nothing buffered (or a legacy
-            // snapshot that only now decodes whole).
-            dec.finish();
-            while let Some(f) = decode_err(&mut dec)? {
-                count += 1;
-                sink(f);
-            }
-            if dec.pending_bytes() != 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    WireError::Truncated,
-                ));
-            }
-            return Ok(count);
-        }
-        dec.push(&chunk[..n]);
-        while let Some(f) = decode_err(&mut dec)? {
-            count += 1;
-            sink(f);
-        }
-    }
-}
-
-fn decode_err(dec: &mut FrameDecoder) -> std::io::Result<Option<Frame>> {
-    dec.next_frame()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]

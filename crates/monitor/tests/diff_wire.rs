@@ -12,11 +12,14 @@
 //!   degrades to cumulative frames — correctness never depends on the
 //!   peer holding a baseline.
 
+mod duplex;
+
+use duplex::{open_session, pump};
 use sst_monitor::topology::SeqOutcome;
 use sst_monitor::wire::HelloResume;
 use sst_monitor::{
-    decode_frames, diff_entry, encode_frame, encode_snapshot, Aggregator, Collector, Frame,
-    MonitorConfig, MonitorEngine, SamplerSpec, SessionDriver, StreamDiff, WIRE_VERSION,
+    diff_entry, encode_frame, encode_snapshot, Aggregator, Collector, Frame, MonitorConfig,
+    MonitorEngine, SamplerSpec, SessionDriver, StreamDiff, WIRE_VERSION,
 };
 
 fn config() -> MonitorConfig {
@@ -33,64 +36,6 @@ fn value(key: u64, tick: u64) -> f64 {
     (x % 613) as f64 - 300.0 + if x.is_multiple_of(97) { 5_000.0 } else { 0.0 }
 }
 
-/// Ships the collector's sealed window into the driver/aggregator,
-/// answering `Ack`s and `Resync`s until the link is quiescent.
-/// Returns the wire bytes shipped (window frames only, not hellos).
-fn pump(
-    collector: &mut Collector,
-    sent: &mut u64,
-    driver: &mut SessionDriver,
-    agg: &mut Aggregator,
-) -> u64 {
-    let mut shipped = 0u64;
-    loop {
-        let mut buf = Vec::new();
-        for (_seq, bytes) in collector.unsent_window(*sent) {
-            buf.extend_from_slice(bytes);
-        }
-        shipped += buf.len() as u64;
-        *sent = collector.next_seq();
-        driver.push(&buf, agg).expect("clean in-memory link");
-        let out = driver.take_outbound();
-        if out.is_empty() {
-            return shipped;
-        }
-        let mut resynced = false;
-        for f in decode_frames(&out).expect("well-formed control frames") {
-            match f {
-                Frame::Ack { through_seq } => collector.ack(through_seq),
-                Frame::Resync { from_seq } => {
-                    let hello = collector.handle_resync(from_seq);
-                    let first = match &hello {
-                        Frame::Hello {
-                            resume: Some(HelloResume::Resync { first_seq }),
-                            ..
-                        } => *first_seq,
-                        other => panic!("resync answer must be a Resync hello, got {other:?}"),
-                    };
-                    driver
-                        .push(&encode_frame(&hello), agg)
-                        .expect("resync hello");
-                    *sent = first;
-                    resynced = true;
-                }
-                other => panic!("unexpected server frame {other:?}"),
-            }
-        }
-        if !resynced && collector.unsent_window(*sent).next().is_none() {
-            return shipped;
-        }
-    }
-}
-
-fn open_session(
-    collector: &Collector,
-    driver: &mut SessionDriver,
-    agg: &mut Aggregator,
-) -> std::result::Result<(), sst_monitor::topology::SessionError> {
-    driver.push(&encode_frame(&collector.hello()), agg)
-}
-
 const STREAMS: u64 = 1024;
 const WARMUP_PER_STREAM: u64 = 600;
 const ROUNDS: u64 = 6;
@@ -99,13 +44,22 @@ const POINTS_PER_ROUND: u64 = 8;
 /// The headline pin: after a warmup that fills every reservoir, each
 /// steady-state round adds ≤8 points per stream. The differential
 /// session must ship ≥5× fewer bytes for those rounds than an
-/// identical session with diffing disabled — and both must assemble
-/// to the unsharded engine's exact bytes.
+/// identical session whose collector has stopped diffing — and both
+/// must assemble to the unsharded engine's exact bytes.
 #[test]
 fn steady_state_diff_flushes_ship_5x_fewer_bytes_and_identical_bits() {
     let mut reference = MonitorEngine::new(config());
     let mut diffing = Collector::new_sequenced(1, config());
-    let mut cumulative = Collector::new_sequenced(1, config()).diff_frames(false);
+    // A collector stops diffing for the session once it has served
+    // more than two resyncs (`RESYNC_DIFF_LIMIT`): force three before
+    // any data, and open its session with the last re-baseline's
+    // `Resync`-mode Hello.
+    let mut cumulative = Collector::new_sequenced(1, config());
+    let mut cum_hello = cumulative.hello();
+    for _ in 0..3 {
+        cum_hello = cumulative.handle_resync(0);
+    }
+    assert_eq!(cumulative.resyncs(), 3);
 
     let offer_round = |tick0: u64,
                        per_stream: u64,
@@ -128,8 +82,17 @@ fn steady_state_diff_flushes_ship_5x_fewer_bytes_and_identical_bits() {
     open_session(&diffing, &mut drv_diff, &mut agg_diff).unwrap();
     let mut agg_cum = Aggregator::new();
     let mut drv_cum = SessionDriver::new(900);
-    let mut sent_cum = 0u64;
-    open_session(&cumulative, &mut drv_cum, &mut agg_cum).unwrap();
+    let Frame::Hello {
+        resume: Some(HelloResume::Resync { first_seq }),
+        ..
+    } = cum_hello
+    else {
+        panic!("a resync answers with a Resync-mode hello, got {cum_hello:?}");
+    };
+    let mut sent_cum = first_seq;
+    drv_cum
+        .push(&encode_frame(&cum_hello), &mut agg_cum)
+        .unwrap();
 
     // Warmup: fill the reservoirs (cap 256, one kept per 2 offered) so
     // steady state is the slowly-changing regime the issue targets.
@@ -308,8 +271,9 @@ fn diff_frames_apply_idempotently_under_redelivery() {
 fn diff_frames_are_rejected_in_unsequenced_sessions() {
     let (_, _, diffs) = staged_diffs();
     let mut agg = Aggregator::new();
-    agg.feed(
+    agg.feed_seq(
         1,
+        None,
         Frame::Hello {
             protocol: 2,
             collector_id: 1,
@@ -317,7 +281,7 @@ fn diff_frames_are_rejected_in_unsequenced_sessions() {
         },
     )
     .unwrap();
-    assert!(agg.feed(1, Frame::DeltaDiff(diffs)).is_err());
+    assert!(agg.feed_seq(1, None, Frame::DeltaDiff(diffs)).is_err());
 }
 
 /// An aggregator that compacts live entries (`compact_budget`) can't

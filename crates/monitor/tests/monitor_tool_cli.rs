@@ -63,8 +63,20 @@ fn spawn_forward(target: &str, part: u64, n_parts: u64, tcp: bool) -> Child {
         DURATION,
     ])
     .stdout(Stdio::null())
-    .stderr(Stdio::null());
+    .stderr(Stdio::piped());
     cmd.spawn().expect("spawn forward")
+}
+
+/// Waits for a forwarder spawned by [`spawn_forward`], asserting it
+/// succeeded on one sequenced session without reconnecting.
+fn await_forward(f: Child) {
+    let out = f.wait_with_output().expect("forward exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "forward failed:\n{stderr}");
+    assert!(
+        stderr.contains("sequenced, 0 reconnects"),
+        "forward must report one sequenced session:\n{stderr}"
+    );
 }
 
 /// Reads serve's stderr until the TCP listener line appears, returning
@@ -134,13 +146,13 @@ fn event_loop_serve_with_mixed_transports_and_hostile_clients_matches_run() {
 
     // Three healthy forwarders: two over UDS, one over TCP.
     let sock_str = sock.to_str().expect("utf8 path");
-    let mut forwards = vec![
+    let forwards = vec![
         spawn_forward(sock_str, 0, 3, false),
         spawn_forward(sock_str, 1, 3, false),
         spawn_forward(&tcp_addr, 2, 3, true),
     ];
-    for f in &mut forwards {
-        assert!(f.wait().expect("forward exit").success(), "forward failed");
+    for f in forwards {
+        await_forward(f);
     }
     let status = serve.wait().expect("serve exit");
     let stderr = stderr_thread.join().expect("stderr thread");
@@ -204,14 +216,14 @@ fn multi_loop_serve_with_report_sessions_matches_run() {
         // Four healthy forwarders round-robined across the loops: two
         // over UDS, two over TCP.
         let sock_str = sock.to_str().expect("utf8 path");
-        let mut forwards = vec![
+        let forwards = vec![
             spawn_forward(sock_str, 0, 4, false),
             spawn_forward(&tcp_addr, 1, 4, true),
             spawn_forward(sock_str, 2, 4, false),
             spawn_forward(&tcp_addr, 3, 4, true),
         ];
-        for f in &mut forwards {
-            assert!(f.wait().expect("forward exit").success(), "forward failed");
+        for f in forwards {
+            await_forward(f);
         }
         let status = serve.wait().expect("serve exit");
         let stderr = stderr_thread.join().expect("stderr thread");
@@ -239,5 +251,34 @@ fn multi_loop_serve_with_report_sessions_matches_run() {
             "x{loops}: multi-loop serve must reproduce run --shards 1 byte-for-byte"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn forward_without_retry_fails_fast_when_nothing_listens() {
+    // The default `--retry 0` is one connection attempt: no listener
+    // means a connect error and a non-zero exit, without a backoff
+    // sleep (--backoff-ms 5000 would make the first one 2.5–5 s).
+    let dir = scratch_dir("noserve");
+    let sock = dir.join("nobody.sock");
+    let start = std::time::Instant::now();
+    let out = tool()
+        .arg("forward")
+        .arg(&sock)
+        .args(["--seed", SEED, "--duration", "10", "--backoff-ms", "5000"])
+        .stdout(Stdio::null())
+        .output()
+        .expect("spawn forward");
+    let elapsed = start.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "forward must fail:\n{stderr}");
+    assert!(
+        stderr.contains("connect ") && stderr.contains("nobody.sock"),
+        "forward must report the connect error:\n{stderr}"
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "one attempt, no backoff sleep: took {elapsed:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

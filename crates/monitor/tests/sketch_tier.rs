@@ -12,6 +12,9 @@
 //!   and the sketch image rides the collector → aggregator topology
 //!   byte-identically.
 
+mod common;
+
+use common::{finish, flush, ingest};
 use sst_monitor::topology::{Aggregator, Collector};
 use sst_monitor::{encode_snapshot, MonitorConfig, MonitorEngine, SamplerSpec, TierConfig};
 use sst_traffic::FgnGenerator;
@@ -271,15 +274,15 @@ fn sketched_tail_hurst_within_tolerance_of_all_exact() {
 /// Streams `points` through a tiered collector in many flushes and
 /// returns the aggregator's assembled snapshot bytes.
 fn collect_over_wire(config: MonitorConfig, points: &[(u64, f64)]) -> Vec<u8> {
-    let mut collector = Collector::new(7, config);
+    let mut collector = Collector::new_sequenced(7, config);
     let mut wire = Vec::new();
     for chunk in points.chunks(2_000) {
         collector.offer_batch(chunk);
-        collector.flush(&mut wire).unwrap();
+        flush(&mut collector, &mut wire).unwrap();
     }
-    collector.finish(&mut wire).unwrap();
+    finish(&mut collector, &mut wire).unwrap();
     let mut agg = Aggregator::new();
-    agg.ingest_stream(&mut wire.as_slice(), 999).unwrap();
+    ingest(&mut agg, &wire, 999).unwrap();
     encode_snapshot(&agg.snapshot()).to_vec()
 }
 
@@ -354,15 +357,15 @@ fn tiered_collector_churn_carries_sketch_and_totals() {
     assert!(reference.tier_stats().unwrap().demotions > 100, "churny");
     let want = reference.full_snapshot();
 
-    let mut collector = Collector::new(7, config.clone());
+    let mut collector = Collector::new_sequenced(7, config.clone());
     let mut wire = Vec::new();
     for chunk in pts.chunks(2_000) {
         collector.offer_batch(chunk);
-        collector.flush(&mut wire).unwrap();
+        flush(&mut collector, &mut wire).unwrap();
     }
-    collector.finish(&mut wire).unwrap();
+    finish(&mut collector, &mut wire).unwrap();
     let mut agg = Aggregator::new();
-    agg.ingest_stream(&mut wire.as_slice(), 999).unwrap();
+    ingest(&mut agg, &wire, 999).unwrap();
     let got = agg.snapshot();
 
     assert_eq!(got.sketch(), want.sketch(), "sketch bit-identical");
@@ -395,7 +398,7 @@ fn serve_side_retired_cap_keeps_totals_exact() {
     // finals into sketch form: stream count drops, totals don't.
     let pts: Vec<(u64, f64)> = (0..50_000u64).map(|i| (i % 400, 2.0)).collect();
     let drive = |agg: &mut Aggregator| {
-        let mut collector = Collector::new(
+        let mut collector = Collector::new_sequenced(
             3,
             MonitorConfig::default()
                 .seed(5)
@@ -405,10 +408,10 @@ fn serve_side_retired_cap_keeps_totals_exact() {
         let mut wire = Vec::new();
         for chunk in pts.chunks(1_000) {
             collector.offer_batch(chunk);
-            collector.flush(&mut wire).unwrap();
+            flush(&mut collector, &mut wire).unwrap();
         }
-        collector.finish(&mut wire).unwrap();
-        agg.ingest_stream(&mut wire.as_slice(), 999).unwrap();
+        finish(&mut collector, &mut wire).unwrap();
+        ingest(agg, &wire, 999).unwrap();
     };
     let mut plain = Aggregator::new();
     drive(&mut plain);

@@ -6,13 +6,18 @@
 //! ships: exactly the distinct keys offered since the previous flush
 //! that are still live, whatever the ingest path or shard count.
 
-use sst_monitor::topology::{Aggregator, Collector};
+mod common;
+mod duplex;
+
+use common::{finish, flush, ingest};
+use duplex::{open_session, pump};
+use sst_monitor::topology::{Aggregator, Collector, SessionDriver};
 use sst_monitor::{
     encode_snapshot, EngineSnapshot, Frame, FrameDecoder, MonitorConfig, MonitorEngine, SamplerSpec,
 };
 use sst_nettrace::TraceSynthesizer;
 use std::collections::BTreeSet;
-use std::io::{self, Write};
+use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{Arc, Mutex};
 
@@ -41,18 +46,46 @@ fn drive_collector(
     n_parts: u64,
     w: &mut impl Write,
 ) {
-    let mine: Vec<(u64, f64)> = points
-        .iter()
-        .filter(|&&(k, _)| k % n_parts == part)
-        .copied()
-        .collect();
-    for chunk in mine.chunks(5000) {
+    for chunk in partition(points, part, n_parts).chunks(5000) {
         for &(k, v) in chunk {
             collector.offer(k, v);
         }
-        collector.flush(w).expect("flush");
+        flush(&mut collector, w).expect("flush");
     }
-    collector.finish(w).expect("finish");
+    finish(&mut collector, w).expect("finish");
+}
+
+/// As [`drive_collector`], but straight into `agg` over a duplex link
+/// that carries the aggregator's acks and resync requests back.
+fn drive_duplex(
+    mut collector: Collector,
+    points: &[(u64, f64)],
+    part: u64,
+    n_parts: u64,
+    agg: &mut Aggregator,
+) {
+    let mut driver = SessionDriver::new(part);
+    let mut sent = 0u64;
+    open_session(&collector, &mut driver, agg).expect("hello");
+    for chunk in partition(points, part, n_parts).chunks(5000) {
+        for &(k, v) in chunk {
+            collector.offer(k, v);
+        }
+        collector.seal_flush();
+        pump(&mut collector, &mut sent, &mut driver, agg);
+    }
+    collector.seal_finish();
+    pump(&mut collector, &mut sent, &mut driver, agg);
+    driver.finish(agg).expect("clean eof");
+}
+
+/// The keys of partition `part` of `n_parts`.
+fn partition(points: &[(u64, f64)], part: u64, n_parts: u64) -> Vec<(u64, f64)> {
+    points
+        .iter()
+        .filter(|&&(k, _)| k % n_parts == part)
+        .copied()
+        .collect()
 }
 
 #[test]
@@ -79,14 +112,13 @@ fn two_collectors_one_aggregator_match_the_unsharded_engine_bytes() {
         for part in 0..2u64 {
             let mut pipe: Vec<u8> = Vec::new();
             drive_collector(
-                Collector::new(part, config(spec).shards(2)),
+                Collector::new_sequenced(part, config(spec).shards(2)),
                 &points,
                 part,
                 2,
                 &mut pipe,
             );
-            agg.ingest_stream(&mut pipe.as_slice(), part)
-                .expect("ingest");
+            ingest(&mut agg, &pipe, part).expect("ingest");
         }
         assert!(agg.all_done());
         let assembled = agg.snapshot();
@@ -138,14 +170,17 @@ fn topology_over_unix_sockets_matches_the_unsharded_engine() {
                             break;
                         }
                         dec.push(&buf[..n]);
-                        while let Some(frame) = dec.next_frame().expect("frame") {
+                        while let Some(sf) = dec.next_seq_frame().expect("frame") {
                             if first {
-                                if let sst_monitor::Frame::Hello { collector_id, .. } = frame {
+                                if let sst_monitor::Frame::Hello { collector_id, .. } = sf.frame {
                                     session = collector_id;
                                 }
                                 first = false;
                             }
-                            agg.lock().unwrap().feed(session, frame).expect("feed");
+                            agg.lock()
+                                .unwrap()
+                                .feed_seq(session, sf.seq, sf.frame)
+                                .expect("feed");
                         }
                     }
                     assert_eq!(dec.pending_bytes(), 0, "clean EOF");
@@ -163,7 +198,7 @@ fn topology_over_unix_sockets_matches_the_unsharded_engine() {
             clients.push(scope.spawn(move || {
                 let mut sock = UnixStream::connect(&path).expect("connect");
                 drive_collector(
-                    Collector::new(part, config(spec).shards(2)),
+                    Collector::new_sequenced(part, config(spec).shards(2)),
                     points,
                     part,
                     3,
@@ -203,20 +238,19 @@ fn evicting_collectors_reassemble_the_never_evicting_bits() {
     for part in 0..2u64 {
         let mut pipe: Vec<u8> = Vec::new();
         drive_collector(
-            Collector::new(part, config(spec).evict_idle_after(300).sweep_every(128)),
+            Collector::new_sequenced(part, config(spec).evict_idle_after(300).sweep_every(128)),
             &points,
             part,
             2,
             &mut pipe,
         );
-        agg.ingest_stream(&mut pipe.as_slice(), part)
-            .expect("ingest");
+        ingest(&mut agg, &pipe, part).expect("ingest");
     }
     // Eviction must genuinely have happened for the pin to mean much.
     let frames_have_evictions = {
         let mut pipe: Vec<u8> = Vec::new();
         drive_collector(
-            Collector::new(9, config(spec).evict_idle_after(300).sweep_every(128)),
+            Collector::new_sequenced(9, config(spec).evict_idle_after(300).sweep_every(128)),
             &points,
             0,
             2,
@@ -245,16 +279,23 @@ fn aggregator_compact_budget_keeps_totals_exact() {
     for part in 0..2u64 {
         let mut pipe: Vec<u8> = Vec::new();
         drive_collector(
-            Collector::new(part, config(spec)),
+            Collector::new_sequenced(part, config(spec)),
             &points,
             part,
             2,
             &mut pipe,
         );
-        plain.ingest_stream(&mut pipe.as_slice(), part).unwrap();
-        compacting
-            .ingest_stream(&mut pipe.as_slice(), part)
-            .unwrap();
+        ingest(&mut plain, &pipe, part).unwrap();
+        // Compaction rewrites the live entries that differential
+        // flushes patch, so this collector must hear the resync
+        // requests: the same partition over a duplex link.
+        drive_duplex(
+            Collector::new_sequenced(part, config(spec)),
+            &points,
+            part,
+            2,
+            &mut compacting,
+        );
     }
     let a = plain.snapshot();
     let b = compacting.snapshot();
@@ -275,8 +316,7 @@ fn legacy_snapshot_files_feed_the_aggregator() {
     let snap = engine.snapshot();
     let v1 = encode_snapshot(&snap);
     let mut agg = Aggregator::new();
-    agg.ingest_stream(&mut v1.as_ref(), 7)
-        .expect("legacy ingest");
+    ingest(&mut agg, &v1, 7).expect("legacy ingest");
     assert_eq!(agg.snapshot(), snap);
     assert_eq!(
         agg.snapshot(),
@@ -436,71 +476,5 @@ fn seal_flush_ships_exactly_the_live_keys_touched_since_the_last_seal() {
                 "{name}: sealed bytes differ between shards(1) and shards({n})"
             );
         }
-    }
-}
-
-/// A sink that accepts `budget` bytes, then fails every write.
-struct FailAfter {
-    budget: usize,
-}
-
-impl Write for FailAfter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.budget == 0 {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "cut"));
-        }
-        let n = buf.len().min(self.budget);
-        self.budget -= n;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-#[test]
-fn a_failed_flush_keeps_its_dirty_keys_for_the_next_one() {
-    let spec = SamplerSpec::Systematic { interval: 3 };
-    // Round 1 ships cleanly; round 2's flush dies part-way (its bytes
-    // are lost, like a dropped connection); round 3 flushes into the
-    // good pipe. Keys 100..140 are touched only in round 2, so only
-    // the retained dirty set can ship their cumulative entries.
-    let round = |keys: std::ops::Range<u64>, salt: u64| -> Vec<(u64, f64)> {
-        (0..3000u64)
-            .map(|i| {
-                let k = keys.start + (i * 7 + salt) % (keys.end - keys.start);
-                (k, ((i * 31 + salt) % 1400) as f64)
-            })
-            .collect()
-    };
-    let rounds = [round(0..40, 1), round(20..140, 2), round(0..30, 3)];
-    let mut reference = MonitorEngine::new(config(spec));
-    for &(k, v) in rounds.iter().flatten() {
-        reference.offer(k, v);
-    }
-    for budget in [0, 1, 40, 2000, 20_000] {
-        let mut c = Collector::new(4, config(spec).shards(2));
-        let mut pipe: Vec<u8> = Vec::new();
-        c.offer_batch(&rounds[0]);
-        c.flush(&mut pipe).expect("round 1");
-        for &(k, v) in &rounds[1] {
-            c.offer(k, v);
-        }
-        assert!(
-            c.flush(&mut FailAfter { budget }).is_err(),
-            "budget {budget}: the flush must fail part-way"
-        );
-        c.offer_batch(&rounds[2]);
-        c.finish(&mut pipe).expect("round 3");
-
-        let mut agg = Aggregator::new();
-        agg.ingest_stream(&mut pipe.as_slice(), 4).expect("ingest");
-        assert!(agg.all_done());
-        assert_eq!(
-            encode_snapshot(&agg.snapshot()),
-            encode_snapshot(&reference.snapshot()),
-            "budget {budget}: assembled bytes"
-        );
     }
 }

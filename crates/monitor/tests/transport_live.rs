@@ -7,16 +7,20 @@
 //!
 //! The robustness half: the same byte-identity invariant with seeded
 //! faults injected on the links ([`FaultyLink`]) and `--retry`-style
-//! sequenced forwarders ([`SequencedSender`]) riding them out — plus a
-//! serve *restart* mid-run survived via full-snapshot resync.
+//! forwarders ([`SequencedSender`]) riding them out — plus a serve
+//! *restart* mid-run survived via full-snapshot resync.
 
+mod common;
+
+use common::{finish, flush, ingest};
 use sst_monitor::fault::{FaultyLink, Front, Target};
 use sst_monitor::retry::{Backoff, SequencedSender};
-use sst_monitor::topology::{Aggregator, Collector, SessionDriver};
+use sst_monitor::topology::{Aggregator, Collector};
 use sst_monitor::transport::{MultiLoopServer, ServeOptions, SessionStream, FALLBACK_ID_BASE};
 use sst_monitor::{
-    encode_frame, encode_snapshot, Frame, MonitorConfig, MonitorEngine, SamplerSpec,
+    encode_frame, encode_snapshot, EngineSnapshot, Frame, MonitorConfig, MonitorEngine, SamplerSpec,
 };
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -59,28 +63,66 @@ fn keyed_points(n: usize, n_keys: u64) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Streams partition `part` of `n_parts` through a collector into `w`
-/// with several flushes, ignoring write errors past the first (the
-/// server may have dropped us — hostile-client threads rely on this).
-fn drive_collector(
-    mut collector: Collector,
-    points: &[(u64, f64)],
-    part: u64,
-    n_parts: u64,
-    w: &mut impl Write,
-) {
-    let mine: Vec<(u64, f64)> = points
+/// The keys of partition `part` of `n_parts`.
+fn partition(points: &[(u64, f64)], part: u64, n_parts: u64) -> Vec<(u64, f64)> {
+    points
         .iter()
         .filter(|&&(k, _)| k % n_parts == part)
         .copied()
-        .collect();
-    for chunk in mine.chunks(2500) {
+        .collect()
+}
+
+/// Partition `part` of `n_parts` as one whole collector session, the
+/// bytes a lossless pipe carries, sealed over several flushes.
+fn session_pipe(points: &[(u64, f64)], part: u64, n_parts: u64, spec: SamplerSpec) -> Vec<u8> {
+    let mut collector = Collector::new_sequenced(part, config(spec).shards(2));
+    let mut pipe = Vec::new();
+    for chunk in partition(points, part, n_parts).chunks(2500) {
         collector.offer_batch(chunk);
-        if collector.flush(w).is_err() {
-            return;
-        }
+        flush(&mut collector, &mut pipe).expect("in-memory");
     }
-    let _ = collector.finish(w);
+    finish(&mut collector, &mut pipe).expect("in-memory");
+    pipe
+}
+
+/// Partition `part` of `n_parts` as a one-way v2 session, the way a
+/// pre-sequencing forwarder sent it: `Hello{protocol: 2}` without a
+/// resume mode, one cumulative `Delta` of the keys each flush touched,
+/// then `Bye`.
+fn v2_session(points: &[(u64, f64)], part: u64, n_parts: u64, spec: SamplerSpec) -> Vec<u8> {
+    let mut engine = MonitorEngine::new(config(spec).shards(2));
+    let mut bytes = encode_frame(&Frame::Hello {
+        protocol: 2,
+        collector_id: part,
+        resume: None,
+    })
+    .to_vec();
+    for chunk in partition(points, part, n_parts).chunks(2500) {
+        engine.offer_batch(chunk);
+        let touched: BTreeSet<u64> = chunk.iter().map(|&(k, _)| k).collect();
+        let entries = engine
+            .snapshot()
+            .streams()
+            .iter()
+            .filter(|e| touched.contains(&e.key))
+            .cloned()
+            .collect();
+        bytes.extend_from_slice(&encode_frame(&Frame::Delta(EngineSnapshot::from_streams(
+            entries,
+        ))));
+    }
+    bytes.extend_from_slice(&encode_frame(&Frame::Bye));
+    bytes
+}
+
+/// Writes a whole pre-encoded session, half-closes, and drains the
+/// serve's acks until it hangs up — so no ack is ever written to a
+/// closed socket.
+fn send_session(mut sock: SessionStream, bytes: &[u8]) {
+    sock.write_all(bytes).expect("write session");
+    sock.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    std::io::copy(&mut sock, &mut std::io::sink()).expect("drain acks");
 }
 
 /// Runs `server` to completion; returns the assembled snapshot and
@@ -136,9 +178,9 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
         let hd = &hostiles_done;
         clients.push(scope.spawn(move || {
             let mut pipe = Vec::new();
-            let mut c = Collector::new(9000, config(spec));
+            let mut c = Collector::new_sequenced(9000, config(spec));
             c.offer_batch(&keyed_points(5000, 16));
-            c.finish(&mut pipe).expect("in-memory");
+            finish(&mut c, &mut pipe).expect("in-memory");
             let mut sock = UnixStream::connect(&uds_path2).expect("connect uds");
             let _ = sock.write_all(&pipe[..pipe.len() - 7]);
             drop(sock);
@@ -186,14 +228,12 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
                         std::thread::sleep(Duration::from_millis(2));
                     }
                 }
-                let collector = Collector::new(part, config(spec).shards(2));
-                if part % 2 == 0 {
-                    let mut sock = UnixStream::connect(&uds_path).expect("connect uds");
-                    drive_collector(collector, points, part, n, &mut sock);
+                let sock = if part % 2 == 0 {
+                    SessionStream::from(UnixStream::connect(&uds_path).expect("connect uds"))
                 } else {
-                    let mut sock = TcpStream::connect(tcp_addr).expect("connect tcp");
-                    drive_collector(collector, points, part, n, &mut sock);
-                }
+                    SessionStream::from(TcpStream::connect(tcp_addr).expect("connect tcp"))
+                };
+                send_session(sock, &session_pipe(points, part, n, spec));
             }));
         }
         for c in clients {
@@ -317,14 +357,8 @@ fn slow_sessions_complete_while_a_firehose_is_streaming() {
             let points = &points;
             let uds_path = uds_path.clone();
             scope.spawn(move || {
-                let mut sock = UnixStream::connect(&uds_path).expect("connect slow");
-                drive_collector(
-                    Collector::new(part, config(spec).shards(2)),
-                    points,
-                    part,
-                    SLOW,
-                    &mut sock,
-                );
+                let sock = UnixStream::connect(&uds_path).expect("connect slow");
+                send_session(sock.into(), &session_pipe(points, part, SLOW, spec));
             });
         }
         server_thread.join().expect("server thread")
@@ -367,17 +401,7 @@ fn in_memory_driver_and_event_loop_assemble_identical_bytes() {
     };
     const N: u64 = 4;
     let session_pipes: Vec<Vec<u8>> = (0..N)
-        .map(|part| {
-            let mut pipe = Vec::new();
-            drive_collector(
-                Collector::new(part, config(spec).shards(2)),
-                &points,
-                part,
-                N,
-                &mut pipe,
-            );
-            pipe
-        })
+        .map(|part| session_pipe(&points, part, N, spec))
         .collect();
 
     // In memory: each session's bytes pushed through its own driver,
@@ -385,12 +409,9 @@ fn in_memory_driver_and_event_loop_assemble_identical_bytes() {
     let in_memory = {
         let mut agg = Aggregator::new();
         for (i, pipe) in session_pipes.iter().enumerate() {
-            let mut driver = SessionDriver::new(FALLBACK_ID_BASE + i as u64);
-            for chunk in pipe.chunks(64 * 1024) {
-                driver.push(chunk, &mut agg).expect("clean session");
-            }
-            driver.finish(&mut agg).expect("clean session");
-            assert!(driver.frames_delivered() > 0);
+            let frames =
+                ingest(&mut agg, pipe, FALLBACK_ID_BASE + i as u64).expect("clean session");
+            assert!(frames > 0);
         }
         agg.snapshot()
     };
@@ -408,8 +429,8 @@ fn in_memory_driver_and_event_loop_assemble_identical_bytes() {
         for pipe in &session_pipes {
             let uds_path = uds_path.clone();
             scope.spawn(move || {
-                let mut sock = UnixStream::connect(&uds_path).expect("connect");
-                sock.write_all(pipe).expect("write session");
+                let sock = UnixStream::connect(&uds_path).expect("connect");
+                send_session(sock.into(), pipe);
             });
         }
         let (snapshot, rep) = server_thread.join().expect("server thread");
@@ -428,11 +449,10 @@ fn in_memory_driver_and_event_loop_assemble_identical_bytes() {
     assert_eq!(event_loop, reference.snapshot());
 }
 
-/// Streams partition `part` of `n_parts` through a *sequenced* (v3)
-/// collector with a generous retry budget — the library equivalent of
-/// `monitor_tool forward --retry`. Panics if the budget runs out: the
-/// fault plans go clean past a threshold, so a healthy stack always
-/// converges.
+/// Streams partition `part` of `n_parts` through a collector with a
+/// generous retry budget — the library equivalent of `monitor_tool
+/// forward --retry`. Panics if the budget runs out: the fault plans go
+/// clean past a threshold, so a healthy stack always converges.
 fn drive_sequenced(
     part: u64,
     n_parts: u64,
@@ -440,11 +460,7 @@ fn drive_sequenced(
     spec: SamplerSpec,
     connect: impl FnMut() -> std::io::Result<SessionStream>,
 ) {
-    let mine: Vec<(u64, f64)> = points
-        .iter()
-        .filter(|&&(k, _)| k % n_parts == part)
-        .copied()
-        .collect();
+    let mine = partition(points, part, n_parts);
     let mut sender = SequencedSender::new(
         Collector::new_sequenced(part, config(spec).shards(2)),
         connect,
@@ -590,10 +606,10 @@ fn sequenced_sessions_survive_seeded_faults_multi_loop() {
     }
 }
 
-/// Version negotiation live (satellite 2): unsequenced v2 forwarders
-/// and sequenced v3 forwarders share one serve, and the assembled
-/// snapshot is still the unsharded engine's bytes — a v2-only binary
-/// keeps working unchanged against a v3 aggregator.
+/// Version negotiation live: one-way v2 sessions (as pre-sequencing
+/// forwarders sent them) and sequenced v4 forwarders share one serve,
+/// and the assembled snapshot is still the unsharded engine's bytes —
+/// a v2-only binary keeps working unchanged against this aggregator.
 #[test]
 fn mixed_v2_and_v3_sessions_assemble_identical_bytes() {
     const N: u64 = 8;
@@ -617,15 +633,10 @@ fn mixed_v2_and_v3_sessions_assemble_identical_bytes() {
             let points = &points;
             scope.spawn(move || {
                 if part % 2 == 0 {
-                    // Unsequenced v2 — the pre-seq/ack forward path.
+                    // One-way v2: the serve never writes back to it.
                     let mut sock = UnixStream::connect(&uds_path).expect("connect uds");
-                    drive_collector(
-                        Collector::new(part, config(spec).shards(2)),
-                        points,
-                        part,
-                        N,
-                        &mut sock,
-                    );
+                    sock.write_all(&v2_session(points, part, N, spec))
+                        .expect("write v2 session");
                 } else {
                     drive_sequenced(part, N, points, spec, move || {
                         UnixStream::connect(&uds_path).map(SessionStream::from)
@@ -713,10 +724,12 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
             std::thread::sleep(Duration::from_millis(2));
         }
         {
-            let mut sock = UnixStream::connect(&uds_path).expect("connect dummy");
-            let mut dummy = Collector::new(9000, config(spec));
+            let mut dummy = Collector::new_sequenced(9000, config(spec));
             dummy.offer_batch(&keyed_points(500, 4));
-            dummy.finish(&mut sock).expect("dummy session");
+            let mut pipe = Vec::new();
+            finish(&mut dummy, &mut pipe).expect("in-memory");
+            let sock = UnixStream::connect(&uds_path).expect("connect dummy");
+            send_session(sock.into(), &pipe);
         }
         serve1_thread.join().expect("serve 1 thread");
         // Same path, fresh process state: the restart.

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use sst_monitor::topology::SeqOutcome;
+use sst_monitor::wire::SeqFrame;
 use sst_monitor::{
     decode_frames, decode_snapshot, diff_entry, encode_frame, encode_snapshot, Aggregator,
     EngineSnapshot, Frame, FrameDecoder, MonitorConfig, MonitorEngine, SamplerSpec, StreamDiff,
@@ -198,6 +199,69 @@ fn valid_diff_stream(first_seq: u64) -> Vec<u8> {
     ));
     bytes.extend_from_slice(&encode_frame_seq(first_seq + 2, &Frame::Bye));
     bytes
+}
+
+/// Re-tags every frame of a sequenced stream as protocol v3, what a
+/// pre-diff sender emitted (valid for every kind but `DeltaDiff`).
+fn as_v3(mut bytes: Vec<u8>) -> Vec<u8> {
+    let mut at = 0;
+    while let Some(header) = bytes.get_mut(at..at + 10) {
+        header[4] = 3;
+        let len = u32::from_le_bytes(header[6..10].try_into().unwrap()) as usize;
+        at += 10 + len;
+    }
+    assert_eq!(at, bytes.len(), "re-tagging walked whole frames");
+    bytes
+}
+
+/// Every frame of `bytes`, with its seq, decoded from one whole
+/// buffer.
+fn whole_buffer_frames(bytes: &[u8]) -> Vec<SeqFrame> {
+    let mut dec = FrameDecoder::new();
+    dec.push(bytes);
+    dec.finish();
+    let frames = std::iter::from_fn(|| dec.next_seq_frame().expect("valid stream")).collect();
+    assert_eq!(dec.pending_bytes(), 0);
+    frames
+}
+
+#[test]
+fn byte_at_a_time_decode_matches_whole_buffer_decode() {
+    // One byte per push walks every partial-input branch of the
+    // parsers: a prefix shorter than the frame magic (4 bytes) or the
+    // v1 magic (6 bytes), a header short of 10 bytes, a payload short
+    // of its declared length, and a legacy snapshot awaiting EOF.
+    let mut engine = MonitorEngine::new(MonitorConfig::default().seed(3));
+    for i in 0..3000u64 {
+        engine.offer(i % 11, (i % 37) as f64);
+    }
+    let v1 = encode_snapshot(&engine.snapshot()).to_vec();
+    for (name, bytes) in [
+        ("v1", v1),
+        ("v2", valid_stream()),
+        ("v2 sketch", valid_sketch_stream()),
+        ("v3", as_v3(valid_sequenced_stream(5))),
+        ("v4", valid_sequenced_stream(5)),
+        ("v4 diff", valid_diff_stream(9)),
+    ] {
+        let want = whole_buffer_frames(&bytes);
+        let frames: Vec<Frame> = want.iter().map(|sf| sf.frame.clone()).collect();
+        assert_eq!(decode_frames(&bytes).expect(name), frames, "{name}");
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for byte in &bytes {
+            dec.push(std::slice::from_ref(byte));
+            while let Some(sf) = dec.next_seq_frame().expect(name) {
+                got.push(sf);
+            }
+        }
+        dec.finish();
+        while let Some(sf) = dec.next_seq_frame().expect(name) {
+            got.push(sf);
+        }
+        assert_eq!(dec.pending_bytes(), 0, "{name}");
+        assert_eq!(got, want, "{name}: frames and seqs");
+    }
 }
 
 /// Decoding must return — Ok or Err, never panic, never hang.

@@ -7,7 +7,7 @@
 //!   `#![proptest_config(ProptestConfig::with_cases(n))]` header),
 //! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`],
 //! * range strategies (`0.0f64..1.0`, `2usize..2048`, …), tuple
-//!   strategies, [`collection::vec`], and [`Strategy::prop_map`].
+//!   strategies, [`collection::vec`], and [`strategy::Strategy::prop_map`].
 //!
 //! Semantics differ from real proptest in two deliberate ways: cases are
 //! generated from a **fixed deterministic seed** (derived from the test's
@@ -224,7 +224,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Accepted size specifications for [`vec`].
+    /// Accepted size specifications for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

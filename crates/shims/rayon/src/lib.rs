@@ -59,7 +59,7 @@ fn default_threads() -> usize {
 
 /// Number of worker threads a parallel operation will use: a
 /// [`with_num_threads`] override if one is active on this thread, else
-/// the process-wide default ([`default_threads`]).
+/// the process-wide default (`default_threads`).
 pub fn current_num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|c| c.get()) {
         return n.max(1);

@@ -363,7 +363,7 @@ pub fn lru_fetch<T, E>(
 }
 
 /// Returns the shared plan for power-of-two length `n`, building and
-/// caching it on first use (small LRU, capacity [`PLAN_CACHE_CAP`]).
+/// caching it on first use (small LRU, capacity `PLAN_CACHE_CAP`).
 ///
 /// # Panics
 ///
@@ -383,7 +383,7 @@ pub fn plan_for(n: usize) -> Arc<FftPlan> {
 }
 
 /// Returns the shared Bluestein plan for arbitrary length `n`, building
-/// and caching it on first use (small LRU, capacity [`PLAN_CACHE_CAP`]).
+/// and caching it on first use (small LRU, capacity `PLAN_CACHE_CAP`).
 ///
 /// # Panics
 ///

@@ -17,7 +17,8 @@
 
 use crate::summary::MergeableSummary;
 use sst_stats::rng::derive_seed;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// Domain tag mixed into row-seed derivation so count-min row hashes
 /// never collide with other `derive_seed` users on the same base seed.
@@ -209,13 +210,40 @@ impl MergeableSummary for CountMinSketch {
 /// admission error bound. Guarantees: `count - err ≤ true ≤ count`,
 /// and any key with true count above the minimum table count is
 /// present.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The table is an indexed binary min-heap: fixed slots hold the
+/// entries, a keyed hash map finds a key's slot, and a heap of slot ids
+/// ordered by `(count, key)` keeps the victim at its root. Keys are
+/// unique, so that order is total and the victim is the same whatever
+/// the heap's layout. An increment is one hash probe and a sift-down
+/// (counts only grow); an eviction rewrites the root slot in place.
+#[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,
-    /// key → (count, err)
-    by_key: HashMap<u64, (u64, u64)>,
-    /// (count, key) ordered index for O(log n) min-eviction.
-    by_count: BTreeSet<(u64, u64)>,
+    /// key → slot id.
+    slot_of: HashMap<u64, u32>,
+    /// The entries; a slot is rewritten in place, never freed.
+    slots: Vec<Slot>,
+    /// Slot ids as a binary min-heap on `(count, key)`.
+    heap: Vec<u32>,
+    /// Slot id → its index in `heap`.
+    pos: Vec<u32>,
+}
+
+/// One SpaceSaving entry.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    count: u64,
+    key: u64,
+    err: u64,
+}
+
+/// Two tables are equal when they hold the same entries under the same
+/// capacity, however their heaps are laid out.
+impl PartialEq for SpaceSaving {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity && self.entries() == other.entries()
+    }
 }
 
 impl SpaceSaving {
@@ -224,8 +252,10 @@ impl SpaceSaving {
         let capacity = capacity.max(4);
         Self {
             capacity,
-            by_key: HashMap::with_capacity(capacity),
-            by_count: BTreeSet::new(),
+            slot_of: HashMap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            heap: Vec::with_capacity(capacity),
+            pos: Vec::with_capacity(capacity),
         }
     }
 
@@ -236,40 +266,50 @@ impl SpaceSaving {
 
     /// Number of tracked candidates.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.slots.len()
     }
 
     /// True when no key has ever been offered.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.slots.is_empty()
     }
 
     /// Offers `count` observations of `key`.
     pub fn offer(&mut self, key: u64, count: u64) {
-        if let Some(&(old, err)) = self.by_key.get(&key) {
-            let new = old.saturating_add(count);
-            self.by_count.remove(&(old, key));
-            self.by_count.insert((new, key));
-            self.by_key.insert(key, (new, err));
+        let vacant = match self.slot_of.entry(key) {
+            Entry::Occupied(e) => {
+                let slot = *e.get() as usize;
+                let s = &mut self.slots[slot];
+                s.count = s.count.saturating_add(count);
+                self.sift_down(self.pos[slot] as usize);
+                return;
+            }
+            Entry::Vacant(e) => e,
+        };
+        if self.slots.len() < self.capacity {
+            let id = u32::try_from(self.slots.len()).expect("capacity fits u32");
+            vacant.insert(id);
+            self.push_slot(Slot { count, key, err: 0 });
+            self.sift_up(self.heap.len() - 1);
             return;
         }
-        if self.by_key.len() < self.capacity {
-            self.by_key.insert(key, (count, 0));
-            self.by_count.insert((count, key));
-            return;
-        }
-        // Deterministic victim: smallest count, then smallest key.
-        let &(min_count, victim) = self.by_count.iter().next().expect("non-empty at capacity");
-        self.by_count.remove(&(min_count, victim));
-        self.by_key.remove(&victim);
-        let new = min_count.saturating_add(count);
-        self.by_key.insert(key, (new, min_count));
-        self.by_count.insert((new, key));
+        // Deterministic victim: smallest count, then smallest key — the
+        // heap's root. The newcomer takes over its slot.
+        let root = self.heap[0];
+        vacant.insert(root);
+        let victim = self.slots[root as usize];
+        self.slot_of.remove(&victim.key);
+        self.slots[root as usize] = Slot {
+            count: victim.count.saturating_add(count),
+            key,
+            err: victim.count,
+        };
+        self.sift_down(0);
     }
 
     /// Upper-bound count for `key`, or 0 if untracked.
     pub fn estimate(&self, key: u64) -> u64 {
-        self.by_key.get(&key).map_or(0, |&(c, _)| c)
+        self.candidate(key).map_or(0, |(c, _)| c)
     }
 
     /// The tracked `(count, err)` pair for `key`, or `None` when the
@@ -278,14 +318,19 @@ impl SpaceSaving {
     /// signal promotion gates ride on (a count-min estimate alone can
     /// only over-count).
     pub fn candidate(&self, key: u64) -> Option<(u64, u64)> {
-        self.by_key.get(&key).copied()
+        self.slot_of.get(&key).map(|&slot| {
+            let s = &self.slots[slot as usize];
+            (s.count, s.err)
+        })
     }
 
     /// All candidates as `(key, count, err)`, sorted by key — the
     /// canonical (deterministic) snapshot order.
     pub fn entries(&self) -> Vec<(u64, u64, u64)> {
-        let sorted: BTreeMap<u64, (u64, u64)> = self.by_key.iter().map(|(&k, &v)| (k, v)).collect();
-        sorted.into_iter().map(|(k, (c, e))| (k, c, e)).collect()
+        let mut entries: Vec<(u64, u64, u64)> =
+            self.slots.iter().map(|s| (s.key, s.count, s.err)).collect();
+        entries.sort_unstable_by_key(|&(k, _, _)| k);
+        entries
     }
 
     /// Rebuilds a table from codec-decoded `(key, count, err)` entries.
@@ -297,49 +342,118 @@ impl SpaceSaving {
             return None;
         }
         let mut t = Self::new(capacity);
-        for &(k, c, e) in entries {
-            if t.by_key.insert(k, (c, e)).is_some() {
+        for &(key, count, err) in entries {
+            let slot = t.push_slot(Slot { count, key, err });
+            if t.slot_of.insert(key, slot).is_some() {
                 return None;
             }
-            t.by_count.insert((c, k));
+        }
+        for i in (0..t.heap.len() / 2).rev() {
+            t.sift_down(i);
         }
         Some(t)
     }
 
-    /// Merges another table: counts and error bounds add for shared
-    /// keys, then the union is truncated back to the larger capacity
-    /// keeping the highest counts (ties keep the smaller key). The
-    /// result depends only on the two inputs, not their build order —
-    /// but truncation makes this approximate, unlike
-    /// [`CountMinSketch`]'s exact merge.
+    /// Merges another table through [`merge_candidates`] under the
+    /// larger capacity. The result depends only on the two inputs, not
+    /// their build order — but truncation makes this approximate,
+    /// unlike [`CountMinSketch`]'s exact merge.
     pub fn merge_from(&mut self, other: &Self) {
         if other.is_empty() {
             return;
         }
         let capacity = self.capacity.max(other.capacity);
-        let mut union: BTreeMap<u64, (u64, u64)> =
-            self.by_key.iter().map(|(&k, &v)| (k, v)).collect();
-        for (&k, &(c, e)) in &other.by_key {
-            let slot = union.entry(k).or_insert((0, 0));
-            slot.0 = slot.0.saturating_add(c);
-            slot.1 = slot.1.saturating_add(e);
-        }
-        let mut ranked: Vec<(u64, u64, u64)> =
-            union.into_iter().map(|(k, (c, e))| (k, c, e)).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(capacity);
-        let mut merged = Self::new(capacity);
-        for (k, c, e) in ranked {
-            merged.by_key.insert(k, (c, e));
-            merged.by_count.insert((c, k));
-        }
-        *self = merged;
+        let merged = merge_candidates(capacity, &self.entries(), &other.entries());
+        *self = Self::from_entries(capacity, &merged)
+            .expect("merged candidates are unique and within capacity");
     }
 
-    /// Bytes of heap + inline state.
+    /// Bytes of heap + inline state: per entry, its slot, its heap and
+    /// position indices, and its hash-map bucket plus control byte.
     pub fn estimated_bytes(&self) -> usize {
-        48 + self.by_key.len() * 56 + self.by_count.len() * 32
+        use std::mem::size_of;
+        const PER_ENTRY: usize =
+            size_of::<Slot>() + 2 * size_of::<u32>() + size_of::<(u64, u32)>() + 1;
+        size_of::<Self>() + self.slots.len() * PER_ENTRY
     }
+
+    /// Appends `slot` as a new heap leaf; returns its slot id.
+    fn push_slot(&mut self, slot: Slot) -> u32 {
+        let id = u32::try_from(self.slots.len()).expect("capacity fits u32");
+        self.slots.push(slot);
+        self.pos.push(id);
+        self.heap.push(id);
+        id
+    }
+
+    /// The heap order of position `i`: smaller count first, then
+    /// smaller key.
+    fn rank_at(&self, i: usize) -> (u64, u64) {
+        let s = &self.slots[self.heap[i] as usize];
+        (s.count, s.key)
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.pos[self.heap[i] as usize] = i as u32;
+        self.pos[self.heap[j] as usize] = j as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.rank_at(parent) <= self.rank_at(i) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.rank_at(right) < self.rank_at(left) {
+                right
+            } else {
+                left
+            };
+            if self.rank_at(i) <= self.rank_at(child) {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+    }
+}
+
+/// The union of two SpaceSaving candidate lists, `(key, count, err)`
+/// each: counts and error bounds add for shared keys, and the union is
+/// truncated to `capacity` keeping the highest counts (ties keep the
+/// smaller key). Returns the kept entries sorted by key. The result
+/// depends only on the two lists' contents, not on their order or
+/// which comes first.
+pub fn merge_candidates(
+    capacity: usize,
+    a: &[(u64, u64, u64)],
+    b: &[(u64, u64, u64)],
+) -> Vec<(u64, u64, u64)> {
+    let mut union: BTreeMap<u64, (u64, u64)> = a.iter().map(|&(k, c, e)| (k, (c, e))).collect();
+    for &(k, c, e) in b {
+        let slot = union.entry(k).or_insert((0, 0));
+        slot.0 = slot.0.saturating_add(c);
+        slot.1 = slot.1.saturating_add(e);
+    }
+    let mut ranked: Vec<(u64, u64, u64)> = union.into_iter().map(|(k, (c, e))| (k, c, e)).collect();
+    ranked.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+    ranked.truncate(capacity);
+    ranked.sort_by_key(|&(k, _, _)| k);
+    ranked
 }
 
 #[cfg(test)]

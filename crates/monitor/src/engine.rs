@@ -194,14 +194,6 @@ pub struct MonitorEngine {
     tier: Option<SketchTier>,
 }
 
-/// Where a point goes in a tiered engine.
-enum Route {
-    /// The key has (or just earned) an exact live stream.
-    Exact,
-    /// Absorbed by the sketch tier.
-    Sketched,
-}
-
 impl MonitorEngine {
     /// Creates an engine.
     ///
@@ -270,40 +262,27 @@ impl MonitorEngine {
     }
 
     /// Routes one ticked point through the tier (when enabled) and the
-    /// shard table.
+    /// shard table. A tiered engine first offers the point to the key's
+    /// live exact stream, if any — one table probe, the common case.
+    /// Only a key without one is routed: first-sight admission below
+    /// the cap, promotion (demoting the coldest stream to free a slot),
+    /// or the sketch.
     fn offer_at_tick(&mut self, key: u64, value: f64, tick: u64) -> StreamDecision {
-        let route = match &mut self.tier {
-            None => Route::Exact,
-            Some(tier) => {
-                if self.shards.get(key).is_some() {
-                    // Live exact stream: stays exact.
-                    Route::Exact
-                } else if self.shards.stream_count() < tier.max_exact() {
-                    // First-sight admission below the cap.
-                    Route::Exact
-                } else if tier.would_promote(key) {
-                    tier.note_promoted();
-                    Route::Exact
-                } else {
-                    tier.absorb(key, value);
-                    Route::Sketched
-                }
-            }
+        let Some(tier) = &mut self.tier else {
+            return self.shards.offer(&self.config, key, value, tick);
         };
-        match route {
-            Route::Exact => {
-                // Promotion may have left the table at the cap: demote
-                // the coldest stream to free the slot first.
-                if let Some(tier) = &self.tier {
-                    let cap = tier.max_exact();
-                    if self.shards.get(key).is_none() && self.shards.stream_count() >= cap {
-                        self.demote_coldest();
-                    }
-                }
-                self.shards.offer(&self.config, key, value, tick)
-            }
-            Route::Sketched => StreamDecision::KeepNormal,
+        if let Some(decision) = self.shards.offer_live(key, value, tick) {
+            return decision;
         }
+        if self.shards.stream_count() >= tier.max_exact() {
+            if !tier.would_promote(key) {
+                tier.absorb(key, value);
+                return StreamDecision::KeepNormal;
+            }
+            tier.note_promoted();
+            self.demote_coldest();
+        }
+        self.shards.offer(&self.config, key, value, tick)
     }
 
     /// Demotes the coldest exact stream — minimum `(kept count, last

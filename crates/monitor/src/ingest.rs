@@ -131,6 +131,15 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
+    /// Offers one point to the sampler; the summary takes it if kept.
+    fn offer(&mut self, value: f64) -> StreamDecision {
+        let decision = self.sampler.offer(value);
+        if decision.is_kept() {
+            self.summary.push(value);
+        }
+        decision
+    }
+
     /// The stream's cumulative entry under `key`.
     pub(crate) fn entry(&self, key: u64) -> StreamEntry {
         StreamEntry {
@@ -139,6 +148,16 @@ impl StreamState {
             summary: self.summary.snapshot(),
         }
     }
+}
+
+/// Lists `key` on the dirty list on its stream's first point of the
+/// epoch, and marks the stream touched at `tick`.
+fn mark_touched(state: &mut StreamState, epoch: u64, dirty: &mut Vec<u64>, key: u64, tick: u64) {
+    if state.dirty_epoch != epoch {
+        state.dirty_epoch = epoch;
+        dirty.push(key);
+    }
+    state.last_touch = tick;
 }
 
 /// One shard: the streams routed to it, plus the keys first touched
@@ -175,21 +194,20 @@ impl Shard {
                 dirty_epoch: 0,
             }
         });
-        if state.dirty_epoch != self.epoch {
-            state.dirty_epoch = self.epoch;
-            self.dirty.push(key);
-        }
-        state.last_touch = tick;
+        mark_touched(state, self.epoch, &mut self.dirty, key, tick);
         state
     }
 
     fn offer(&mut self, config: &MonitorConfig, key: u64, value: f64, tick: u64) -> StreamDecision {
-        let state = self.touch(config, key, tick);
-        let decision = state.sampler.offer(value);
-        if decision.is_kept() {
-            state.summary.push(value);
-        }
-        decision
+        self.touch(config, key, tick).offer(value)
+    }
+
+    /// Offers one point to `key`'s live stream — one table probe — or
+    /// returns `None`, touching nothing, when `key` has none.
+    fn offer_live(&mut self, key: u64, value: f64, tick: u64) -> Option<StreamDecision> {
+        let state = self.streams.get_mut(&key)?;
+        mark_touched(state, self.epoch, &mut self.dirty, key, tick);
+        Some(state.offer(value))
     }
 
     /// Offers the points of one batch pass routed to this shard, as
@@ -373,6 +391,14 @@ impl ShardSet {
     ) -> StreamDecision {
         let idx = self.shard_index(key);
         self.shards[idx].offer(config, key, value, tick)
+    }
+
+    /// Offers one point to `key`'s live stream at engine tick `tick`,
+    /// or returns `None`, touching nothing, when `key` has no live
+    /// stream. A hit costs one table probe.
+    pub(crate) fn offer_live(&mut self, key: u64, value: f64, tick: u64) -> Option<StreamDecision> {
+        let idx = self.shard_index(key);
+        self.shards[idx].offer_live(key, value, tick)
     }
 
     /// Offers a batch of keyed points (point `i` at tick

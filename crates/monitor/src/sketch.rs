@@ -44,12 +44,11 @@
 
 use crate::engine::{MonitorConfig, StreamEntry};
 use crate::summary::{StreamSummary, SummarySnapshot};
-use sst_core::sketch::{CountMinSketch, SpaceSaving};
+use sst_core::sketch::{merge_candidates, CountMinSketch, SpaceSaving};
 use sst_core::stream::SamplerSnapshot;
 use sst_core::summary::{Compactable, MergeableSummary};
 use sst_hurst::ProjectionBank;
 use sst_stats::rng::derive_seed;
-use std::collections::BTreeMap;
 
 /// Domain-separation tag: the tier's root seed.
 const SKETCH_TAG: u64 = 0x534b_4554; // "SKET"
@@ -139,7 +138,10 @@ impl SketchTier {
         let max_exact = tc.max_exact_keys.expect("sketch tier enabled");
         let seed = derive_seed(config.base_seed, SKETCH_TAG);
         let cm_budget = (tc.sketch_bytes.saturating_mul(3) / 4).max(4096);
-        // (key, count, err) + the two index entries ≈ 88 bytes/slot.
+        // A quarter of the budget at 88 bytes a slot. This is a capacity
+        // rule, not the table's layout: the capacity rides the wire in
+        // every sketch image, so it must not move when the layout does
+        // (`SpaceSaving::estimated_bytes` reports the layout's cost).
         let heavy_slots = (tc.sketch_bytes / 4 / 88).max(16);
         SketchTier {
             max_exact,
@@ -341,19 +343,7 @@ impl MergeableSummary for SketchSnapshot {
         self.cm.merge_from(&other.cm);
         self.projections.merge_from(&other.projections);
         let cap = self.heavy_capacity.max(other.heavy_capacity).max(4);
-        let mut union: BTreeMap<u64, (u64, u64)> =
-            self.heavy.iter().map(|&(k, c, e)| (k, (c, e))).collect();
-        for &(k, c, e) in &other.heavy {
-            let slot = union.entry(k).or_insert((0, 0));
-            slot.0 = slot.0.saturating_add(c);
-            slot.1 = slot.1.saturating_add(e);
-        }
-        let mut ranked: Vec<(u64, u64, u64)> =
-            union.into_iter().map(|(k, (c, e))| (k, c, e)).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(cap as usize);
-        ranked.sort_by_key(|&(k, _, _)| k);
-        self.heavy = ranked;
+        self.heavy = merge_candidates(cap as usize, &self.heavy, &other.heavy);
         self.heavy_capacity = cap;
         self.promotions += other.promotions;
         self.demotions += other.demotions;

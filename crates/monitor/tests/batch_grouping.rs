@@ -2,7 +2,8 @@
 //! through `offer_batch` — which groups each pass by key and feeds every
 //! stream its run in one table probe — must hold byte-identical state to
 //! one fed the same points through `offer`, for every sampler, shard
-//! count and batch size, with eviction and compaction running. Also pins
+//! count and batch size, with eviction and compaction running, untiered
+//! and with the sketch tier on. Also pins
 //! what a sequenced collector ships per flush on that path.
 
 use sst_monitor::topology::Collector;
@@ -72,33 +73,55 @@ fn config(spec: SamplerSpec, shards: usize, batch: usize) -> MonitorConfig {
         .sweep_every(batch as u64)
 }
 
+/// [`config`], with the sketch tier on when `tiered`: 16 exact
+/// streams, so the long tail is sketched and hot tail keys promote,
+/// demoting cold streams.
+fn case_config(spec: SamplerSpec, tiered: bool, shards: usize, batch: usize) -> MonitorConfig {
+    let config = config(spec, shards, batch);
+    if tiered {
+        config
+            .max_exact_keys(16)
+            .sketch_bytes(1 << 14)
+            .promote_after(8)
+    } else {
+        config
+    }
+}
+
 #[test]
 fn grouped_batches_match_pointwise_offer_bytes() {
     for (batch, n_batches) in BATCHES {
         let points = heavy_tailed_points(batch as u64, batch * n_batches);
-        for spec in specs() {
-            let mut pointwise = MonitorEngine::new(config(spec, 1, batch));
+        let cases = specs()
+            .into_iter()
+            .flat_map(|spec| [(spec, false), (spec, true)]);
+        for (spec, tiered) in cases {
+            let mut pointwise = MonitorEngine::new(case_config(spec, tiered, 1, batch));
             for &(k, v) in &points {
                 pointwise.offer(k, v);
             }
             let expected = encode_snapshot(&pointwise.full_snapshot());
             assert!(
-                pointwise.lifecycle_stats().evicted > 0,
+                tiered || pointwise.lifecycle_stats().evicted > 0,
                 "batch {batch} {spec:?}: nothing evicted"
             );
+            assert!(
+                !tiered || pointwise.tier_stats().is_some_and(|t| t.demotions > 0),
+                "batch {batch} {spec:?}: nothing demoted"
+            );
             for shards in [1, 2, 8] {
-                let mut grouped = MonitorEngine::new(config(spec, shards, batch));
+                let mut grouped = MonitorEngine::new(case_config(spec, tiered, shards, batch));
                 for chunk in points.chunks(batch) {
                     grouped.offer_batch(chunk);
                 }
                 assert_eq!(
                     grouped.lifecycle_stats(),
                     pointwise.lifecycle_stats(),
-                    "batch {batch} shards {shards} {spec:?}: lifecycle"
+                    "batch {batch} shards {shards} {spec:?} tiered {tiered}: lifecycle"
                 );
                 assert!(
                     encode_snapshot(&grouped.full_snapshot()) == expected,
-                    "batch {batch} shards {shards} {spec:?}: snapshot bytes differ"
+                    "batch {batch} shards {shards} {spec:?} tiered {tiered}: snapshot bytes differ"
                 );
             }
         }

@@ -10,7 +10,8 @@
 //!   within tolerance of one,
 //! * promotion/demotion is deterministic, eviction frees exact slots,
 //!   and the sketch image rides the collector → aggregator topology
-//!   byte-identically.
+//!   byte-identically,
+//! * tiered snapshot and collector wire bytes match pinned digests.
 
 mod common;
 
@@ -429,4 +430,87 @@ fn serve_side_retired_cap_keeps_totals_exact() {
         tight.aggregate().moments.count()
     );
     assert!(capped.estimated_state_bytes() < plain.estimated_state_bytes());
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Alternating hot sets of 24 keys (over 16 exact slots) switching
+/// every 3 000 points, a one-shot tail on every third point, and seeded
+/// values: promotion and demotion churn on every switch.
+fn churn_points(seed: u64) -> Vec<(u64, f64)> {
+    let mut s = seed;
+    (0..90_000u64)
+        .map(|i| {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let key = if i % 3 == 0 {
+                (s >> 20) | 1 << 50
+            } else {
+                24 * ((i / 3_000) % 2) + (s >> 59) % 24
+            };
+            (key, 40.0 + (s >> 33) as f64 / f64::from(1u32 << 21))
+        })
+        .collect()
+}
+
+#[test]
+fn tiered_bytes_match_pinned_digests() {
+    // FNV-1a digests of (a) the encoded full snapshot of a tiered
+    // engine and (b) every byte a tiered collector ships: `Hello`, each
+    // flush's sealed window and the closing frames. They were taken
+    // before tiered ingest moved to one stream-table probe per exact
+    // point and SpaceSaving to an indexed heap, and they are the same
+    // for every shard count. Any change to routing, victim choice or
+    // the heavy-hitter table's contents moves them.
+    const PINS: [(u64, u64, u64); 2] = [
+        (3, 0x276e_5302_5e39_6a70, 0x6a29_b445_a275_b536),
+        (41, 0x8aa8_ed72_e1b7_0517, 0xc3b1_aac2_8fba_33cb),
+    ];
+    for ((seed, snapshot_pin, wire_pin), shards) in PINS
+        .into_iter()
+        .flat_map(|pin| [1usize, 2, 8].map(|shards| (pin, shards)))
+    {
+        let config = tiered(16)
+            .sampler(SamplerSpec::Bss {
+                interval: 4,
+                epsilon: 1.0,
+                n_pre: 8,
+                l: 2,
+            })
+            .seed(seed)
+            .shards(shards)
+            .sketch_bytes(1 << 14)
+            .promote_after(24)
+            .evict_idle_after(20_000)
+            .compact_budget(768)
+            .sweep_every(2_000);
+        let pts = churn_points(seed);
+        let mut engine = MonitorEngine::new(config.clone());
+        for chunk in pts.chunks(2_000) {
+            engine.offer_batch(chunk);
+        }
+        let demotions = engine.tier_stats().unwrap().demotions;
+        assert!(demotions >= 100, "seed {seed}: {demotions} demotions");
+        let snapshot = fnv1a(&encode_snapshot(&engine.full_snapshot()));
+
+        let mut collector = Collector::new_sequenced(7, config);
+        let mut wire = Vec::new();
+        for chunk in pts.chunks(2_000) {
+            collector.offer_batch(chunk);
+            flush(&mut collector, &mut wire).unwrap();
+        }
+        finish(&mut collector, &mut wire).unwrap();
+        let wire = fnv1a(&wire);
+        assert_eq!(
+            (snapshot, wire),
+            (snapshot_pin, wire_pin),
+            "seed {seed} shards {shards}"
+        );
+    }
 }

@@ -488,31 +488,36 @@ fn bench_resync_after_kill(c: &mut Criterion) {
 }
 
 fn bench_diff_flush(c: &mut Criterion) {
-    // The ISSUE 9 steady state: 4096 slowly-changing streams with ≤8
+    // The differential-flush steady state: 4096 slowly-changing streams with 8
     // new points each since the last acked flush. `diff_flush_steady`
-    // prices one differential flush — diffing every stream against its
-    // baseline and encoding the wire-v4 `DeltaDiff` frame — and
-    // `diff_vs_cumulative_bytes` encodes the same interval down both
-    // paths and pins the ≥5× payload saving the differential frames
-    // exist for (the measured ratio is ~10×).
+    // prices one collector seal of that interval — a diff per stream
+    // from its ship record and journal, the size choice, and the
+    // encoded wire-v4 `DeltaDiff` frames; the offers between seals are
+    // not timed. `diff_vs_cumulative_bytes` encodes one such interval
+    // down both paths and pins the ≥5× payload saving the differential
+    // frames exist for (the measured ratio is ~10×).
     use sst_monitor::wire::encode_frame_seq;
     use sst_monitor::{diff_entry, StreamDiff};
+    use std::time::{Duration, Instant};
     const STREAMS: u64 = 4096;
-    let mut engine = MonitorEngine::new(
-        MonitorConfig::default()
-            .sampler(SamplerSpec::Systematic { interval: 2 })
-            .seed(3)
-            .reservoir_capacity(256),
-    );
+    let config = MonitorConfig::default()
+        .sampler(SamplerSpec::Systematic { interval: 2 })
+        .seed(3)
+        .reservoir_capacity(256);
     // 600 warmup points per stream: reservoirs full, cascades deep —
     // the regime where per-flush change is small relative to state.
-    for i in 0..STREAMS * 600 {
-        engine.offer(i % STREAMS, 2.0 + (i % 97) as f64);
-    }
+    let warmup: Vec<(u64, f64)> = (0..STREAMS * 600)
+        .map(|i| (i % STREAMS, 2.0 + (i % 97) as f64))
+        .collect();
+    let interval = |round: u64| -> Vec<(u64, f64)> {
+        (0..STREAMS * 8)
+            .map(|i| (i % STREAMS, 3.0 + ((i + round) % 89) as f64))
+            .collect()
+    };
+    let mut engine = MonitorEngine::new(config.clone());
+    engine.offer_batch(&warmup);
     let base = engine.snapshot();
-    for i in 0..STREAMS * 8 {
-        engine.offer(i % STREAMS, 3.0 + (i % 89) as f64);
-    }
+    engine.offer_batch(&interval(0));
     let grown = engine.snapshot();
     let diff_frame = |seq| {
         let diffs: Vec<StreamDiff> = base
@@ -523,11 +528,29 @@ fn bench_diff_flush(c: &mut Criterion) {
             .collect();
         encode_frame_seq(seq, &Frame::DeltaDiff(diffs))
     };
+    let mut collector = Collector::new_sequenced(0, config);
+    collector.offer_batch(&warmup);
+    let seal = |collector: &mut Collector| {
+        collector.seal_flush();
+        collector.ack(collector.next_seq() - 1);
+    };
+    seal(&mut collector);
+    let mut round = 0;
     let mut g = c.benchmark_group("monitor");
     g.sample_size(10);
     g.throughput(Throughput::Elements(STREAMS));
     g.bench_function("diff_flush_steady", |b| {
-        b.iter(|| diff_frame(1).len());
+        b.iter_custom(|iters| {
+            let mut spent = Duration::ZERO;
+            for _ in 0..iters {
+                round += 1;
+                collector.offer_batch(&interval(round));
+                let start = Instant::now();
+                seal(&mut collector);
+                spent += start.elapsed();
+            }
+            spent
+        });
     });
     g.bench_function("diff_vs_cumulative_bytes", |b| {
         b.iter(|| {

@@ -86,7 +86,7 @@ fn level_bits(stats: &RunningStats, carry: Option<f64>) -> (u64, u64, u64, u64, 
 /// let est = ovt.estimate().unwrap();
 /// assert!((est.hurst - 0.8).abs() < 0.1);
 /// ```
-#[derive(Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OnlineVarianceTime {
     /// Values pushed so far.
     count: u64,
@@ -95,23 +95,6 @@ pub struct OnlineVarianceTime {
     /// `partial[k]`: sum of a completed `2^k`-block waiting for its
     /// sibling (the binary-counter carry chain).
     partial: Vec<Option<f64>>,
-}
-
-impl Clone for OnlineVarianceTime {
-    fn clone(&self) -> Self {
-        OnlineVarianceTime {
-            count: self.count,
-            levels: self.levels.clone(),
-            partial: self.partial.clone(),
-        }
-    }
-
-    /// Reuses `self`'s level and carry buffers.
-    fn clone_from(&mut self, source: &Self) {
-        self.count = source.count;
-        self.levels.clone_from(&source.levels);
-        self.partial.clone_from(&source.partial);
-    }
 }
 
 impl OnlineVarianceTime {

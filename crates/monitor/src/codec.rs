@@ -21,7 +21,7 @@ use crate::sketch::SketchSnapshot;
 use crate::summary::{
     ReservoirPatch, ReservoirSnapshot, SummaryPatch, SummarySnapshot, TailCounter,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use sst_core::sketch::CountMinSketch;
 use sst_core::stream::SamplerSnapshot;
 use sst_hurst::online::{CascadePatch, OnlineVarianceTime};
@@ -64,7 +64,7 @@ impl fmt::Display for SnapshotCodecError {
 
 impl std::error::Error for SnapshotCodecError {}
 
-fn put_running_stats(buf: &mut BytesMut, rs: &RunningStats) {
+fn put_running_stats(buf: &mut Vec<u8>, rs: &RunningStats) {
     let (n, mean, m2, min, max) = rs.raw_parts();
     buf.put_u64_le(n);
     buf.put_f64_le(mean);
@@ -85,7 +85,7 @@ fn get_running_stats(buf: &mut &[u8]) -> Result<RunningStats, SnapshotCodecError
     Ok(RunningStats::from_raw_parts(n, mean, m2, min, max))
 }
 
-fn put_sampler(buf: &mut BytesMut, s: &SamplerSnapshot) {
+fn put_sampler(buf: &mut Vec<u8>, s: &SamplerSnapshot) {
     buf.put_u64_le(s.offered as u64);
     buf.put_u64_le(s.kept as u64);
     buf.put_u64_le(s.inspected as u64);
@@ -108,7 +108,7 @@ fn get_sampler(buf: &mut &[u8]) -> Result<SamplerSnapshot, SnapshotCodecError> {
     })
 }
 
-fn put_cascade(buf: &mut BytesMut, cascade: &OnlineVarianceTime) {
+fn put_cascade(buf: &mut Vec<u8>, cascade: &OnlineVarianceTime) {
     let (count, levels, partial) = cascade.raw_parts();
     buf.put_u64_le(count);
     buf.put_u64_le(levels.len() as u64);
@@ -154,7 +154,7 @@ fn get_cascade(buf: &mut &[u8]) -> Result<OnlineVarianceTime, SnapshotCodecError
     Ok(OnlineVarianceTime::from_raw_parts(count, levels, partial))
 }
 
-fn put_summary(buf: &mut BytesMut, s: &SummarySnapshot) {
+fn put_summary(buf: &mut Vec<u8>, s: &SummarySnapshot) {
     put_running_stats(buf, &s.moments);
     // Online Hurst cascade: count, then levels with a carry flag.
     put_cascade(buf, &s.hurst);
@@ -230,7 +230,7 @@ fn get_summary(buf: &mut &[u8]) -> Result<SummarySnapshot, SnapshotCodecError> {
     })
 }
 
-fn put_sketch(buf: &mut BytesMut, sk: &SketchSnapshot) {
+fn put_sketch(buf: &mut Vec<u8>, sk: &SketchSnapshot) {
     buf.put_slice(SKETCH_MAGIC);
     put_sampler(buf, &sk.sampler);
     put_summary(buf, &sk.summary);
@@ -348,18 +348,28 @@ fn get_sketch(buf: &mut &[u8]) -> Result<SketchSnapshot, SnapshotCodecError> {
 /// section, when present, follows the stream records as a `SKT1`
 /// trailer; without one the bytes are exactly the pre-tier format.
 pub fn encode_snapshot(snap: &EngineSnapshot) -> Bytes {
-    let mut buf = BytesMut::with_capacity(MAGIC.len() + 16 + 256 * snap.stream_count());
+    let mut buf = Vec::with_capacity(snapshot_len_hint(snap));
+    put_snapshot(&mut buf, snap);
+    Bytes::from(buf)
+}
+
+/// A capacity guess for [`encode_snapshot`]'s output.
+pub(crate) fn snapshot_len_hint(snap: &EngineSnapshot) -> usize {
+    MAGIC.len() + 16 + 256 * snap.stream_count()
+}
+
+/// Appends [`encode_snapshot`]'s bytes to `buf`.
+pub(crate) fn put_snapshot(buf: &mut Vec<u8>, snap: &EngineSnapshot) {
     buf.put_slice(MAGIC);
     buf.put_u64_le(snap.stream_count() as u64);
     for e in snap.streams() {
         buf.put_u64_le(e.key);
-        put_sampler(&mut buf, &e.sampler);
-        put_summary(&mut buf, &e.summary);
+        put_sampler(buf, &e.sampler);
+        put_summary(buf, &e.summary);
     }
     if let Some(sk) = snap.sketch() {
-        put_sketch(&mut buf, sk);
+        put_sketch(buf, sk);
     }
-    buf.freeze()
 }
 
 /// Converts a decoded 64-bit count to an in-memory `usize` without a
@@ -464,7 +474,7 @@ pub fn decode_snapshot(mut buf: &[u8]) -> Result<EngineSnapshot, SnapshotCodecEr
 // the receiver's baseline is the apply-time check that turns into a
 // resync.
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -505,7 +515,7 @@ const FLAG_CASCADE: u8 = 1 << 1;
 const FLAG_RESERVOIR: u8 = 1 << 2;
 const FLAG_TAIL: u8 = 1 << 3;
 
-fn put_diff_entry(buf: &mut BytesMut, d: &StreamDiff) {
+fn put_diff_entry(buf: &mut Vec<u8>, d: &StreamDiff) {
     buf.put_u64_le(d.key);
     let (off, kept, insp) = d.sampler_delta;
     put_varint(buf, off);
@@ -691,17 +701,19 @@ fn get_diff_entry(buf: &mut &[u8]) -> Result<StreamDiff, SnapshotCodecError> {
     })
 }
 
-/// Serializes a `DeltaDiff` frame payload.
-pub(crate) fn encode_diff_payload(diffs: &[StreamDiff]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
-        DIFF_MAGIC.len() + 10 + diffs.iter().map(encoded_diff_len).sum::<usize>(),
-    );
+/// Appends a `DeltaDiff` frame payload to `buf`.
+pub(crate) fn put_diff_payload(buf: &mut Vec<u8>, diffs: &[StreamDiff]) {
     buf.put_slice(DIFF_MAGIC);
-    put_varint(&mut buf, diffs.len() as u64);
+    put_varint(buf, diffs.len() as u64);
     for d in diffs {
-        put_diff_entry(&mut buf, d);
+        put_diff_entry(buf, d);
     }
-    buf.freeze()
+}
+
+/// Exact length of the `DeltaDiff` payload of `n` diffs whose
+/// [`encoded_diff_len`]s sum to `entries_len`.
+pub(crate) fn diff_payload_len(n: usize, entries_len: usize) -> usize {
+    DIFF_MAGIC.len() + varint_len(n as u64) + entries_len
 }
 
 /// Deserializes a `DeltaDiff` frame payload. Structural validation
@@ -738,7 +750,8 @@ pub(crate) fn decode_diff_payload(mut buf: &[u8]) -> Result<Vec<StreamDiff>, Sna
 }
 
 /// Exact encoded size of one diff entry — what the collector weighs
-/// against [`encoded_entry_len`] when choosing diff-vs-full per key.
+/// against [`encoded_entry_len`] when choosing diff-vs-full per key,
+/// and sizes its `DeltaDiff` frames by.
 pub(crate) fn encoded_diff_len(d: &StreamDiff) -> usize {
     let (off, kept, insp) = d.sampler_delta;
     let fp = &d.base;
@@ -782,15 +795,14 @@ pub(crate) fn encoded_diff_len(d: &StreamDiff) -> usize {
     n
 }
 
-/// Exact encoded size of one cumulative stream entry inside a v1
-/// snapshot payload (key + sampler + summary).
-pub(crate) fn encoded_entry_len(e: &StreamEntry) -> usize {
-    let s = &e.summary;
-    let (_, _, partial) = s.hurst.raw_parts();
-    let cascade = 16 + s.hurst.level_count() * 41 + partial.iter().flatten().count() * 8;
-    let reservoir = 32 + 8 * s.reservoir.items.len();
-    let (thresholds, _, _) = s.tail.raw_parts();
-    let tail = 16 + 16 * thresholds.len();
+/// Exact encoded size of one cumulative entry (key, sampler,
+/// summary) whose summary holds `hurst`, `items` retained reservoir
+/// samples and a tail ladder of `rungs` thresholds.
+pub(crate) fn encoded_entry_len(hurst: &OnlineVarianceTime, items: usize, rungs: usize) -> usize {
+    let (_, _, partial) = hurst.raw_parts();
+    let cascade = 16 + hurst.level_count() * 41 + partial.iter().flatten().count() * 8;
+    let reservoir = 32 + 8 * items;
+    let tail = 16 + 16 * rungs;
     8 + 24 + 40 + cascade + reservoir + tail
 }
 
@@ -955,6 +967,23 @@ mod tests {
         assert_eq!(merged, back);
     }
 
+    fn encode_diff_payload(diffs: &[StreamDiff]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_diff_payload(&mut buf, diffs);
+        buf
+    }
+
+    #[test]
+    fn encoded_entry_len_is_exact() {
+        for e in sample_snapshot().streams() {
+            let one = EngineSnapshot::from_streams(vec![e.clone()]);
+            let s = &e.summary;
+            let (thresholds, _, _) = s.tail.raw_parts();
+            let predicted = encoded_entry_len(&s.hurst, s.reservoir.items.len(), thresholds.len());
+            assert_eq!(encode_snapshot(&one).len(), MAGIC.len() + 8 + predicted);
+        }
+    }
+
     /// The diffs between two growth stages of `sample_snapshot`'s
     /// engine — one per stream, all sections exercised.
     fn sample_diffs() -> Vec<StreamDiff> {
@@ -998,6 +1027,8 @@ mod tests {
             + varint_len(diffs.len() as u64)
             + diffs.iter().map(encoded_diff_len).sum::<usize>();
         assert_eq!(encoded.len(), predicted);
+        let entries_len = diffs.iter().map(encoded_diff_len).sum();
+        assert_eq!(encoded.len(), diff_payload_len(diffs.len(), entries_len));
     }
 
     #[test]
@@ -1013,7 +1044,7 @@ mod tests {
 
     #[test]
     fn diff_payload_trailing_garbage_rejected() {
-        let mut raw = encode_diff_payload(&sample_diffs()).to_vec();
+        let mut raw = encode_diff_payload(&sample_diffs());
         raw.push(0);
         assert!(decode_diff_payload(&raw).is_err());
     }

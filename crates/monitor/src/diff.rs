@@ -1,16 +1,23 @@
 //! Per-stream differential payloads — what a wire-v4 `DeltaDiff`
 //! frame carries instead of cumulative entries.
 //!
-//! A sequenced collector keeps the last cumulative [`StreamEntry`] it
-//! shipped per key (its *baseline*, mirrored by the aggregator's live
-//! view under the seq watermark) and, per flush, ships only what moved:
-//! sampler counter deltas, replaced Welford moments, inserted/replaced
-//! reservoir slots, touched cascade levels, and tail-ladder count
-//! increments. Reassembly is **bit-exact by construction** — changed
-//! floats travel verbatim (bit-compared, never delta-encoded) and only
-//! monotone integer counters travel as deltas — so the aggregator's
-//! state after applying a diff is byte-for-byte what the cumulative
-//! `Delta` path would have produced.
+//! A diff takes the last cumulative [`StreamEntry`] a collector
+//! shipped for a key (its *baseline*, mirrored by the aggregator's live
+//! view under the seq watermark) to the key's current state, shipping
+//! only what moved: sampler counter deltas, replaced Welford moments,
+//! inserted/replaced reservoir slots, touched cascade levels, and
+//! tail-ladder count increments. Reassembly is **bit-exact by
+//! construction** — changed floats travel verbatim (bit-compared,
+//! never delta-encoded) and only monotone integer counters travel as
+//! deltas — so the aggregator's state after applying a diff is
+//! byte-for-byte what the cumulative `Delta` path would have produced.
+//!
+//! [`diff_entry`] states the rule by comparing two entries. A
+//! collector keeps no copy of what it shipped: each live stream records
+//! the counters of its last ship and journals the reservoir slots and
+//! cascade levels rewritten since, and the seal builds the same diff
+//! from that record (`StreamState::reship` in the ingest
+//! layer) in time proportional to what changed.
 //!
 //! Every diff names the baseline it applies to through a cheap integer
 //! [`BaseFingerprint`]; a mismatch (the receiver compacted, lost, or
@@ -18,8 +25,7 @@
 //! to a `Resync{from_seq}` re-baseline rather than corrupt state.
 
 use crate::engine::StreamEntry;
-use crate::summary::{SummaryPatch, SummaryView};
-use sst_core::stream::SamplerSnapshot;
+use crate::summary::SummaryPatch;
 
 /// Integer fingerprint of the baseline entry a [`StreamDiff`] applies
 /// to: the monotone counters plus the two compactable lengths. Any
@@ -73,30 +79,17 @@ pub struct StreamDiff {
 /// Computes the diff taking `base` to `new`, or `None` when the pair
 /// is not diffable (different keys, counters moved backwards, reservoir
 /// identity or tail ladder changed, cascade or sample shrank) — the
-/// collector ships the full cumulative entry instead.
+/// collector ships the full cumulative entry instead. This is the
+/// reference rule a collector's journaled seal reproduces.
 pub fn diff_entry(base: &StreamEntry, new: &StreamEntry) -> Option<StreamDiff> {
-    diff_view(base, new.key, &new.sampler, new.summary.view())
-}
-
-/// [`diff_entry`] with the new side borrowed — a snapshot's parts or a
-/// live stream's, so a collector diffs its live state against the
-/// baseline without materialising an entry first.
-pub(crate) fn diff_view(
-    base: &StreamEntry,
-    key: u64,
-    sampler: &SamplerSnapshot,
-    summary: SummaryView<'_>,
-) -> Option<StreamDiff> {
-    if base.key != key {
+    if base.key != new.key {
         return None;
     }
-    let sampler_delta = sampler.delta_from(&base.sampler)?;
-    let patch = summary.diff_from(&base.summary)?;
     Some(StreamDiff {
-        key,
-        sampler_delta,
+        key: new.key,
+        sampler_delta: new.sampler.delta_from(&base.sampler)?,
         base: BaseFingerprint::of(base),
-        patch,
+        patch: new.summary.diff_from(&base.summary)?,
     })
 }
 

@@ -380,17 +380,6 @@ impl MonitorEngine {
         })
     }
 
-    /// The live states of `keys`, ascending by key, one per distinct
-    /// key; unknown keys are skipped.
-    fn live_states(&self, keys: impl IntoIterator<Item = u64>) -> Vec<(u64, &StreamState)> {
-        let mut keys: Vec<u64> = keys.into_iter().collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.into_iter()
-            .filter_map(|key| self.shards.get(key).map(|state| (key, state)))
-            .collect()
-    }
-
     /// Switches on first-touch dirty tracking: each shard then lists
     /// the keys offered since the last [`MonitorEngine::clear_dirty`].
     /// Only a collector needs the list, so a plain engine keeps none.
@@ -398,11 +387,24 @@ impl MonitorEngine {
         self.shards.track_dirty();
     }
 
-    /// The live states of the keys touched since the last
-    /// [`MonitorEngine::clear_dirty`], for a seal that reads them in
-    /// place.
-    pub(crate) fn dirty_states(&self) -> Vec<(u64, &StreamState)> {
-        self.live_states(self.shards.dirty_keys())
+    /// Calls `f` on the live state of each key touched since the last
+    /// [`MonitorEngine::clear_dirty`], once per key, ascending by key —
+    /// a seal reads and re-marks them in place. Keys no longer live
+    /// (evicted or demoted since their first touch) are skipped.
+    pub(crate) fn for_each_dirty(&mut self, mut f: impl FnMut(u64, &mut StreamState)) {
+        let mut keys: Vec<u64> = self.shards.dirty_keys().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for key in keys {
+            if let Some(state) = self.shards.get_mut(key) {
+                f(key, state);
+            }
+        }
+    }
+
+    /// Every live `(key, state)`, in shard-internal order.
+    pub(crate) fn live_states_mut(&mut self) -> impl Iterator<Item = (u64, &mut StreamState)> {
+        self.shards.iter_mut()
     }
 
     /// Forgets the touched keys: the next flush starts empty.

@@ -34,13 +34,14 @@
 //! tests pin batched ≡ per-point across samplers, batch sizes and
 //! lifecycle sweeps.
 
+use crate::diff::StreamDiff;
 use crate::engine::{MonitorConfig, StreamEntry};
-use crate::summary::StreamSummary;
+use crate::summary::{StreamSummary, SummaryJournal};
 use rayon::prelude::*;
 use sst_core::bss::{BssConfigError, OnlineTuning, ThresholdPolicy};
 use sst_core::stream::{
-    StreamDecision, StreamSampler, StreamingBss, StreamingSimpleRandom, StreamingStratified,
-    StreamingSystematic,
+    SamplerSnapshot, StreamDecision, StreamSampler, StreamingBss, StreamingSimpleRandom,
+    StreamingStratified, StreamingSystematic,
 };
 use sst_stats::rng::derive_seed;
 use std::collections::HashMap;
@@ -117,7 +118,8 @@ impl SamplerSpec {
 }
 
 /// One stream's live state: its sampler, the summary of what the
-/// sampler kept, and the lifecycle layer's recency mark.
+/// sampler kept, the lifecycle layer's recency mark, and — once a
+/// collector has shipped it — the record of that ship.
 pub(crate) struct StreamState {
     pub(crate) sampler: Box<dyn StreamSampler + Send>,
     pub(crate) summary: StreamSummary,
@@ -128,6 +130,18 @@ pub(crate) struct StreamState {
     /// Dirty epoch in which the stream last joined its shard's dirty
     /// list (see [`Shard::epoch`]); a fresh stream starts at 0.
     dirty_epoch: u64,
+    /// The stream's last ship, set by a collector's seal
+    /// ([`StreamState::mark_shipped`]). `None` on an engine that ships
+    /// nothing, for a stream never shipped, and once its collector has
+    /// stopped diffing — then pushes journal nothing.
+    ship: Option<Box<ShipRecord>>,
+}
+
+/// What a stream last shipped, as a diff needs it: the sampler
+/// counters, and the summary's journal since.
+struct ShipRecord {
+    sampler: SamplerSnapshot,
+    summary: SummaryJournal,
 }
 
 impl StreamState {
@@ -135,9 +149,70 @@ impl StreamState {
     fn offer(&mut self, value: f64) -> StreamDecision {
         let decision = self.sampler.offer(value);
         if decision.is_kept() {
-            self.summary.push(value);
+            let journal = self.ship.as_deref_mut().map(|s| &mut s.summary);
+            self.summary.push_journaled(value, journal);
         }
         decision
+    }
+
+    /// Compacts the summary toward `budget_bytes` (see
+    /// [`StreamSummary::compact`]), journaling what it drops.
+    pub(crate) fn compact(&mut self, budget_bytes: usize) {
+        let journal = self.ship.as_deref_mut().map(|s| &mut s.summary);
+        self.summary.compact_journaled(budget_bytes, journal);
+    }
+
+    /// Ships the stream's current state under `key`: returns the diff
+    /// taking the entry it last shipped to its current state — what
+    /// [`crate::diff::diff_entry`] computes from the two entries — or
+    /// `None` when it has no ship record or the pair is not diffable,
+    /// and records the current state as shipped (see
+    /// [`StreamState::mark_shipped`]).
+    pub(crate) fn reship(&mut self, key: u64, compact_budget: Option<usize>) -> Option<StreamDiff> {
+        let sampler = self.sampler.snapshot();
+        let diff = self.ship.as_deref().and_then(|ship| {
+            Some(StreamDiff {
+                key,
+                sampler_delta: sampler.delta_from(&ship.sampler)?,
+                base: ship.summary.fingerprint(),
+                patch: ship.summary.patch(&self.summary)?,
+            })
+        });
+        self.mark(sampler, compact_budget);
+        diff
+    }
+
+    /// Records the current state as shipped: the diff base from now
+    /// on. `compact_budget` is the engine's compaction budget.
+    pub(crate) fn mark_shipped(&mut self, compact_budget: Option<usize>) {
+        self.mark(self.sampler.snapshot(), compact_budget);
+    }
+
+    /// [`StreamState::mark_shipped`], given the sampler's counters.
+    fn mark(&mut self, sampler: SamplerSnapshot, compact_budget: Option<usize>) {
+        match &mut self.ship {
+            Some(ship) => {
+                ship.sampler = sampler;
+                ship.summary.mark(&self.summary);
+            }
+            None => {
+                self.ship = Some(Box::new(ShipRecord {
+                    sampler,
+                    summary: SummaryJournal::new(&self.summary, compact_budget),
+                }));
+            }
+        }
+    }
+
+    /// Drops the ship record: the stream's next ship is cumulative.
+    pub(crate) fn forget_shipped(&mut self) {
+        self.ship = None;
+    }
+
+    /// Whether the stream keeps a ship record.
+    #[cfg(test)]
+    pub(crate) fn is_shipped(&self) -> bool {
+        self.ship.is_some()
     }
 
     /// The stream's cumulative entry under `key`.
@@ -192,6 +267,7 @@ impl Shard {
                 summary: StreamSummary::new(&config.summary, seed),
                 last_touch: tick,
                 dirty_epoch: 0,
+                ship: None,
             }
         });
         mark_touched(state, self.epoch, &mut self.dirty, key, tick);
@@ -226,9 +302,7 @@ impl Shard {
             let (key, values, last) = grouping.run(g);
             let state = self.touch(config, key, first_tick + u64::from(last));
             for &v in values {
-                if state.sampler.offer(v).is_kept() {
-                    state.summary.push(v);
-                }
+                state.offer(v);
             }
         }
     }
@@ -490,8 +564,9 @@ impl ShardSet {
     }
 
     /// The live state of `key`, if tracked.
-    pub(crate) fn get(&self, key: u64) -> Option<&StreamState> {
-        self.shards[self.shard_index(key)].streams.get(&key)
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut StreamState> {
+        let idx = self.shard_index(key);
+        self.shards[idx].streams.get_mut(&key)
     }
 
     /// Removes and returns the live state of `key` (eviction).

@@ -194,7 +194,7 @@ impl LifecycleState {
         if let Some(budget) = config.compact_budget {
             for (_, state) in shards.iter_mut() {
                 if state.summary.estimated_bytes() > budget {
-                    state.summary.compact(budget);
+                    state.compact(budget);
                 }
             }
         }

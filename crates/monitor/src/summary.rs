@@ -13,7 +13,14 @@
 //! state), so folding snapshots in a canonical order yields
 //! bitwise-identical results no matter how the streams were sharded —
 //! the engine's merge-equivalence tests pin exactly that.
+//!
+//! A live summary a collector has shipped also feeds a
+//! `SummaryJournal`: the counters of the shipped state and the
+//! reservoir slots and cascade levels rewritten since, from which the
+//! collector builds the summary's next differential patch without a
+//! copy of what it shipped.
 
+use crate::diff::BaseFingerprint;
 use rand::Rng;
 use sst_core::summary::{Compactable, MergeableSummary};
 use sst_hurst::online::{CascadePatch, OnlineVarianceTime};
@@ -71,20 +78,24 @@ impl Reservoir {
 
     /// Offers one value.
     pub fn push(&mut self, v: f64) {
+        self.offer(v);
+    }
+
+    /// Offers one value; returns the slot it overwrote, if any, with
+    /// that slot's previous value.
+    fn offer(&mut self, v: f64) -> Option<(usize, f64)> {
         self.seen += 1;
         if self.items.len() < self.cap {
             self.items.push(v);
-            return;
+            return None;
         }
         if self.cap == 0 {
-            return;
+            return None;
         }
         // Replace slot j with probability cap/seen: j uniform over all
         // seen items, replacement iff it lands inside the reservoir.
         let j = self.rng.gen_range(0..self.seen as usize);
-        if j < self.cap {
-            self.items[j] = v;
-        }
+        (j < self.cap).then(|| (j, std::mem::replace(&mut self.items[j], v)))
     }
 
     /// Plain-data image of the reservoir.
@@ -94,15 +105,6 @@ impl Reservoir {
             seed: self.seed,
             seen: self.seen,
             items: self.items.clone(),
-        }
-    }
-
-    fn view(&self) -> ReservoirView<'_> {
-        ReservoirView {
-            cap: self.cap,
-            seed: self.seed,
-            seen: self.seen,
-            items: &self.items,
         }
     }
 
@@ -206,16 +208,28 @@ impl ReservoirSnapshot {
     /// replacement draw changes, so the patch is tiny next to `cap`
     /// retained items.
     pub fn diff_from(&self, base: &ReservoirSnapshot) -> Option<ReservoirPatch> {
-        self.view().diff_from(base)
-    }
-
-    fn view(&self) -> ReservoirView<'_> {
-        ReservoirView {
-            cap: self.cap,
-            seed: self.seed,
-            seen: self.seen,
-            items: &self.items,
+        if self.cap != base.cap
+            || self.seed != base.seed
+            || self.seen < base.seen
+            || self.items.len() < base.items.len()
+        {
+            return None;
         }
+        let mut slots = Vec::new();
+        for (i, v) in self.items.iter().enumerate() {
+            let same = base
+                .items
+                .get(i)
+                .is_some_and(|b| b.to_bits() == v.to_bits());
+            if !same {
+                slots.push((i, *v));
+            }
+        }
+        Some(ReservoirPatch {
+            seen_delta: self.seen - base.seen,
+            new_len: self.items.len(),
+            slots,
+        })
     }
 
     /// Applies a [`ReservoirSnapshot::diff_from`] patch. Returns
@@ -322,39 +336,60 @@ pub struct ReservoirPatch {
     pub slots: Vec<(usize, f64)>,
 }
 
-/// A borrowed image of a reservoir — live ([`Reservoir`]) or snapshot
-/// ([`ReservoirSnapshot`]) — which both diff through.
-#[derive(Clone, Copy)]
-struct ReservoirView<'a> {
+/// The reservoir slots overwritten since a mark, with each one's value
+/// at the mark: [`ReservoirSnapshot::diff_from`] against the marked
+/// reservoir, without a copy of it. Only a push overwrites a slot;
+/// compaction either changes nothing or clamps `cap`, which makes the
+/// pair undiffable anyway.
+#[derive(Clone, Debug, Default)]
+struct SlotJournal {
+    /// Capacity at the mark.
     cap: usize,
-    seed: u64,
+    /// `seen` at the mark.
     seen: u64,
-    items: &'a [f64],
+    /// Retained-sample length at the mark.
+    len: usize,
+    /// `(slot, value bits at the mark, current value)` of every
+    /// overwritten slot below `len`, ascending by slot — the current
+    /// value rides along so a diff reads no reservoir slot.
+    prior: Vec<(usize, u64, f64)>,
 }
 
-impl ReservoirView<'_> {
-    /// [`ReservoirSnapshot::diff_from`] on either form.
-    fn diff_from(self, base: &ReservoirSnapshot) -> Option<ReservoirPatch> {
-        if self.cap != base.cap
-            || self.seed != base.seed
-            || self.seen < base.seen
-            || self.items.len() < base.items.len()
-        {
-            return None;
-        }
-        let mut slots = Vec::new();
-        for (i, v) in self.items.iter().enumerate() {
-            let same = base
-                .items
-                .get(i)
-                .is_some_and(|b| b.to_bits() == v.to_bits());
-            if !same {
-                slots.push((i, *v));
+impl SlotJournal {
+    fn mark(&mut self, r: &Reservoir) {
+        (self.cap, self.seen, self.len) = (r.cap, r.seen, r.items.len());
+        self.prior.clear();
+    }
+
+    /// Records that `slot`, holding `was`, has just been overwritten
+    /// with `now`. Slots at or past the marked length always ship, so
+    /// they need no record.
+    fn note(&mut self, slot: usize, was: f64, now: f64) {
+        if slot < self.len {
+            match self.prior.binary_search_by_key(&slot, |p| p.0) {
+                Ok(at) => self.prior[at].2 = now,
+                Err(at) => self.prior.insert(at, (slot, was.to_bits(), now)),
             }
         }
+    }
+
+    /// The patch taking the marked reservoir to `r`. The seed never
+    /// changes on a live reservoir, so it is not compared.
+    fn diff(&self, r: &Reservoir) -> Option<ReservoirPatch> {
+        if r.cap != self.cap || r.seen < self.seen || r.items.len() < self.len {
+            return None;
+        }
+        let appended = &r.items[self.len..];
+        let mut slots = Vec::with_capacity(self.prior.len() + appended.len());
+        for &(i, was, now) in &self.prior {
+            if now.to_bits() != was {
+                slots.push((i, now));
+            }
+        }
+        slots.extend((self.len..).zip(appended.iter().copied()));
         Some(ReservoirPatch {
-            seen_delta: self.seen - base.seen,
-            new_len: self.items.len(),
+            seen_delta: r.seen - self.seen,
+            new_len: r.items.len(),
             slots,
         })
     }
@@ -363,7 +398,7 @@ impl ReservoirView<'_> {
 /// Exceedance counters over a fixed ascending threshold ladder — the
 /// mergeable form of the paper's tail interest (how often the rate
 /// process exceeds a level; counts of disjoint streams add).
-#[derive(Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TailCounter {
     /// Ascending thresholds.
     thresholds: Vec<f64>,
@@ -371,23 +406,6 @@ pub struct TailCounter {
     counts: Vec<u64>,
     /// Total observations.
     total: u64,
-}
-
-impl Clone for TailCounter {
-    fn clone(&self) -> Self {
-        TailCounter {
-            thresholds: self.thresholds.clone(),
-            counts: self.counts.clone(),
-            total: self.total,
-        }
-    }
-
-    /// Reuses `self`'s ladder and count buffers.
-    fn clone_from(&mut self, source: &Self) {
-        self.thresholds.clone_from(&source.thresholds);
-        self.counts.clone_from(&source.counts);
-        self.total = source.total;
-    }
 }
 
 impl TailCounter {
@@ -487,12 +505,7 @@ impl TailCounter {
         {
             return None;
         }
-        let total = self.total.checked_sub(base.total)?;
-        let mut deltas = Vec::with_capacity(self.counts.len());
-        for (c, b) in self.counts.iter().zip(&base.counts) {
-            deltas.push(c.checked_sub(*b)?);
-        }
-        Some((deltas, total))
+        tail_deltas(&self.counts, self.total, &base.counts, base.total)
     }
 
     /// Advances the counters by a [`TailCounter::diff_from`] delta.
@@ -556,6 +569,23 @@ impl TailCounter {
     }
 }
 
+/// The `(per-rung count deltas, total delta)` taking counts `base` and
+/// total `base_total` to `counts` and `total`, or `None` when any
+/// counter moved backwards.
+fn tail_deltas(
+    counts: &[u64],
+    total: u64,
+    base: &[u64],
+    base_total: u64,
+) -> Option<(Vec<u64>, u64)> {
+    let total = total.checked_sub(base_total)?;
+    let mut deltas = Vec::with_capacity(counts.len());
+    for (c, b) in counts.iter().zip(base) {
+        deltas.push(c.checked_sub(*b)?);
+    }
+    Some((deltas, total))
+}
+
 /// Live per-stream summary: what a shard updates for every kept sample.
 #[derive(Clone, Debug)]
 pub struct StreamSummary {
@@ -578,10 +608,27 @@ impl StreamSummary {
 
     /// Absorbs one kept sample.
     pub fn push(&mut self, v: f64) {
+        self.push_journaled(v, None);
+    }
+
+    /// [`StreamSummary::push`], noting in `journal`, when there is one,
+    /// the cascade levels and reservoir slot it rewrites.
+    pub(crate) fn push_journaled(&mut self, v: f64, journal: Option<&mut SummaryJournal>) {
         self.moments.push(v);
-        self.hurst.push(v);
-        self.reservoir.push(v);
         self.tail.push(v);
+        match journal {
+            None => {
+                self.hurst.push(v);
+                self.reservoir.push(v);
+            }
+            Some(j) => {
+                j.cascade.note_push(&self.hurst);
+                self.hurst.push(v);
+                if let Some((slot, was)) = self.reservoir.offer(v) {
+                    j.reservoir.note(slot, was, v);
+                }
+            }
+        }
     }
 
     /// Kept samples absorbed so far.
@@ -599,27 +646,13 @@ impl StreamSummary {
         }
     }
 
-    /// Overwrites `out` with [`StreamSummary::snapshot`], reusing its
-    /// buffers — a collector's per-key baseline is refreshed this way
-    /// on every seal instead of being rebuilt.
-    pub(crate) fn snapshot_into(&self, out: &mut SummarySnapshot) {
-        out.moments = self.moments;
-        out.hurst.clone_from(&self.hurst);
-        let (r, o) = (&self.reservoir, &mut out.reservoir);
-        (o.cap, o.seed, o.seen) = (r.cap, r.seed, r.seen);
-        o.items.clone_from(&r.items);
-        out.tail.clone_from(&self.tail);
-    }
-
-    /// The borrowed image [`SummarySnapshot::diff_from`] runs on, so a
-    /// live summary diffs against a baseline without a snapshot.
-    pub(crate) fn view(&self) -> SummaryView<'_> {
-        SummaryView {
-            moments: &self.moments,
-            hurst: &self.hurst,
-            reservoir: self.reservoir.view(),
-            tail: &self.tail,
-        }
+    /// Exact encoded length of the summary's cumulative entry.
+    pub(crate) fn encoded_entry_len(&self) -> usize {
+        crate::codec::encoded_entry_len(
+            &self.hurst,
+            self.reservoir.items.len(),
+            self.tail.thresholds.len(),
+        )
     }
 
     /// Approximate in-memory footprint of the live summary.
@@ -637,10 +670,254 @@ impl StreamSummary {
     /// above the budget; the amortized bound is retired-dominated and
     /// absorbs that). Totals are untouched.
     pub fn compact(&mut self, budget_bytes: usize) {
-        let fixed = 40 + 56 + 48 + self.tail.estimated_bytes();
-        let (levels, items) = compaction_plan(budget_bytes, fixed);
+        self.compact_journaled(budget_bytes, None);
+    }
+
+    /// [`StreamSummary::compact`], noting in `journal`, when there is
+    /// one, the cascade levels it drops.
+    pub(crate) fn compact_journaled(
+        &mut self,
+        budget_bytes: usize,
+        journal: Option<&mut SummaryJournal>,
+    ) {
+        let (levels, items) = compaction_plan(budget_bytes, self.fixed_bytes());
+        if let Some(j) = journal {
+            j.cascade.note_prune(levels, &self.hurst);
+        }
         self.hurst.prune_levels(levels);
         self.reservoir.compact(items);
+    }
+
+    /// The fixed-size core [`compaction_plan`] budgets around.
+    fn fixed_bytes(&self) -> usize {
+        40 + 56 + 48 + self.tail.estimated_bytes()
+    }
+}
+
+/// Pushes note the cascade levels they rewrite from this level up;
+/// below it the value count tells which levels changed. It is
+/// [`compaction_plan`]'s floor: no compaction prunes a level below it.
+const NOTED_FROM: usize = 4;
+
+/// The cascade levels a live summary rewrote since a mark, with what
+/// [`CascadeJournal::diff`] needs of each level's value at the mark:
+/// [`OnlineVarianceTime::diff_from`] against the marked cascade,
+/// without a copy of it.
+///
+/// A push adds a block mean to every level it rewrites, so a level
+/// that only pushes touched has certainly changed. Below level 4 —
+/// where no compaction prunes, so the cascade stays a binary counter —
+/// the rewritten levels follow from the value counts alone: a push
+/// reaches level `k` exactly when it completes a block of `2^k`
+/// values, so the pushes since the mark reached `k` iff `count >> k`
+/// moved. Higher levels are noted by the one push in sixteen that
+/// reaches them, and by prunes. A level's marked value matters only if
+/// a prune drops the level and pushes regrow it, possibly to the
+/// marked bits; the journal keeps it for each rewritten level at or
+/// above `prunable_from`, the lowest level the summary's compaction
+/// prunes.
+#[derive(Clone, Debug)]
+struct CascadeJournal {
+    /// Value count at the mark.
+    count: u64,
+    /// Level count at the mark.
+    levels: usize,
+    /// Lowest level compaction prunes (`usize::MAX` without one).
+    prunable_from: usize,
+    /// Bit `k`: level `k ≥ 4` was rewritten since the mark (levels stay
+    /// under 48).
+    touched: u64,
+    /// `(k, stats, carry)` at the mark of every rewritten level with
+    /// `prunable_from ≤ k < levels`, ascending by `k`.
+    prior: Vec<(usize, RunningStats, Option<f64>)>,
+}
+
+impl CascadeJournal {
+    /// A journal marked at `cascade`, whose compaction prunes no level
+    /// below `prunable_from`.
+    fn new(cascade: &OnlineVarianceTime, prunable_from: usize) -> Self {
+        let mut journal = CascadeJournal {
+            count: 0,
+            levels: 0,
+            prunable_from,
+            touched: 0,
+            prior: Vec::new(),
+        };
+        journal.mark(cascade);
+        journal
+    }
+
+    fn mark(&mut self, cascade: &OnlineVarianceTime) {
+        self.count = cascade.count();
+        self.levels = cascade.level_count();
+        self.touched = 0;
+        self.prior.clear();
+    }
+
+    /// Notes the levels at or above 4 that pushing one more value into
+    /// `cascade` is about to rewrite: level 4 when the push completes a
+    /// block of 16, then each level whose carry is waiting.
+    fn note_push(&mut self, cascade: &OnlineVarianceTime) {
+        if !(cascade.count() + 1).is_multiple_of(1 << NOTED_FROM) {
+            return;
+        }
+        let (_, _, partial) = cascade.raw_parts();
+        for (k, carry) in partial.iter().enumerate().skip(NOTED_FROM) {
+            self.note(k, cascade);
+            if carry.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Notes the levels a prune to `keep ≥ 4` levels is about to drop.
+    fn note_prune(&mut self, keep: usize, cascade: &OnlineVarianceTime) {
+        for k in keep..cascade.level_count() {
+            self.note(k, cascade);
+        }
+    }
+
+    /// Records that level `k` is about to be rewritten: its first
+    /// rewrite since the mark sets its bit and, if a prune may drop it,
+    /// keeps its current (marked) value. A level below the marked count
+    /// is still present at its first rewrite — only a prune removes
+    /// one, and a prune notes it first. Levels at or past the marked
+    /// count always diff as changed, so they need nothing.
+    fn note(&mut self, k: usize, cascade: &OnlineVarianceTime) {
+        if k >= self.levels || self.touched & (1 << k) != 0 {
+            return;
+        }
+        self.touched |= 1 << k;
+        if k >= self.prunable_from {
+            let (_, levels, partial) = cascade.raw_parts();
+            let at = self.prior.partition_point(|p| p.0 < k);
+            self.prior.insert(at, (k, levels[k], partial[k]));
+        }
+    }
+
+    /// The patch taking the marked cascade to `cascade`, or `None` when
+    /// the count went backwards or levels shrank: every level past the
+    /// marked count ships, and every rewritten level whose bits differ
+    /// from its marked bits (a rewritten level whose marked value was
+    /// not kept has certainly changed).
+    fn diff(&self, cascade: &OnlineVarianceTime) -> Option<CascadePatch> {
+        let (count, levels, partial) = cascade.raw_parts();
+        if count < self.count || levels.len() < self.levels {
+            return None;
+        }
+        let mut prior = self.prior.iter().peekable();
+        // At most: the four counted levels, the rewritten ones above,
+        // and those past the marked count.
+        let bound = NOTED_FROM + self.touched.count_ones() as usize + (levels.len() - self.levels);
+        let mut changed = Vec::with_capacity(bound.min(levels.len()));
+        for (k, (stats, carry)) in levels.iter().zip(partial).enumerate() {
+            let ships = if k >= self.levels {
+                true
+            } else if k < NOTED_FROM {
+                count >> k != self.count >> k
+            } else if self.touched & (1 << k) == 0 {
+                false
+            } else {
+                // Ascending on both sides: an entry is consumed at its
+                // own level.
+                !prior
+                    .next_if(|p| p.0 == k)
+                    .is_some_and(|(_, was, was_carry)| {
+                        (moments_bits(was), was_carry.map(f64::to_bits))
+                            == (moments_bits(stats), carry.map(f64::to_bits))
+                    })
+            };
+            if ships {
+                changed.push((k, *stats, *carry));
+            }
+        }
+        Some(CascadePatch {
+            count_delta: count - self.count,
+            new_levels: levels.len(),
+            changed,
+        })
+    }
+}
+
+/// What a live [`StreamSummary`] changed since it was last shipped:
+/// the counters of the shipped state, the tail ladder's counts, and
+/// journals of the reservoir slots and cascade levels rewritten since.
+/// [`SummaryJournal::patch`] is [`SummarySnapshot::diff_from`] against
+/// the shipped state, built from these alone — no copy of that state
+/// is kept — provided every push and compaction since the journal was
+/// made went through the summary's journaled paths.
+#[derive(Clone, Debug)]
+pub(crate) struct SummaryJournal {
+    /// Kept-sample (Welford) count at the mark. Only a push changes
+    /// the moments, and every push advances the count, so the moments
+    /// changed exactly when the count did.
+    moments_count: u64,
+    /// Tail-ladder counts and total at the mark.
+    tail_counts: Vec<u64>,
+    tail_total: u64,
+    reservoir: SlotJournal,
+    cascade: CascadeJournal,
+}
+
+impl SummaryJournal {
+    /// A journal marked at `s`'s current state. `compact_budget` is the
+    /// budget every compaction of `s` runs at, if any.
+    pub(crate) fn new(s: &StreamSummary, compact_budget: Option<usize>) -> Self {
+        // Compaction at the budget keeps the plan's levels (never
+        // fewer than 4), so only levels from there up are pruned and
+        // regrow.
+        let prunable_from =
+            compact_budget.map_or(usize::MAX, |b| compaction_plan(b, s.fixed_bytes()).0);
+        let mut journal = SummaryJournal {
+            moments_count: 0,
+            tail_counts: Vec::new(),
+            tail_total: 0,
+            reservoir: SlotJournal::default(),
+            cascade: CascadeJournal::new(&s.hurst, prunable_from),
+        };
+        journal.mark(s);
+        journal
+    }
+
+    /// Moves the mark to `s`'s current state, keeping the buffers.
+    pub(crate) fn mark(&mut self, s: &StreamSummary) {
+        self.moments_count = s.moments.count();
+        self.tail_counts.clone_from(&s.tail.counts);
+        self.tail_total = s.tail.total;
+        self.reservoir.mark(&s.reservoir);
+        self.cascade.mark(&s.hurst);
+    }
+
+    /// The fingerprint of the marked state.
+    pub(crate) fn fingerprint(&self) -> BaseFingerprint {
+        BaseFingerprint {
+            moments_count: self.moments_count,
+            reservoir_seen: self.reservoir.seen,
+            reservoir_len: self.reservoir.len as u64,
+            cascade_count: self.cascade.count,
+            cascade_levels: self.cascade.levels as u64,
+            tail_total: self.tail_total,
+        }
+    }
+
+    /// The patch taking the marked state to `s`, or `None` when the
+    /// pair is not diffable — exactly [`SummarySnapshot::diff_from`].
+    pub(crate) fn patch(&self, s: &StreamSummary) -> Option<SummaryPatch> {
+        let moments = (s.moments.count() != self.moments_count).then_some(s.moments);
+        let hurst = self.cascade.diff(&s.hurst)?;
+        let reservoir = self.reservoir.diff(&s.reservoir)?;
+        let tail = tail_deltas(
+            &s.tail.counts,
+            s.tail.total,
+            &self.tail_counts,
+            self.tail_total,
+        )?;
+        Some(SummaryPatch::of_sections(
+            moments,
+            (hurst, self.cascade.levels),
+            (reservoir, self.reservoir.len),
+            tail,
+        ))
     }
 }
 
@@ -650,7 +927,9 @@ impl StreamSummary {
 /// item). Floors of 4 levels (the fewest that keep
 /// `OnlineVarianceTime::estimate` possible: `m ∈ {2, 4, 8}`) and
 /// 4 items keep a tiny budget from destroying the summary outright, so
-/// the result is best-effort when `budget` is below the core size.
+/// the result is best-effort when `budget` is below the core size. The
+/// level floor also keeps the cascade's first four levels a binary
+/// counter, which is how a [`CascadeJournal`] tells them apart.
 fn compaction_plan(budget: usize, fixed: usize) -> (usize, usize) {
     let slack = budget.saturating_sub(fixed);
     let levels = ((slack * 3 / 5) / 56).clamp(4, 48);
@@ -692,6 +971,29 @@ pub struct SummaryPatch {
 }
 
 impl SummaryPatch {
+    /// Assembles a patch from its section diffs, each cascade and
+    /// reservoir diff paired with its base's level count or sample
+    /// length; a section that did not change is left out.
+    fn of_sections(
+        moments: Option<RunningStats>,
+        (hurst, base_levels): (CascadePatch, usize),
+        (reservoir, base_len): (ReservoirPatch, usize),
+        (deltas, total): (Vec<u64>, u64),
+    ) -> Self {
+        let hurst_same =
+            hurst.count_delta == 0 && hurst.changed.is_empty() && hurst.new_levels == base_levels;
+        let reservoir_same = reservoir.seen_delta == 0
+            && reservoir.slots.is_empty()
+            && reservoir.new_len == base_len;
+        let tail_same = total == 0 && deltas.iter().all(|&d| d == 0);
+        SummaryPatch {
+            moments,
+            hurst: (!hurst_same).then_some(hurst),
+            reservoir: (!reservoir_same).then_some(reservoir),
+            tail: (!tail_same).then_some((deltas, total)),
+        }
+    }
+
     /// `true` when every section is unchanged (the stream saw no kept
     /// points since the baseline — possible for a dirty key whose
     /// sampler skipped everything).
@@ -731,17 +1033,17 @@ impl SummarySnapshot {
     /// is not diffable (reservoir identity changed, cascade or sample
     /// shrank, ladder changed — ship the full entry instead).
     pub fn diff_from(&self, base: &SummarySnapshot) -> Option<SummaryPatch> {
-        self.view().diff_from(base)
-    }
-
-    /// The borrowed image [`SummarySnapshot::diff_from`] runs on.
-    pub(crate) fn view(&self) -> SummaryView<'_> {
-        SummaryView {
-            moments: &self.moments,
-            hurst: &self.hurst,
-            reservoir: self.reservoir.view(),
-            tail: &self.tail,
-        }
+        let moments =
+            (moments_bits(&self.moments) != moments_bits(&base.moments)).then_some(self.moments);
+        Some(SummaryPatch::of_sections(
+            moments,
+            (self.hurst.diff_from(&base.hurst)?, base.hurst.level_count()),
+            (
+                self.reservoir.diff_from(&base.reservoir)?,
+                base.reservoir.items.len(),
+            ),
+            self.tail.diff_from(&base.tail)?,
+        ))
     }
 
     /// Applies a [`SummarySnapshot::diff_from`] patch. Returns `false`
@@ -769,48 +1071,6 @@ impl SummarySnapshot {
             }
         }
         true
-    }
-}
-
-/// A borrowed image of a summary — live ([`StreamSummary`]) or
-/// snapshot ([`SummarySnapshot`]) — which both diff through, so the
-/// diff rule exists once.
-#[derive(Clone, Copy)]
-pub(crate) struct SummaryView<'a> {
-    moments: &'a RunningStats,
-    hurst: &'a OnlineVarianceTime,
-    reservoir: ReservoirView<'a>,
-    tail: &'a TailCounter,
-}
-
-impl SummaryView<'_> {
-    /// [`SummarySnapshot::diff_from`] on either form.
-    pub(crate) fn diff_from(self, base: &SummarySnapshot) -> Option<SummaryPatch> {
-        let moments =
-            (moments_bits(self.moments) != moments_bits(&base.moments)).then_some(*self.moments);
-        let hurst = {
-            let p = self.hurst.diff_from(&base.hurst)?;
-            let unchanged = p.count_delta == 0
-                && p.changed.is_empty()
-                && p.new_levels == base.hurst.level_count();
-            (!unchanged).then_some(p)
-        };
-        let reservoir = {
-            let p = self.reservoir.diff_from(&base.reservoir)?;
-            let unchanged =
-                p.seen_delta == 0 && p.slots.is_empty() && p.new_len == base.reservoir.items.len();
-            (!unchanged).then_some(p)
-        };
-        let tail = {
-            let (deltas, total) = self.tail.diff_from(&base.tail)?;
-            (total != 0 || deltas.iter().any(|&d| d != 0)).then_some((deltas, total))
-        };
-        Some(SummaryPatch {
-            moments,
-            hurst,
-            reservoir,
-            tail,
-        })
     }
 }
 
@@ -1003,25 +1263,167 @@ mod tests {
         assert_eq!(one, two, "same order, same inputs → identical bits");
     }
 
+    /// `journal.diff(&cascade)` against `cascade.diff_from(&marked)`.
+    fn assert_cascade_diff(
+        journal: &CascadeJournal,
+        cascade: &OnlineVarianceTime,
+        marked: &OnlineVarianceTime,
+    ) {
+        assert_eq!(journal.diff(cascade), cascade.diff_from(marked));
+    }
+
+    /// Pushes `v` into `cascade` through `journal`, as a journaled
+    /// summary does.
+    fn push_noted(cascade: &mut OnlineVarianceTime, journal: &mut CascadeJournal, v: f64) {
+        journal.note_push(cascade);
+        cascade.push(v);
+    }
+
     #[test]
-    fn live_view_diffs_and_snapshot_into_refresh_like_a_fresh_snapshot() {
-        let mut live = StreamSummary::new(&SummaryConfig::default(), 9);
-        for v in ramp(3000, 2.0) {
-            live.push(v);
+    fn cascade_journal_keeps_a_level_regrown_to_its_marked_bits_out() {
+        // Constant input, marked at 16 values: level 4 holds one block.
+        // Sixteen more values push into it, a prune drops it, and
+        // sixteen more regrow it to exactly its marked bits — so the
+        // comparison leaves it out, and so must the journal, which kept
+        // its marked value at the first push because a prune may drop
+        // it.
+        let mut cascade = OnlineVarianceTime::new();
+        for _ in 0..16 {
+            cascade.push(2.5);
         }
-        let base = live.snapshot();
-        for v in ramp(700, 5.0) {
-            live.push(v);
+        let marked = cascade.clone();
+        let mut journal = CascadeJournal::new(&cascade, 4);
+        for _ in 0..16 {
+            push_noted(&mut cascade, &mut journal, 2.5);
         }
-        let fresh = live.snapshot();
-        // The live form diffs exactly as its snapshot does.
-        assert_eq!(live.view().diff_from(&base), fresh.diff_from(&base));
-        assert!(fresh.diff_from(&base).is_some_and(|p| !p.is_empty()));
-        // Refreshing a stale (here also compacted, so shorter) baseline
-        // in place gives the fresh snapshot's exact state.
-        let mut stale = base.clone();
-        stale.compact(256);
-        live.snapshot_into(&mut stale);
-        assert_eq!(stale, fresh);
+        journal.note_prune(4, &cascade);
+        cascade.prune_levels(4);
+        for _ in 0..16 {
+            push_noted(&mut cascade, &mut journal, 2.5);
+        }
+        let want = cascade
+            .diff_from(&marked)
+            .expect("regrown to the marked level count");
+        assert!(
+            want.changed.iter().all(|c| c.0 != 4),
+            "level 4 regrew unchanged"
+        );
+        assert_cascade_diff(&journal, &cascade, &marked);
+    }
+
+    #[test]
+    fn cascade_journal_diff_equals_the_comparison() {
+        // Random pushes (values repeat), prunes at or above the
+        // journal's floor, and marks at random points.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for prunable_from in [4, 6, usize::MAX] {
+            let mut cascade = OnlineVarianceTime::new();
+            let mut marked = cascade.clone();
+            let mut journal = CascadeJournal::new(&cascade, prunable_from);
+            let (mut diffable, mut undiffable) = (0, 0);
+            for _ in 0..3_000 {
+                match next(10) {
+                    0 if prunable_from != usize::MAX => {
+                        let keep = prunable_from + next(3) as usize;
+                        journal.note_prune(keep, &cascade);
+                        cascade.prune_levels(keep);
+                    }
+                    1 => {
+                        assert_cascade_diff(&journal, &cascade, &marked);
+                        if cascade.diff_from(&marked).is_some() {
+                            diffable += 1;
+                        } else {
+                            undiffable += 1;
+                        }
+                        journal.mark(&cascade);
+                        marked = cascade.clone();
+                    }
+                    _ => {
+                        for _ in 0..next(40) {
+                            let v = [1.0, -1.0, 0.5][next(3) as usize];
+                            push_noted(&mut cascade, &mut journal, v);
+                        }
+                    }
+                }
+            }
+            assert!(diffable > 100, "{diffable} diffable");
+            assert_eq!(undiffable > 0, prunable_from != usize::MAX);
+        }
+    }
+
+    #[test]
+    fn journal_patch_matches_the_snapshot_diff() {
+        // A journaled live summary, diffed against its last mark, gives
+        // exactly the patch and fingerprint its snapshot diffs to
+        // against the marked snapshot — through equal-value slot
+        // rewrites (values repeat), compactions that prune cascade
+        // levels which later regrow, reservoir clamps, and marks that
+        // come at random points.
+        use crate::diff::BaseFingerprint;
+        use crate::engine::StreamEntry;
+        use sst_core::stream::SamplerSnapshot;
+        let fingerprint = |summary: SummarySnapshot| {
+            BaseFingerprint::of(&StreamEntry {
+                key: 0,
+                sampler: SamplerSnapshot::default(),
+                summary,
+            })
+        };
+        for (cap, budget) in [(64, None), (200, None), (8, Some(600)), (64, Some(900))] {
+            let config = SummaryConfig {
+                reservoir_capacity: cap,
+                ..SummaryConfig::default()
+            };
+            let mut live = StreamSummary::new(&config, 11);
+            let mut shipped = live.snapshot();
+            let mut journal = SummaryJournal::new(&live, budget);
+            let mut state = 0x2545_F491_4F6C_DD1Du64;
+            let mut next = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let (mut diffable, mut undiffable) = (0, 0);
+            for _ in 0..400 {
+                let run = next(64);
+                let value = [40.0, 576.0, 1500.0, 2.5][next(4) as usize];
+                for _ in 0..run {
+                    live.push_journaled(value, Some(&mut journal));
+                }
+                if let Some(b) = budget.filter(|_| next(3) == 0) {
+                    live.compact_journaled(b, Some(&mut journal));
+                }
+                if next(2) == 0 {
+                    let now = live.snapshot();
+                    let want = now.diff_from(&shipped);
+                    assert_eq!(journal.patch(&live), want, "cap {cap} budget {budget:?}");
+                    assert_eq!(journal.fingerprint(), fingerprint(shipped));
+                    if want.is_some() {
+                        diffable += 1;
+                    } else {
+                        undiffable += 1;
+                    }
+                    journal.mark(&live);
+                    shipped = now;
+                }
+            }
+            assert!(
+                diffable > 50,
+                "cap {cap} budget {budget:?}: {diffable} diffable"
+            );
+            if budget.is_some() {
+                assert!(
+                    undiffable > 0,
+                    "cap {cap} budget {budget:?}: nothing shrank"
+                );
+            }
+        }
     }
 }

@@ -41,12 +41,13 @@
 //! The `topology_wire` integration tests pin this bit-for-bit over both
 //! in-memory pipes and Unix sockets.
 
-use crate::codec::{encoded_diff_len, encoded_entry_len};
-use crate::diff::{apply_diff, diff_view, StreamDiff};
+use crate::codec::encoded_diff_len;
+use crate::diff::{apply_diff, StreamDiff};
 use crate::engine::{EngineSnapshot, MonitorConfig, MonitorEngine, StreamEntry};
 use crate::sketch::SketchSnapshot;
 use crate::wire::{
-    encode_frame, encode_frame_seq, Frame, FrameDecoder, HelloResume, WireError, WIRE_VERSION,
+    encode_diff_frame_seq, encode_frame, encode_frame_seq, Frame, FrameDecoder, HelloResume,
+    WireError, WIRE_VERSION,
 };
 use bytes::Bytes;
 use sst_core::stream::StreamDecision;
@@ -56,8 +57,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
-/// A [`Collector`]'s session state: the unacked replay window and the
-/// eviction log behind resumable sessions.
+/// A [`Collector`]'s session state: the unacked replay window, the
+/// eviction log behind resumable sessions, and whether differential
+/// flushes are still on. What each live key last shipped lives with
+/// its stream in the engine, not here.
 struct SeqState {
     /// Sequence number the next sealed data frame gets.
     next_seq: u64,
@@ -76,20 +79,22 @@ struct SeqState {
     /// A `Bye` has been sealed; a resync must re-seal it after the
     /// re-baseline frames.
     bye_sealed: bool,
-    /// Last cumulative entry shipped per live key — what the
-    /// aggregator's live view holds under the seq watermark, and the
-    /// base every wire-v4 `DeltaDiff` is computed against. Rebuilt
-    /// from the `FullSnapshot` on resync; evicted keys drop out.
-    baseline: BTreeMap<u64, StreamEntry>,
     /// `Resync` round-trips served this session. Each one says the
-    /// aggregator's live view diverged from `baseline` (lost frames, a
-    /// restart, or server-side compaction rewriting entries under us).
+    /// aggregator's live view diverged from what this collector
+    /// shipped (lost frames, a restart, or server-side compaction
+    /// rewriting entries under us).
     resyncs: u32,
     /// Ship differential frames where they are smaller. Cleared past
     /// [`RESYNC_DIFF_LIMIT`]: against a peer that keeps diverging
     /// (e.g. an aggregator compacting its live entries), diffs only
     /// buy resync storms — cumulative `Delta`s are then strictly
     /// better.
+    ///
+    /// While it is set, every live stream that has shipped keeps the
+    /// record of its last ship — what the aggregator's live view holds
+    /// for it under the seq watermark, and the base its next
+    /// `DeltaDiff` is computed against. The collector keeps no copy of
+    /// the shipped entries.
     diff_enabled: bool,
 }
 
@@ -101,17 +106,33 @@ impl SeqState {
             window: VecDeque::new(),
             evicted_log: Vec::new(),
             bye_sealed: false,
-            baseline: BTreeMap::new(),
             resyncs: 0,
             diff_enabled: true,
         }
     }
 
     fn seal(&mut self, frame: &Frame) -> u64 {
+        self.seal_with(|seq| encode_frame_seq(seq, frame))
+    }
+
+    /// Seals the frame `encode` writes under the next seq.
+    fn seal_with(&mut self, encode: impl FnOnce(u64) -> Bytes) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.window.push_back((seq, encode_frame_seq(seq, frame)));
+        self.window.push_back((seq, encode(seq)));
         seq
+    }
+
+    /// Seals `diffs` as `DeltaDiff` frames of about
+    /// [`TARGET_FRAME_BYTES`] each, `lens[i]` being the encoded length
+    /// of `diffs[i]`.
+    fn seal_diffs(&mut self, diffs: &[StreamDiff], lens: &[usize]) {
+        let mut at = 0;
+        for n in chunk_lens(lens.iter().copied()) {
+            let (chunk, bytes) = (&diffs[at..at + n], lens[at..at + n].iter().sum());
+            self.seal_with(|seq| encode_diff_frame_seq(seq, chunk, bytes));
+            at += n;
+        }
     }
 
     /// Seals `finals` as `Evicted` frames and moves each final into
@@ -159,15 +180,13 @@ fn entry_frame_bytes(e: &StreamEntry) -> usize {
     64 + e.summary.estimated_bytes()
 }
 
-/// Splits `items` into owned chunks at [`TARGET_FRAME_BYTES`]
-/// boundaries of `size` (always at least one item per chunk), moving
-/// every item once; a single chunk is `items` itself.
-fn frame_chunks<T>(mut items: Vec<T>, size: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
-    // Chunk lengths first, so the splits below move each item once.
+/// The item counts of consecutive chunks of items of the given
+/// `sizes`, split greedily at [`TARGET_FRAME_BYTES`] (always at least
+/// one item per chunk).
+fn chunk_lens(sizes: impl Iterator<Item = usize>) -> Vec<usize> {
     let mut lens = Vec::new();
     let (mut bytes, mut n) = (0usize, 0usize);
-    for item in &items {
-        let b = size(item);
+    for b in sizes {
         if n > 0 && bytes + b > TARGET_FRAME_BYTES {
             lens.push(n);
             (bytes, n) = (0, 0);
@@ -178,6 +197,15 @@ fn frame_chunks<T>(mut items: Vec<T>, size: impl Fn(&T) -> usize) -> Vec<Vec<T>>
     if n > 0 {
         lens.push(n);
     }
+    lens
+}
+
+/// Splits `items` into owned chunks at [`TARGET_FRAME_BYTES`]
+/// boundaries of `size` (see [`chunk_lens`]), moving every item once;
+/// a single chunk is `items` itself.
+fn frame_chunks<T>(mut items: Vec<T>, size: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
+    // Chunk lengths first, so the splits below move each item once.
+    let lens = chunk_lens(items.iter().map(size));
     let Some((_, tail)) = lens.split_first() else {
         return Vec::new();
     };
@@ -223,7 +251,11 @@ impl Collector {
     ///
     /// The engine's `retain_evicted` is forced **off**: evicted finals
     /// leave through `Evicted` frames and the aggregator owns them —
-    /// holding a second copy here would defeat the memory bound.
+    /// holding a second copy here would defeat the memory bound. For
+    /// the same reason the collector keeps no copy of the live entries
+    /// it shipped: the engine lists the keys touched between seals, and
+    /// each shipped stream carries a record of its last ship from which
+    /// the next seal builds its diff.
     ///
     /// # Panics
     ///
@@ -279,62 +311,50 @@ impl Collector {
     ///
     /// A dirty entry ships as a diff only when all of: diffing is
     /// still on (it turns off for the session after more than two
-    /// resyncs, `RESYNC_DIFF_LIMIT`), a baseline for the key exists
-    /// (it was shipped before and not evicted since), the pair is
-    /// structurally diffable (counters only grew, reservoir/cascade
-    /// never shrank), and the encoded diff is strictly smaller than the
-    /// encoded cumulative entry. Anything else falls back to the
-    /// cumulative `Delta` path — correctness never depends on diffing.
+    /// resyncs, `RESYNC_DIFF_LIMIT`), the stream has shipped before
+    /// (and was not evicted since — an evicted stream's state, ship
+    /// record included, is gone, and the aggregator drops the key from
+    /// its live view), the pair is structurally diffable (counters only
+    /// grew, reservoir/cascade never shrank), and the encoded diff is
+    /// strictly smaller than the encoded cumulative entry. Anything
+    /// else falls back to the cumulative `Delta` path — correctness
+    /// never depends on diffing.
     ///
-    /// The seal costs one baseline lookup per dirty key and builds no
-    /// snapshot for a key that already has a baseline: the key's *live*
-    /// state is diffed against the baseline, then the baseline is
-    /// overwritten with that state in place, reusing its buffers
-    /// (`clone_from`). An entry is cloned only when it ships
-    /// cumulatively while diffing is on, and the diff, cumulative and
-    /// evicted vectors move into their frames.
+    /// The seal costs what changed, not what is held: each dirty
+    /// stream builds its diff from its ship record — the counters it
+    /// last shipped and the journal of reservoir slots and cascade
+    /// levels rewritten since (see [`crate::diff`]) — then restarts
+    /// the record at its current state. A snapshot is built only for
+    /// an entry that ships cumulatively, and each diff's encoded length
+    /// is computed once, for the size rule, the frame split and the
+    /// frame buffer alike.
     pub fn seal_flush(&mut self) {
         let evicted = self.engine.drain_evicted();
         let sketch = self.engine.sketch_snapshot();
+        let budget = self.engine.config().lifecycle.compact_budget;
         let st = &mut self.seq;
-        // An evicted key's baseline is gone on both sides: the
-        // aggregator drops it from the live view, so a reappearing key
-        // must re-ship cumulatively.
-        for e in &evicted {
-            st.baseline.remove(&e.key);
-        }
         st.seal_evicted(evicted);
-        // Partition dirty keys: diff where the differential encoding
-        // wins, cumulative otherwise. Either way the key's live state
-        // becomes its baseline for the next seal.
-        let mut diffs: Vec<StreamDiff> = Vec::new();
-        let mut full: Vec<StreamEntry> = Vec::new();
-        for (key, state) in self.engine.dirty_states() {
-            if !st.diff_enabled {
+        let diff_enabled = st.diff_enabled;
+        let (mut diffs, mut lens, mut full) = (Vec::new(), Vec::new(), Vec::new());
+        self.engine.for_each_dirty(|key, state| {
+            if !diff_enabled {
                 full.push(state.entry(key));
-                continue;
+                return;
             }
-            match st.baseline.entry(key) {
-                Entry::Occupied(mut slot) => {
-                    let base = slot.get_mut();
-                    let sampler = state.sampler.snapshot();
-                    let diff = diff_view(base, key, &sampler, state.summary.view());
-                    // Overwrite the baseline in place, reusing its
-                    // buffers; it is now the entry a `Delta` would ship.
-                    base.sampler = sampler;
-                    state.summary.snapshot_into(&mut base.summary);
-                    match diff.filter(|d| encoded_diff_len(d) < encoded_entry_len(base)) {
-                        Some(d) => diffs.push(d),
-                        None => full.push(base.clone()),
-                    }
+            let diff = state
+                .reship(key, budget)
+                .map(|d| (encoded_diff_len(&d), d))
+                .filter(|(len, _)| *len < state.summary.encoded_entry_len());
+            match diff {
+                Some((len, d)) => {
+                    lens.push(len);
+                    diffs.push(d);
                 }
-                Entry::Vacant(slot) => full.push(slot.insert(state.entry(key)).clone()),
+                None => full.push(state.entry(key)),
             }
-        }
+        });
         self.engine.clear_dirty();
-        for chunk in frame_chunks(diffs, encoded_diff_len) {
-            st.seal(&Frame::DeltaDiff(chunk));
-        }
+        st.seal_diffs(&diffs, &lens);
         // The cumulative sketch image rides the last sealed Delta —
         // never a DeltaDiff, whose payload is per-stream only.
         for frame in delta_frames(full, sketch) {
@@ -389,9 +409,13 @@ impl Collector {
     /// of the entire live engine state, then the `Bye` again if one
     /// was already sealed. Returns the `Resync`-mode `Hello` to send
     /// before the rebuilt window.
+    ///
+    /// The `FullSnapshot` ships every live stream, so each one's ship
+    /// record restarts at its current state — or is dropped, with its
+    /// journal, once diffing has stopped for the session.
     pub fn handle_resync(&mut self, from_seq: u64) -> Frame {
-        // Everything pending joins the baseline: dirty keys are in the
-        // full snapshot, pending evictions seal first.
+        // Everything pending joins the re-baseline: dirty keys are in
+        // the full snapshot, pending evictions seal first.
         let pending = self.engine.drain_evicted();
         let snap = self.engine.snapshot();
         self.engine.clear_dirty();
@@ -421,10 +445,13 @@ impl Collector {
         if st.resyncs > RESYNC_DIFF_LIMIT {
             st.diff_enabled = false;
         }
-        st.baseline.clear();
-        if st.diff_enabled {
-            st.baseline
-                .extend(snap.streams().iter().map(|e| (e.key, e.clone())));
+        let budget = self.engine.config().lifecycle.compact_budget;
+        for (_, state) in self.engine.live_states_mut() {
+            if st.diff_enabled {
+                state.mark_shipped(budget);
+            } else {
+                state.forget_shipped();
+            }
         }
         st.seal(&Frame::FullSnapshot(snap));
         if st.bye_sealed {
@@ -1788,5 +1815,180 @@ mod tests {
         twice.feed_seq(3, None, delta).unwrap();
         assert_eq!(once.snapshot(), twice.snapshot());
         assert_eq!(once.snapshot(), engine.snapshot());
+    }
+
+    /// Checks the frames a seal (or resync) just added to `c`'s window
+    /// against the comparison rule, moving `shipped` — the model of
+    /// the aggregator's live view — along. Returns how many entries
+    /// shipped as diffs, and cumulatively as first sightings, as
+    /// undiffable pairs, as diffs not strictly smaller, and after
+    /// diffing stopped.
+    fn check_window(
+        c: &Collector,
+        from_seq: u64,
+        shipped: &mut BTreeMap<u64, StreamEntry>,
+    ) -> [usize; 5] {
+        let live: BTreeMap<u64, StreamEntry> = c
+            .engine()
+            .snapshot()
+            .into_streams()
+            .into_iter()
+            .map(|e| (e.key, e))
+            .collect();
+        let diffing = c.resyncs() <= RESYNC_DIFF_LIMIT;
+        let mut counts = [0; 5];
+        for (_, bytes) in c.unsent_window(from_seq) {
+            let mut dec = FrameDecoder::new();
+            dec.push(bytes);
+            let frame = dec.next_seq_frame().unwrap().unwrap().frame;
+            match frame {
+                Frame::Evicted(finals) => {
+                    for e in finals {
+                        shipped.remove(&e.key);
+                    }
+                }
+                Frame::FullSnapshot(snap) => {
+                    assert_eq!(snap.streams(), c.engine().snapshot().streams());
+                    shipped.clear();
+                    shipped.extend(snap.into_streams().into_iter().map(|e| (e.key, e)));
+                }
+                Frame::DeltaDiff(diffs) => {
+                    assert!(diffing, "no diff ships once diffing stopped");
+                    for d in diffs {
+                        let now = &live[&d.key];
+                        let base = shipped.get(&d.key).expect("a diff has a shipped base");
+                        assert_eq!(Some(&d), crate::diff_entry(base, now).as_ref());
+                        shipped.insert(d.key, now.clone());
+                        counts[0] += 1;
+                    }
+                }
+                Frame::Delta(snap) => {
+                    for e in snap.into_streams() {
+                        assert_eq!(&e, &live[&e.key]);
+                        let reason = match shipped.get(&e.key) {
+                            _ if !diffing => 4,
+                            None => 1,
+                            Some(base) => match crate::diff_entry(base, &e) {
+                                None => 2,
+                                Some(d) => {
+                                    let s = &e.summary;
+                                    let rungs = s.tail.raw_parts().0.len();
+                                    let full = crate::codec::encoded_entry_len(
+                                        &s.hurst,
+                                        s.reservoir.items.len(),
+                                        rungs,
+                                    );
+                                    assert!(
+                                        encoded_diff_len(&d) >= full,
+                                        "key {} shipped cumulatively though its diff is smaller",
+                                        e.key
+                                    );
+                                    3
+                                }
+                            },
+                        };
+                        counts[reason] += 1;
+                        shipped.insert(e.key, e);
+                    }
+                }
+                Frame::Bye => {}
+                other => panic!("unexpected {} frame", other.kind_name()),
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn journaled_seal_ships_what_the_comparison_rule_would() {
+        // Seeded op sequences on a collector: batches with repeated
+        // values (slots rewritten with equal values), sweeps whose
+        // compaction prunes cascade levels that later regrow, idle
+        // eviction and re-appearance, resyncs at random seals, and
+        // reservoir capacities either side of 64. After every seal the
+        // sealed frames must be exactly what comparing each key's
+        // current entry with its last shipped entry decides.
+        let (mut stopped, mut not_smaller) = (0, 0);
+        let arms = [
+            (1u64, 64usize, true),
+            (2, 200, false),
+            (3, 64, false),
+            (4, 200, true),
+        ];
+        for (seed, capacity, compacting) in arms {
+            let mut config = MonitorConfig::default()
+                .sampler(SamplerSpec::Bss {
+                    interval: 3,
+                    epsilon: 1.0,
+                    n_pre: 8,
+                    l: 2,
+                })
+                .seed(seed)
+                .shards(2)
+                .reservoir_capacity(capacity)
+                .evict_idle_after(3_000)
+                .sweep_every(2_500);
+            if compacting {
+                config = config.compact_budget(900);
+            }
+            let mut c = Collector::new_sequenced(1, config);
+            let mut shipped = BTreeMap::new();
+            let mut totals = [0; 5];
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            for round in 0..100u64 {
+                // A hot set, plus a warm set that rotates away (and
+                // idles out) and comes back every 8 rounds, plus a key
+                // first seen with one point whose burst next round
+                // outgrows what it shipped.
+                let warm = 100 + (round / 2 % 4) * 10;
+                let mut batch: Vec<(u64, f64)> = (0..200 + next(1800))
+                    .map(|_| {
+                        let key = if next(3) == 0 {
+                            next(12)
+                        } else {
+                            warm + next(10)
+                        };
+                        (key, [40.0, 576.0, 1500.0, 1500.0][next(4) as usize])
+                    })
+                    .collect();
+                batch.push((1_000 + round, 40.0));
+                batch.extend((0..900).map(|i| (999 + round, f64::from(40 + i % 7))));
+                c.offer_batch(&batch);
+                let from_seq = c.next_seq();
+                if next(25) == 0 {
+                    c.handle_resync(next(from_seq + 1));
+                } else {
+                    c.seal_flush();
+                }
+                let counts = check_window(&c, from_seq, &mut shipped);
+                for (t, n) in totals.iter_mut().zip(counts) {
+                    *t += n;
+                }
+                c.ack(c.next_seq().saturating_sub(1));
+            }
+            let [diffs, first, undiffable, larger, after_limit] = totals;
+            not_smaller += larger;
+            assert!(diffs > 200, "seed {seed}: {diffs} diffs");
+            assert!(first > 30, "seed {seed}: {first} first sightings");
+            assert_eq!(
+                undiffable > 0,
+                compacting,
+                "seed {seed}: {undiffable} undiffable"
+            );
+            assert!(c.engine().lifecycle_stats().evicted > 0, "seed {seed}");
+            if c.resyncs() > RESYNC_DIFF_LIMIT {
+                // Once diffing stops, no stream keeps a ship record.
+                assert!(after_limit > 0);
+                stopped += 1;
+                assert!(c.engine.live_states_mut().all(|(_, st)| !st.is_shipped()));
+            }
+        }
+        assert!(stopped > 0, "some session outlives its diffing");
+        assert!(not_smaller > 0, "no diff lost on size");
     }
 }

@@ -66,11 +66,12 @@
 //! [`FrameDecoder`] one byte at a time.
 
 use crate::codec::{
-    decode_diff_payload, decode_snapshot, encode_diff_payload, encode_snapshot, SnapshotCodecError,
+    decode_diff_payload, decode_snapshot, diff_payload_len, encoded_diff_len, put_diff_payload,
+    put_snapshot, snapshot_len_hint, SnapshotCodecError,
 };
 use crate::diff::StreamDiff;
 use crate::engine::{EngineSnapshot, StreamEntry};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
 
 /// Magic bytes opening every framed (v2/v3) frame.
@@ -296,53 +297,45 @@ pub struct SeqFrame {
 ///
 /// [`topology::Collector`]: crate::topology::Collector
 pub fn encode_frame(frame: &Frame) -> Bytes {
-    let (version, kind, payload): (u8, u8, Bytes) = match frame {
+    match frame {
         Frame::Hello {
             protocol,
             collector_id,
             resume: None,
-        } => {
-            let mut b = BytesMut::with_capacity(9);
+        } => assemble(WIRE_VERSION_FRAMED, KIND_HELLO, None, 9, |b| {
             b.put_u8(*protocol);
             b.put_u64_le(*collector_id);
-            (WIRE_VERSION_FRAMED, KIND_HELLO, b.freeze())
-        }
+        }),
         Frame::Hello {
             protocol,
             collector_id,
             resume: Some(resume),
-        } => {
-            let mut b = BytesMut::with_capacity(18);
+        } => assemble(WIRE_VERSION, KIND_HELLO, None, 18, |b| {
             b.put_u8(*protocol);
             b.put_u64_le(*collector_id);
             b.put_u8(resume.mode_byte());
             b.put_u64_le(resume.first_seq());
-            (WIRE_VERSION, KIND_HELLO, b.freeze())
-        }
-        Frame::FullSnapshot(snap) => (WIRE_VERSION_FRAMED, KIND_FULL, encode_snapshot(snap)),
-        Frame::Delta(snap) => (WIRE_VERSION_FRAMED, KIND_DELTA, encode_snapshot(snap)),
-        Frame::Evicted(entries) => (
+        }),
+        Frame::FullSnapshot(snap) => snapshot_frame(WIRE_VERSION_FRAMED, KIND_FULL, None, snap),
+        Frame::Delta(snap) => snapshot_frame(WIRE_VERSION_FRAMED, KIND_DELTA, None, snap),
+        Frame::Evicted(entries) => snapshot_frame(
             WIRE_VERSION_FRAMED,
             KIND_EVICTED,
-            encode_snapshot(&EngineSnapshot::from_streams(entries.clone())),
+            None,
+            &EngineSnapshot::from_streams(entries.clone()),
         ),
         Frame::DeltaDiff(_) => {
             panic!("DeltaDiff frames are sequenced; use encode_frame_seq")
         }
-        Frame::Bye => (WIRE_VERSION_FRAMED, KIND_BYE, Bytes::new()),
-        Frame::Ack { through_seq } => (
-            WIRE_VERSION,
-            KIND_ACK,
-            Bytes::copy_from_slice(&through_seq.to_le_bytes()),
-        ),
-        Frame::Resync { from_seq } => (
-            WIRE_VERSION,
-            KIND_RESYNC,
-            Bytes::copy_from_slice(&from_seq.to_le_bytes()),
-        ),
-        Frame::Shutdown => (WIRE_VERSION, KIND_SHUTDOWN, Bytes::new()),
-    };
-    assemble(version, kind, &payload, None)
+        Frame::Bye => assemble(WIRE_VERSION_FRAMED, KIND_BYE, None, 0, |_| {}),
+        Frame::Ack { through_seq } => assemble(WIRE_VERSION, KIND_ACK, None, 8, |b| {
+            b.put_u64_le(*through_seq);
+        }),
+        Frame::Resync { from_seq } => assemble(WIRE_VERSION, KIND_RESYNC, None, 8, |b| {
+            b.put_u64_le(*from_seq);
+        }),
+        Frame::Shutdown => assemble(WIRE_VERSION, KIND_SHUTDOWN, None, 0, |_| {}),
+    }
 }
 
 /// Serializes one **data** frame (`FullSnapshot`, `Delta`, `Evicted`,
@@ -355,40 +348,71 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
 /// carry a data sequence number (`Hello` encodes its resume info via
 /// [`encode_frame`]; control frames are unsequenced).
 pub fn encode_frame_seq(seq: u64, frame: &Frame) -> Bytes {
-    let (kind, payload): (u8, Bytes) = match frame {
-        Frame::FullSnapshot(snap) => (KIND_FULL, encode_snapshot(snap)),
-        Frame::Delta(snap) => (KIND_DELTA, encode_snapshot(snap)),
-        Frame::Evicted(entries) => (
+    match frame {
+        Frame::FullSnapshot(snap) => snapshot_frame(WIRE_VERSION, KIND_FULL, Some(seq), snap),
+        Frame::Delta(snap) => snapshot_frame(WIRE_VERSION, KIND_DELTA, Some(seq), snap),
+        Frame::Evicted(entries) => snapshot_frame(
+            WIRE_VERSION,
             KIND_EVICTED,
-            encode_snapshot(&EngineSnapshot::from_streams(entries.clone())),
+            Some(seq),
+            &EngineSnapshot::from_streams(entries.clone()),
         ),
-        Frame::DeltaDiff(diffs) => (KIND_DELTA_DIFF, encode_diff_payload(diffs)),
-        Frame::Bye => (KIND_BYE, Bytes::new()),
+        Frame::DeltaDiff(diffs) => {
+            encode_diff_frame_seq(seq, diffs, diffs.iter().map(encoded_diff_len).sum())
+        }
+        Frame::Bye => assemble(WIRE_VERSION, KIND_BYE, Some(seq), 0, |_| {}),
         other => panic!("{} frames do not carry a data seq", other.kind_name()),
-    };
-    assemble(WIRE_VERSION, kind, &payload, Some(seq))
+    }
 }
 
-fn assemble(version: u8, kind: u8, payload: &[u8], seq: Option<u64>) -> Bytes {
+/// [`encode_frame_seq`] of a `DeltaDiff` frame carrying `diffs`, whose
+/// [`encoded_diff_len`]s sum to `entries_len` — a collector's seal has
+/// computed each one already.
+pub(crate) fn encode_diff_frame_seq(seq: u64, diffs: &[StreamDiff], entries_len: usize) -> Bytes {
+    let len = diff_payload_len(diffs.len(), entries_len);
+    assemble(WIRE_VERSION, KIND_DELTA_DIFF, Some(seq), len, |b| {
+        put_diff_payload(b, diffs);
+    })
+}
+
+fn snapshot_frame(version: u8, kind: u8, seq: Option<u64>, snap: &EngineSnapshot) -> Bytes {
+    assemble(version, kind, seq, snapshot_len_hint(snap), |b| {
+        put_snapshot(b, snap);
+    })
+}
+
+/// One frame: header, the seq when there is one, then the payload
+/// `put_payload` appends (about `payload_hint` bytes), all written
+/// into a single buffer; the length field is filled in last.
+fn assemble(
+    version: u8,
+    kind: u8,
+    seq: Option<u64>,
+    payload_hint: usize,
+    put_payload: impl FnOnce(&mut Vec<u8>),
+) -> Bytes {
+    let head = FRAME_MAGIC.len() + 6;
     let seq_len = if seq.is_some() { 8 } else { 0 };
-    assert!(
-        payload.len() + seq_len <= MAX_FRAME_BYTES,
-        "frame payload {} exceeds the {} B wire cap — chunk the snapshot across frames",
-        payload.len(),
-        MAX_FRAME_BYTES
-    );
-    let mut buf = BytesMut::with_capacity(FRAME_MAGIC.len() + 6 + seq_len + payload.len());
+    let mut buf = Vec::with_capacity(head + seq_len + payload_hint);
     buf.put_slice(FRAME_MAGIC);
     buf.put_u8(version);
     buf.put_u8(kind);
-    let len = u32::try_from(payload.len() + seq_len)
-        .expect("frame length fits u32: capped at MAX_FRAME_BYTES by the assert above");
-    buf.put_u32_le(len);
+    buf.put_u32_le(0);
     if let Some(s) = seq {
         buf.put_u64_le(s);
     }
-    buf.put_slice(payload);
-    buf.freeze()
+    put_payload(&mut buf);
+    let len = buf.len() - head;
+    assert!(
+        len <= MAX_FRAME_BYTES,
+        "frame payload {} exceeds the {} B wire cap — chunk the snapshot across frames",
+        len - seq_len,
+        MAX_FRAME_BYTES
+    );
+    let len = u32::try_from(len)
+        .expect("frame length fits u32: capped at MAX_FRAME_BYTES by the assert above");
+    buf[head - 4..head].copy_from_slice(&len.to_le_bytes());
+    Bytes::from(buf)
 }
 
 /// Reads an exactly-8-byte little-endian `u64` field without a panic
@@ -669,6 +693,7 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<Frame>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_snapshot;
     use crate::engine::{MonitorConfig, MonitorEngine, SamplerSpec};
 
     fn sample_snapshot(seed: u64) -> EngineSnapshot {

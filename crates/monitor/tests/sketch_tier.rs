@@ -11,13 +11,17 @@
 //! * promotion/demotion is deterministic, eviction frees exact slots,
 //!   and the sketch image rides the collector → aggregator topology
 //!   byte-identically,
-//! * tiered snapshot and collector wire bytes match pinned digests.
+//! * tiered snapshot and collector wire bytes match pinned digests,
+//!   and so do an untiered steady-workload collector's wire bytes.
 
 mod common;
 
 use common::{finish, flush, ingest};
 use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::{encode_snapshot, MonitorConfig, MonitorEngine, SamplerSpec, TierConfig};
+use sst_monitor::{
+    encode_frame, encode_snapshot, MonitorConfig, MonitorEngine, SamplerSpec, TierConfig,
+};
+use sst_nettrace::TraceSynthesizer;
 use sst_traffic::FgnGenerator;
 
 fn tiered(max_exact: usize) -> MonitorConfig {
@@ -511,6 +515,93 @@ fn tiered_bytes_match_pinned_digests() {
             (snapshot, wire),
             (snapshot_pin, wire_pin),
             "seed {seed} shards {shards}"
+        );
+    }
+}
+
+/// OD-keyed packet sizes (40..1500 B, many repeats) from a short
+/// Bell-Labs-like trace: thousands of points per busy key.
+fn steady_points(seed: u64) -> Vec<(u64, f64)> {
+    TraceSynthesizer::bell_labs_like()
+        .hosts(40)
+        .duration(240.0)
+        .mean_rate(4.0e5)
+        .synthesize(seed)
+        .od_keyed_points()
+}
+
+/// Writes a `Resync {from_seq}` answer to `wire` — the `Resync`-mode
+/// `Hello`, then the rebuilt window — and acks it.
+fn resync(c: &mut Collector, from_seq: u64, wire: &mut Vec<u8>) {
+    let hello = c.handle_resync(from_seq);
+    wire.extend_from_slice(&encode_frame(&hello));
+    let mut through = None;
+    for (seq, bytes) in c.unsent_window(0) {
+        wire.extend_from_slice(bytes);
+        through = Some(seq);
+    }
+    if let Some(seq) = through {
+        c.ack(seq);
+    }
+}
+
+#[test]
+fn steady_bytes_match_pinned_digests() {
+    // FNV-1a digests of every byte an *untiered* collector on the
+    // steady OD workload's sampler and ladder ships, where `DeltaDiff`
+    // frames dominate: `Hello`, each 2 000-point flush's sealed window,
+    // one mid-session resync, and the closing frames. They were taken
+    // while every seal still compared each key's live state with a
+    // stored copy of its last shipped entry, and they are the same for
+    // every shard count. One arm runs a reservoir above 64 slots.
+    const PINS: [(u64, usize, u64); 3] = [
+        (5, 64, 0x9ef4_2e31_b363_9e18),
+        (29, 64, 0xcef9_98ca_f885_573a),
+        (5, 200, 0xacbd_21a7_f7b5_ba67),
+    ];
+    for ((seed, capacity, pin), shards) in PINS
+        .into_iter()
+        .flat_map(|pin| [1usize, 2, 8].map(|shards| (pin, shards)))
+    {
+        let config = MonitorConfig::default()
+            .sampler(SamplerSpec::Bss {
+                interval: 10,
+                epsilon: 1.0,
+                n_pre: 16,
+                l: 4,
+            })
+            .seed(seed)
+            .shards(shards)
+            .reservoir_capacity(capacity)
+            .tail_thresholds(vec![64.0, 256.0, 576.0, 1024.0, 1400.0]);
+        let pts = steady_points(seed);
+        let chunks: Vec<&[(u64, f64)]> = pts.chunks(2_000).collect();
+        let mut reference = MonitorEngine::new(config.clone());
+        let mut collector = Collector::new_sequenced(7, config);
+        let mut wire = Vec::new();
+        for (i, chunk) in chunks.iter().enumerate() {
+            reference.offer_batch(chunk);
+            collector.offer_batch(chunk);
+            flush(&mut collector, &mut wire).unwrap();
+            if i == chunks.len() / 2 {
+                let from_seq = collector.next_seq();
+                resync(&mut collector, from_seq, &mut wire);
+            }
+        }
+        finish(&mut collector, &mut wire).unwrap();
+        let mut agg = Aggregator::new();
+        ingest(&mut agg, &wire, 0).unwrap();
+        assert_eq!(
+            agg.snapshot(),
+            reference.snapshot(),
+            "seed {seed} shards {shards}"
+        );
+        assert_eq!(
+            fnv1a(&wire),
+            pin,
+            "seed {seed} capacity {capacity} shards {shards}: {} points, {} B",
+            pts.len(),
+            wire.len()
         );
     }
 }

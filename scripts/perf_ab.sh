@@ -11,8 +11,11 @@
 # alternating which side goes first, and every run must report
 # `"correct": true`. Per metric the script prints each side's median and
 # quartiles, how many pairs the change won (by the metric's `better`
-# direction in BENCHMARK.json) and the median per-pair ratio
-# change / base.
+# direction in BENCHMARK.json), the median per-pair ratio
+# change / base, and a percentile-bootstrap 95% confidence interval of
+# that median (2000 resamples of the pairs from a fixed RNG seed, so a
+# rerun on the same JSON prints the same interval; one pair gives
+# [r, r]).
 #
 # Environment: PAIRS (default 10), SECONDS_PER_RUN (default 5), SEED
 # (default 101), TRACE (default 0; 1 compares the per-layer metrics).
@@ -77,7 +80,7 @@ for w in "${workloads[@]}"; do
         fi
     done
     python3 - "$root/BENCHMARK.json" "$work/$w.base.jsonl" "$work/$w.change.jsonl" "$w" "$base_rev" <<'EOF'
-import json, statistics, sys
+import json, random, statistics, sys
 
 bench, base_path, change_path, workload, base_rev = sys.argv[1:]
 spec = json.load(open(bench))
@@ -85,12 +88,22 @@ better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]
 load = lambda p: [json.loads(l)["metrics"] for l in open(p)]
 base, change = load(base_path), load(change_path)
 
+def bootstrap_ci(ratios, resamples=2000, seed=0x5EED):
+    """Percentile-bootstrap 95% CI of the median of `ratios`."""
+    if len(ratios) == 1:
+        return ratios[0], ratios[0]
+    rng = random.Random(seed)
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(resamples)
+    )
+    return medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
+
 def spread(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
     return f"{q[1]:>12.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 print(f"\n{workload}: base {base_rev} vs working tree, {len(base)} pairs")
-print(f"{'metric':<36} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32} {'wins':>6} {'ratio':>7}")
+print(f"{'metric':<36} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32} {'wins':>6} {'ratio':>7} {'95% CI':>17}")
 for name in base[0]:
     b = [m[name]["value"] for m in base]
     c = [m[name]["value"] for m in change]
@@ -100,6 +113,7 @@ for name in base[0]:
     wins = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
     ratios = [y / x for x, y in zip(b, c) if x]
     ratio = f"{statistics.median(ratios):.3f}" if ratios else "-"
-    print(f"{name:<36} {spread(b):>32} {spread(c):>32} {wins:>3}/{len(b):<2} {ratio:>7}")
+    ci = "[{:.3f}, {:.3f}]".format(*bootstrap_ci(ratios)) if ratios else "-"
+    print(f"{name:<36} {spread(b):>32} {spread(c):>32} {wins:>3}/{len(b):<2} {ratio:>7} {ci:>17}")
 EOF
 done

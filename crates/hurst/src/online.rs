@@ -90,11 +90,11 @@ fn level_bits(stats: &RunningStats, carry: Option<f64>) -> (u64, u64, u64, u64, 
 pub struct OnlineVarianceTime {
     /// Values pushed so far.
     count: u64,
-    /// `levels[k]`: stats of the means of completed `2^k`-blocks.
-    levels: Vec<RunningStats>,
-    /// `partial[k]`: sum of a completed `2^k`-block waiting for its
-    /// sibling (the binary-counter carry chain).
-    partial: Vec<Option<f64>>,
+    /// `levels[k]`: stats of the means of completed `2^k`-blocks, and
+    /// the sum of a completed `2^k`-block waiting for its sibling (the
+    /// binary-counter carry chain). One vector, so a push that climbs
+    /// the cascade touches one entry per level.
+    levels: Vec<(RunningStats, Option<f64>)>,
 }
 
 impl OnlineVarianceTime {
@@ -110,25 +110,31 @@ impl OnlineVarianceTime {
 
     /// Absorbs one value (amortized O(1): the cascade touches level `k`
     /// every `2^k` pushes).
+    ///
+    /// A level-`k` block mean is its sum times `2^-k`. Both `2^k` and
+    /// `2^-k` are exact doubles here (`k < 48`), and IEEE 754 rounds
+    /// the product and the quotient of the same operands' exact value
+    /// identically, so this is bit for bit `sum / 2^k` — for subnormal,
+    /// signed-zero, infinite and NaN sums too.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         let mut sum = x;
-        let mut size = 1u64;
+        let mut scale = 1.0;
         for k in 0..MAX_LEVELS {
             if self.levels.len() <= k {
-                self.levels.push(RunningStats::new());
-                self.partial.push(None);
+                self.levels.push((RunningStats::new(), None));
             }
-            self.levels[k].push(sum / size as f64);
-            match self.partial[k].take() {
+            let (stats, carry) = &mut self.levels[k];
+            stats.push(sum * scale);
+            match carry.take() {
                 // The sibling (earlier half) was waiting: the parent
                 // block is now complete; carry its sum upward.
                 Some(first_half) => {
                     sum += first_half;
-                    size *= 2;
+                    scale *= 0.5;
                 }
                 None => {
-                    self.partial[k] = Some(sum);
+                    *carry = Some(sum);
                     break;
                 }
             }
@@ -141,34 +147,22 @@ impl OnlineVarianceTime {
         self.levels
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.count() > 0)
-            .map(|(k, s)| (1u64 << k, s))
+            .filter(|(_, (s, _))| s.count() > 0)
+            .map(|(k, (s, _))| (1u64 << k, s))
     }
 
-    /// Decomposes the estimator into its raw state
-    /// `(count, per-level block-mean stats, carry chain)` so a
-    /// serializer can round-trip it bit-for-bit.
-    pub fn raw_parts(&self) -> (u64, &[RunningStats], &[Option<f64>]) {
-        (self.count, &self.levels, &self.partial)
+    /// Decomposes the estimator into its raw state `(count, levels)`,
+    /// level `k` being `(stats of the completed 2^k-block means, sum of
+    /// the 2^k-block waiting for its sibling)`, so a serializer can
+    /// round-trip it bit-for-bit.
+    pub fn raw_parts(&self) -> (u64, &[(RunningStats, Option<f64>)]) {
+        (self.count, &self.levels)
     }
 
     /// Rebuilds estimator state from [`OnlineVarianceTime::raw_parts`]
-    /// output. `levels` and `partial` must have equal length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length.
-    pub fn from_raw_parts(
-        count: u64,
-        levels: Vec<RunningStats>,
-        partial: Vec<Option<f64>>,
-    ) -> Self {
-        assert_eq!(levels.len(), partial.len(), "level/carry length mismatch");
-        OnlineVarianceTime {
-            count,
-            levels,
-            partial,
-        }
+    /// output.
+    pub fn from_raw_parts(count: u64, levels: Vec<(RunningStats, Option<f64>)>) -> Self {
+        OnlineVarianceTime { count, levels }
     }
 
     /// Number of dyadic levels currently held (including levels whose
@@ -179,6 +173,11 @@ impl OnlineVarianceTime {
 
     /// Approximate in-memory footprint: the per-level block-mean stats
     /// plus the carry chain, in bytes.
+    ///
+    /// The 48 B of headers are nominal: they count two vector headers,
+    /// and the cascade holds one. They stay because summary compaction
+    /// budgets levels by this figure, and the levels a compaction keeps
+    /// are visible on the wire.
     pub fn estimated_bytes(&self) -> usize {
         // count + 2 Vec headers, then 40 B of Welford state and a
         // 16 B Option<f64> carry slot per level.
@@ -201,10 +200,7 @@ impl OnlineVarianceTime {
     /// total — is untouched.
     pub fn prune_levels(&mut self, max_levels: usize) {
         let keep = max_levels.min(MAX_LEVELS);
-        if self.levels.len() > keep {
-            self.levels.truncate(keep);
-            self.partial.truncate(keep);
-        }
+        self.levels.truncate(keep);
     }
 
     /// The patch taking `base` to `self`, or `None` when the pair is
@@ -218,12 +214,13 @@ impl OnlineVarianceTime {
             return None;
         }
         let mut changed = Vec::new();
-        for k in 0..self.levels.len() {
-            let same = base.levels.get(k).is_some_and(|b| {
-                level_bits(b, base.partial[k]) == level_bits(&self.levels[k], self.partial[k])
-            });
+        for (k, &(stats, carry)) in self.levels.iter().enumerate() {
+            let same = base
+                .levels
+                .get(k)
+                .is_some_and(|&(b, b_carry)| level_bits(&b, b_carry) == level_bits(&stats, carry));
             if !same {
-                changed.push((k, self.levels[k], self.partial[k]));
+                changed.push((k, stats, carry));
             }
         }
         Some(CascadePatch {
@@ -252,11 +249,10 @@ impl OnlineVarianceTime {
             }
             prev = Some(idx);
         }
-        self.levels.resize(p.new_levels, RunningStats::new());
-        self.partial.resize(p.new_levels, None);
+        self.levels
+            .resize(p.new_levels, (RunningStats::new(), None));
         for &(idx, stats, carry) in &p.changed {
-            self.levels[idx] = stats;
-            self.partial[idx] = carry;
+            self.levels[idx] = (stats, carry);
         }
         self.count = count;
         true
@@ -268,11 +264,11 @@ impl OnlineVarianceTime {
     /// sibling to complete with).
     pub fn merge_from(&mut self, other: &OnlineVarianceTime) {
         self.count += other.count;
-        while self.levels.len() < other.levels.len() {
-            self.levels.push(RunningStats::new());
-            self.partial.push(None);
+        if self.levels.len() < other.levels.len() {
+            self.levels
+                .resize(other.levels.len(), (RunningStats::new(), None));
         }
-        for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
+        for ((mine, _), (theirs, _)) in self.levels.iter_mut().zip(&other.levels) {
             mine.merge(theirs);
         }
     }
@@ -732,6 +728,103 @@ mod tests {
         let back = ProjectionBank::from_raw_parts(bank.seed(), bank.cascades().to_vec()).unwrap();
         assert_eq!(back, bank);
         assert!(ProjectionBank::from_raw_parts(13, Vec::new()).is_none());
+    }
+
+    /// Reference cascade: parallel stats and carry vectors, each block
+    /// mean its sum divided by `2^k`.
+    #[derive(Default)]
+    struct DividingCascade {
+        levels: Vec<RunningStats>,
+        partial: Vec<Option<f64>>,
+    }
+
+    impl DividingCascade {
+        fn push(&mut self, x: f64) {
+            let mut sum = x;
+            let mut size = 1u64;
+            for k in 0..MAX_LEVELS {
+                if self.levels.len() <= k {
+                    self.levels.push(RunningStats::new());
+                    self.partial.push(None);
+                }
+                self.levels[k].push(sum / size as f64);
+                match self.partial[k].take() {
+                    Some(first_half) => {
+                        sum += first_half;
+                        size *= 2;
+                    }
+                    None => {
+                        self.partial[k] = Some(sum);
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_block_means_equal_the_quotients_bit_for_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0, // subnormal
+            -f64::from_bits(1),      // smallest subnormal, negative
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0ABC), // signalling NaN payload
+            f64::from_bits(0xFFF8_0000_0000_1234), // negative quiet NaN payload
+            1.0 / 3.0,
+            -7.25e-300,
+        ];
+        // The scalar identity at every level the cascade can reach.
+        let mut scale = 1.0;
+        for k in 0..MAX_LEVELS {
+            let size = (1u64 << k) as f64;
+            for &x in &specials {
+                assert_eq!(
+                    (x * scale).to_bits(),
+                    (x / size).to_bits(),
+                    "{x:e} at k={k}"
+                );
+            }
+            scale *= 0.5;
+        }
+        // Whole cascades: a stream of tiny values (sums stay subnormal)
+        // with every special mixed in, and one that overflows to ±∞
+        // and NaN partway.
+        let tiny: Vec<f64> = (0..3000u64)
+            .map(|i| f64::from_bits(1 + i % 97) * if i % 5 == 0 { -1.0 } else { 1.0 })
+            .collect();
+        let wild: Vec<f64> = (0..3000usize)
+            .map(|i| match i % 11 {
+                0 => specials[(i / 11) % specials.len()],
+                1 => f64::MAX / 2.0,
+                _ => (i as f64).sin() * 1e-310,
+            })
+            .collect();
+        for stream in [tiny, wild] {
+            let mut scaled = OnlineVarianceTime::new();
+            let mut divided = DividingCascade::default();
+            for &v in &stream {
+                scaled.push(v);
+                divided.push(v);
+            }
+            let (count, levels) = scaled.raw_parts();
+            assert_eq!(count, stream.len() as u64);
+            assert_eq!(levels.len(), divided.levels.len());
+            for (k, &(stats, carry)) in levels.iter().enumerate() {
+                assert_eq!(
+                    level_bits(&stats, carry),
+                    level_bits(&divided.levels[k], divided.partial[k]),
+                    "level {k}"
+                );
+            }
+        }
     }
 
     #[test]

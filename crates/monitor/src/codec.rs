@@ -28,6 +28,7 @@ use sst_hurst::online::{CascadePatch, OnlineVarianceTime};
 use sst_hurst::ProjectionBank;
 use sst_stats::RunningStats;
 use std::fmt;
+use std::sync::Arc;
 
 /// Magic bytes + version prefix of the format.
 const MAGIC: &[u8; 6] = b"SSMON1";
@@ -109,10 +110,10 @@ fn get_sampler(buf: &mut &[u8]) -> Result<SamplerSnapshot, SnapshotCodecError> {
 }
 
 fn put_cascade(buf: &mut Vec<u8>, cascade: &OnlineVarianceTime) {
-    let (count, levels, partial) = cascade.raw_parts();
+    let (count, levels) = cascade.raw_parts();
     buf.put_u64_le(count);
     buf.put_u64_le(levels.len() as u64);
-    for (stats, carry) in levels.iter().zip(partial) {
+    for (stats, carry) in levels {
         put_running_stats(buf, stats);
         match carry {
             Some(sum) => {
@@ -134,24 +135,24 @@ fn get_cascade(buf: &mut &[u8]) -> Result<OnlineVarianceTime, SnapshotCodecError
         return Err(SnapshotCodecError::Corrupt("level count"));
     }
     let mut levels = Vec::with_capacity(n_levels);
-    let mut partial = Vec::with_capacity(n_levels);
     for _ in 0..n_levels {
-        levels.push(get_running_stats(buf)?);
+        let stats = get_running_stats(buf)?;
         if buf.remaining() < 1 {
             return Err(SnapshotCodecError::Truncated);
         }
-        match buf.get_u8() {
-            0 => partial.push(None),
+        let carry = match buf.get_u8() {
+            0 => None,
             1 => {
                 if buf.remaining() < 8 {
                     return Err(SnapshotCodecError::Truncated);
                 }
-                partial.push(Some(buf.get_f64_le()));
+                Some(buf.get_f64_le())
             }
             _ => return Err(SnapshotCodecError::Corrupt("carry flag")),
-        }
+        };
+        levels.push((stats, carry));
     }
-    Ok(OnlineVarianceTime::from_raw_parts(count, levels, partial))
+    Ok(OnlineVarianceTime::from_raw_parts(count, levels))
 }
 
 fn put_summary(buf: &mut Vec<u8>, s: &SummarySnapshot) {
@@ -179,7 +180,40 @@ fn put_summary(buf: &mut Vec<u8>, s: &SummarySnapshot) {
     buf.put_u64_le(total);
 }
 
-fn get_summary(buf: &mut &[u8]) -> Result<SummarySnapshot, SnapshotCodecError> {
+/// Reads a tail ladder of `n` thresholds, whose bytes `get_len` has
+/// checked are present. A ladder equal bit for bit to `last`, the one
+/// read before it, shares `last`'s allocation; any other becomes the
+/// new `last`.
+fn get_ladder(
+    buf: &mut &[u8],
+    n: usize,
+    last: &mut Option<Arc<[f64]>>,
+) -> Result<Arc<[f64]>, SnapshotCodecError> {
+    let bytes = buf.get(..n * 8).ok_or(SnapshotCodecError::Truncated)?;
+    if let Some(ladder) = last.as_ref().filter(|l| {
+        l.len() == n
+            && l.iter()
+                .zip(bytes.chunks_exact(8))
+                .all(|(t, b)| t.to_bits().to_le_bytes() == b)
+    }) {
+        let ladder = Arc::clone(ladder);
+        buf.advance(n * 8);
+        return Ok(ladder);
+    }
+    let ladder: Arc<[f64]> = (0..n).map(|_| buf.get_f64_le()).collect();
+    if !ladder.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
+        return Err(SnapshotCodecError::Corrupt("tail ladder order"));
+    }
+    *last = Some(Arc::clone(&ladder));
+    Ok(ladder)
+}
+
+/// Reads one summary; `ladder` carries the tail ladder read last (see
+/// [`get_ladder`]).
+fn get_summary(
+    buf: &mut &[u8],
+    ladder: &mut Option<Arc<[f64]>>,
+) -> Result<SummarySnapshot, SnapshotCodecError> {
     let moments = get_running_stats(buf)?;
     let hurst = get_cascade(buf)?;
     if buf.remaining() < 24 {
@@ -203,13 +237,7 @@ fn get_summary(buf: &mut &[u8]) -> Result<SummarySnapshot, SnapshotCodecError> {
         items,
     };
     let n_thresholds = get_len(buf, 16)?;
-    let mut thresholds = Vec::with_capacity(n_thresholds);
-    for _ in 0..n_thresholds {
-        thresholds.push(buf.get_f64_le());
-    }
-    if !thresholds.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
-        return Err(SnapshotCodecError::Corrupt("tail ladder order"));
-    }
+    let thresholds = get_ladder(buf, n_thresholds, ladder)?;
     let mut counts = Vec::with_capacity(n_thresholds);
     for _ in 0..n_thresholds {
         counts.push(buf.get_u64_le());
@@ -260,7 +288,10 @@ fn put_sketch(buf: &mut Vec<u8>, sk: &SketchSnapshot) {
     buf.put_u64_le(sk.demotions);
 }
 
-fn get_sketch(buf: &mut &[u8]) -> Result<SketchSnapshot, SnapshotCodecError> {
+fn get_sketch(
+    buf: &mut &[u8],
+    ladder: &mut Option<Arc<[f64]>>,
+) -> Result<SketchSnapshot, SnapshotCodecError> {
     if buf.remaining() < SKETCH_MAGIC.len() {
         return Err(SnapshotCodecError::Truncated);
     }
@@ -269,7 +300,7 @@ fn get_sketch(buf: &mut &[u8]) -> Result<SketchSnapshot, SnapshotCodecError> {
     }
     buf.advance(SKETCH_MAGIC.len());
     let sampler = get_sampler(buf)?;
-    let summary = get_summary(buf)?;
+    let summary = get_summary(buf, ladder)?;
     if buf.remaining() < 32 {
         return Err(SnapshotCodecError::Truncated);
     }
@@ -348,26 +379,38 @@ fn get_sketch(buf: &mut &[u8]) -> Result<SketchSnapshot, SnapshotCodecError> {
 /// section, when present, follows the stream records as a `SKT1`
 /// trailer; without one the bytes are exactly the pre-tier format.
 pub fn encode_snapshot(snap: &EngineSnapshot) -> Bytes {
-    let mut buf = Vec::with_capacity(snapshot_len_hint(snap));
+    let mut buf = Vec::with_capacity(snapshot_len_hint(snap.stream_count()));
     put_snapshot(&mut buf, snap);
     Bytes::from(buf)
 }
 
-/// A capacity guess for [`encode_snapshot`]'s output.
-pub(crate) fn snapshot_len_hint(snap: &EngineSnapshot) -> usize {
-    MAGIC.len() + 16 + 256 * snap.stream_count()
+/// A capacity guess for [`encode_snapshot`]'s output over `streams`
+/// entries.
+pub(crate) fn snapshot_len_hint(streams: usize) -> usize {
+    MAGIC.len() + 16 + 256 * streams
 }
 
 /// Appends [`encode_snapshot`]'s bytes to `buf`.
 pub(crate) fn put_snapshot(buf: &mut Vec<u8>, snap: &EngineSnapshot) {
+    put_entries(buf, snap.streams().iter(), snap.sketch());
+}
+
+/// Appends the snapshot bytes of `streams`, whose keys must strictly
+/// ascend, and `sketch` to `buf` — [`encode_snapshot`] of the snapshot
+/// they make, without building it.
+pub(crate) fn put_entries<'a>(
+    buf: &mut Vec<u8>,
+    streams: impl ExactSizeIterator<Item = &'a StreamEntry>,
+    sketch: Option<&SketchSnapshot>,
+) {
     buf.put_slice(MAGIC);
-    buf.put_u64_le(snap.stream_count() as u64);
-    for e in snap.streams() {
+    buf.put_u64_le(streams.len() as u64);
+    for e in streams {
         buf.put_u64_le(e.key);
         put_sampler(buf, &e.sampler);
         put_summary(buf, &e.summary);
     }
-    if let Some(sk) = snap.sketch() {
+    if let Some(sk) = sketch {
         put_sketch(buf, sk);
     }
 }
@@ -415,6 +458,7 @@ pub fn decode_snapshot(mut buf: &[u8]) -> Result<EngineSnapshot, SnapshotCodecEr
     let n_streams = get_len(&mut buf, 8)?;
     let mut streams = Vec::with_capacity(n_streams.min(1 << 20));
     let mut prev_key: Option<u64> = None;
+    let mut ladder = None;
     for _ in 0..n_streams {
         if buf.remaining() < 32 {
             return Err(SnapshotCodecError::Truncated);
@@ -427,7 +471,7 @@ pub fn decode_snapshot(mut buf: &[u8]) -> Result<EngineSnapshot, SnapshotCodecEr
         }
         prev_key = Some(key);
         let sampler = get_sampler(&mut buf)?;
-        let summary = get_summary(&mut buf)?;
+        let summary = get_summary(&mut buf, &mut ladder)?;
         streams.push(StreamEntry {
             key,
             sampler,
@@ -437,12 +481,13 @@ pub fn decode_snapshot(mut buf: &[u8]) -> Result<EngineSnapshot, SnapshotCodecEr
     let sketch = if buf.is_empty() {
         None
     } else {
-        Some(get_sketch(&mut buf)?)
+        Some(get_sketch(&mut buf, &mut ladder)?)
     };
     if !buf.is_empty() {
         return Err(SnapshotCodecError::Corrupt("trailing bytes after sketch"));
     }
-    Ok(EngineSnapshot::from_streams(streams).with_sketch(sketch))
+    // Keys strictly ascend (checked above): already canonical.
+    Ok(EngineSnapshot::from_ascending(streams).with_sketch(sketch))
 }
 
 // ---- differential (wire v4 `DeltaDiff`) payloads ------------------
@@ -799,8 +844,9 @@ pub(crate) fn encoded_diff_len(d: &StreamDiff) -> usize {
 /// summary) whose summary holds `hurst`, `items` retained reservoir
 /// samples and a tail ladder of `rungs` thresholds.
 pub(crate) fn encoded_entry_len(hurst: &OnlineVarianceTime, items: usize, rungs: usize) -> usize {
-    let (_, _, partial) = hurst.raw_parts();
-    let cascade = 16 + hurst.level_count() * 41 + partial.iter().flatten().count() * 8;
+    let (_, levels) = hurst.raw_parts();
+    let carries = levels.iter().filter(|(_, carry)| carry.is_some()).count();
+    let cascade = 16 + levels.len() * 41 + carries * 8;
     let reservoir = 32 + 8 * items;
     let tail = 16 + 16 * rungs;
     8 + 24 + 40 + cascade + reservoir + tail
@@ -842,6 +888,44 @@ mod tests {
             snap.aggregate().hurst_estimate(),
             back.aggregate().hurst_estimate()
         );
+    }
+
+    #[test]
+    fn decoded_entries_share_one_ladder() {
+        use crate::summary::TailCounter;
+        let snap = sample_snapshot();
+        assert!(snap.stream_count() > 2);
+        // An engine's streams count tails on its one ladder.
+        let first = snap.streams()[0].summary.tail.thresholds();
+        for e in snap.streams() {
+            assert!(Arc::ptr_eq(e.summary.tail.thresholds(), first));
+        }
+        let encoded = encode_snapshot(&snap);
+        let back = decode_snapshot(&encoded).expect("decode");
+        let ladder = back.streams()[0].summary.tail.thresholds();
+        assert!(!Arc::ptr_eq(ladder, first), "decoded into a fresh ladder");
+        for e in back.streams() {
+            assert!(Arc::ptr_eq(e.summary.tail.thresholds(), ladder));
+        }
+        assert_eq!(encode_snapshot(&back), encoded);
+        // A ladder that differs from the one before it gets its own
+        // allocation, and the next equal one shares it.
+        let mut streams = back.into_streams();
+        let other = TailCounter::new(&[1.0, 2.0]);
+        streams[1].summary.tail = TailCounter::from_raw_parts(vec![1.0, 2.0], vec![0, 0], 0);
+        streams[2].summary.tail = other;
+        let mixed = encode_snapshot(&EngineSnapshot::from_streams(streams));
+        let back = decode_snapshot(&mixed).expect("decode");
+        let ladders: Vec<&Arc<[f64]>> = back
+            .streams()
+            .iter()
+            .map(|e| e.summary.tail.thresholds())
+            .collect();
+        assert!(!Arc::ptr_eq(ladders[0], ladders[1]));
+        assert!(Arc::ptr_eq(ladders[1], ladders[2]));
+        assert!(!Arc::ptr_eq(ladders[2], ladders[3]));
+        assert_eq!(&ladders[3][..], &ladders[0][..]);
+        assert_eq!(encode_snapshot(&back), mixed);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use crate::ingest::{ShardSet, StreamState};
 use crate::lifecycle::{LifecycleConfig, LifecycleState, LifecycleStats};
 use crate::sketch::{SketchSnapshot, SketchTier, TierConfig, TierStats};
-use crate::summary::{SummaryConfig, SummarySnapshot};
+use crate::summary::{SummaryConfig, SummarySnapshot, TailCounter};
 use sst_core::stream::{SamplerSnapshot, StreamDecision};
 use sst_core::summary::{Compactable, MergeableSummary};
 
@@ -200,14 +200,16 @@ impl MonitorEngine {
     /// # Panics
     ///
     /// Panics if the sampler spec is invalid (zero interval, rate
-    /// outside `(0, 1]`) or `n_shards == 0`.
+    /// outside `(0, 1]`), `n_shards == 0`, or the tail thresholds are
+    /// not strictly ascending.
     pub fn new(config: MonitorConfig) -> Self {
         assert!(config.n_shards >= 1, "need at least one shard");
         config
             .sampler
             .build(0)
             .expect("invalid sampler specification");
-        let shards = ShardSet::new(config.n_shards);
+        let ladder = TailCounter::shared_ladder(&config.summary.tail_thresholds);
+        let shards = ShardSet::new(config.n_shards, ladder);
         let tier = config.tier.enabled().then(|| SketchTier::new(&config));
         MonitorEngine {
             config,
@@ -353,6 +355,13 @@ impl MonitorEngine {
     /// Approximate bytes held per tracked stream state — live summaries
     /// (plus sampler overhead) and the retired store. The compaction
     /// acceptance tests bound `estimated_state_bytes / keys_seen`.
+    ///
+    /// The 384 B sampler term is nominal: it allows for a four-block
+    /// ChaCha generator (304 B), and the random samplers' generator
+    /// buffers one block (112 B). The summaries' nominal terms are
+    /// listed at [`crate::summary::StreamSummary::estimated_bytes`].
+    /// The figure stays so the recorded bounds keep meaning what they
+    /// did.
     pub fn estimated_state_bytes(&self) -> usize {
         let live: usize = self
             .shards
@@ -482,6 +491,16 @@ impl EngineSnapshot {
         }
         EngineSnapshot {
             streams: out,
+            sketch: None,
+        }
+    }
+
+    /// A snapshot of `streams`, whose keys strictly ascend — already the
+    /// canonical form, so nothing is sorted, merged or moved.
+    pub(crate) fn from_ascending(streams: Vec<StreamEntry>) -> Self {
+        debug_assert!(streams.windows(2).all(|w| w[0].key < w[1].key));
+        EngineSnapshot {
+            streams,
             sketch: None,
         }
     }

@@ -45,6 +45,7 @@ use sst_core::stream::{
 };
 use sst_stats::rng::derive_seed;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Domain-separation tag for shard routing.
 const SHARD_TAG: u64 = 0x5348_4152;
@@ -240,6 +241,9 @@ fn mark_touched(state: &mut StreamState, epoch: u64, dirty: &mut Vec<u64>, key: 
 #[derive(Default)]
 pub(crate) struct Shard {
     pub(crate) streams: HashMap<u64, StreamState>,
+    /// The engine's tail ladder, which every stream's tail counter
+    /// shares.
+    ladder: Arc<[f64]>,
     /// Current dirty epoch; 0 means tracking is off. A stream whose
     /// `dirty_epoch` differs joins [`Shard::dirty`] on its next point
     /// and takes the current epoch, so each stream is listed once per
@@ -264,7 +268,7 @@ impl Shard {
                     .sampler
                     .build(seed)
                     .expect("sampler spec validated at engine construction"),
-                summary: StreamSummary::new(&config.summary, seed),
+                summary: StreamSummary::on_ladder(&config.summary, Arc::clone(&self.ladder), seed),
                 last_touch: tick,
                 dirty_epoch: 0,
                 ship: None,
@@ -440,11 +444,16 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// Creates `n` empty shards.
-    pub(crate) fn new(n: usize) -> Self {
+    /// Creates `n` empty shards whose streams count tails on `ladder`
+    /// (`TailCounter::shared_ladder` of the configured thresholds).
+    pub(crate) fn new(n: usize, ladder: Arc<[f64]>) -> Self {
         assert!(n >= 1, "need at least one shard");
+        let shard = || Shard {
+            ladder: Arc::clone(&ladder),
+            ..Shard::default()
+        };
         ShardSet {
-            shards: (0..n).map(|_| Shard::default()).collect(),
+            shards: (0..n).map(|_| shard()).collect(),
             groupings: (0..n).map(|_| Grouping::default()).collect(),
             routed: vec![Vec::new(); n],
         }

@@ -26,12 +26,16 @@ use sst_core::summary::{Compactable, MergeableSummary};
 use sst_hurst::online::{CascadePatch, OnlineVarianceTime};
 use sst_stats::rng::{derive_seed, rng_from_seed};
 use sst_stats::RunningStats;
+use std::sync::Arc;
 
 /// Domain-separation tag for reservoir-merge RNG derivation.
 const MERGE_TAG: u64 = 0x4D45_5247;
 
 /// Domain-separation tag for reservoir-compaction RNG derivation.
 const COMPACT_TAG: u64 = 0x434F_4D50;
+
+/// Domain-separation tag for a live reservoir's replacement draws.
+const DRAW_TAG: u64 = 0x5E5E;
 
 /// Shared configuration for the per-stream summaries.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,13 +57,19 @@ impl Default for SummaryConfig {
 
 /// Bounded uniform sample of a stream (Vitter's algorithm R), with a
 /// deterministic, state-derived merge.
+///
+/// The replacement draws come from a generator seeded from
+/// `(seed, 0x5E5E)`, made at the first draw — when the sample first
+/// holds `cap` items. Until then the reservoir carries no generator,
+/// and most streams' reservoirs never fill. Making it late changes no
+/// draw: nothing reads the generator before that point.
 #[derive(Clone, Debug)]
 pub struct Reservoir {
     cap: usize,
     seed: u64,
     seen: u64,
     items: Vec<f64>,
-    rng: rand::rngs::StdRng,
+    rng: Option<Box<rand::rngs::StdRng>>,
 }
 
 impl Reservoir {
@@ -72,7 +82,7 @@ impl Reservoir {
             seed,
             seen: 0,
             items: Vec::with_capacity(cap.min(64)),
-            rng: rng_from_seed(derive_seed(seed, 0x5E5E)),
+            rng: None,
         }
     }
 
@@ -94,7 +104,11 @@ impl Reservoir {
         }
         // Replace slot j with probability cap/seen: j uniform over all
         // seen items, replacement iff it lands inside the reservoir.
-        let j = self.rng.gen_range(0..self.seen as usize);
+        let seed = self.seed;
+        let rng = self
+            .rng
+            .get_or_insert_with(|| Box::new(rng_from_seed(derive_seed(seed, DRAW_TAG))));
+        let j = rng.gen_range(0..self.seen as usize);
         (j < self.cap).then(|| (j, std::mem::replace(&mut self.items[j], v)))
     }
 
@@ -126,6 +140,11 @@ impl Reservoir {
 
     /// Approximate in-memory footprint (inline state + ChaCha RNG +
     /// retained items).
+    ///
+    /// The 304 B generator term is nominal: a reservoir holds a
+    /// pointer inline, and a 112 B generator only from its first draw.
+    /// The term stays because compaction is gated by this figure, and
+    /// compaction's clamps are visible on the wire.
     pub fn estimated_bytes(&self) -> usize {
         // cap/seed/seen + Vec header + 304 B StdRng + items.
         24 + 24 + 304 + 8 * self.items.capacity()
@@ -193,7 +212,8 @@ impl ReservoirSnapshot {
         );
     }
 
-    /// Approximate in-memory footprint.
+    /// Approximate in-memory footprint (no term is nominal: a snapshot
+    /// holds no generator).
     pub fn estimated_bytes(&self) -> usize {
         24 + 24 + 8 * self.items.capacity()
     }
@@ -398,14 +418,28 @@ impl SlotJournal {
 /// Exceedance counters over a fixed ascending threshold ladder — the
 /// mergeable form of the paper's tail interest (how often the rate
 /// process exceeds a level; counts of disjoint streams add).
+///
+/// The ladder is shared, not owned: an engine allocates its configured
+/// ladder once and every stream's counter points at it, a decoded
+/// snapshot's entries share one ladder per run of equal ladders, and a
+/// clone or snapshot shares its source's. Only the counts are per
+/// counter.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TailCounter {
     /// Ascending thresholds.
-    thresholds: Vec<f64>,
+    thresholds: Arc<[f64]>,
     /// `counts[i]` = observations strictly above `thresholds[i]`.
     counts: Vec<u64>,
     /// Total observations.
     total: u64,
+}
+
+/// Panics unless `thresholds` ascend strictly.
+fn assert_ascending(thresholds: &[f64]) {
+    assert!(
+        thresholds.windows(2).all(|w| w[0] < w[1]),
+        "thresholds must be strictly ascending"
+    );
 }
 
 impl TailCounter {
@@ -415,15 +449,32 @@ impl TailCounter {
     ///
     /// Panics if the thresholds are not strictly ascending.
     pub fn new(thresholds: &[f64]) -> Self {
-        assert!(
-            thresholds.windows(2).all(|w| w[0] < w[1]),
-            "thresholds must be strictly ascending"
-        );
+        TailCounter::on_ladder(TailCounter::shared_ladder(thresholds))
+    }
+
+    /// The shared ladder of `thresholds`, for [`TailCounter::on_ladder`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thresholds are not strictly ascending.
+    pub(crate) fn shared_ladder(thresholds: &[f64]) -> Arc<[f64]> {
+        assert_ascending(thresholds);
+        Arc::from(thresholds)
+    }
+
+    /// Zeroed counters over a ladder built by [`TailCounter::shared_ladder`].
+    pub(crate) fn on_ladder(thresholds: Arc<[f64]>) -> Self {
         TailCounter {
-            thresholds: thresholds.to_vec(),
             counts: vec![0; thresholds.len()],
+            thresholds,
             total: 0,
         }
+    }
+
+    /// The shared threshold ladder.
+    #[cfg(test)]
+    pub(crate) fn thresholds(&self) -> &Arc<[f64]> {
+        &self.thresholds
     }
 
     /// Counts one observation.
@@ -468,21 +519,25 @@ impl TailCounter {
     /// Approximate in-memory footprint. The ladder is fixed at
     /// configuration time, so this never shrinks under compaction —
     /// exceedance *totals* are sacred.
+    ///
+    /// One of the two vector headers and the threshold half of the
+    /// per-rung 16 B are nominal: the counter owns only its counts, and
+    /// shares the ladder. They stay because compaction budgets around
+    /// this figure and frames are cut by it, both visible on the wire.
     pub fn estimated_bytes(&self) -> usize {
         48 + 8 + 16 * self.thresholds.len()
     }
 
-    /// Rebuilds counters from [`TailCounter::raw_parts`] output.
+    /// Rebuilds counters from [`TailCounter::raw_parts`] output. A
+    /// ladder passed as an `Arc<[f64]>` is shared, not copied.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch or non-ascending thresholds.
-    pub fn from_raw_parts(thresholds: Vec<f64>, counts: Vec<u64>, total: u64) -> Self {
+    pub fn from_raw_parts(thresholds: impl Into<Arc<[f64]>>, counts: Vec<u64>, total: u64) -> Self {
+        let thresholds = thresholds.into();
         assert_eq!(thresholds.len(), counts.len(), "ladder length mismatch");
-        assert!(
-            thresholds.windows(2).all(|w| w[0] < w[1]),
-            "thresholds must be strictly ascending"
-        );
+        assert_ascending(&thresholds);
         TailCounter {
             thresholds,
             counts,
@@ -496,13 +551,7 @@ impl TailCounter {
     /// counter moved backwards. Counters are monotone integers, so
     /// `base + delta` reproduces `self` exactly.
     pub fn diff_from(&self, base: &TailCounter) -> Option<(Vec<u64>, u64)> {
-        if self.thresholds.len() != base.thresholds.len()
-            || !self
-                .thresholds
-                .iter()
-                .zip(&base.thresholds)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-        {
+        if !same_ladder(&self.thresholds, &base.thresholds) {
             return None;
         }
         tail_deltas(&self.counts, self.total, &base.counts, base.total)
@@ -563,10 +612,16 @@ impl TailCounter {
                 counts.push(self.counts[i] + other.counts[j]);
             }
         }
-        self.thresholds = thresholds;
+        self.thresholds = thresholds.into();
         self.counts = counts;
         self.total += other.total;
     }
+}
+
+/// `true` when two ladders hold the same thresholds bit for bit.
+fn same_ladder(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && (std::ptr::eq(a, b) || a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()))
 }
 
 /// The `(per-rung count deltas, total delta)` taking counts `base` and
@@ -597,12 +652,26 @@ pub struct StreamSummary {
 
 impl StreamSummary {
     /// Creates an empty summary; `seed` drives the reservoir.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured thresholds are not strictly ascending.
     pub fn new(config: &SummaryConfig, seed: u64) -> Self {
+        StreamSummary::on_ladder(
+            config,
+            TailCounter::shared_ladder(&config.tail_thresholds),
+            seed,
+        )
+    }
+
+    /// [`StreamSummary::new`] with the tail counter on `ladder`, which
+    /// must be [`TailCounter::shared_ladder`] of `config.tail_thresholds`.
+    pub(crate) fn on_ladder(config: &SummaryConfig, ladder: Arc<[f64]>, seed: u64) -> Self {
         StreamSummary {
             moments: RunningStats::new(),
             hurst: OnlineVarianceTime::new(),
             reservoir: Reservoir::new(config.reservoir_capacity, seed),
-            tail: TailCounter::new(&config.tail_thresholds),
+            tail: TailCounter::on_ladder(ladder),
         }
     }
 
@@ -655,7 +724,14 @@ impl StreamSummary {
         )
     }
 
-    /// Approximate in-memory footprint of the live summary.
+    /// Approximate in-memory footprint of the live summary: the 40 B
+    /// of moments plus its parts' estimates.
+    ///
+    /// Three terms are nominal, each explained at its part: the
+    /// reservoir's 304 B generator, the cascade's second vector header
+    /// and the tail counter's own copy of the ladder. They stay because
+    /// this figure decides when a live summary compacts, and what
+    /// compaction keeps is visible on the wire.
     pub fn estimated_bytes(&self) -> usize {
         40 + self.hurst.estimated_bytes()
             + self.reservoir.estimated_bytes()
@@ -666,9 +742,10 @@ impl StreamSummary {
     /// coarse Hurst levels) toward `budget_bytes` — the *same split*
     /// as the snapshot-side [`Compactable`] impl, so a live stream and
     /// its snapshot compacted at the same budget retain identical
-    /// levels and items (the live side then sits one RNG — ~304 B —
-    /// above the budget; the amortized bound is retired-dominated and
-    /// absorbs that). Totals are untouched.
+    /// levels and items (the live side's estimate then sits one
+    /// nominal generator — 304 B — above the budget; the amortized
+    /// bound is retired-dominated and absorbs that). Totals are
+    /// untouched.
     pub fn compact(&mut self, budget_bytes: usize) {
         self.compact_journaled(budget_bytes, None);
     }
@@ -761,8 +838,8 @@ impl CascadeJournal {
         if !(cascade.count() + 1).is_multiple_of(1 << NOTED_FROM) {
             return;
         }
-        let (_, _, partial) = cascade.raw_parts();
-        for (k, carry) in partial.iter().enumerate().skip(NOTED_FROM) {
+        let (_, levels) = cascade.raw_parts();
+        for (k, (_, carry)) in levels.iter().enumerate().skip(NOTED_FROM) {
             self.note(k, cascade);
             if carry.is_none() {
                 break;
@@ -789,9 +866,10 @@ impl CascadeJournal {
         }
         self.touched |= 1 << k;
         if k >= self.prunable_from {
-            let (_, levels, partial) = cascade.raw_parts();
+            let (_, levels) = cascade.raw_parts();
+            let (stats, carry) = levels[k];
             let at = self.prior.partition_point(|p| p.0 < k);
-            self.prior.insert(at, (k, levels[k], partial[k]));
+            self.prior.insert(at, (k, stats, carry));
         }
     }
 
@@ -801,7 +879,7 @@ impl CascadeJournal {
     /// from its marked bits (a rewritten level whose marked value was
     /// not kept has certainly changed).
     fn diff(&self, cascade: &OnlineVarianceTime) -> Option<CascadePatch> {
-        let (count, levels, partial) = cascade.raw_parts();
+        let (count, levels) = cascade.raw_parts();
         if count < self.count || levels.len() < self.levels {
             return None;
         }
@@ -810,7 +888,7 @@ impl CascadeJournal {
         // and those past the marked count.
         let bound = NOTED_FROM + self.touched.count_ones() as usize + (levels.len() - self.levels);
         let mut changed = Vec::with_capacity(bound.min(levels.len()));
-        for (k, (stats, carry)) in levels.iter().zip(partial).enumerate() {
+        for (k, (stats, carry)) in levels.iter().enumerate() {
             let ships = if k >= self.levels {
                 true
             } else if k < NOTED_FROM {
@@ -1088,6 +1166,11 @@ impl MergeableSummary for SummarySnapshot {
 }
 
 impl Compactable for SummarySnapshot {
+    /// The 40 B of moments plus the parts' estimates. The cascade's
+    /// second vector header and the tail counter's own copy of the
+    /// ladder are nominal (see their `estimated_bytes`); they stay
+    /// because compaction budgets by this figure and frames are cut by
+    /// it, both visible on the wire.
     fn estimated_bytes(&self) -> usize {
         40 + self.hurst.estimated_bytes()
             + self.reservoir.estimated_bytes()
@@ -1141,6 +1224,42 @@ mod tests {
             (mean - 4999.5).abs() < 1200.0,
             "reservoir mean {mean} far from 4999.5"
         );
+    }
+
+    #[test]
+    fn reservoir_cloned_before_its_first_draw_draws_the_same_slots() {
+        // Cloned while filling, at the last fill push, and past the
+        // first draw: each clone then sees the same values as the
+        // original and must overwrite the same slots with them.
+        for cloned_at in [0, 5, 7, 8, 9, 40] {
+            let mut original = Reservoir::new(8, 23);
+            let mut clone = None;
+            for i in 0..400u64 {
+                if i == cloned_at {
+                    clone = Some(original.clone());
+                }
+                let v = (i * 37 % 101) as f64;
+                let want = original.offer(v);
+                if let Some(c) = clone.as_mut() {
+                    assert_eq!(c.offer(v), want, "cloned at {cloned_at}, push {i}");
+                }
+            }
+            let clone = clone.expect("cloned");
+            assert_eq!(clone.snapshot(), original.snapshot());
+        }
+        // A reservoir that never fills never makes its generator.
+        let mut r = Reservoir::new(8, 1);
+        for v in 0..8 {
+            r.push(f64::from(v));
+        }
+        assert!(r.rng.is_none());
+        r.push(8.0);
+        assert!(r.rng.is_some());
+    }
+
+    #[test]
+    fn live_reservoir_stays_small() {
+        assert!(std::mem::size_of::<Reservoir>() <= 64);
     }
 
     #[test]

@@ -67,7 +67,7 @@
 
 use crate::codec::{
     decode_diff_payload, decode_snapshot, diff_payload_len, encoded_diff_len, put_diff_payload,
-    put_snapshot, snapshot_len_hint, SnapshotCodecError,
+    put_entries, put_snapshot, snapshot_len_hint, SnapshotCodecError,
 };
 use crate::diff::StreamDiff;
 use crate::engine::{EngineSnapshot, StreamEntry};
@@ -318,12 +318,7 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
         }),
         Frame::FullSnapshot(snap) => snapshot_frame(WIRE_VERSION_FRAMED, KIND_FULL, None, snap),
         Frame::Delta(snap) => snapshot_frame(WIRE_VERSION_FRAMED, KIND_DELTA, None, snap),
-        Frame::Evicted(entries) => snapshot_frame(
-            WIRE_VERSION_FRAMED,
-            KIND_EVICTED,
-            None,
-            &EngineSnapshot::from_streams(entries.clone()),
-        ),
+        Frame::Evicted(entries) => evicted_frame(WIRE_VERSION_FRAMED, None, entries),
         Frame::DeltaDiff(_) => {
             panic!("DeltaDiff frames are sequenced; use encode_frame_seq")
         }
@@ -351,12 +346,7 @@ pub fn encode_frame_seq(seq: u64, frame: &Frame) -> Bytes {
     match frame {
         Frame::FullSnapshot(snap) => snapshot_frame(WIRE_VERSION, KIND_FULL, Some(seq), snap),
         Frame::Delta(snap) => snapshot_frame(WIRE_VERSION, KIND_DELTA, Some(seq), snap),
-        Frame::Evicted(entries) => snapshot_frame(
-            WIRE_VERSION,
-            KIND_EVICTED,
-            Some(seq),
-            &EngineSnapshot::from_streams(entries.clone()),
-        ),
+        Frame::Evicted(entries) => evicted_frame(WIRE_VERSION, Some(seq), entries),
         Frame::DeltaDiff(diffs) => {
             encode_diff_frame_seq(seq, diffs, diffs.iter().map(encoded_diff_len).sum())
         }
@@ -375,10 +365,37 @@ pub(crate) fn encode_diff_frame_seq(seq: u64, diffs: &[StreamDiff], entries_len:
     })
 }
 
+/// An `Evicted` frame of `finals`: the bytes of
+/// `EngineSnapshot::from_streams(finals)`, written from the finals in
+/// place, ordered by key. Only a chunk that repeats a key — a stream
+/// demoted and then evicted within one seal — is merged per key into
+/// a snapshot first.
+fn evicted_frame(version: u8, seq: Option<u64>, finals: &[StreamEntry]) -> Bytes {
+    let mut sorted: Vec<&StreamEntry> = finals.iter().collect();
+    sorted.sort_by_key(|e| e.key);
+    if sorted.windows(2).any(|w| w[0].key == w[1].key) {
+        let merged = EngineSnapshot::from_streams(finals.to_vec());
+        return snapshot_frame(version, KIND_EVICTED, seq, &merged);
+    }
+    assemble(
+        version,
+        KIND_EVICTED,
+        seq,
+        snapshot_len_hint(sorted.len()),
+        |b| put_entries(b, sorted.iter().copied(), None),
+    )
+}
+
 fn snapshot_frame(version: u8, kind: u8, seq: Option<u64>, snap: &EngineSnapshot) -> Bytes {
-    assemble(version, kind, seq, snapshot_len_hint(snap), |b| {
-        put_snapshot(b, snap);
-    })
+    assemble(
+        version,
+        kind,
+        seq,
+        snapshot_len_hint(snap.stream_count()),
+        |b| {
+            put_snapshot(b, snap);
+        },
+    )
 }
 
 /// One frame: header, the seq when there is one, then the payload
@@ -733,6 +750,26 @@ mod tests {
             Frame::Bye,
         ];
         assert_eq!(roundtrip(&frames), frames);
+    }
+
+    #[test]
+    fn evicted_frames_encode_the_snapshot_of_their_finals() {
+        // Out of key order, and with a repeated key (a stream demoted,
+        // then evicted, within one seal): the bytes are those of the
+        // canonical snapshot of the finals, merged per key.
+        let a = sample_snapshot(5);
+        let b = sample_snapshot(6);
+        let mut finals: Vec<StreamEntry> = a.streams()[..6].iter().rev().cloned().collect();
+        let unique = finals.clone();
+        finals.push(b.streams()[2].clone());
+        for chunk in [Vec::new(), unique, finals] {
+            let snap = EngineSnapshot::from_streams(chunk.clone());
+            let frame = Frame::Evicted(chunk);
+            let want = snapshot_frame(WIRE_VERSION, KIND_EVICTED, Some(9), &snap);
+            assert_eq!(encode_frame_seq(9, &frame), want);
+            let want = snapshot_frame(WIRE_VERSION_FRAMED, KIND_EVICTED, None, &snap);
+            assert_eq!(encode_frame(&frame), want);
+        }
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //! that mode every benchmark runs exactly one iteration as a smoke test
 //! (still appending its id to `CRITERION_JSON` when set, which is how
 //! `scripts/check_bench_ids.sh` enumerates the harness's current ids).
+//!
+//! As in criterion, the first positional argument is a name filter:
+//! only benchmarks whose id contains it run, so
+//! `cargo bench -p sst-bench --bench monitor -- diff_flush` runs the
+//! `monitor/diff_flush*` rows alone. Without one, every benchmark runs.
 
 #![forbid(unsafe_code)]
 
@@ -119,17 +124,36 @@ struct MeasureCfg {
     warm_up: Duration,
     measurement: Duration,
     smoke_test: bool,
+    /// Run only the benchmarks whose id contains this.
+    filter: Option<String>,
 }
 
 impl MeasureCfg {
     fn default_cfg() -> Self {
+        let (smoke_test, filter) = parse_args(std::env::args().skip(1));
         MeasureCfg {
             sample_size: 20,
             warm_up: Duration::from_millis(300),
             measurement: Duration::from_millis(1500),
-            smoke_test: std::env::args().any(|a| a == "--test"),
+            smoke_test,
+            filter,
         }
     }
+}
+
+/// The smoke-test flag (`--test`) and the name filter (the first
+/// argument that is not a flag) of a bench binary's arguments.
+fn parse_args(args: impl IntoIterator<Item = String>) -> (bool, Option<String>) {
+    let mut smoke_test = false;
+    let mut filter = None;
+    for arg in args {
+        if arg == "--test" {
+            smoke_test = true;
+        } else if !arg.starts_with('-') && filter.is_none() {
+            filter = Some(arg);
+        }
+    }
+    (smoke_test, filter)
 }
 
 /// Top-level harness state.
@@ -255,6 +279,9 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
     throughput: Option<Throughput>,
     mut f: F,
 ) {
+    if cfg.filter.as_deref().is_some_and(|name| !id.contains(name)) {
+        return;
+    }
     if cfg.smoke_test {
         let mut b = Bencher {
             iters: 1,
@@ -443,6 +470,8 @@ mod tests {
             .sample_size(3)
             .warm_up_time(Duration::from_millis(1))
             .measurement_time(Duration::from_millis(5));
+        // Whatever name filter the test binary was run with.
+        c.cfg.filter = None;
         let mut g = c.benchmark_group("shim");
         g.throughput(Throughput::Elements(10));
         let mut runs = 0u64;
@@ -454,6 +483,37 @@ mod tests {
         });
         g.finish();
         assert!(runs > 0, "benchmark closure must have executed");
+    }
+
+    #[test]
+    fn positional_argument_filters_by_name() {
+        let args = |a: &[&str]| parse_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(args(&["--bench"]), (false, None));
+        assert_eq!(args(&["--test"]), (true, None));
+        assert_eq!(
+            args(&["--bench", "diff_flush"]),
+            (false, Some("diff_flush".to_string()))
+        );
+        assert_eq!(
+            args(&["--test", "wire", "tcp"]),
+            (true, Some("wire".to_string()))
+        );
+        let mut c = Criterion::default()
+            .sample_size(2)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(2));
+        c.cfg.filter = Some("keep".to_string());
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("shim");
+        for id in ["keep_me", "drop_me", "also_keep"] {
+            g.bench_function(id, |b| {
+                ran.push(id);
+                b.iter(|| ())
+            });
+        }
+        g.finish();
+        ran.dedup();
+        assert_eq!(ran, ["keep_me", "also_keep"]);
     }
 
     #[test]

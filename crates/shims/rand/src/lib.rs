@@ -6,11 +6,23 @@
 //! `gen_bool`, `fill`), and [`rngs::StdRng`].
 //!
 //! `StdRng` here is **ChaCha12, bit-compatible with upstream `rand
-//! 0.8`**: the same block function and buffering, `rand_core`'s exact
-//! PCG32-based `seed_from_u64`, the same `Standard` sampling, and the
-//! same `gen_range` widening-multiply algorithm — so any explicit seed
+//! 0.8`**: the same block function, `rand_core`'s exact PCG32-based
+//! `seed_from_u64`, the same `Standard` sampling, and the same
+//! `gen_range` widening-multiply algorithm — so any explicit seed
 //! yields the value stream real `rand` would produce (the workspace's
 //! statistical test tolerances were calibrated against that stream).
+//!
+//! Upstream buffers four ChaCha blocks per refill; this `StdRng`
+//! buffers one. The buffer length cannot change the value stream: the
+//! keystream is the blocks at counters 0, 1, 2, … laid end to end, and
+//! `rand_core`'s consumption rules read it word by word in order
+//! whatever the buffer holds — `next_u32` takes the next word,
+//! `next_u64` the next two (low word first), and a `next_u64` at the
+//! last buffered word takes its high word from the first word of the
+//! next refill, which is the next block's first word either way. So
+//! refilling one block at a time only moves *when* each block is
+//! computed: a generator is 112 bytes instead of 304, and a fresh one's
+//! first draw computes one block instead of four.
 
 #![forbid(unsafe_code)]
 
@@ -273,17 +285,20 @@ pub mod rngs {
 
     use super::{RngCore, SeedableRng};
 
-    const BUF_WORDS: usize = 64; // 4 ChaCha blocks, as in rand_chacha
+    /// Words per refill: one ChaCha block (see the crate docs for why
+    /// this is not upstream's four and still yields its values).
+    const BUF_WORDS: usize = 16;
 
     /// The standard generator: **ChaCha12**, bit-compatible with
     /// `rand 0.8`'s `StdRng`.
     ///
-    /// Reproduces upstream exactly: the ChaCha block function with a
-    /// 64-bit block counter and zero stream id, results buffered four
-    /// blocks at a time, and `rand_core`'s `BlockRng` word-consumption
-    /// rules for `next_u32`/`next_u64` (including the buffer-straddling
-    /// edge case). Combined with the `rand_core`-exact `seed_from_u64`,
-    /// any seed yields the same value stream real `rand` would produce.
+    /// Reproduces upstream's value stream exactly: the ChaCha block
+    /// function with a 64-bit block counter and zero stream id, and
+    /// `rand_core`'s `BlockRng` word-consumption rules for
+    /// `next_u32`/`next_u64` (including the buffer-straddling edge
+    /// case). Results are buffered one block at a time. Combined with
+    /// the `rand_core`-exact `seed_from_u64`, any seed yields the same
+    /// value stream real `rand` would produce.
     #[derive(Clone, Debug)]
     pub struct StdRng {
         key: [u32; 8],
@@ -306,7 +321,7 @@ pub mod rngs {
     }
 
     #[allow(clippy::many_single_char_names)]
-    fn chacha12_block(key: &[u32; 8], counter: u64, out: &mut [u32]) {
+    pub(crate) fn chacha12_block(key: &[u32; 8], counter: u64, out: &mut [u32]) {
         // State in named locals so the 96 quarter-round operations
         // compile to straight-line register code (no bounds checks).
         let (ia, ib, ic, id) = (
@@ -356,12 +371,8 @@ pub mod rngs {
 
     impl StdRng {
         fn refill(&mut self) {
-            for b in 0..4u64 {
-                let c = self.counter.wrapping_add(b);
-                let lo = (b as usize) * 16;
-                chacha12_block(&self.key, c, &mut self.buf[lo..lo + 16]);
-            }
-            self.counter = self.counter.wrapping_add(4);
+            chacha12_block(&self.key, self.counter, &mut self.buf);
+            self.counter = self.counter.wrapping_add(1);
             self.index = 0;
         }
     }
@@ -389,7 +400,7 @@ pub mod rngs {
                 (u64::from(self.buf[1]) << 32) | u64::from(self.buf[0])
             } else {
                 // Straddles the buffer boundary: low word is the last of
-                // this batch, high word the first of the next.
+                // this block, high word the first of the next.
                 let lo = u64::from(self.buf[BUF_WORDS - 1]);
                 self.refill();
                 self.index = 1;
@@ -431,7 +442,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -475,6 +486,137 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.gen::<f64>()).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean={mean}");
+    }
+
+    /// Reference generator: four blocks per refill, as upstream
+    /// `rand_chacha` buffers — the stream the one-block buffer must
+    /// reproduce word for word.
+    struct FourBlockRng {
+        key: [u32; 8],
+        counter: u64,
+        buf: [u32; 64],
+        index: usize,
+    }
+
+    impl FourBlockRng {
+        fn refill(&mut self) {
+            for b in 0..4u64 {
+                let c = self.counter.wrapping_add(b);
+                let lo = (b as usize) * 16;
+                super::rngs::chacha12_block(&self.key, c, &mut self.buf[lo..lo + 16]);
+            }
+            self.counter = self.counter.wrapping_add(4);
+            self.index = 0;
+        }
+    }
+
+    impl super::RngCore for FourBlockRng {
+        fn next_u32(&mut self) -> u32 {
+            if self.index >= 64 {
+                self.refill();
+            }
+            let w = self.buf[self.index];
+            self.index += 1;
+            w
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let index = self.index;
+            if index < 63 {
+                self.index += 2;
+                (u64::from(self.buf[index + 1]) << 32) | u64::from(self.buf[index])
+            } else if index >= 64 {
+                self.refill();
+                self.index = 2;
+                (u64::from(self.buf[1]) << 32) | u64::from(self.buf[0])
+            } else {
+                let lo = u64::from(self.buf[63]);
+                self.refill();
+                self.index = 1;
+                (u64::from(self.buf[0]) << 32) | lo
+            }
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            let mut chunks = dest.chunks_exact_mut(4);
+            for chunk in &mut chunks {
+                chunk.copy_from_slice(&self.next_u32().to_le_bytes());
+            }
+            let rem = chunks.into_remainder();
+            if !rem.is_empty() {
+                let last = self.next_u32().to_le_bytes();
+                rem.copy_from_slice(&last[..rem.len()]);
+            }
+        }
+    }
+
+    impl SeedableRng for FourBlockRng {
+        type Seed = [u8; 32];
+
+        fn from_seed(seed: Self::Seed) -> Self {
+            let mut key = [0u32; 8];
+            for (word, chunk) in key.iter_mut().zip(seed.chunks_exact(4)) {
+                *word = u32::from_le_bytes(chunk.try_into().unwrap());
+            }
+            FourBlockRng {
+                key,
+                counter: 0,
+                buf: [0; 64],
+                index: 64,
+            }
+        }
+    }
+
+    /// One draw of a mixed script, as comparable bits.
+    fn draw(rng: &mut impl Rng, op: u64) -> Vec<u64> {
+        match op % 7 {
+            0 => vec![u64::from(rng.next_u32())],
+            1 => vec![rng.next_u64()],
+            2 => {
+                let mut bytes = [0u8; 13];
+                let n = 1 + (op as usize / 7) % 13;
+                rng.fill_bytes(&mut bytes[..n]);
+                bytes.iter().map(|&b| u64::from(b)).collect()
+            }
+            3 => vec![rng.gen_range(0..(op | 1) as usize) as u64],
+            4 => vec![u64::from(rng.gen_range(3u16..1000))],
+            5 => vec![rng.gen_range(-1.0f64..1.0).to_bits()],
+            _ => vec![rng.gen::<f64>().to_bits(), u64::from(rng.gen::<bool>())],
+        }
+    }
+
+    #[test]
+    fn one_block_buffer_reproduces_the_four_block_stream() {
+        // A lead of `lead` single words puts every later draw at an odd
+        // or even word offset; each script runs well past three block
+        // boundaries (a block is 16 words), and starts with a `next_u64`
+        // so lead 15 straddles the first boundary.
+        for seed in [0u64, 1, 7, 101, 4242, u64::MAX] {
+            for lead in 0..40u64 {
+                let mut one = StdRng::seed_from_u64(seed);
+                let mut four = FourBlockRng::seed_from_u64(seed);
+                for _ in 0..lead {
+                    assert_eq!(one.next_u32(), four.next_u32());
+                }
+                let mut state = seed ^ (lead << 32) ^ 0x9E37_79B9_7F4A_7C15;
+                for step in 0..160 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let op = if step == 0 { 1 } else { state };
+                    assert_eq!(
+                        draw(&mut one, op),
+                        draw(&mut four, op),
+                        "seed {seed} lead {lead} step {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generator_holds_one_block() {
+        assert!(std::mem::size_of::<StdRng>() <= 112);
     }
 
     #[test]

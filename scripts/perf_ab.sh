@@ -4,9 +4,13 @@
 #
 #   scripts/perf_ab.sh BASE_REV [workload...]
 #
-# BASE_REV's perfbench is exported with `git archive` into a scratch
-# directory under $TMPDIR and built there with its own target dir; the
-# working tree's perfbench builds in perfbench/target as usual. Each
+# BASE_REV is resolved to its full commit hash, and its tree is
+# exported with `git archive` into ${TMPDIR:-/tmp}/perf_ab-base-HASH
+# and built there with its own target dir. That directory outlives the
+# run: a later run against the same commit reuses the built binary and
+# rebuilds only when it is missing. The working tree's perfbench builds
+# in perfbench/target as usual; the per-run results directory is
+# removed on exit. Each
 # workload then runs PAIRS pairs of untraced runs on the same seed,
 # alternating which side goes first, and every run must report
 # `"correct": true`. Per metric the script prints each side's median and
@@ -30,6 +34,7 @@ base_rev=$1
 shift
 
 root=$(git rev-parse --show-toplevel)
+base_hash=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
 pairs=${PAIRS:-10}
 seconds=${SECONDS_PER_RUN:-5}
 seed=${SEED:-101}
@@ -46,14 +51,21 @@ fi
 work=$(mktemp -d "${TMPDIR:-/tmp}/perf_ab.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
-echo "building base ($base_rev) perfbench in $work" >&2
-mkdir -p "$work/base"
-git -C "$root" archive "$base_rev" | tar -x -C "$work/base"
-CARGO_TARGET_DIR="$work/target" cargo build --release --offline --quiet \
-    --manifest-path "$work/base/perfbench/Cargo.toml"
+base_dir="${TMPDIR:-/tmp}/perf_ab-base-$base_hash"
+base_bin="$base_dir/target/release/perfbench"
+if [[ -x $base_bin ]]; then
+    echo "reusing base ($base_rev) perfbench built in $base_dir" >&2
+else
+    echo "building base ($base_rev) perfbench in $base_dir" >&2
+    # A fresh export: an interrupted earlier one may have left a partial tree.
+    rm -rf "$base_dir/tree"
+    mkdir -p "$base_dir/tree"
+    git -C "$root" archive "$base_hash" | tar -x -C "$base_dir/tree"
+    CARGO_TARGET_DIR="$base_dir/target" cargo build --release --offline --quiet \
+        --manifest-path "$base_dir/tree/perfbench/Cargo.toml"
+fi
 echo "building change (working tree) perfbench" >&2
 cargo build --release --offline --quiet --manifest-path "$root/perfbench/Cargo.toml"
-base_bin="$work/target/release/perfbench"
 change_bin="$root/perfbench/target/release/perfbench"
 
 # run SIDE BIN WORKLOAD PAIR: appends the run's JSON line to

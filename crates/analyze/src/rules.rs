@@ -84,14 +84,7 @@ impl RuleConfig {
                 // intentional caller-bug panics (oversize frames).
                 (
                     "crates/monitor/src/wire.rs",
-                    Scope::Fns(vec![
-                        "decode",
-                        "push",
-                        "finish",
-                        "next_seq_frame",
-                        "try_v2",
-                        "try_legacy",
-                    ]),
+                    Scope::Fns(vec!["decode", "push", "next_seq_frame", "try_frame"]),
                 ),
                 // diff.rs: the apply half mutates state from network
                 // bytes; the diff-building half reads only trusted

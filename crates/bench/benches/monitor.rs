@@ -14,6 +14,21 @@ use sst_monitor::{
     decode_frames, encode_frame, Frame, MonitorConfig, MonitorEngine, SamplerSpec, WIRE_VERSION,
 };
 
+/// One whole collector session's bytes: a `Fresh` `Hello`, then
+/// `delta` and `Bye` at seqs 0 and 1.
+fn delta_session(delta: &Frame) -> Vec<u8> {
+    use sst_monitor::wire::{encode_frame_seq, HelloResume};
+    let mut bytes = encode_frame(&Frame::Hello {
+        protocol: WIRE_VERSION,
+        collector_id: 1,
+        resume: Some(HelloResume::Fresh { first_seq: 0 }),
+    })
+    .to_vec();
+    bytes.extend_from_slice(&encode_frame_seq(0, delta));
+    bytes.extend_from_slice(&encode_frame_seq(1, &Frame::Bye));
+    bytes
+}
+
 /// Deterministic bursty multiplexed workload over `n_keys` streams.
 fn points(n: usize, n_keys: u64) -> Vec<(u64, f64)> {
     (0..n)
@@ -125,24 +140,13 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
     let pts = points(1 << 19, 4096);
     let mut engine = MonitorEngine::new(MonitorConfig::default().sampler(spec()).shards(4).seed(3));
     engine.offer_batch(&pts);
-    let frames = vec![
-        Frame::Hello {
-            protocol: WIRE_VERSION,
-            collector_id: 1,
-            resume: None,
-        },
-        Frame::Delta(engine.snapshot()),
-        Frame::Bye,
-    ];
+    let delta = Frame::Delta(engine.snapshot());
     let mut g = c.benchmark_group("monitor");
     g.sample_size(10);
     g.throughput(Throughput::Elements(engine.stream_count() as u64));
     g.bench_function("wire_roundtrip", |b| {
         b.iter(|| {
-            let mut bytes = Vec::new();
-            for f in &frames {
-                bytes.extend_from_slice(&encode_frame(f));
-            }
+            let bytes = delta_session(&delta);
             decode_frames(&bytes).expect("clean stream").len()
         });
     });
@@ -371,18 +375,7 @@ fn bench_tcp_roundtrip(c: &mut Criterion) {
     let pts = points(1 << 19, 4096);
     let mut engine = MonitorEngine::new(MonitorConfig::default().sampler(spec()).shards(4).seed(3));
     engine.offer_batch(&pts);
-    let mut session = Vec::new();
-    for f in [
-        Frame::Hello {
-            protocol: WIRE_VERSION,
-            collector_id: 1,
-            resume: None,
-        },
-        Frame::Delta(engine.snapshot()),
-        Frame::Bye,
-    ] {
-        session.extend_from_slice(&encode_frame(&f));
-    }
+    let session = delta_session(&Frame::Delta(engine.snapshot()));
     let mut g = c.benchmark_group("monitor");
     g.sample_size(10);
     g.throughput(Throughput::Elements(engine.stream_count() as u64));
@@ -401,8 +394,13 @@ fn bench_tcp_roundtrip(c: &mut Criterion) {
             let writer = std::thread::spawn({
                 let session = session.clone();
                 move || {
+                    // Half-close, then drain the serve's acks until it
+                    // hangs up, so no ack meets a closed socket.
                     let mut sock = TcpStream::connect(addr).expect("connect");
                     sock.write_all(&session).expect("write session");
+                    sock.shutdown(std::net::Shutdown::Write)
+                        .expect("half-close");
+                    std::io::copy(&mut sock, &mut std::io::sink()).expect("drain acks");
                 }
             });
             let (aggs, rep) = server.run().expect("event loop");

@@ -9,11 +9,10 @@
 //! round-trips are **bit-exact** (the summaries are serialized from
 //! their raw Welford/cascade state, not from derived statistics).
 //!
-//! [`crate::wire`] generalizes this into the versioned frame protocol:
-//! snapshot-bearing frames (`Delta`/`FullSnapshot`/`Evicted`) carry
-//! exactly these bytes as payloads, and a bare buffer in this format
-//! (the legacy `.ssm` file form) still decodes as one implicit
-//! `FullSnapshot` frame.
+//! A bare buffer in this format is the `.ssm` file form. [`crate::wire`]
+//! builds the socket protocol on it: snapshot-bearing frames
+//! (`Delta`/`FullSnapshot`/`Evicted`) carry exactly these bytes as
+//! payloads.
 
 use crate::diff::{BaseFingerprint, StreamDiff};
 use crate::engine::{EngineSnapshot, StreamEntry};
@@ -441,10 +440,9 @@ fn get_len(buf: &mut &[u8], elem_bytes: usize) -> Result<usize, SnapshotCodecErr
 /// [`SnapshotCodecError::Truncated`] (so incremental readers wait for
 /// the rest), while non-sketch trailing bytes are
 /// [`SnapshotCodecError::Corrupt`]. Note the v1 format is not
-/// self-delimiting: an incremental legacy reader that stops exactly at
-/// the last stream record would accept a sketchless prefix — in
-/// practice only whole buffers (files, length-prefixed v2/v3 frame
-/// payloads) carry sketch sections.
+/// self-delimiting: a reader that stops exactly at the last stream
+/// record would accept a sketchless prefix — which is why it is only
+/// read from whole buffers (files, length-prefixed frame payloads).
 ///
 /// # Errors
 ///
@@ -1012,9 +1010,9 @@ mod tests {
         let sketchless = encode_snapshot(&snap.clone().with_sketch(None)).len();
         let encoded = encode_snapshot(&snap);
         assert!(encoded.len() > sketchless + 4);
-        // Cut everywhere inside the SKT1 section (past its magic): an
-        // incremental reader must see Truncated, never Corrupt, so the
-        // legacy FrameDecoder keeps waiting for the rest.
+        // Cut everywhere inside the SKT1 section (past its magic): a
+        // reader of a partial buffer must see Truncated, never Corrupt,
+        // so it knows to wait for the rest.
         for cut in (sketchless + 1..encoded.len()).step_by(7) {
             assert_eq!(
                 decode_snapshot(&encoded[..cut]),

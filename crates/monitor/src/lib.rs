@@ -21,8 +21,8 @@
 //!  │ lifecycle eviction (idle/LRU) │  LifecycleConfig, Compactable
 //!  │           + compaction        │  final snapshots on evict
 //!  ├───────────────────────────────┤
-//!  │ wire      versioned frames    │  Hello/Delta/FullSnapshot/
-//!  │           (length-prefixed)   │  Evicted/Bye, v1 compat
+//!  │ wire      v4 frames           │  Hello/Delta/DeltaDiff/
+//!  │           (length-prefixed)   │  FullSnapshot/Evicted/Bye
 //!  ├───────────────────────────────┤
 //!  │ topology  Collector ⇒         │  N processes ⇒ one merged
 //!  │           Aggregator          │  state, interleaving-proof,
@@ -40,7 +40,7 @@
 //! puts it on real sockets: [`transport::MultiLoopServer`] accepts
 //! Unix-domain and TCP collector sessions on one dispatcher and shards
 //! them across `epoll(7)` event loops ([`transport::EventLoopServer`]),
-//! one per core or just one — one bad session is rolled back and
+//! one per core or just one — one bad session is isolated and
 //! logged, never fatal. Per-loop [`topology::Aggregator`]s merge at
 //! snapshot time via [`topology::AggregatorSet`]; spoof rejection
 //! stays global through the shared [`topology::AdmissionRegistry`].
@@ -130,7 +130,4 @@ pub use topology::{
 pub use transport::{
     EventLoopServer, MultiLoopServer, ServeOptions, ServeReport, SessionStats, SessionStream,
 };
-pub use wire::{
-    decode_frames, encode_frame, Frame, FrameDecoder, WireError, WIRE_VERSION,
-    WIRE_VERSION_SEQUENCED,
-};
+pub use wire::{decode_frames, encode_frame, Frame, FrameDecoder, WireError, WIRE_VERSION};

@@ -21,8 +21,9 @@
 //! and state is never shared across collectors, the aggregate is
 //! **independent of how sessions interleave** — feed the connections
 //! concurrently or one after another, the final snapshot is the same
-//! bits. The aggregator still decodes the older one-way (v2) sessions
-//! and bare v1 `.ssm` snapshots through the same [`SessionDriver`].
+//! bits. Every session opens with a `Hello`: a peer that sends data
+//! first, or speaks any wire version but v4, fails without touching
+//! aggregator state.
 //!
 //! A tiered collector ([`crate::TierConfig`]) additionally ships its
 //! cumulative sketch-tier image on the last `Delta` of every seal;
@@ -504,19 +505,17 @@ struct CollectorState {
     /// for good).
     absorbed: Option<SketchSnapshot>,
     done: bool,
-    /// Sequenced (v3) session: highest applied data-frame seq. The
-    /// watermark is what makes redelivery idempotent — duplicate seqs
-    /// are skipped, which matters because `Evicted` finals merge.
+    /// Highest applied data-frame seq. The watermark is what makes
+    /// redelivery idempotent — duplicate seqs are skipped, which
+    /// matters because `Evicted` finals merge.
     last_seq: Option<u64>,
-    /// This id negotiated the sequenced protocol.
-    sequenced: bool,
     /// A `Resync` was requested; data frames are ignored until the
     /// `Resync`-mode `Hello` re-baselines the session.
     awaiting_resync: bool,
 }
 
 /// A suspended collector's aggregator state, parked in the
-/// [`AdmissionRegistry`] between a sequenced session's failure and its
+/// [`AdmissionRegistry`] between a session's failure and its
 /// resumption (possibly on a different serve loop). Opaque: only
 /// [`Aggregator::park_collector`] produces one and only
 /// [`Aggregator::restore_collector`] consumes it.
@@ -525,7 +524,7 @@ pub struct ParkedCollector(CollectorState);
 /// What [`Aggregator::feed_seq`] did with a frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeqOutcome {
-    /// The frame was applied (or was an unsequenced frame).
+    /// The frame was applied.
     Applied,
     /// Duplicate seq — already applied in a prior connection; skipped.
     Duplicate,
@@ -588,26 +587,19 @@ impl Aggregator {
 
     /// Applies one frame from the session of `collector_id` (the id
     /// from that session's `Hello`) with its wire sequence number —
-    /// `None` for `Hello`s and for the data frames of unsequenced (v2)
-    /// sessions and bare v1 snapshots.
+    /// `None` for `Hello`s.
     ///
-    /// Protocol-version negotiation happens here: any `Hello` is
-    /// accepted, and the session runs at the highest version both
-    /// sides speak — `resume: Some` means the sequenced (v3) protocol,
-    /// `resume: None` the one-way framed (v2) protocol, whatever the
-    /// peer's declared ceiling. A v2 peer is never rejected.
-    ///
-    /// Sequenced sessions are idempotent across redelivery: `last_seq`
-    /// is tracked per collector (and survives re-admission), duplicate
+    /// Sessions are idempotent across redelivery: `last_seq` is
+    /// tracked per collector (and survives re-admission), duplicate
     /// seqs are skipped, and a gap turns into a
     /// [`SeqOutcome::NeedResync`] rather than silent corruption.
     ///
     /// # Errors
     ///
-    /// [`WireError::Corrupt`] on protocol violations: aggregator
-    /// control frames fed as collector frames, sequenced data frames
-    /// without a sequenced `Hello`, or unsequenced data frames inside
-    /// a sequenced session.
+    /// [`WireError::Corrupt`] on protocol violations, with no state
+    /// created: aggregator control frames fed as collector frames, a
+    /// `Hello` without a resume mode, a data frame without a seq, and
+    /// a data frame under an id that has had no `Hello`.
     pub fn feed_seq(
         &mut self,
         collector_id: u64,
@@ -619,22 +611,22 @@ impl Aggregator {
                 "aggregator control frame from a collector",
             ));
         }
-        let state = self.collectors.entry(collector_id).or_default();
-        if let Frame::Hello { resume, .. } = &frame {
+        if let Frame::Hello { resume, .. } = frame {
+            let resume = resume.ok_or(WireError::Corrupt("hello without a resume mode"))?;
+            let state = self.collectors.entry(collector_id).or_default();
             state.done = false;
-            state.sequenced = resume.is_some();
-            if let Some(HelloResume::Replay { first_seq }) = resume {
+            if let HelloResume::Replay { first_seq } = resume {
                 // Keep everything: the whole point of a replay is that
                 // prior state (and its seq watermark) stands.
                 let expected = state.last_seq.map_or(0, |s| s + 1);
-                if *first_seq > expected {
+                if first_seq > expected {
                     state.awaiting_resync = true;
                     return Ok(SeqOutcome::NeedResync { from_seq: expected });
                 }
             } else {
                 // Any other Hello restarts the session's live view: a
-                // fresh (or v2) session re-sends cumulative state, and
-                // a `Resync` re-baselines it with the coming
+                // fresh session re-sends cumulative state, and a
+                // `Resync` re-baselines it with the coming
                 // FullSnapshot. Retired finals (and server-side absorbed
                 // sketches) were real evictions and stay — a resyncing
                 // collector re-sends only the evicted tail past the
@@ -643,7 +635,7 @@ impl Aggregator {
                 // by the next sketch-bearing frame.
                 state.live.clear();
                 state.sketch = None;
-                state.last_seq = resume.and_then(|r| r.first_seq().checked_sub(1));
+                state.last_seq = resume.first_seq().checked_sub(1);
             }
             state.awaiting_resync = false;
             return Ok(SeqOutcome::Applied);
@@ -652,30 +644,22 @@ impl Aggregator {
         // The watermark advances only *after* the frame applies — a
         // differential frame that fails validation must not count as
         // applied, or the resync would skip it.
-        let advance = if state.sequenced {
-            let seq = seq.ok_or(WireError::Corrupt(
-                "unsequenced data frame in a sequenced session",
-            ))?;
-            if state.awaiting_resync {
-                return Ok(SeqOutcome::Ignored);
-            }
-            let expected = state.last_seq.map_or(0, |s| s + 1);
-            if seq < expected {
-                return Ok(SeqOutcome::Duplicate);
-            }
-            if seq > expected {
-                state.awaiting_resync = true;
-                return Ok(SeqOutcome::NeedResync { from_seq: expected });
-            }
-            Some(seq)
-        } else {
-            if seq.is_some() {
-                return Err(WireError::Corrupt(
-                    "sequenced data frame without a sequenced hello",
-                ));
-            }
-            None
-        };
+        let seq = seq.ok_or(WireError::Corrupt("data frame without a seq"))?;
+        let state = self
+            .collectors
+            .get_mut(&collector_id)
+            .ok_or(WireError::Corrupt("data frame before hello"))?;
+        if state.awaiting_resync {
+            return Ok(SeqOutcome::Ignored);
+        }
+        let expected = state.last_seq.map_or(0, |s| s + 1);
+        if seq < expected {
+            return Ok(SeqOutcome::Duplicate);
+        }
+        if seq > expected {
+            state.awaiting_resync = true;
+            return Ok(SeqOutcome::NeedResync { from_seq: expected });
+        }
         match frame {
             Frame::Hello { .. } | Frame::Ack { .. } | Frame::Resync { .. } | Frame::Shutdown => {
                 unreachable!("handled above")
@@ -760,11 +744,6 @@ impl Aggregator {
                 }
             }
             Frame::DeltaDiff(diffs) => {
-                let Some(seq) = advance else {
-                    return Err(WireError::Corrupt(
-                        "differential frame in an unsequenced session",
-                    ));
-                };
                 // Diffs apply in-place against the live view. Any
                 // failure — unknown key, baseline fingerprint mismatch
                 // (e.g. our compact_budget rewrote the entry), or a
@@ -791,14 +770,12 @@ impl Aggregator {
             }
             Frame::Bye => state.done = true,
         }
-        if let Some(seq) = advance {
-            state.last_seq = Some(seq);
-        }
+        state.last_seq = Some(seq);
         Ok(SeqOutcome::Applied)
     }
 
     /// Highest applied sequence number of `collector_id`'s session
-    /// (`None` for unknown ids and unsequenced sessions).
+    /// (`None` for unknown ids and before its first data frame).
     pub fn last_seq(&self, collector_id: u64) -> Option<u64> {
         self.collectors.get(&collector_id).and_then(|s| s.last_seq)
     }
@@ -829,24 +806,6 @@ impl Aggregator {
     /// session's frames.
     pub fn restore_collector(&mut self, collector_id: u64, parked: ParkedCollector) {
         self.collectors.insert(collector_id, parked.0);
-    }
-
-    /// Discards every entry (live *and* retired) fed under
-    /// `collector_id`, as if that session had never connected.
-    ///
-    /// Transports call this when an unsequenced (v1/v2) session fails
-    /// mid-stream — a half-delivered cumulative view must not leak into
-    /// the assembled snapshot, so the guarantee stays "the snapshot is
-    /// exactly the completed sessions". Retired finals the failed
-    /// session delivered are lost with it: such a peer has no replay
-    /// window to redeliver them from. A failed *sequenced* session is
-    /// parked instead ([`Aggregator::park_collector`]) and resumes with
-    /// its seq watermark, which makes the replay exactly-once.
-    /// (Sessions are trusted to use distinct ids — a session that
-    /// claims another's id already stomps its live view at `Hello`
-    /// time.)
-    pub fn remove_collector(&mut self, collector_id: u64) {
-        self.collectors.remove(&collector_id);
     }
 
     /// Collector sessions seen so far.
@@ -915,7 +874,7 @@ enum IdOwner {
     /// it again within this serve run (a late "reconnect" after a
     /// clean `Bye` is indistinguishable from a spoof).
     Completed,
-    /// A sequenced session failed mid-stream; its aggregator state is
+    /// A session failed mid-stream; its aggregator state is
     /// parked here until the collector reconnects and resumes —
     /// idempotently, thanks to the parked seq watermark.
     Suspended(Box<ParkedCollector>),
@@ -997,7 +956,7 @@ impl AdmissionRegistry {
         }
     }
 
-    /// Parks a failed sequenced session's aggregator state under its
+    /// Parks a failed session's aggregator state under its
     /// id, to be handed to whichever session (on whichever loop)
     /// resumes it.
     pub fn suspend(&self, id: u64, parked: ParkedCollector) {
@@ -1078,19 +1037,18 @@ impl AggregatorSet {
 #[derive(Debug)]
 pub enum SessionError {
     /// The byte stream violated the wire protocol (or carried a frame
-    /// the aggregator rejected, e.g. an unsupported `Hello` version).
+    /// the aggregator rejected, e.g. data before any `Hello`).
     Wire(WireError),
     /// The connection closed with a partial frame still buffered.
     MidFrameEof,
     /// The session tried to feed under a collector id the transport's
     /// admission policy refused (e.g. an id another session owns).
     IdRejected(u64),
-    /// A *sequenced* session's connection ended (even on a clean frame
-    /// boundary) before its `Bye` was applied. Unsequenced v1/v2
-    /// streams complete on EOF; a sequenced collector explicitly ends
-    /// with `Bye` and anything less is a torn connection the peer will
-    /// resume — completing it would mark the id delivered and reject
-    /// the resumption as a spoof.
+    /// A session's connection ended (even on a clean frame boundary)
+    /// after its `Hello` but before its `Bye` was applied. A collector
+    /// explicitly ends with `Bye` and anything less is a torn
+    /// connection the peer will resume — completing it would mark the
+    /// id delivered and reject the resumption as a spoof.
     SequencedEof(u64),
 }
 
@@ -1117,27 +1075,24 @@ impl std::error::Error for SessionError {}
 /// A `SessionDriver` owns one connection's [`FrameDecoder`] and session
 /// identity. Push bytes as they arrive ([`SessionDriver::push`]), call
 /// [`SessionDriver::finish`] at EOF; each completed frame is fed to the
-/// [`Aggregator`] under the session's id — the id from the first
-/// `Hello`, or `fallback_id` for legacy (Hello-less) `.ssm` streams,
-/// whose implicit `FullSnapshot` only decodes once EOF is signalled.
+/// [`Aggregator`] under the id from the session's latest `Hello`. A
+/// frame before any `Hello` fails the session.
 ///
 /// The driver never touches the aggregator except through
-/// [`Aggregator::feed_seq`]/[`Aggregator::remove_collector`], so the same
+/// [`Aggregator::feed_seq`]/[`Aggregator::park_collector`], so the same
 /// state machine serves live sockets in the event loop (which owns its
 /// aggregator, no lock) and in-memory byte slices pushed directly —
 /// the reference replay the transport tests compare served bytes
 /// against.
+#[derive(Default)]
 pub struct SessionDriver {
     dec: FrameDecoder,
     session: Option<u64>,
-    fallback_id: u64,
     frames: usize,
     /// Every collector id this session fed at least one frame under —
     /// a session that re-`Hello`s under new ids touches several, and
     /// [`SessionDriver::abort`] must roll back all of them.
     fed: BTreeSet<u64>,
-    /// The session negotiated the sequenced (v3) protocol.
-    sequenced: bool,
     /// Encoded aggregator → collector control frames (`Ack`, `Resync`)
     /// awaiting transport write — the transport drains this via
     /// [`SessionDriver::take_outbound`] and owns partial-write
@@ -1157,22 +1112,9 @@ pub struct SessionDriver {
 }
 
 impl SessionDriver {
-    /// A fresh session; data frames arriving before any `Hello` are
-    /// attributed to `fallback_id`.
-    pub fn new(fallback_id: u64) -> Self {
-        SessionDriver {
-            dec: FrameDecoder::new(),
-            session: None,
-            fallback_id,
-            frames: 0,
-            fed: BTreeSet::new(),
-            sequenced: false,
-            outbound: Vec::new(),
-            acked_through: None,
-            diff_bytes: 0,
-            full_bytes: 0,
-            resyncs: 0,
-        }
+    /// A fresh session, before its `Hello`.
+    pub fn new() -> Self {
+        SessionDriver::default()
     }
 
     /// Feeds a chunk of received bytes, applying every frame that
@@ -1213,54 +1155,33 @@ impl SessionDriver {
         self.drain(agg, admit)
     }
 
-    /// Signals EOF: decodes anything still pending (a legacy snapshot
-    /// decodes only now) and verifies the stream ended on a frame
-    /// boundary. Admits everything, like [`SessionDriver::push`].
+    /// Signals EOF: verifies the stream ended on a frame boundary and,
+    /// once a `Hello` arrived, after its `Bye` applied.
     ///
     /// # Errors
     ///
     /// [`SessionError::MidFrameEof`] if bytes of an incomplete frame
-    /// remain; [`SessionError::Wire`] as [`SessionDriver::push`].
-    pub fn finish(&mut self, agg: &mut Aggregator) -> Result<(), SessionError> {
-        self.finish_admitted(agg, &mut |_, _| true)
-    }
-
-    /// As [`SessionDriver::finish`] with an admission policy (a legacy
-    /// stream establishes its fallback id only now, at EOF).
-    ///
-    /// # Errors
-    ///
-    /// As [`SessionDriver::finish`], plus [`SessionError::IdRejected`].
-    pub fn finish_admitted(
-        &mut self,
-        agg: &mut Aggregator,
-        admit: &mut dyn FnMut(u64, &mut Aggregator) -> bool,
-    ) -> Result<(), SessionError> {
-        self.dec.finish();
-        self.drain(agg, admit)?;
+    /// remain; [`SessionError::SequencedEof`] if the session's `Bye`
+    /// has not applied — a torn connection whose peer will reconnect
+    /// and resume, so completing it here would mark the id delivered
+    /// and spoof-reject the resumption.
+    pub fn finish(&self, agg: &Aggregator) -> Result<(), SessionError> {
         if self.dec.pending_bytes() != 0 {
             return Err(SessionError::MidFrameEof);
         }
-        // A sequenced session is complete only once its `Bye` applied:
-        // a clean frame-boundary EOF without one is a torn connection
-        // whose peer will reconnect and resume — completing it here
-        // would mark the id delivered and spoof-reject the resumption.
-        if self.sequenced {
-            if let Some(id) = self.session {
-                if !agg.session_done(id) {
-                    return Err(SessionError::SequencedEof(id));
-                }
-            }
+        match self.session {
+            Some(id) if !agg.session_done(id) => Err(SessionError::SequencedEof(id)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Rolls the session's contribution back out of the aggregator:
-    /// every collector id it fed frames under is removed (no-op if it
-    /// never delivered a frame). Call on session failure.
+    /// the state of every collector id it fed frames under is dropped
+    /// (no-op if it never delivered a frame). Call when a session
+    /// that will not resume is torn down, e.g. at serve shutdown.
     pub fn abort(&self, agg: &mut Aggregator) {
         for &id in &self.fed {
-            agg.remove_collector(id);
+            agg.park_collector(id);
         }
     }
 
@@ -1287,8 +1208,8 @@ impl SessionDriver {
         self.resyncs
     }
 
-    /// The session's established id (`Hello`'s collector id, or the
-    /// fallback once a Hello-less data frame arrived).
+    /// The session's established id: its latest `Hello`'s collector
+    /// id.
     pub fn session_id(&self) -> Option<u64> {
         self.session
     }
@@ -1297,13 +1218,6 @@ impl SessionDriver {
     /// [`SessionDriver::abort`] would roll back).
     pub fn fed_ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.fed.iter().copied()
-    }
-
-    /// The session negotiated the sequenced (v3) protocol — on
-    /// failure, transports park its state for resumption instead of
-    /// rolling it back.
-    pub fn is_sequenced(&self) -> bool {
-        self.sequenced
     }
 
     /// Drains the encoded aggregator → collector control frames
@@ -1341,16 +1255,9 @@ impl SessionDriver {
                 }
                 (_, Some(id)) => id,
                 (_, None) => {
-                    self.session = Some(self.fallback_id);
-                    self.fallback_id
+                    return Err(SessionError::Wire(WireError::Corrupt("frame before hello")));
                 }
             };
-            if let Frame::Hello {
-                resume: Some(_), ..
-            } = &frame
-            {
-                self.sequenced = true;
-            }
             // Admission runs before the frame is applied: a refused id
             // must leave no trace (not even a `Hello`'s live-view
             // reset). A granted resumption restores parked state into
@@ -1374,16 +1281,12 @@ impl SessionDriver {
         }
         // Ack once per drained batch, and only when the watermark
         // moved — a per-session outbound buffer the transport flushes.
-        if self.sequenced {
-            if let Some(id) = self.session {
-                if let Some(through) = agg.last_seq(id) {
-                    if self.acked_through.is_none_or(|a| a < through) {
-                        self.acked_through = Some(through);
-                        self.outbound.extend_from_slice(&encode_frame(&Frame::Ack {
-                            through_seq: through,
-                        }));
-                    }
-                }
+        if let Some(through) = self.session.and_then(|id| agg.last_seq(id)) {
+            if self.acked_through.is_none_or(|a| a < through) {
+                self.acked_through = Some(through);
+                self.outbound.extend_from_slice(&encode_frame(&Frame::Ack {
+                    through_seq: through,
+                }));
             }
         }
         Ok(())
@@ -1451,9 +1354,18 @@ mod tests {
         pipe
     }
 
+    /// A fresh session's `Hello` under `collector_id`.
+    fn hello_frame(collector_id: u64) -> Frame {
+        Frame::Hello {
+            protocol: WIRE_VERSION,
+            collector_id,
+            resume: Some(HelloResume::Fresh { first_seq: 0 }),
+        }
+    }
+
     /// Feeds one whole session's bytes to `agg`.
-    fn ingest(agg: &mut Aggregator, pipe: &[u8], fallback_id: u64) {
-        let mut driver = SessionDriver::new(fallback_id);
+    fn ingest(agg: &mut Aggregator, pipe: &[u8]) {
+        let mut driver = SessionDriver::new();
         driver.push(pipe, agg).expect("clean session");
         driver.finish(agg).expect("clean eof");
     }
@@ -1489,7 +1401,7 @@ mod tests {
         }
         let mut agg = Aggregator::new();
         for pipe in &pipes {
-            ingest(&mut agg, pipe, 999);
+            ingest(&mut agg, pipe);
         }
         assert!(agg.all_done());
         assert_eq!(agg.collector_count(), 2);
@@ -1521,8 +1433,8 @@ mod tests {
         }
         // Sequential sessions vs frame-interleaved sessions.
         let mut seq = Aggregator::new();
-        ingest(&mut seq, &pipes[0], 0);
-        ingest(&mut seq, &pipes[1], 1);
+        ingest(&mut seq, &pipes[0]);
+        ingest(&mut seq, &pipes[1]);
         let mut interleaved = Aggregator::new();
         let decoded: Vec<Vec<SeqFrame>> = pipes
             .iter()
@@ -1547,9 +1459,9 @@ mod tests {
 
     #[test]
     fn hello_version_negotiates_down_never_rejects() {
-        // A peer declaring any protocol ceiling is accepted; the
-        // session simply runs at the highest version both sides speak
-        // (resume: None ⇒ the one-way framed protocol).
+        // The envelope version is what gates a session (the decoder
+        // accepts only v4); the protocol ceiling a `Hello` declares
+        // inside it is informational and never grounds for rejection.
         let mut agg = Aggregator::new();
         for protocol in [1u8, 2, 3, 77] {
             agg.feed_seq(
@@ -1558,12 +1470,49 @@ mod tests {
                 Frame::Hello {
                     protocol,
                     collector_id: u64::from(protocol),
-                    resume: None,
+                    resume: Some(HelloResume::Fresh { first_seq: 0 }),
                 },
             )
             .expect("negotiated, not rejected");
         }
         assert_eq!(agg.collector_count(), 4);
+    }
+
+    #[test]
+    fn data_frames_before_a_hello_are_rejected_without_creating_state() {
+        // A rejected frame must not leave a phantom collector behind:
+        // one would hold `all_done()` false for the rest of the run.
+        let mut engine = MonitorEngine::new(config());
+        engine.offer_batch(&keyed_points(2000, 4));
+        let delta = Frame::Delta(engine.snapshot());
+        let mut agg = Aggregator::new();
+        for (seq, frame) in [
+            (Some(0), delta.clone()),
+            (Some(0), Frame::Bye),
+            (None, delta.clone()),
+            (
+                None,
+                Frame::Hello {
+                    protocol: WIRE_VERSION,
+                    collector_id: 6,
+                    resume: None,
+                },
+            ),
+        ] {
+            let kind = frame.kind_name();
+            assert!(
+                matches!(agg.feed_seq(6, seq, frame), Err(WireError::Corrupt(_))),
+                "{kind} at {seq:?}"
+            );
+            assert_eq!(agg.collector_count(), 0, "{kind} at {seq:?}");
+        }
+        // After a Hello, a data frame still needs its seq.
+        agg.feed_seq(6, None, hello_frame(6)).unwrap();
+        assert!(matches!(
+            agg.feed_seq(6, None, delta),
+            Err(WireError::Corrupt(_))
+        ));
+        assert_eq!(agg.last_seq(6), None);
     }
 
     #[test]
@@ -1667,15 +1616,15 @@ mod tests {
         );
         // Reference: the whole session pushed at once.
         let mut want = Aggregator::new();
-        ingest(&mut want, &pipe, 99);
+        ingest(&mut want, &pipe);
         // Driver: awkward chunk sizes, EOF at the end.
         for chunk in [1usize, 13, 4096] {
             let mut agg = Aggregator::new();
-            let mut driver = SessionDriver::new(99);
+            let mut driver = SessionDriver::new();
             for piece in pipe.chunks(chunk) {
                 driver.push(piece, &mut agg).expect("clean stream");
             }
-            driver.finish(&mut agg).expect("clean eof");
+            driver.finish(&agg).expect("clean eof");
             assert_eq!(driver.session_id(), Some(5));
             assert!(driver.frames_delivered() >= 2, "hello + data + bye");
             assert_eq!(agg.snapshot(), want.snapshot(), "chunk size {chunk}");
@@ -1683,25 +1632,44 @@ mod tests {
     }
 
     #[test]
-    fn session_driver_attributes_legacy_streams_to_the_fallback_id() {
+    fn session_driver_rejects_peers_that_do_not_open_with_a_v4_hello() {
+        // A bare v1 `.ssm` snapshot, a v2 session (9-byte Hello), a v3
+        // session (a v4 one re-tagged) and a v4 data frame with no
+        // Hello before it: each fails the session, whole or in small
+        // pushes, and leaves no aggregator state.
         let mut engine = MonitorEngine::new(config());
         engine.offer_batch(&keyed_points(3000, 8));
-        let v1 = crate::codec::encode_snapshot(&engine.snapshot());
-        let mut agg = Aggregator::new();
-        let mut driver = SessionDriver::new(777);
-        driver.push(&v1, &mut agg).expect("buffering");
-        // A legacy snapshot's length is not declared up front: nothing
-        // decodes until EOF says the buffer is whole.
-        driver.finish(&mut agg).expect("legacy eof");
-        assert_eq!(driver.session_id(), Some(777));
-        assert_eq!(driver.frames_delivered(), 1);
-        assert_eq!(agg.snapshot(), engine.snapshot());
+        let v1 = crate::codec::encode_snapshot(&engine.snapshot()).to_vec();
+        let mut v2 = b"SSWF\x02\x00\x09\x00\x00\x00\x02".to_vec();
+        v2.extend_from_slice(&4u64.to_le_bytes());
+        let mut v3 = session_pipe(
+            Collector::new_sequenced(4, config()),
+            &keyed_points(3000, 8),
+        );
+        v3[4] = 3;
+        let headless = crate::wire::encode_frame_seq(0, &Frame::Delta(engine.snapshot())).to_vec();
+        for (name, bytes) in [("v1", v1), ("v2", v2), ("v3", v3), ("headless", headless)] {
+            for chunk in [1usize, 4096] {
+                let mut agg = Aggregator::new();
+                let mut driver = SessionDriver::new();
+                let failed = bytes
+                    .chunks(chunk)
+                    .find_map(|piece| driver.push(piece, &mut agg).err());
+                assert!(
+                    matches!(failed, Some(SessionError::Wire(_))),
+                    "{name}/{chunk}: {failed:?}"
+                );
+                assert_eq!(driver.frames_delivered(), 0, "{name}/{chunk}");
+                assert_eq!(driver.session_id(), None, "{name}/{chunk}");
+                assert_eq!(agg.collector_count(), 0, "{name}/{chunk}");
+            }
+        }
     }
 
     #[test]
     fn session_driver_rejects_garbage_without_touching_the_aggregator() {
         let mut agg = Aggregator::new();
-        let mut driver = SessionDriver::new(1);
+        let mut driver = SessionDriver::new();
         assert!(matches!(
             driver.push(b"GARBAGE, NOT A FRAME", &mut agg),
             Err(SessionError::Wire(WireError::BadMagic))
@@ -1720,7 +1688,7 @@ mod tests {
             &keyed_points(5000, 8),
         );
         let mut agg = Aggregator::new();
-        let mut driver = SessionDriver::new(1);
+        let mut driver = SessionDriver::new();
         // Cut inside the final frame: earlier frames land, the cut one
         // doesn't.
         driver
@@ -1728,7 +1696,7 @@ mod tests {
             .expect("whole frames are fine");
         assert!(driver.frames_delivered() > 0);
         assert!(matches!(
-            driver.finish(&mut agg),
+            driver.finish(&agg),
             Err(SessionError::MidFrameEof)
         ));
         assert_eq!(agg.collector_count(), 1, "partial frames were fed");
@@ -1750,10 +1718,10 @@ mod tests {
             bytes.extend_from_slice(b);
         }
         let mut agg = Aggregator::new();
-        let mut driver = SessionDriver::new(999);
+        let mut driver = SessionDriver::new();
         driver.push(&bytes, &mut agg).expect("whole frames");
         assert!(matches!(
-            driver.finish(&mut agg),
+            driver.finish(&agg),
             Err(SessionError::SequencedEof(3))
         ));
         // With the Bye replayed on a second connection, it completes.
@@ -1763,9 +1731,9 @@ mod tests {
         for (_, b) in collector.unsent_window(0) {
             rest.extend_from_slice(b);
         }
-        let mut driver2 = SessionDriver::new(999);
+        let mut driver2 = SessionDriver::new();
         driver2.push(&rest, &mut agg).expect("replay");
-        driver2.finish(&mut agg).expect("bye applied");
+        driver2.finish(&agg).expect("bye applied");
         assert!(agg.session_done(3));
     }
 
@@ -1775,26 +1743,14 @@ mod tests {
         // abort must remove *both* ids' state, not just the latest.
         let mut engine = MonitorEngine::new(config());
         engine.offer_batch(&keyed_points(2000, 4));
-        let snap = engine.snapshot();
+        let delta = Frame::Delta(engine.snapshot());
         let mut bytes = Vec::new();
-        for f in [
-            Frame::Hello {
-                protocol: WIRE_VERSION,
-                collector_id: 10,
-                resume: None,
-            },
-            Frame::Delta(snap.clone()),
-            Frame::Hello {
-                protocol: WIRE_VERSION,
-                collector_id: 11,
-                resume: None,
-            },
-            Frame::Delta(snap),
-        ] {
-            bytes.extend_from_slice(&crate::wire::encode_frame(&f));
+        for id in [10, 11] {
+            bytes.extend_from_slice(&encode_frame(&hello_frame(id)));
+            bytes.extend_from_slice(&encode_frame_seq(0, &delta));
         }
         let mut agg = Aggregator::new();
-        let mut driver = SessionDriver::new(1);
+        let mut driver = SessionDriver::new();
         driver.push(&bytes, &mut agg).expect("valid frames");
         assert_eq!(agg.collector_count(), 2);
         driver.abort(&mut agg);
@@ -1803,16 +1759,23 @@ mod tests {
 
     #[test]
     fn redelivered_delta_is_idempotent() {
-        // Deltas are cumulative: applying the same one twice must not
-        // double-count (replacement, not merge).
+        // Deltas are cumulative: the same one applied at two
+        // consecutive seqs must not double-count (replacement, not
+        // merge).
         let mut engine = MonitorEngine::new(config());
         engine.offer_batch(&keyed_points(5000, 8));
         let delta = Frame::Delta(engine.snapshot());
         let mut once = Aggregator::new();
-        once.feed_seq(3, None, delta.clone()).unwrap();
+        once.feed_seq(3, None, hello_frame(3)).unwrap();
+        once.feed_seq(3, Some(0), delta.clone()).unwrap();
         let mut twice = Aggregator::new();
-        twice.feed_seq(3, None, delta.clone()).unwrap();
-        twice.feed_seq(3, None, delta).unwrap();
+        twice.feed_seq(3, None, hello_frame(3)).unwrap();
+        for seq in [0, 1] {
+            assert_eq!(
+                twice.feed_seq(3, Some(seq), delta.clone()).unwrap(),
+                SeqOutcome::Applied
+            );
+        }
         assert_eq!(once.snapshot(), twice.snapshot());
         assert_eq!(once.snapshot(), engine.snapshot());
     }

@@ -49,12 +49,14 @@
 //! ## Failure isolation
 //!
 //! One bad session must never kill the aggregator. A session that sends
-//! garbage, violates the protocol, or disconnects mid-frame is rolled
-//! back ([`SessionDriver::abort`]) and recorded in the
-//! [`ServeReport`]; everything already assembled keeps serving. A
-//! connect-then-close probe (zero frames delivered) does not consume a
-//! collector slot. The assembled snapshot is exactly the union of
-//! *completed* sessions: ≥ 1 frame delivered, clean EOF.
+//! garbage, speaks any wire version but v4, violates the protocol, or
+//! disconnects mid-frame is recorded in the [`ServeReport`], and the
+//! state it fed is parked in the [`AdmissionRegistry`] for its
+//! collector to resume; everything already assembled keeps serving. A
+//! peer that fails before its `Hello` fed nothing. A connect-then-close
+//! probe (zero frames delivered) does not consume a collector slot.
+//! The assembled snapshot is exactly the union of *completed* sessions:
+//! `Hello` through `Bye`, clean EOF.
 //!
 //! ## Shutdown
 //!
@@ -477,10 +479,11 @@ pub struct ServeReport {
     /// never counted against `collectors`.
     pub probes: usize,
     /// Sessions that failed (garbage, protocol violation, mid-frame
-    /// disconnect, read error); each was rolled back out of the
-    /// aggregator.
+    /// disconnect, read error); the state each fed was parked for its
+    /// collector to resume.
     pub failures: Vec<SessionFailure>,
-    /// Sessions still mid-stream at shutdown, rolled back likewise.
+    /// Sessions still mid-stream at shutdown; the state each fed is
+    /// dropped from the aggregator.
     pub aborted: usize,
     /// `true` when the run ended on `accept_timeout` instead of
     /// reaching the collector target.
@@ -509,11 +512,11 @@ struct Session {
     driver: SessionDriver,
     peer: String,
     /// Unique per accepted connection — the ownership token in the
-    /// collector-id registry (the fallback id doubles as it).
+    /// collector-id registry.
     token: u64,
     /// Wire bytes delivered so far (reported in [`SessionStats`]).
     bytes: u64,
-    /// Outbound bytes (acks/resyncs to a sequenced collector) not yet
+    /// Outbound bytes (acks/resyncs to the collector) not yet
     /// accepted by the socket — the partial-write carry-over buffer.
     out: Vec<u8>,
     /// Whether write interest is currently armed with epoll.
@@ -596,7 +599,7 @@ impl ServeShared {
             timed_out: AtomicBool::new(false),
             last_activity_ms: AtomicU64::new(0),
             admission: AdmissionRegistry::new(),
-            next_token: AtomicU64::new(FALLBACK_ID_BASE),
+            next_token: AtomicU64::new(TOKEN_BASE),
             wakers,
             exited: AtomicUsize::new(0),
         }
@@ -657,16 +660,15 @@ struct Intake {
     open: bool,
 }
 
-/// A loop's token space: sessions get unique ids from
-/// [`FALLBACK_ID_BASE`] up and the intake wake pipe takes the top
-/// value, so one `u64` names either. (The dispatcher's own epoll names
-/// listeners by index.)
+/// A loop's token space: sessions get unique tokens from
+/// [`TOKEN_BASE`] up and the intake wake pipe takes the top value, so
+/// one `u64` names either. (The dispatcher's own epoll names listeners
+/// by index.)
 const TOKEN_WAKE: u64 = u64::MAX;
 
-/// Base of the fallback session-id range handed to legacy (Hello-less)
-/// sessions — past `u32`, so it cannot collide with forwarders' small
-/// collector ids.
-pub const FALLBACK_ID_BASE: u64 = 1 << 32;
+/// First session token. Tokens only need to be unique and to stay
+/// below [`TOKEN_WAKE`].
+const TOKEN_BASE: u64 = 1 << 32;
 
 /// One serve loop: per-connection [`SessionDriver`]s over one
 /// exclusively-owned [`Aggregator`] and one epoll instance — see the
@@ -752,7 +754,7 @@ impl EventLoopServer {
         // Globally unique even across loops, so it doubles as the
         // ownership token in the shared id registry.
         let token = self.shared.next_token.fetch_add(1, Ordering::SeqCst);
-        let driver = SessionDriver::new(token);
+        let driver = SessionDriver::new();
         let peer = stream.peer_label();
         self.sessions.insert(
             token,
@@ -837,12 +839,12 @@ impl EventLoopServer {
         }
         // Shutdown: roll back sessions still mid-stream so the snapshot
         // is exactly the completed sessions (probes have nothing fed).
-        // Sequenced peers get a best-effort Shutdown frame first — the
-        // graceful-drain notice that tells a retrying forwarder to
-        // reconnect (and resync) instead of waiting on acks that will
-        // never come.
+        // Every session that sent its `Hello` gets a best-effort
+        // Shutdown frame first — the graceful-drain notice that tells a
+        // retrying forwarder to reconnect (and resync) instead of
+        // waiting on acks that will never come.
         for (_, mut session) in std::mem::take(&mut self.sessions) {
-            if session.driver.is_sequenced() {
+            if session.driver.session_id().is_some() {
                 let _ = session.stream.write(&encode_frame(&Frame::Shutdown));
             }
             if session.driver.frames_delivered() > 0 {
@@ -899,9 +901,8 @@ impl EventLoopServer {
     }
 
     /// Pumps one ready session and settles its fate: still open,
-    /// completed (counted, its ids sealed), or failed (sequenced:
-    /// parked for resumption; otherwise rolled back; either way its
-    /// open ids are released and the failure recorded).
+    /// completed (counted, its ids sealed), or failed (parked for
+    /// resumption, its open ids released and the failure recorded).
     fn pump_ready_session(&mut self, token: u64, epoll: &Epoll) -> io::Result<()> {
         let Some(session) = self.sessions.get_mut(&token) else {
             return Ok(());
@@ -976,14 +977,13 @@ impl EventLoopServer {
         Ok(())
     }
 
-    /// Settles a failed session. An unsequenced session is rolled back
-    /// wholesale (the pre-seq/ack contract: its partial contribution
-    /// must leave no trace). A sequenced session's per-collector state
-    /// is instead *parked* in the shared admission registry — keyed by
-    /// collector id, so the retrying forwarder can resume it from any
-    /// loop — with its delivery watermark intact; replayed frames at
-    /// or below the watermark will be skipped, which is what makes the
-    /// retry idempotent rather than double-counted.
+    /// Settles a failed session. The per-collector state it fed is
+    /// *parked* in the shared admission registry — keyed by collector
+    /// id, so the retrying forwarder can resume it from any loop —
+    /// with its delivery watermark intact; replayed frames at or below
+    /// the watermark will be skipped, which is what makes the retry
+    /// idempotent rather than double-counted. A session that failed
+    /// before its `Hello` fed nothing.
     fn settle_failed(&mut self, token: u64, epoll: &Epoll, error: String) -> io::Result<()> {
         let Some(session) = self.sessions.remove(&token) else {
             // Already settled by an earlier error on the same tick.
@@ -991,14 +991,10 @@ impl EventLoopServer {
         };
         epoll.deregister(session.stream.as_raw_fd())?;
         let admission = &self.shared.admission;
-        if session.driver.is_sequenced() {
-            for id in session.driver.fed_ids() {
-                if let Some(parked) = self.agg.park_collector(id) {
-                    admission.suspend(id, parked);
-                }
+        for id in session.driver.fed_ids() {
+            if let Some(parked) = self.agg.park_collector(id) {
+                admission.suspend(id, parked);
             }
-        } else {
-            session.driver.abort(&mut self.agg);
         }
         // Free any ids still merely *open* under this session's token
         // (parked ids moved to Suspended above and are kept) so the
@@ -1034,8 +1030,8 @@ impl EventLoopServer {
         let token = session.token;
         let mut admit = |id: u64, agg: &mut Aggregator| match admission.claim(id, token) {
             Claim::New => true,
-            // A suspended collector parked by a failed sequenced
-            // session (possibly on another loop): restore its state —
+            // A suspended collector parked by a failed session
+            // (possibly on another loop): restore its state —
             // delivery watermark included — into *this* loop's
             // aggregator before the first frame applies.
             Claim::Resumed(parked) => {
@@ -1049,7 +1045,7 @@ impl EventLoopServer {
         loop {
             match session.stream.read(&mut buf) {
                 Ok(0) => {
-                    let end = match session.driver.finish_admitted(agg, &mut admit) {
+                    let end = match session.driver.finish(agg) {
                         Ok(()) => SessionEnd::Done,
                         Err(e) => SessionEnd::Failed(e.to_string()),
                     };

@@ -1,26 +1,26 @@
-//! Transport layer: a versioned, length-prefixed frame protocol for
-//! collector ⇄ aggregator streams, generalizing the v1 snapshot codec.
+//! Transport layer: the length-prefixed frame protocol collectors and
+//! the aggregator speak over one socket, with snapshot payloads in the
+//! v1 snapshot codec.
 //!
-//! ## Frame format (protocols v2–v4)
+//! ## Frame format (protocol v4)
 //!
 //! ```text
-//! frame   := magic "SSWF" | version u8 | kind u8 | len u32le | payload[len]
+//! frame   := magic "SSWF" | version u8 (= 4) | kind u8 | len u32le | payload[len]
 //! ```
 //!
-//! | kind | frame          | v2 payload                                  | v3+ payload |
-//! |-----:|----------------|---------------------------------------------|------------|
-//! | 0    | `Hello`        | protocol u8, collector id u64le              | + mode u8, first_seq u64le |
-//! | 1    | `FullSnapshot` | v1 snapshot bytes (`SSMON1…`) — all live     | seq u64le, then as v2 |
-//! | 2    | `Delta`        | v1 snapshot bytes — changed streams, cumulative | seq u64le, then as v2 |
-//! | 3    | `Evicted`      | v1 snapshot bytes — final entries of retired streams | seq u64le, then as v2 |
-//! | 4    | `Bye`          | empty                                        | seq u64le |
-//! | 5    | `Ack`          | — (v3+ only)                                 | through_seq u64le |
-//! | 6    | `Resync`       | — (v3+ only)                                 | from_seq u64le |
-//! | 7    | `Shutdown`     | — (v3+ only)                                 | empty |
-//! | 8    | `DeltaDiff`    | — (v4 only)                                  | seq u64le, `SSDF…` diff payload |
+//! | kind | frame          | payload                                              |
+//! |-----:|----------------|------------------------------------------------------|
+//! | 0    | `Hello`        | protocol u8, collector id u64le, mode u8, first_seq u64le |
+//! | 1    | `FullSnapshot` | seq u64le, v1 snapshot bytes (`SSMON1…`) — all live  |
+//! | 2    | `Delta`        | seq u64le, v1 snapshot bytes — changed streams, cumulative |
+//! | 3    | `Evicted`      | seq u64le, v1 snapshot bytes — final entries of retired streams |
+//! | 4    | `Bye`          | seq u64le                                            |
+//! | 5    | `Ack`          | through_seq u64le                                    |
+//! | 6    | `Resync`       | from_seq u64le                                       |
+//! | 7    | `Shutdown`     | empty                                                |
+//! | 8    | `DeltaDiff`    | seq u64le, `SSDF…` diff payload                      |
 //!
-//! Version 2 is the original **one-way** framed protocol. Version 3
-//! makes sessions **sequenced and acknowledged**: every
+//! Sessions are **sequenced and acknowledged**: every
 //! collector-originated data frame carries a `u64` sequence number
 //! (the `Hello` carries the first sequence the connection will send,
 //! plus a resume mode — see [`HelloResume`]), and three
@@ -29,14 +29,11 @@
 //! drop them from its replay window), `Resync` (the aggregator is
 //! missing frames from `from_seq` on and wants a full-snapshot
 //! re-baseline), and `Shutdown` (graceful drain on serve teardown).
-//! Version 4 adds the `DeltaDiff` frame: per-stream **differential**
-//! payloads ([`crate::diff::StreamDiff`]) applied against the
-//! receiver's live view under the seq watermark, with `Resync` as the
-//! recovery path whenever a patch fails validation — the steady-state
-//! bytes win the ROADMAP's delta-diff item calls for. Every version
-//! decodes through the same [`FrameDecoder`]; `Hello` negotiation
-//! picks the highest common version, so v2 and v3 peers are accepted
-//! verbatim by a v4 aggregator.
+//! `DeltaDiff` carries per-stream **differential** payloads
+//! ([`crate::diff::StreamDiff`]) applied against the receiver's live
+//! view under the seq watermark, with `Resync` as the recovery path
+//! whenever a patch fails validation. A frame at any other version is
+//! [`WireError::UnsupportedVersion`].
 //!
 //! Snapshot-bearing payloads reuse [`crate::codec`] verbatim, so a
 //! frame round-trip is exactly as lossless as the snapshot codec
@@ -44,15 +41,16 @@
 //! per stream — the receiver *replaces* its copy of those keys rather
 //! than merging, which is what keeps a re-sent delta idempotent.
 //! `Evicted` finals *merge* — which is why their redelivery is guarded
-//! by the v3 sequence watermark, never by blind re-application.
+//! by the sequence watermark, never by blind re-application.
 //!
-//! ## Backward compatibility (v1)
+//! ## File format (v1)
 //!
-//! A byte stream that begins with the v1 snapshot magic (`SSMON1`) is
-//! decoded as a single implicit [`Frame::FullSnapshot`] — existing
-//! `.ssm` files written by `monitor_tool` keep working against every
-//! frame consumer ([`FrameDecoder`] buffers until the legacy snapshot
-//! decodes whole).
+//! The v1 snapshot codec (`SSMON1…`, [`crate::codec`]) is the `.ssm`
+//! **file** format: [`crate::codec::decode_snapshot`] reads it, and
+//! `monitor_tool info`/`merge` and the shard → link → network roll-up
+//! consume it. It is not a socket protocol: a stream that opens with
+//! the v1 magic is [`WireError::BadMagic`] once its prefix stops
+//! matching `SSWF`.
 //!
 //! ## Robustness
 //!
@@ -61,9 +59,9 @@
 //! from the whole-buffer entry points), declared lengths are capped at
 //! [`MAX_FRAME_BYTES`] before any allocation, and payloads are
 //! validated by the v1 codec's structural checks. The `wire_fuzz`
-//! proptests drive random byte mutations through both decoders and
-//! every protocol version, and feed each valid version to
-//! [`FrameDecoder`] one byte at a time.
+//! proptests drive random byte mutations through both decoders, and
+//! feed every valid stream shape to [`FrameDecoder`] one byte at a
+//! time.
 
 use crate::codec::{
     decode_diff_payload, decode_snapshot, diff_payload_len, encoded_diff_len, put_diff_payload,
@@ -74,32 +72,18 @@ use crate::engine::{EngineSnapshot, StreamEntry};
 use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
 
-/// Magic bytes opening every framed (v2/v3) frame.
+/// Magic bytes opening every frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"SSWF";
 
-/// Current wire protocol version: sequenced, acknowledged sessions
-/// with differential (`DeltaDiff`) data frames. (v1 is the bare
-/// snapshot codec, v2 the one-way framed protocol, v3 sequenced
-/// sessions without diffs.)
+/// The wire protocol version, the only one a socket accepts:
+/// sequenced, acknowledged sessions with differential (`DeltaDiff`)
+/// data frames.
 pub const WIRE_VERSION: u8 = 4;
-
-/// The first sequenced protocol version: any frame tagged at or above
-/// this carries the v3 session machinery (data seqs, resume-mode
-/// `Hello`s, control frames). v3 streams — what every pre-diff sender
-/// emits — decode unchanged.
-pub const WIRE_VERSION_SEQUENCED: u8 = 3;
-
-/// The one-way framed protocol version — still fully accepted; what
-/// pre-sequencing collectors emit.
-pub const WIRE_VERSION_FRAMED: u8 = 2;
 
 /// Hard cap on a declared frame payload length — rejects
 /// length-overflow attacks before any allocation happens. 256 MiB is
 /// ~1M streams at worst-case entry size, far beyond a sane frame.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
-
-/// The v1 snapshot magic (re-checked here for legacy detection).
-const V1_MAGIC: &[u8; 6] = b"SSMON1";
 
 const KIND_HELLO: u8 = 0;
 const KIND_FULL: u8 = 1;
@@ -114,8 +98,7 @@ const KIND_DELTA_DIFF: u8 = 8;
 /// Wire decode failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// The buffer starts with neither the frame magic nor the v1
-    /// snapshot magic.
+    /// The buffer does not start with the frame magic.
     BadMagic,
     /// The frame declares a protocol version this decoder cannot read.
     UnsupportedVersion(u8),
@@ -154,8 +137,8 @@ impl From<SnapshotCodecError> for WireError {
     }
 }
 
-/// How a v3 (sequenced) `Hello` relates this connection to the
-/// collector's prior sessions.
+/// How a `Hello` relates this connection to the collector's prior
+/// sessions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HelloResume {
     /// A brand-new session; data seqs start at `first_seq` (normally
@@ -208,8 +191,9 @@ pub enum Frame {
         protocol: u8,
         /// Stable id of the sending collector.
         collector_id: u64,
-        /// `Some` on a sequenced (v3) session: how this connection
-        /// resumes prior state. `None` on unsequenced (v2) sessions.
+        /// How this connection resumes prior state. Always `Some` on
+        /// the wire: a decoded `Hello` carries its mode, [`encode_frame`]
+        /// refuses `None`, and the aggregator rejects it.
         resume: Option<HelloResume>,
     },
     /// Every live stream of the sender, cumulative (receiver replaces
@@ -221,7 +205,7 @@ pub enum Frame {
     /// Final snapshots of evicted streams (receiver retires those
     /// keys; successive finals for a reappearing key merge).
     Evicted(Vec<StreamEntry>),
-    /// Per-stream differential payloads (v4, sequenced only): each
+    /// Per-stream differential payloads: each
     /// diff advances the receiver's live entry for its key from the
     /// acked baseline — bit-exactly — or fails validation, turning
     /// into a `Resync` re-baseline. Never merged, never applied out of
@@ -264,7 +248,7 @@ impl Frame {
     }
 
     /// `true` for the aggregator-originated control frames (`Ack`,
-    /// `Resync`, `Shutdown`) that only exist at protocol v3.
+    /// `Resync`, `Shutdown`).
     pub fn is_control(&self) -> bool {
         matches!(
             self,
@@ -273,84 +257,76 @@ impl Frame {
     }
 }
 
-/// A decoded frame together with the v3 sequence number its envelope
-/// carried (`None` for v2/legacy frames, `Hello`s and control frames).
+/// A decoded frame together with the sequence number its envelope
+/// carried.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SeqFrame {
-    /// The v3 data-frame sequence number, if any.
+    /// The data-frame sequence number: `Some` for every data frame,
+    /// `None` for `Hello`s and control frames.
     pub seq: Option<u64>,
     /// The frame itself.
     pub frame: Frame,
 }
 
-/// Serializes one frame.
+/// Serializes a `Hello` or an aggregator control frame (`Ack`,
+/// `Resync`, `Shutdown`) — the frames that carry no data seq.
 ///
 /// # Panics
 ///
-/// Panics if the payload exceeds [`MAX_FRAME_BYTES`] — such a frame
-/// could never be decoded (and past `u32::MAX` its length field would
-/// silently truncate), so refusing loudly at the writer beats shipping
-/// bytes every receiver must reject. [`topology::Collector`] never
-/// gets here: it splits large snapshots across frames at a byte
-/// target 16× below the cap, which callers encoding their own
-/// `Delta`/`FullSnapshot` frames should mirror.
-///
-/// [`topology::Collector`]: crate::topology::Collector
+/// On data frames, which carry a seq and go through
+/// [`encode_frame_seq`], and on a `Hello` without a resume mode.
 pub fn encode_frame(frame: &Frame) -> Bytes {
     match frame {
         Frame::Hello {
             protocol,
             collector_id,
-            resume: None,
-        } => assemble(WIRE_VERSION_FRAMED, KIND_HELLO, None, 9, |b| {
-            b.put_u8(*protocol);
-            b.put_u64_le(*collector_id);
-        }),
-        Frame::Hello {
-            protocol,
-            collector_id,
             resume: Some(resume),
-        } => assemble(WIRE_VERSION, KIND_HELLO, None, 18, |b| {
+        } => assemble(KIND_HELLO, None, 18, |b| {
             b.put_u8(*protocol);
             b.put_u64_le(*collector_id);
             b.put_u8(resume.mode_byte());
             b.put_u64_le(resume.first_seq());
         }),
-        Frame::FullSnapshot(snap) => snapshot_frame(WIRE_VERSION_FRAMED, KIND_FULL, None, snap),
-        Frame::Delta(snap) => snapshot_frame(WIRE_VERSION_FRAMED, KIND_DELTA, None, snap),
-        Frame::Evicted(entries) => evicted_frame(WIRE_VERSION_FRAMED, None, entries),
-        Frame::DeltaDiff(_) => {
-            panic!("DeltaDiff frames are sequenced; use encode_frame_seq")
-        }
-        Frame::Bye => assemble(WIRE_VERSION_FRAMED, KIND_BYE, None, 0, |_| {}),
-        Frame::Ack { through_seq } => assemble(WIRE_VERSION, KIND_ACK, None, 8, |b| {
+        Frame::Hello { resume: None, .. } => panic!("a Hello carries a resume mode"),
+        Frame::Ack { through_seq } => assemble(KIND_ACK, None, 8, |b| {
             b.put_u64_le(*through_seq);
         }),
-        Frame::Resync { from_seq } => assemble(WIRE_VERSION, KIND_RESYNC, None, 8, |b| {
+        Frame::Resync { from_seq } => assemble(KIND_RESYNC, None, 8, |b| {
             b.put_u64_le(*from_seq);
         }),
-        Frame::Shutdown => assemble(WIRE_VERSION, KIND_SHUTDOWN, None, 0, |_| {}),
+        Frame::Shutdown => assemble(KIND_SHUTDOWN, None, 0, |_| {}),
+        other => panic!(
+            "{} frames are sequenced; use encode_frame_seq",
+            other.kind_name()
+        ),
     }
 }
 
 /// Serializes one **data** frame (`FullSnapshot`, `Delta`, `Evicted`,
-/// `DeltaDiff`, `Bye`) at the current protocol version with the given
-/// sequence number.
+/// `DeltaDiff`, `Bye`) with the given sequence number.
 ///
 /// # Panics
 ///
-/// As [`encode_frame`] on oversize payloads, and on frames that do not
-/// carry a data sequence number (`Hello` encodes its resume info via
-/// [`encode_frame`]; control frames are unsequenced).
+/// If the payload exceeds [`MAX_FRAME_BYTES`] — such a frame could
+/// never be decoded (and past `u32::MAX` its length field would
+/// silently truncate), so refusing loudly at the writer beats shipping
+/// bytes every receiver must reject. [`topology::Collector`] never
+/// gets here: it splits large snapshots across frames at a byte
+/// target 16× below the cap, which callers encoding their own
+/// `Delta`/`FullSnapshot` frames should mirror. Also panics on frames
+/// that do not carry a data sequence number (`Hello` and control
+/// frames go through [`encode_frame`]).
+///
+/// [`topology::Collector`]: crate::topology::Collector
 pub fn encode_frame_seq(seq: u64, frame: &Frame) -> Bytes {
     match frame {
-        Frame::FullSnapshot(snap) => snapshot_frame(WIRE_VERSION, KIND_FULL, Some(seq), snap),
-        Frame::Delta(snap) => snapshot_frame(WIRE_VERSION, KIND_DELTA, Some(seq), snap),
-        Frame::Evicted(entries) => evicted_frame(WIRE_VERSION, Some(seq), entries),
+        Frame::FullSnapshot(snap) => snapshot_frame(KIND_FULL, seq, snap),
+        Frame::Delta(snap) => snapshot_frame(KIND_DELTA, seq, snap),
+        Frame::Evicted(entries) => evicted_frame(seq, entries),
         Frame::DeltaDiff(diffs) => {
             encode_diff_frame_seq(seq, diffs, diffs.iter().map(encoded_diff_len).sum())
         }
-        Frame::Bye => assemble(WIRE_VERSION, KIND_BYE, Some(seq), 0, |_| {}),
+        Frame::Bye => assemble(KIND_BYE, Some(seq), 0, |_| {}),
         other => panic!("{} frames do not carry a data seq", other.kind_name()),
     }
 }
@@ -360,7 +336,7 @@ pub fn encode_frame_seq(seq: u64, frame: &Frame) -> Bytes {
 /// computed each one already.
 pub(crate) fn encode_diff_frame_seq(seq: u64, diffs: &[StreamDiff], entries_len: usize) -> Bytes {
     let len = diff_payload_len(diffs.len(), entries_len);
-    assemble(WIRE_VERSION, KIND_DELTA_DIFF, Some(seq), len, |b| {
+    assemble(KIND_DELTA_DIFF, Some(seq), len, |b| {
         put_diff_payload(b, diffs);
     })
 }
@@ -370,27 +346,25 @@ pub(crate) fn encode_diff_frame_seq(seq: u64, diffs: &[StreamDiff], entries_len:
 /// place, ordered by key. Only a chunk that repeats a key — a stream
 /// demoted and then evicted within one seal — is merged per key into
 /// a snapshot first.
-fn evicted_frame(version: u8, seq: Option<u64>, finals: &[StreamEntry]) -> Bytes {
+fn evicted_frame(seq: u64, finals: &[StreamEntry]) -> Bytes {
     let mut sorted: Vec<&StreamEntry> = finals.iter().collect();
     sorted.sort_by_key(|e| e.key);
     if sorted.windows(2).any(|w| w[0].key == w[1].key) {
         let merged = EngineSnapshot::from_streams(finals.to_vec());
-        return snapshot_frame(version, KIND_EVICTED, seq, &merged);
+        return snapshot_frame(KIND_EVICTED, seq, &merged);
     }
     assemble(
-        version,
         KIND_EVICTED,
-        seq,
+        Some(seq),
         snapshot_len_hint(sorted.len()),
         |b| put_entries(b, sorted.iter().copied(), None),
     )
 }
 
-fn snapshot_frame(version: u8, kind: u8, seq: Option<u64>, snap: &EngineSnapshot) -> Bytes {
+fn snapshot_frame(kind: u8, seq: u64, snap: &EngineSnapshot) -> Bytes {
     assemble(
-        version,
         kind,
-        seq,
+        Some(seq),
         snapshot_len_hint(snap.stream_count()),
         |b| {
             put_snapshot(b, snap);
@@ -402,7 +376,6 @@ fn snapshot_frame(version: u8, kind: u8, seq: Option<u64>, snap: &EngineSnapshot
 /// `put_payload` appends (about `payload_hint` bytes), all written
 /// into a single buffer; the length field is filled in last.
 fn assemble(
-    version: u8,
     kind: u8,
     seq: Option<u64>,
     payload_hint: usize,
@@ -412,7 +385,7 @@ fn assemble(
     let seq_len = if seq.is_some() { 8 } else { 0 };
     let mut buf = Vec::with_capacity(head + seq_len + payload_hint);
     buf.put_slice(FRAME_MAGIC);
-    buf.put_u8(version);
+    buf.put_u8(WIRE_VERSION);
     buf.put_u8(kind);
     buf.put_u32_le(0);
     if let Some(s) = seq {
@@ -441,15 +414,13 @@ fn le_u64(bytes: &[u8]) -> Result<u64, WireError> {
     Ok(u64::from_le_bytes(arr))
 }
 
-fn decode_payload(version: u8, kind: u8, payload: &[u8]) -> Result<SeqFrame, WireError> {
-    let sequenced = version >= WIRE_VERSION_SEQUENCED;
-    // Sequenced data frames open with their seq; everything else
-    // carries none.
-    let (seq, payload) = if sequenced
-        && matches!(
-            kind,
-            KIND_FULL | KIND_DELTA | KIND_EVICTED | KIND_BYE | KIND_DELTA_DIFF
-        ) {
+fn decode_payload(kind: u8, payload: &[u8]) -> Result<SeqFrame, WireError> {
+    // Data frames open with their seq; `Hello` and control frames
+    // carry none.
+    let (seq, payload) = if matches!(
+        kind,
+        KIND_FULL | KIND_DELTA | KIND_EVICTED | KIND_BYE | KIND_DELTA_DIFF
+    ) {
         if payload.len() < 8 {
             return Err(WireError::Corrupt("missing data seq"));
         }
@@ -460,48 +431,35 @@ fn decode_payload(version: u8, kind: u8, payload: &[u8]) -> Result<SeqFrame, Wir
     };
     let frame = match kind {
         KIND_HELLO => {
-            let want = if sequenced { 18 } else { 9 };
-            if payload.len() != want {
+            if payload.len() != 18 {
                 return Err(WireError::Corrupt("hello payload length"));
             }
             let mut p = payload;
             let protocol = p.get_u8();
             let collector_id = p.get_u64_le();
-            let resume = if sequenced {
-                let mode = p.get_u8();
-                let first_seq = p.get_u64_le();
-                Some(match mode {
-                    0 => HelloResume::Fresh { first_seq },
-                    1 => HelloResume::Replay { first_seq },
-                    2 => HelloResume::Resync { first_seq },
-                    _ => return Err(WireError::Corrupt("hello resume mode")),
-                })
-            } else {
-                None
+            let mode = p.get_u8();
+            let first_seq = p.get_u64_le();
+            let resume = match mode {
+                0 => HelloResume::Fresh { first_seq },
+                1 => HelloResume::Replay { first_seq },
+                2 => HelloResume::Resync { first_seq },
+                _ => return Err(WireError::Corrupt("hello resume mode")),
             };
             Frame::Hello {
                 protocol,
                 collector_id,
-                resume,
+                resume: Some(resume),
             }
         }
         KIND_FULL => Frame::FullSnapshot(decode_snapshot(payload)?),
         KIND_DELTA => Frame::Delta(decode_snapshot(payload)?),
         KIND_EVICTED => Frame::Evicted(decode_snapshot(payload)?.into_streams()),
-        KIND_DELTA_DIFF => {
-            if version < WIRE_VERSION {
-                return Err(WireError::Corrupt("differential frame below protocol v4"));
-            }
-            Frame::DeltaDiff(decode_diff_payload(payload)?)
-        }
+        KIND_DELTA_DIFF => Frame::DeltaDiff(decode_diff_payload(payload)?),
         KIND_BYE => {
             if !payload.is_empty() {
                 return Err(WireError::Corrupt("bye payload not empty"));
             }
             Frame::Bye
-        }
-        KIND_ACK | KIND_RESYNC if !sequenced => {
-            return Err(WireError::Corrupt("control frame below protocol v3"));
         }
         KIND_ACK => {
             if payload.len() != 8 {
@@ -520,9 +478,6 @@ fn decode_payload(version: u8, kind: u8, payload: &[u8]) -> Result<SeqFrame, Wir
             }
         }
         KIND_SHUTDOWN => {
-            if !sequenced {
-                return Err(WireError::Corrupt("control frame below protocol v3"));
-            }
             if !payload.is_empty() {
                 return Err(WireError::Corrupt("shutdown payload not empty"));
             }
@@ -534,23 +489,10 @@ fn decode_payload(version: u8, kind: u8, payload: &[u8]) -> Result<SeqFrame, Wir
 }
 
 /// Incremental frame decoder: push bytes in as they arrive, pop frames
-/// out as they complete. Handles the v1 legacy form (a bare snapshot)
-/// by buffering until the whole snapshot decodes.
+/// out as they complete.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
-    /// Set once the stream is known to be a v1 legacy snapshot.
-    legacy: bool,
-    /// The legacy snapshot was emitted; only EOF may follow.
-    legacy_done: bool,
-    /// Buffer length at which the next legacy decode attempt runs —
-    /// doubled after every failed (truncated) attempt, so an N-byte
-    /// legacy stream costs O(N) total parse work instead of a full
-    /// re-parse per pushed chunk (quadratic).
-    legacy_retry_at: usize,
-    /// The transport reported end-of-input ([`FrameDecoder::finish`]):
-    /// attempt the legacy decode regardless of the retry threshold.
-    eof: bool,
     /// On-the-wire size (header + payload) of the last frame returned
     /// by [`FrameDecoder::next_seq_frame`], for byte accounting.
     last_frame_bytes: usize,
@@ -567,15 +509,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Tells the decoder no more bytes are coming (EOF). Only needed
-    /// for v1 legacy streams, whose length isn't declared up front:
-    /// it forces the final decode attempt regardless of the
-    /// amortization threshold. Frames already buffered whole are
-    /// unaffected.
-    pub fn finish(&mut self) {
-        self.eof = true;
-    }
-
     /// Bytes buffered but not yet consumed by a completed frame.
     pub fn pending_bytes(&self) -> usize {
         self.buf.len()
@@ -590,7 +523,7 @@ impl FrameDecoder {
     }
 
     /// Pops the next completed frame, `Ok(None)` when more bytes are
-    /// needed. Drops the v3 sequence number — sequenced consumers use
+    /// needed. Drops the sequence number — sequenced consumers use
     /// [`FrameDecoder::next_seq_frame`].
     ///
     /// # Errors
@@ -601,70 +534,32 @@ impl FrameDecoder {
         Ok(self.next_seq_frame()?.map(|sf| sf.frame))
     }
 
-    /// Pops the next completed frame with its v3 sequence number
-    /// (`None` seq for v2/legacy frames, `Hello`s and control frames).
+    /// Pops the next completed frame with its sequence number (`None`
+    /// for `Hello`s and control frames).
     ///
     /// # Errors
     ///
     /// As [`FrameDecoder::next_frame`].
     pub fn next_seq_frame(&mut self) -> Result<Option<SeqFrame>, WireError> {
-        if self.legacy_done {
-            return if self.buf.is_empty() {
-                Ok(None)
-            } else {
-                Err(WireError::Corrupt("bytes after legacy snapshot"))
-            };
-        }
-        if self.legacy {
-            return self.try_legacy();
-        }
         if self.buf.starts_with(FRAME_MAGIC) {
-            return self.try_v2();
+            return self.try_frame();
         }
-        if self.buf.starts_with(V1_MAGIC) {
-            self.legacy = true;
-            return self.try_legacy();
-        }
-        // Neither magic is whole yet: wait while the buffer could still
-        // become either form, reject once it mismatches both.
-        if FRAME_MAGIC.starts_with(&self.buf) || V1_MAGIC.starts_with(&self.buf) {
+        // The magic is not whole yet: wait while the buffer could
+        // still become it, reject once it mismatches.
+        if FRAME_MAGIC.starts_with(&self.buf) {
             Ok(None)
         } else {
             Err(WireError::BadMagic)
         }
     }
 
-    fn try_legacy(&mut self) -> Result<Option<SeqFrame>, WireError> {
-        if !self.eof && self.buf.len() < self.legacy_retry_at {
-            return Ok(None);
-        }
-        match decode_snapshot(&self.buf) {
-            Ok(snap) => {
-                self.last_frame_bytes = self.buf.len();
-                self.buf.clear();
-                self.legacy_done = true;
-                Ok(Some(SeqFrame {
-                    seq: None,
-                    frame: Frame::FullSnapshot(snap),
-                }))
-            }
-            Err(SnapshotCodecError::Truncated) => {
-                // Geometric back-off: don't re-parse the whole prefix
-                // until the buffer has roughly doubled.
-                self.legacy_retry_at = self.buf.len().saturating_mul(2).max(4096);
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn try_v2(&mut self) -> Result<Option<SeqFrame>, WireError> {
+    fn try_frame(&mut self) -> Result<Option<SeqFrame>, WireError> {
         const HEADER: usize = 4 + 1 + 1 + 4;
         let Some((header, rest)) = self.buf.split_first_chunk::<HEADER>() else {
             return Ok(None);
         };
         let &[_, _, _, _, version, kind, l0, l1, l2, l3] = header;
-        if !(WIRE_VERSION_FRAMED..=WIRE_VERSION).contains(&version) {
+        if version != WIRE_VERSION {
             return Err(WireError::UnsupportedVersion(version));
         }
         let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
@@ -674,15 +569,14 @@ impl FrameDecoder {
         let Some(payload) = rest.get(..len) else {
             return Ok(None);
         };
-        let frame = decode_payload(version, kind, payload)?;
+        let frame = decode_payload(kind, payload)?;
         self.buf.drain(..HEADER + len);
         self.last_frame_bytes = HEADER + len;
         Ok(Some(frame))
     }
 }
 
-/// Decodes a complete buffer into its frames. Accepts both the v2
-/// frame stream and a bare v1 snapshot (one implicit `FullSnapshot`).
+/// Decodes a complete buffer into its frames.
 ///
 /// # Errors
 ///
@@ -691,7 +585,6 @@ impl FrameDecoder {
 pub fn decode_frames(bytes: &[u8]) -> Result<Vec<Frame>, WireError> {
     let mut dec = FrameDecoder::new();
     dec.push(bytes);
-    dec.finish();
     let mut frames = Vec::new();
     loop {
         match dec.next_frame()? {
@@ -726,30 +619,55 @@ mod tests {
         engine.snapshot()
     }
 
-    fn roundtrip(frames: &[Frame]) -> Vec<Frame> {
-        let mut bytes = Vec::new();
-        for f in frames {
-            bytes.extend_from_slice(&encode_frame(f));
+    /// `hello` then `data` at seqs from `first_seq`, as one buffer.
+    fn session(hello: &Frame, first_seq: u64, data: &[Frame]) -> Vec<u8> {
+        let mut bytes = encode_frame(hello).to_vec();
+        for (i, f) in data.iter().enumerate() {
+            bytes.extend_from_slice(&encode_frame_seq(first_seq + i as u64, f));
         }
-        decode_frames(&bytes).expect("decode")
+        bytes
+    }
+
+    fn hello(collector_id: u64, resume: HelloResume) -> Frame {
+        Frame::Hello {
+            protocol: WIRE_VERSION,
+            collector_id,
+            resume: Some(resume),
+        }
+    }
+
+    /// Decodes `bytes` pushed one byte at a time, stopping at the first
+    /// error.
+    fn decode_byte_at_a_time(bytes: &[u8]) -> Result<Vec<Frame>, WireError> {
+        let mut dec = FrameDecoder::new();
+        let mut frames = Vec::new();
+        for byte in bytes {
+            dec.push(std::slice::from_ref(byte));
+            while let Some(f) = dec.next_frame()? {
+                frames.push(f);
+            }
+        }
+        Ok(frames)
     }
 
     #[test]
     fn frame_stream_round_trips_bit_exact() {
         let snap = sample_snapshot(5);
         let evicted: Vec<StreamEntry> = snap.streams()[..3].to_vec();
-        let frames = vec![
-            Frame::Hello {
-                protocol: WIRE_VERSION,
-                collector_id: 42,
-                resume: None,
-            },
+        let hello = hello(42, HelloResume::Fresh { first_seq: 0 });
+        let data = vec![
             Frame::Delta(sample_snapshot(9)),
             Frame::Evicted(evicted),
             Frame::FullSnapshot(snap),
             Frame::Bye,
         ];
-        assert_eq!(roundtrip(&frames), frames);
+        let frames: Vec<Frame> = std::iter::once(hello.clone())
+            .chain(data.iter().cloned())
+            .collect();
+        assert_eq!(
+            decode_frames(&session(&hello, 0, &data)).expect("decode"),
+            frames
+        );
     }
 
     #[test]
@@ -765,10 +683,8 @@ mod tests {
         for chunk in [Vec::new(), unique, finals] {
             let snap = EngineSnapshot::from_streams(chunk.clone());
             let frame = Frame::Evicted(chunk);
-            let want = snapshot_frame(WIRE_VERSION, KIND_EVICTED, Some(9), &snap);
+            let want = snapshot_frame(KIND_EVICTED, 9, &snap);
             assert_eq!(encode_frame_seq(9, &frame), want);
-            let want = snapshot_frame(WIRE_VERSION_FRAMED, KIND_EVICTED, None, &snap);
-            assert_eq!(encode_frame(&frame), want);
         }
     }
 
@@ -776,11 +692,7 @@ mod tests {
     fn sequenced_v3_frames_round_trip_with_their_seqs() {
         let snap = sample_snapshot(5);
         let evicted: Vec<StreamEntry> = snap.streams()[..2].to_vec();
-        let hello = Frame::Hello {
-            protocol: WIRE_VERSION,
-            collector_id: 42,
-            resume: Some(HelloResume::Replay { first_seq: 17 }),
-        };
+        let hello = hello(42, HelloResume::Replay { first_seq: 17 });
         let data = [
             Frame::Evicted(evicted),
             Frame::Delta(sample_snapshot(9)),
@@ -792,17 +704,12 @@ mod tests {
             Frame::Resync { from_seq: 18 },
             Frame::Shutdown,
         ];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&encode_frame(&hello));
-        for (i, f) in data.iter().enumerate() {
-            bytes.extend_from_slice(&encode_frame_seq(17 + i as u64, f));
-        }
+        let mut bytes = session(&hello, 17, &data);
         for f in &controls {
             bytes.extend_from_slice(&encode_frame(f));
         }
         let mut dec = FrameDecoder::new();
         dec.push(&bytes);
-        dec.finish();
         let mut got = Vec::new();
         while let Some(sf) = dec.next_seq_frame().expect("clean stream") {
             got.push(sf);
@@ -844,46 +751,53 @@ mod tests {
                 first_seq: u64::MAX,
             },
         ] {
-            let hello = Frame::Hello {
-                protocol: WIRE_VERSION,
-                collector_id: 3,
-                resume: Some(resume),
-            };
-            assert_eq!(roundtrip(std::slice::from_ref(&hello)), vec![hello]);
+            let hello = hello(3, resume);
+            assert_eq!(decode_frames(&encode_frame(&hello)), Ok(vec![hello]));
         }
     }
 
     #[test]
     fn control_frames_below_v3_are_rejected() {
-        // Hand-craft an Ack inside a v2 envelope: structurally framed,
-        // semantically impossible (v2 is one-way).
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(FRAME_MAGIC);
-        bytes.push(WIRE_VERSION_FRAMED);
-        bytes.push(5); // Ack
-        bytes.extend_from_slice(&8u32.to_le_bytes());
-        bytes.extend_from_slice(&7u64.to_le_bytes());
-        assert_eq!(
-            decode_frames(&bytes),
-            Err(WireError::Corrupt("control frame below protocol v3"))
+        // An Ack inside a v2 envelope: the version alone rejects it.
+        let mut bytes = encode_frame(&Frame::Ack { through_seq: 7 }).to_vec();
+        bytes[4] = 2;
+        assert_eq!(decode_frames(&bytes), Err(WireError::UnsupportedVersion(2)));
+    }
+
+    #[test]
+    fn legacy_streams_are_rejected_whole_and_byte_at_a_time() {
+        // A v2 envelope (its 9-byte Hello), a v3 envelope (a v4 session
+        // re-tagged), and a bare v1 snapshot: none is a v4 frame
+        // stream, whether it arrives in one buffer or byte by byte.
+        let mut v2 = Vec::new();
+        v2.extend_from_slice(FRAME_MAGIC);
+        v2.extend_from_slice(&[2, KIND_HELLO]);
+        v2.extend_from_slice(&9u32.to_le_bytes());
+        v2.push(2);
+        v2.extend_from_slice(&5u64.to_le_bytes());
+        let mut v3 = session(
+            &hello(5, HelloResume::Fresh { first_seq: 0 }),
+            0,
+            &[Frame::Delta(sample_snapshot(1)), Frame::Bye],
         );
+        v3[4] = 3;
+        let v1 = encode_snapshot(&sample_snapshot(3)).to_vec();
+        for (name, bytes, want) in [
+            ("v2", v2, WireError::UnsupportedVersion(2)),
+            ("v3", v3, WireError::UnsupportedVersion(3)),
+            ("v1", v1, WireError::BadMagic),
+        ] {
+            assert_eq!(decode_frames(&bytes), Err(want.clone()), "{name}");
+            assert_eq!(decode_byte_at_a_time(&bytes), Err(want), "{name}");
+        }
     }
 
     #[test]
     fn incremental_decode_across_arbitrary_chunking() {
-        let frames = vec![
-            Frame::Hello {
-                protocol: WIRE_VERSION,
-                collector_id: 7,
-                resume: None,
-            },
-            Frame::Delta(sample_snapshot(1)),
-            Frame::Bye,
-        ];
-        let mut bytes = Vec::new();
-        for f in &frames {
-            bytes.extend_from_slice(&encode_frame(f));
-        }
+        let hello = hello(7, HelloResume::Fresh { first_seq: 0 });
+        let data = [Frame::Delta(sample_snapshot(1)), Frame::Bye];
+        let bytes = session(&hello, 0, &data);
+        let frames: Vec<Frame> = std::iter::once(hello).chain(data).collect();
         for chunk in [1usize, 3, 7, 64, 1021] {
             let mut dec = FrameDecoder::new();
             let mut got = Vec::new();
@@ -896,24 +810,6 @@ mod tests {
             assert_eq!(got, frames, "chunk size {chunk}");
             assert_eq!(dec.pending_bytes(), 0);
         }
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_decodes_as_full_snapshot() {
-        let snap = sample_snapshot(3);
-        let v1 = encode_snapshot(&snap);
-        let frames = decode_frames(&v1).expect("legacy decode");
-        assert_eq!(frames, vec![Frame::FullSnapshot(snap)]);
-        // Incrementally too, in awkward chunks.
-        let mut dec = FrameDecoder::new();
-        let (a, b) = v1.split_at(v1.len() / 2);
-        dec.push(a);
-        assert_eq!(dec.next_frame().expect("partial"), None);
-        dec.push(b);
-        assert!(matches!(
-            dec.next_frame().expect("whole"),
-            Some(Frame::FullSnapshot(_))
-        ));
     }
 
     #[test]
@@ -951,7 +847,7 @@ mod tests {
 
     #[test]
     fn truncation_is_reported_not_panicked() {
-        let bytes = encode_frame(&Frame::Delta(sample_snapshot(2)));
+        let bytes = encode_frame_seq(0, &Frame::Delta(sample_snapshot(2)));
         for cut in [1usize, 4, 5, 9, 10, bytes.len() / 2, bytes.len() - 1] {
             assert_eq!(
                 decode_frames(&bytes[..cut]),
@@ -965,5 +861,6 @@ mod tests {
     fn bad_magic_rejected_early() {
         assert_eq!(decode_frames(b"GARBAGE!"), Err(WireError::BadMagic));
         assert_eq!(decode_frames(b"SS"), Err(WireError::Truncated));
+        assert_eq!(decode_frames(b"SSMON1"), Err(WireError::BadMagic));
     }
 }

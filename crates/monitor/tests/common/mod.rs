@@ -35,11 +35,10 @@ pub fn finish(c: &mut Collector, w: &mut impl Write) -> io::Result<()> {
 }
 
 /// Runs one whole session's bytes into `agg` through a
-/// [`SessionDriver`], in socket-read-sized (64 KiB) pushes; Hello-less
-/// (v1 `.ssm`) bytes are attributed to `fallback_id`. Returns the
+/// [`SessionDriver`], in socket-read-sized (64 KiB) pushes. Returns the
 /// frames delivered.
-pub fn ingest(agg: &mut Aggregator, bytes: &[u8], fallback_id: u64) -> Result<usize, SessionError> {
-    let mut driver = SessionDriver::new(fallback_id);
+pub fn ingest(agg: &mut Aggregator, bytes: &[u8]) -> Result<usize, SessionError> {
+    let mut driver = SessionDriver::new();
     for chunk in bytes.chunks(64 * 1024) {
         driver.push(chunk, agg)?;
     }

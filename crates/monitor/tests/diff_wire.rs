@@ -77,11 +77,11 @@ fn steady_state_diff_flushes_ship_5x_fewer_bytes_and_identical_bits() {
     };
 
     let mut agg_diff = Aggregator::new();
-    let mut drv_diff = SessionDriver::new(900);
+    let mut drv_diff = SessionDriver::new();
     let mut sent_diff = 0u64;
     open_session(&diffing, &mut drv_diff, &mut agg_diff).unwrap();
     let mut agg_cum = Aggregator::new();
-    let mut drv_cum = SessionDriver::new(900);
+    let mut drv_cum = SessionDriver::new();
     let Frame::Hello {
         resume: Some(HelloResume::Resync { first_seq }),
         ..
@@ -265,23 +265,20 @@ fn diff_frames_apply_idempotently_under_redelivery() {
     assert_eq!(agg.snapshot(), grown);
 }
 
-/// A differential frame needs the sequenced protocol: fed into an
-/// unsequenced (v2) session it is a protocol violation, not data.
+/// A differential frame is data: without a seq, or under an id that has
+/// had no `Hello`, it is a protocol violation that leaves no state.
 #[test]
 fn diff_frames_are_rejected_in_unsequenced_sessions() {
     let (_, _, diffs) = staged_diffs();
     let mut agg = Aggregator::new();
-    agg.feed_seq(
-        1,
-        None,
-        Frame::Hello {
-            protocol: 2,
-            collector_id: 1,
-            resume: None,
-        },
-    )
-    .unwrap();
+    assert!(agg
+        .feed_seq(1, Some(0), Frame::DeltaDiff(diffs.clone()))
+        .is_err());
+    assert_eq!(agg.collector_count(), 0, "no phantom collector");
+    agg.feed_seq(1, None, hello(HelloResume::Fresh { first_seq: 0 }))
+        .unwrap();
     assert!(agg.feed_seq(1, None, Frame::DeltaDiff(diffs)).is_err());
+    assert_eq!(agg.last_seq(1), None, "nothing applied");
 }
 
 /// An aggregator that compacts live entries (`compact_budget`) can't
@@ -292,7 +289,7 @@ fn diff_frames_are_rejected_in_unsequenced_sessions() {
 fn server_side_compaction_degrades_diffing_to_cumulative() {
     let mut agg = Aggregator::new().compact_budget(256);
     let mut collector = Collector::new_sequenced(7, config());
-    let mut driver = SessionDriver::new(900);
+    let mut driver = SessionDriver::new();
     let mut sent = 0u64;
     open_session(&collector, &mut driver, &mut agg).unwrap();
 

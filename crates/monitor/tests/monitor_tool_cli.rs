@@ -136,8 +136,8 @@ fn event_loop_serve_with_mixed_transports_and_hostile_clients_matches_run() {
         s.write_all(b"NOT A FRAME AT ALL").expect("garbage write");
         drop(s);
         let mut s = TcpStream::connect(&tcp_addr).expect("connect tcp");
-        // A valid v2 header cut inside its declared payload.
-        s.write_all(b"SSWF\x02\x01\xff\x00\x00\x00partial")
+        // A valid v4 header cut inside its declared payload.
+        s.write_all(b"SSWF\x04\x01\xff\x00\x00\x00partial")
             .expect("torn write");
         drop(s);
         drop(UnixStream::connect(&sock).expect("probe uds"));
@@ -206,7 +206,7 @@ fn multi_loop_serve_with_report_sessions_matches_run() {
             s.write_all(b"NOT A FRAME AT ALL").expect("garbage write");
             drop(s);
             let mut s = TcpStream::connect(&tcp_addr).expect("connect tcp");
-            s.write_all(b"SSWF\x02\x01\xff\x00\x00\x00partial")
+            s.write_all(b"SSWF\x04\x01\xff\x00\x00\x00partial")
                 .expect("torn write");
             drop(s);
             drop(UnixStream::connect(&sock).expect("probe uds"));

@@ -287,7 +287,7 @@ fn collect_over_wire(config: MonitorConfig, points: &[(u64, f64)]) -> Vec<u8> {
     }
     finish(&mut collector, &mut wire).unwrap();
     let mut agg = Aggregator::new();
-    ingest(&mut agg, &wire, 999).unwrap();
+    ingest(&mut agg, &wire).unwrap();
     encode_snapshot(&agg.snapshot()).to_vec()
 }
 
@@ -370,7 +370,7 @@ fn tiered_collector_churn_carries_sketch_and_totals() {
     }
     finish(&mut collector, &mut wire).unwrap();
     let mut agg = Aggregator::new();
-    ingest(&mut agg, &wire, 999).unwrap();
+    ingest(&mut agg, &wire).unwrap();
     let got = agg.snapshot();
 
     assert_eq!(got.sketch(), want.sketch(), "sketch bit-identical");
@@ -416,7 +416,7 @@ fn serve_side_retired_cap_keeps_totals_exact() {
             flush(&mut collector, &mut wire).unwrap();
         }
         finish(&mut collector, &mut wire).unwrap();
-        ingest(agg, &wire, 999).unwrap();
+        ingest(agg, &wire).unwrap();
     };
     let mut plain = Aggregator::new();
     drive(&mut plain);
@@ -590,7 +590,7 @@ fn steady_bytes_match_pinned_digests() {
         }
         finish(&mut collector, &mut wire).unwrap();
         let mut agg = Aggregator::new();
-        ingest(&mut agg, &wire, 0).unwrap();
+        ingest(&mut agg, &wire).unwrap();
         assert_eq!(
             agg.snapshot(),
             reference.snapshot(),

@@ -11,9 +11,10 @@ mod duplex;
 
 use common::{finish, flush, ingest};
 use duplex::{open_session, pump};
-use sst_monitor::topology::{Aggregator, Collector, SessionDriver};
+use sst_monitor::topology::{Aggregator, Collector, SessionDriver, SessionError};
 use sst_monitor::{
-    encode_snapshot, EngineSnapshot, Frame, FrameDecoder, MonitorConfig, MonitorEngine, SamplerSpec,
+    decode_snapshot, encode_snapshot, EngineSnapshot, Frame, FrameDecoder, MonitorConfig,
+    MonitorEngine, SamplerSpec, WireError,
 };
 use sst_nettrace::TraceSynthesizer;
 use std::collections::BTreeSet;
@@ -64,7 +65,7 @@ fn drive_duplex(
     n_parts: u64,
     agg: &mut Aggregator,
 ) {
-    let mut driver = SessionDriver::new(part);
+    let mut driver = SessionDriver::new();
     let mut sent = 0u64;
     open_session(&collector, &mut driver, agg).expect("hello");
     for chunk in partition(points, part, n_parts).chunks(5000) {
@@ -118,7 +119,7 @@ fn two_collectors_one_aggregator_match_the_unsharded_engine_bytes() {
                 2,
                 &mut pipe,
             );
-            ingest(&mut agg, &pipe, part).expect("ingest");
+            ingest(&mut agg, &pipe).expect("ingest");
         }
         assert!(agg.all_done());
         let assembled = agg.snapshot();
@@ -244,7 +245,7 @@ fn evicting_collectors_reassemble_the_never_evicting_bits() {
             2,
             &mut pipe,
         );
-        ingest(&mut agg, &pipe, part).expect("ingest");
+        ingest(&mut agg, &pipe).expect("ingest");
     }
     // Eviction must genuinely have happened for the pin to mean much.
     let frames_have_evictions = {
@@ -285,7 +286,7 @@ fn aggregator_compact_budget_keeps_totals_exact() {
             2,
             &mut pipe,
         );
-        ingest(&mut plain, &pipe, part).unwrap();
+        ingest(&mut plain, &pipe).unwrap();
         // Compaction rewrites the live entries that differential
         // flushes patch, so this collector must hear the resync
         // requests: the same partition over a duplex link.
@@ -307,8 +308,10 @@ fn aggregator_compact_budget_keeps_totals_exact() {
 }
 
 #[test]
-fn legacy_snapshot_files_feed_the_aggregator() {
-    // v1 `.ssm` bytes (no Hello) are one implicit FullSnapshot.
+fn legacy_snapshot_files_are_rejected_on_the_wire() {
+    // v1 `.ssm` bytes are the file format, not a session: pushed down a
+    // socket they fail at the magic and leave the aggregator empty, while
+    // the snapshot codec still reads them whole.
     let mut engine = MonitorEngine::new(config(SamplerSpec::TakeAll));
     for i in 0..4000u64 {
         engine.offer(i % 13, (i % 97) as f64);
@@ -316,12 +319,13 @@ fn legacy_snapshot_files_feed_the_aggregator() {
     let snap = engine.snapshot();
     let v1 = encode_snapshot(&snap);
     let mut agg = Aggregator::new();
-    ingest(&mut agg, &v1, 7).expect("legacy ingest");
-    assert_eq!(agg.snapshot(), snap);
-    assert_eq!(
-        agg.snapshot(),
-        EngineSnapshot::from_streams(snap.streams().to_vec())
-    );
+    assert!(matches!(
+        ingest(&mut agg, &v1),
+        Err(SessionError::Wire(WireError::BadMagic))
+    ));
+    assert_eq!(agg.collector_count(), 0);
+    assert_eq!(agg.snapshot(), EngineSnapshot::default());
+    assert_eq!(decode_snapshot(&v1), Ok(snap));
 }
 
 /// One SplitMix64 step: the tests' own seeded source, independent of

@@ -16,11 +16,11 @@ use common::{finish, flush, ingest};
 use sst_monitor::fault::{FaultyLink, Front, Target};
 use sst_monitor::retry::{Backoff, SequencedSender};
 use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::transport::{MultiLoopServer, ServeOptions, SessionStream, FALLBACK_ID_BASE};
+use sst_monitor::transport::{MultiLoopServer, ServeOptions, SessionStream};
+use sst_monitor::wire::{encode_frame_seq, HelloResume};
 use sst_monitor::{
-    encode_frame, encode_snapshot, EngineSnapshot, Frame, MonitorConfig, MonitorEngine, SamplerSpec,
+    encode_frame, encode_snapshot, Frame, MonitorConfig, MonitorEngine, SamplerSpec,
 };
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -85,34 +85,13 @@ fn session_pipe(points: &[(u64, f64)], part: u64, n_parts: u64, spec: SamplerSpe
     pipe
 }
 
-/// Partition `part` of `n_parts` as a one-way v2 session, the way a
-/// pre-sequencing forwarder sent it: `Hello{protocol: 2}` without a
-/// resume mode, one cumulative `Delta` of the keys each flush touched,
-/// then `Bye`.
-fn v2_session(points: &[(u64, f64)], part: u64, n_parts: u64, spec: SamplerSpec) -> Vec<u8> {
-    let mut engine = MonitorEngine::new(config(spec).shards(2));
-    let mut bytes = encode_frame(&Frame::Hello {
-        protocol: 2,
-        collector_id: part,
-        resume: None,
-    })
-    .to_vec();
-    for chunk in partition(points, part, n_parts).chunks(2500) {
-        engine.offer_batch(chunk);
-        let touched: BTreeSet<u64> = chunk.iter().map(|&(k, _)| k).collect();
-        let entries = engine
-            .snapshot()
-            .streams()
-            .iter()
-            .filter(|e| touched.contains(&e.key))
-            .cloned()
-            .collect();
-        bytes.extend_from_slice(&encode_frame(&Frame::Delta(EngineSnapshot::from_streams(
-            entries,
-        ))));
+/// A fresh v4 session's `Hello` under `collector_id`.
+fn fresh_hello(collector_id: u64) -> Frame {
+    Frame::Hello {
+        protocol: sst_monitor::WIRE_VERSION,
+        collector_id,
+        resume: Some(HelloResume::Fresh { first_seq: 0 }),
     }
-    bytes.extend_from_slice(&encode_frame(&Frame::Bye));
-    bytes
 }
 
 /// Writes a whole pre-encoded session, half-closes, and drains the
@@ -187,18 +166,15 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
             hd.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }));
         // Hostile client 3: a lone Hello then a torn Delta on TCP —
-        // frames *were* delivered, so the rollback path is exercised.
+        // frames *were* delivered, so the park path is exercised (and
+        // the parked id 9001 must stay out of the assembled snapshot).
         let hd = &hostiles_done;
         clients.push(scope.spawn(move || {
             let mut sock = TcpStream::connect(tcp_addr).expect("connect tcp");
-            let hello = encode_frame(&Frame::Hello {
-                protocol: sst_monitor::WIRE_VERSION,
-                collector_id: 9001,
-                resume: None,
-            });
+            let hello = encode_frame(&fresh_hello(9001));
             let mut engine = MonitorEngine::new(config(spec));
             engine.offer_batch(&keyed_points(3000, 8));
-            let delta = encode_frame(&Frame::Delta(engine.snapshot()));
+            let delta = encode_frame_seq(0, &Frame::Delta(engine.snapshot()));
             let _ = sock.write_all(&hello);
             let _ = sock.write_all(&delta[..delta.len() / 2]);
             drop(sock);
@@ -326,22 +302,23 @@ fn slow_sessions_complete_while_a_firehose_is_streaming() {
     let (assembled, rep) = std::thread::scope(|scope| {
         let server_thread = scope.spawn(move || run(server));
         // The firehose: Hello, then an endless stream of large
-        // Delta frames until the server hangs up on it.
+        // Delta frames at rising seqs until the server hangs up on it.
+        // It never reads its acks.
         let fire_path = uds_path.clone();
         scope.spawn(move || {
             let mut sock = UnixStream::connect(&fire_path).expect("connect firehose");
-            let hello = encode_frame(&Frame::Hello {
-                protocol: sst_monitor::WIRE_VERSION,
-                collector_id: 9999,
-                resume: None,
-            });
+            let hello = encode_frame(&fresh_hello(9999));
             let mut engine = MonitorEngine::new(config(spec));
             engine.offer_batch(&keyed_points(30_000, 128));
-            let delta = encode_frame(&Frame::Delta(engine.snapshot()));
+            // Encoded once; each send stamps the next seq into the
+            // envelope (bytes 10..18) so the firehose is never slowed
+            // by re-encoding.
+            let mut delta = encode_frame_seq(0, &Frame::Delta(engine.snapshot())).to_vec();
             if sock.write_all(&hello).is_err() {
                 return;
             }
-            loop {
+            for seq in 0u64.. {
+                delta[10..18].copy_from_slice(&seq.to_le_bytes());
                 // Ends with a write error once the serve reaches
                 // its target and closes the socket (Rust ignores
                 // SIGPIPE, so this is Err, not a signal death).
@@ -408,9 +385,8 @@ fn in_memory_driver_and_event_loop_assemble_identical_bytes() {
     // in socket-read-sized chunks.
     let in_memory = {
         let mut agg = Aggregator::new();
-        for (i, pipe) in session_pipes.iter().enumerate() {
-            let frames =
-                ingest(&mut agg, pipe, FALLBACK_ID_BASE + i as u64).expect("clean session");
+        for pipe in &session_pipes {
+            let frames = ingest(&mut agg, pipe).expect("clean session");
             assert!(frames > 0);
         }
         agg.snapshot()
@@ -606,53 +582,78 @@ fn sequenced_sessions_survive_seeded_faults_multi_loop() {
     }
 }
 
-/// Version negotiation live: one-way v2 sessions (as pre-sequencing
-/// forwarders sent them) and sequenced v4 forwarders share one serve,
-/// and the assembled snapshot is still the unsharded engine's bytes —
-/// a v2-only binary keeps working unchanged against this aggregator.
+/// One socket protocol, live: peers that do not open with a v4 `Hello`
+/// — a v2 session (its 9-byte `Hello`), a v3 session (a v4 one tagged
+/// v3), a bare v1 `.ssm` snapshot, and a data frame with no `Hello`
+/// before it — share a serve with sequenced v4 forwarders. Each legacy
+/// peer lands in `failures`, never in `completed`, and the v4
+/// forwarders still assemble the unsharded engine's bytes.
 #[test]
-fn mixed_v2_and_v3_sessions_assemble_identical_bytes() {
-    const N: u64 = 8;
+fn legacy_peers_fail_while_v4_sessions_assemble_identical_bytes() {
+    const N: u64 = 4;
     let spec = SamplerSpec::Systematic { interval: 7 };
-    let points = keyed_points(60_000, 128);
+    let points = keyed_points(40_000, 64);
     let mut reference = MonitorEngine::new(config(spec));
     for &(k, v) in &points {
         reference.offer(k, v);
     }
-    let dir = std::env::temp_dir().join(format!("sst_mixed_{}", std::process::id()));
+    let mut v2 = b"SSWF\x02\x00\x09\x00\x00\x00\x02".to_vec();
+    v2.extend_from_slice(&100u64.to_le_bytes());
+    let mut v3 = session_pipe(&points, 1, N, spec);
+    v3[4] = 3;
+    let v1 = encode_snapshot(&reference.snapshot()).to_vec();
+    let headless = encode_frame_seq(0, &Frame::Delta(reference.snapshot())).to_vec();
+    let legacy = [
+        (v2, "unsupported wire protocol v2"),
+        (v3, "unsupported wire protocol v3"),
+        (v1, "bad magic"),
+        (headless, "frame before hello"),
+    ];
+
+    let dir = std::env::temp_dir().join(format!("sst_legacy_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
-    let uds_path = dir.join("mixed.sock");
+    let uds_path = dir.join("legacy.sock");
     let _ = std::fs::remove_file(&uds_path);
     let uds = UnixListener::bind(&uds_path).expect("bind uds");
     let mut server = serve(1, N);
     server.add_unix_listener(uds).expect("register uds");
     let (assembled, rep) = std::thread::scope(|scope| {
         let server_thread = scope.spawn(move || run(server));
+        // The legacy peers go one at a time, each waiting for the
+        // serve to hang up on it, so all are judged (in this order)
+        // before any forwarder connects. A peer may see its write fail
+        // once the serve has rejected the first header.
+        for (bytes, _) in &legacy {
+            let mut sock = UnixStream::connect(&uds_path).expect("connect legacy");
+            let _ = sock.write_all(bytes);
+            let _ = sock.shutdown(std::net::Shutdown::Write);
+            let _ = std::io::copy(&mut sock, &mut std::io::sink());
+        }
         for part in 0..N {
             let uds_path = uds_path.clone();
             let points = &points;
             scope.spawn(move || {
-                if part % 2 == 0 {
-                    // One-way v2: the serve never writes back to it.
-                    let mut sock = UnixStream::connect(&uds_path).expect("connect uds");
-                    sock.write_all(&v2_session(points, part, N, spec))
-                        .expect("write v2 session");
-                } else {
-                    drive_sequenced(part, N, points, spec, move || {
-                        UnixStream::connect(&uds_path).map(SessionStream::from)
-                    });
-                }
+                drive_sequenced(part, N, points, spec, move || {
+                    UnixStream::connect(&uds_path).map(SessionStream::from)
+                });
             });
         }
         server_thread.join().expect("server thread")
     });
-    let _ = std::fs::remove_file(dir.join("mixed.sock"));
+    let _ = std::fs::remove_file(dir.join("legacy.sock"));
     assert_eq!(rep.completed, N as usize);
-    assert!(rep.failures.is_empty(), "{:?}", rep.failures);
+    assert_eq!(rep.probes, 0);
+    assert_eq!(rep.failures.len(), legacy.len(), "{:?}", rep.failures);
+    for (failure, (_, why)) in rep.failures.iter().zip(&legacy) {
+        assert_eq!(failure.session, None, "{failure:?}");
+        assert!(failure.error.contains(why), "{failure:?}: want {why}");
+    }
+    let ids: Vec<Option<u64>> = rep.sessions.iter().map(|s| s.session).collect();
+    assert_eq!(ids, (0..N).map(Some).collect::<Vec<_>>());
     assert_eq!(
         encode_snapshot(&assembled),
         encode_snapshot(&reference.snapshot()),
-        "mixed-version serve must still assemble the reference bytes"
+        "the legacy peers must leave no trace in the assembled bytes"
     );
 }
 

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use sst_monitor::topology::SeqOutcome;
-use sst_monitor::wire::SeqFrame;
+use sst_monitor::wire::{encode_frame_seq, HelloResume, SeqFrame};
 use sst_monitor::{
     decode_frames, decode_snapshot, diff_entry, encode_frame, encode_snapshot, Aggregator,
     EngineSnapshot, Frame, FrameDecoder, MonitorConfig, MonitorEngine, SamplerSpec, StreamDiff,
@@ -30,6 +30,21 @@ fn valid_stream_with_boundaries() -> (Vec<u8>, Vec<usize>) {
     (bytes, boundaries)
 }
 
+/// `Hello` under `collector_id`, then `data` at seqs 0, 1, … — a fresh
+/// session's bytes.
+fn fresh_session(collector_id: u64, data: &[Frame]) -> Vec<u8> {
+    let mut bytes = encode_frame(&Frame::Hello {
+        protocol: WIRE_VERSION,
+        collector_id,
+        resume: Some(HelloResume::Fresh { first_seq: 0 }),
+    })
+    .to_vec();
+    for (seq, frame) in (0..).zip(data) {
+        bytes.extend_from_slice(&encode_frame_seq(seq, frame));
+    }
+    bytes
+}
+
 /// A representative frame stream: Hello, a Delta, an Evicted, a full
 /// snapshot, Bye.
 fn valid_stream() -> Vec<u8> {
@@ -51,21 +66,15 @@ fn valid_stream() -> Vec<u8> {
     }
     let snap = engine.snapshot();
     let evicted = snap.streams()[..5].to_vec();
-    let mut bytes = Vec::new();
-    for frame in [
-        Frame::Hello {
-            protocol: WIRE_VERSION,
-            collector_id: 17,
-            resume: None,
-        },
-        Frame::Delta(snap.clone()),
-        Frame::Evicted(evicted),
-        Frame::FullSnapshot(snap),
-        Frame::Bye,
-    ] {
-        bytes.extend_from_slice(&encode_frame(&frame));
-    }
-    bytes
+    fresh_session(
+        17,
+        &[
+            Frame::Delta(snap.clone()),
+            Frame::Evicted(evicted),
+            Frame::FullSnapshot(snap),
+            Frame::Bye,
+        ],
+    )
 }
 
 /// A representative *tiered* frame stream: the Delta and FullSnapshot
@@ -88,29 +97,22 @@ fn valid_sketch_stream() -> Vec<u8> {
     let snap = engine.full_snapshot();
     assert!(snap.sketch().is_some(), "sketch section present");
     let evicted = snap.streams()[..3.min(snap.stream_count())].to_vec();
-    let mut bytes = Vec::new();
-    for frame in [
-        Frame::Hello {
-            protocol: WIRE_VERSION,
-            collector_id: 31,
-            resume: None,
-        },
-        Frame::Delta(snap.clone()),
-        Frame::Evicted(evicted),
-        Frame::FullSnapshot(snap),
-        Frame::Bye,
-    ] {
-        bytes.extend_from_slice(&encode_frame(&frame));
-    }
-    bytes
+    fresh_session(
+        31,
+        &[
+            Frame::Delta(snap.clone()),
+            Frame::Evicted(evicted),
+            Frame::FullSnapshot(snap),
+            Frame::Bye,
+        ],
+    )
 }
 
-/// A representative *sequenced* (v3) bidirectional byte soup: a
-/// resume Hello, sequenced data frames, and the three
-/// aggregator-originated control frames — everything the v3 decoder
-/// can legally meet on one connection, in one buffer.
+/// A representative bidirectional byte soup: a replay Hello,
+/// sequenced data frames, and the three aggregator-originated control
+/// frames — everything the decoder can legally meet on one
+/// connection, in one buffer.
 fn valid_sequenced_stream(first_seq: u64) -> Vec<u8> {
-    use sst_monitor::wire::{encode_frame_seq, HelloResume};
     let mut engine = MonitorEngine::new(
         MonitorConfig::default()
             .sampler(SamplerSpec::Systematic { interval: 9 })
@@ -178,10 +180,9 @@ fn diff_fixture() -> &'static (EngineSnapshot, EngineSnapshot, Vec<StreamDiff>) 
     })
 }
 
-/// A representative *differential* (v4) stream: resume Hello, a
+/// A representative *differential* stream: resume Hello, a
 /// sequenced FullSnapshot baseline, a `DeltaDiff`, `Bye`.
 fn valid_diff_stream(first_seq: u64) -> Vec<u8> {
-    use sst_monitor::wire::{encode_frame_seq, HelloResume};
     let (base, _, diffs) = diff_fixture();
     let mut bytes = encode_frame(&Frame::Hello {
         protocol: WIRE_VERSION,
@@ -201,25 +202,11 @@ fn valid_diff_stream(first_seq: u64) -> Vec<u8> {
     bytes
 }
 
-/// Re-tags every frame of a sequenced stream as protocol v3, what a
-/// pre-diff sender emitted (valid for every kind but `DeltaDiff`).
-fn as_v3(mut bytes: Vec<u8>) -> Vec<u8> {
-    let mut at = 0;
-    while let Some(header) = bytes.get_mut(at..at + 10) {
-        header[4] = 3;
-        let len = u32::from_le_bytes(header[6..10].try_into().unwrap()) as usize;
-        at += 10 + len;
-    }
-    assert_eq!(at, bytes.len(), "re-tagging walked whole frames");
-    bytes
-}
-
 /// Every frame of `bytes`, with its seq, decoded from one whole
 /// buffer.
 fn whole_buffer_frames(bytes: &[u8]) -> Vec<SeqFrame> {
     let mut dec = FrameDecoder::new();
     dec.push(bytes);
-    dec.finish();
     let frames = std::iter::from_fn(|| dec.next_seq_frame().expect("valid stream")).collect();
     assert_eq!(dec.pending_bytes(), 0);
     frames
@@ -228,20 +215,13 @@ fn whole_buffer_frames(bytes: &[u8]) -> Vec<SeqFrame> {
 #[test]
 fn byte_at_a_time_decode_matches_whole_buffer_decode() {
     // One byte per push walks every partial-input branch of the
-    // parsers: a prefix shorter than the frame magic (4 bytes) or the
-    // v1 magic (6 bytes), a header short of 10 bytes, a payload short
-    // of its declared length, and a legacy snapshot awaiting EOF.
-    let mut engine = MonitorEngine::new(MonitorConfig::default().seed(3));
-    for i in 0..3000u64 {
-        engine.offer(i % 11, (i % 37) as f64);
-    }
-    let v1 = encode_snapshot(&engine.snapshot()).to_vec();
+    // parser: a prefix shorter than the frame magic (4 bytes), a
+    // header short of 10 bytes, and a payload short of its declared
+    // length.
     for (name, bytes) in [
-        ("v1", v1),
-        ("v2", valid_stream()),
-        ("v2 sketch", valid_sketch_stream()),
-        ("v3", as_v3(valid_sequenced_stream(5))),
-        ("v4", valid_sequenced_stream(5)),
+        ("v4", valid_stream()),
+        ("v4 sketch", valid_sketch_stream()),
+        ("v4 sequenced", valid_sequenced_stream(5)),
         ("v4 diff", valid_diff_stream(9)),
     ] {
         let want = whole_buffer_frames(&bytes);
@@ -254,10 +234,6 @@ fn byte_at_a_time_decode_matches_whole_buffer_decode() {
             while let Some(sf) = dec.next_seq_frame().expect(name) {
                 got.push(sf);
             }
-        }
-        dec.finish();
-        while let Some(sf) = dec.next_seq_frame().expect(name) {
-            got.push(sf);
         }
         assert_eq!(dec.pending_bytes(), 0, "{name}");
         assert_eq!(got, want, "{name}: frames and seqs");

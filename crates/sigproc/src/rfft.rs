@@ -41,8 +41,9 @@ enum Backend {
     Half {
         /// Complex plan for length `n/2`.
         half: Arc<FftPlan>,
-        /// `tw[k] = e^{−2πik/n}` for `k = 0..n/2` (forward sign; the
-        /// inverse pass uses the exact conjugate).
+        /// `tw[k] = e^{−2πik/n}` for `k = 0..=n/4`, the only bins the
+        /// outside-in split/merge loops read (forward sign; the inverse
+        /// pass uses the exact conjugate).
         twiddles: Vec<Complex>,
     },
     /// Arbitrary `n`: full complex transform via Bluestein.
@@ -84,13 +85,10 @@ impl RealFftPlan {
         let backend = if n == 1 {
             Backend::Trivial
         } else if is_power_of_two(n) {
-            let half_n = n / 2;
-            let half = plan_for(half_n);
-            let mut twiddles = Vec::with_capacity(half_n + 1);
-            for k in 0..=half_n {
-                let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
-                twiddles.push(Complex::cis(ang));
-            }
+            let half = plan_for(n / 2);
+            let twiddles = (0..=n / 4)
+                .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+                .collect();
             Backend::Half { half, twiddles }
         } else {
             Backend::Bluestein(bluestein_for(n))

@@ -54,7 +54,6 @@ pub use model::PowerLawAcf;
 pub use series::TimeSeries;
 pub use stable::Stable;
 pub use tailfit::ParetoFit;
-pub use ziggurat::fill_standard_normal;
 
 #[cfg(test)]
 mod proptests {

@@ -79,21 +79,6 @@ pub fn standard_normal_ziggurat<R2: RngCore + ?Sized>(rng: &mut R2) -> f64 {
     draw(tables(), rng)
 }
 
-/// Fills `out` with independent standard normals, bit-identical to
-/// calling [`standard_normal_ziggurat`] once per slot with the same RNG
-/// (the `batch_fill_matches_scalar_loop` test pins this).
-///
-/// The batch form hoists the layer-table borrow and the `OnceLock`
-/// check out of the loop and gives the optimizer one tight loop to
-/// schedule RNG block generation across — worthwhile for the `2N`
-/// Gaussians each fGn instance draws.
-pub fn fill_standard_normal<R2: RngCore + ?Sized>(rng: &mut R2, out: &mut [f64]) {
-    let t = tables();
-    for slot in out {
-        *slot = draw(t, rng);
-    }
-}
-
 /// One ziggurat draw against prefetched tables.
 #[inline]
 fn draw<R2: RngCore + ?Sized>(t: &Tables, rng: &mut R2) -> f64 {
@@ -231,23 +216,6 @@ mod tests {
             (got - want).abs() < 5.0 * (want / n as f64).sqrt(),
             "tail frequency {got} vs {want}"
         );
-    }
-
-    #[test]
-    fn batch_fill_matches_scalar_loop() {
-        // The batch fill must consume the RNG exactly like the scalar
-        // call sequence — bit-for-bit, across sizes that straddle the
-        // rare wedge/tail paths.
-        for (seed, n) in [(0u64, 1usize), (5, 64), (9, 4097), (77, 100_000)] {
-            let scalar: Vec<f64> = {
-                let mut rng = rng_from_seed(seed);
-                (0..n).map(|_| standard_normal_ziggurat(&mut rng)).collect()
-            };
-            let mut batch = vec![0.0; n];
-            let mut rng = rng_from_seed(seed);
-            fill_standard_normal(&mut rng, &mut batch);
-            assert_eq!(batch, scalar, "seed={seed} n={n}");
-        }
     }
 
     #[test]

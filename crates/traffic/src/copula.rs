@@ -19,6 +19,12 @@ use sst_stats::TimeSeries;
 /// away from 1 by 1e-14, a Pareto(α=1.2) quantile stays below ~1e12·k.
 const P_EPS: f64 = 1e-14;
 
+/// The copula map of one point: `Q(Φ(x))`, with Φ clamped by `P_EPS`.
+#[inline]
+fn quantile_of<D: Distribution + ?Sized>(marginal: &D, x: f64) -> f64 {
+    marginal.quantile(normal_cdf(x).clamp(P_EPS, 1.0 - P_EPS))
+}
+
 /// Maps each value of a (nominally standard normal) series through the
 /// quantile function of `marginal`, producing a series with that marginal.
 pub fn transform_values(gaussian: &[f64], marginal: &dyn Distribution) -> Vec<f64> {
@@ -31,11 +37,15 @@ pub fn transform_values(gaussian: &[f64], marginal: &dyn Distribution) -> Vec<f6
 /// per-instance pipelines reuse their allocation.
 pub fn transform_values_into(gaussian: &[f64], marginal: &dyn Distribution, out: &mut Vec<f64>) {
     out.clear();
-    out.reserve(gaussian.len());
-    out.extend(gaussian.iter().map(|&x| {
-        let p = normal_cdf(x).clamp(P_EPS, 1.0 - P_EPS);
-        marginal.quantile(p)
-    }));
+    out.extend(gaussian.iter().map(|&x| quantile_of(marginal, x)));
+}
+
+/// [`transform_values`] over `values` in place: the trace builder maps
+/// its fGn buffer without a second allocation.
+pub(crate) fn transform_in_place<D: Distribution + ?Sized>(values: &mut [f64], marginal: &D) {
+    for x in values {
+        *x = quantile_of(marginal, *x);
+    }
 }
 
 /// [`transform_values`] on a [`TimeSeries`], preserving the bin width.
@@ -110,6 +120,15 @@ mod tests {
         let ys = transform_values(&[-40.0, 40.0], &p);
         assert!(ys.iter().all(|v| v.is_finite()));
         assert!(ys[1] > 1e9); // deep tail reached, but finite
+    }
+
+    #[test]
+    fn in_place_matches_the_allocating_transform() {
+        let p = Pareto::with_mean(1.5, 5.68);
+        let mut xs = FgnGenerator::new(0.8).unwrap().generate_values(4096, 5);
+        let want = transform_values(&xs, &p);
+        transform_in_place(&mut xs, &p);
+        assert_eq!(xs, want);
     }
 
     #[test]

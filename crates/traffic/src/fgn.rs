@@ -14,10 +14,9 @@
 
 use sst_sigproc::complex::Complex;
 use sst_sigproc::fft::next_pow2;
-use sst_sigproc::plan::{lru_fetch, plan_for, FftPlan};
+use sst_sigproc::plan::{lru_fetch, FftPlan};
 use sst_sigproc::rfft::{real_plan_for, RealFftPlan};
 use sst_stats::dist::{standard_normal, standard_normal_boxmuller};
-use sst_stats::fill_standard_normal;
 use sst_stats::model::FgnAcf;
 use sst_stats::rng::rng_from_seed;
 use sst_stats::TimeSeries;
@@ -123,30 +122,35 @@ impl FgnGenerator {
     }
 }
 
-/// Reusable scratch for [`FgnPlan::generate_values_into`]: the complex
-/// spectrum buffer plus the Gaussian draw buffer, so per-instance
-/// generation performs no allocation after the first call.
+/// Reusable scratch for [`FgnPlan::generate_values_into`]: the packed
+/// `N+1`-bin half-spectrum the Gaussians are drawn into and the inverse
+/// transform runs on, so per-instance generation performs no allocation
+/// after the first call.
 #[derive(Clone, Debug, Default)]
 pub struct FgnScratch {
     spec: Vec<Complex>,
-    gauss: Vec<f64>,
 }
 
 /// A precomputed Davies-Harte generation plan for one `(H, n)` pair.
 ///
 /// Construction performs the expensive, seed-independent work once: the
 /// fGn autocovariance row, its FFT (the circulant eigenvalues
-/// `λ(H, n)`), the clamp, and the per-bin amplitudes
-/// `√(λ_k/2)`. [`FgnPlan::generate_values_into`] then needs exactly
-/// `2N` ziggurat Gaussian draws plus one **half-size** inverse real FFT
-/// per instance: the circulant spectrum is Hermitian by construction,
-/// so only the `N+1` non-redundant bins are drawn (into the packed
-/// half-spectrum buffer) and inverted through
-/// [`sst_sigproc::rfft::RealFftPlan::c2r_prefix`] — roughly halving the
-/// FFT cost that dominated the full-spectrum path.
+/// `λ(H, n)`), the clamp, and the per-bin amplitudes. The plan then
+/// keeps only what [`FgnPlan::generate_values_into`] reads: the
+/// amplitudes (with the transform's scale folded in) and the shared
+/// half-size real-FFT plan, about 36·N bytes for `N = next_pow2(n)`.
+/// The complex plan that computed the eigenvalues is dropped after
+/// construction.
 ///
-/// The historical Box-Muller/full-complex-FFT synthesis is retained
-/// verbatim as [`FgnPlan::generate_values_into_legacy`]; the
+/// Each instance needs `2N` ziggurat Gaussian draws plus one
+/// **half-size** inverse real FFT: the circulant spectrum is Hermitian
+/// by construction, so only the `N+1` non-redundant bins are drawn,
+/// straight into the packed half-spectrum buffer, and inverted through
+/// [`sst_sigproc::rfft::RealFftPlan::c2r_prefix`].
+///
+/// The historical Box-Muller/full-complex-FFT synthesis is retained as
+/// [`FgnPlan::generate_values_into_legacy`], which rebuilds the
+/// amplitudes and the full-size complex plan on every call; the
 /// determinism suite pins it bit-for-bit against the seed algorithm.
 /// The fast path is validated against the same full-spectrum transform
 /// to ≤1e-9 and is distribution-exact, but consumes a different RNG
@@ -171,15 +175,39 @@ pub struct FgnPlan {
     hurst: f64,
     n: usize,
     big_n: usize,
-    m: usize,
-    /// `amp[0] = √λ₀`, `amp[N] = √λ_N`, `amp[k] = √(λ_k/2)` otherwise.
-    amp: Vec<f64>,
-    /// The amplitudes with the output normalization `1/√m` and the
-    /// inverse-transform scale `m` folded in (`amp[k]·√m`), so the fast
-    /// path's packed half-spectrum needs no post-scaling pass.
+    /// The amplitudes of [`amplitudes`] with the output normalization
+    /// `1/√m` and the inverse-transform scale `m` folded in
+    /// (`amp[k]·√m`), so the packed half-spectrum needs no
+    /// post-scaling pass.
     half_amp: Vec<f64>,
-    fft: Arc<FftPlan>,
     rfft: Arc<RealFftPlan>,
+}
+
+/// The Davies-Harte per-bin amplitudes for Hurst parameter `h` and
+/// embedding half-size `big_n`: `amp[0] = √λ₀`, `amp[N] = √λ_N` and
+/// `amp[k] = √(λ_k/2)` otherwise, where `λ` is the FFT (through `fft`,
+/// a plan for `m = 2N`) of the circulant's first row.
+fn amplitudes(h: f64, big_n: usize, fft: &FftPlan) -> Vec<f64> {
+    let m = 2 * big_n;
+    // First row of the circulant: ρ(0..=N), then mirrored ρ(N-1..=1).
+    let acf = FgnAcf::new(h);
+    let mut row = vec![Complex::ZERO; m];
+    for (k, slot) in row.iter_mut().enumerate().take(big_n + 1) {
+        *slot = Complex::from_real(acf.at(k as u64));
+    }
+    for k in 1..big_n {
+        row[m - k] = Complex::from_real(acf.at(k as u64));
+    }
+    fft.forward(&mut row);
+    // Eigenvalues are real and non-negative for the fGn ACF; tiny
+    // negative round-off is clamped.
+    let mut amp = Vec::with_capacity(big_n + 1);
+    amp.push(row[0].re.max(0.0).sqrt());
+    for z in row.iter().take(big_n).skip(1) {
+        amp.push((z.re.max(0.0) / 2.0).sqrt());
+    }
+    amp.push(row[big_n].re.max(0.0).sqrt());
+    amp
 }
 
 impl FgnPlan {
@@ -206,49 +234,27 @@ impl FgnPlan {
                 hurst: h,
                 n,
                 big_n: 0,
-                m: 0,
-                amp: Vec::new(),
                 half_amp: Vec::new(),
-                fft: plan_for(1),
                 rfft: real_plan_for(1),
             });
         }
         let big_n = next_pow2(n);
         let m = 2 * big_n;
-        // First row of the circulant: ρ(0..=N), then mirrored ρ(N-1..=1).
-        let acf = FgnAcf::new(h);
-        let mut row = vec![Complex::ZERO; m];
-        for (k, slot) in row.iter_mut().enumerate().take(big_n + 1) {
-            *slot = Complex::from_real(acf.at(k as u64));
-        }
-        for k in 1..big_n {
-            row[m - k] = Complex::from_real(acf.at(k as u64));
-        }
-        let fft = plan_for(m);
-        fft.forward(&mut row);
-        // Eigenvalues are real and non-negative for the fGn ACF; tiny
-        // negative round-off is clamped. Fold the per-bin amplitude
-        // arithmetic in now — the same expressions the generation loop
-        // historically evaluated, so the products below are bit-equal.
-        let mut amp = Vec::with_capacity(big_n + 1);
-        amp.push(row[0].re.max(0.0).sqrt());
-        for z in row.iter().take(big_n).skip(1) {
-            amp.push((z.re.max(0.0) / 2.0).sqrt());
-        }
-        amp.push(row[big_n].re.max(0.0).sqrt());
-        // Fast-path amplitudes: the normalized inverse real transform
-        // divides by m while the target output carries 1/√m, so the
-        // packed bins are pre-scaled by m/√m = √m.
+        // A transient complex plan, not the `plan_for` cache, so its
+        // 40·N bytes are freed as soon as the eigenvalues are known.
+        let mut half_amp = amplitudes(h, big_n, &FftPlan::new(m));
+        // The normalized inverse real transform divides by m while the
+        // target output carries 1/√m, so the packed bins are pre-scaled
+        // by m/√m = √m.
         let sqrt_m = (m as f64).sqrt();
-        let half_amp: Vec<f64> = amp.iter().map(|a| a * sqrt_m).collect();
+        for a in &mut half_amp {
+            *a *= sqrt_m;
+        }
         Ok(FgnPlan {
             hurst: h,
             n,
             big_n,
-            m,
-            amp,
             half_amp,
-            fft,
             rfft: real_plan_for(m),
         })
     }
@@ -295,10 +301,10 @@ impl FgnPlan {
     /// the packed `N+1`-bin half-spectrum, inverted with a half-size
     /// real FFT ([`sst_sigproc::rfft::RealFftPlan::c2r_prefix`]). The
     /// draw order matches the legacy path (bin 0, bin N, then the
-    /// interior pairs), and the imaginary parts are negated in place so
-    /// the packed buffer holds `conj(S)` — the inverse transform of the
-    /// conjugate spectrum equals the forward transform of `S`, which is
-    /// what Davies-Harte prescribes.
+    /// interior `(g, h)` pairs), and the imaginary parts are negated as
+    /// they are stored so the packed buffer holds `conj(S)` — the
+    /// inverse transform of the conjugate spectrum equals the forward
+    /// transform of `S`, which is what Davies-Harte prescribes.
     pub fn generate_values_into(&self, seed: u64, out: &mut Vec<f64>, scratch: &mut FgnScratch) {
         let mut rng = rng_from_seed(seed);
         if self.n == 1 {
@@ -307,28 +313,18 @@ impl FgnPlan {
             return;
         }
         let big_n = self.big_n;
-        // All 2N Gaussians in one batch fill — bit-identical to the
-        // historical per-draw calls (the fill consumes the RNG in the
-        // same order: bin 0, bin N, then the interior (g, h) pairs).
-        // No clear() first: every slot in [0, 2N) is overwritten by the
-        // fill, so resize alone (a no-op at steady state) avoids a dead
+        let amp = &self.half_amp;
+        // No clear() first: every slot in [0, N] is overwritten below,
+        // so resize alone (a no-op at steady state) avoids a dead
         // zero-fill of the whole buffer on each call.
-        let gauss = &mut scratch.gauss;
-        gauss.resize(2 * big_n, 0.0);
-        fill_standard_normal(&mut rng, gauss);
         let spec = &mut scratch.spec;
-        spec.clear();
         spec.resize(big_n + 1, Complex::ZERO);
-        spec[0] = Complex::from_real(self.half_amp[0] * gauss[0]);
-        spec[big_n] = Complex::from_real(self.half_amp[big_n] * gauss[1]);
-        for (k, (slot, &amp)) in spec[1..big_n]
-            .iter_mut()
-            .zip(&self.half_amp[1..big_n])
-            .enumerate()
-        {
-            let g = gauss[2 + 2 * k];
-            let h = gauss[3 + 2 * k];
-            *slot = Complex::new(amp * g, -(amp * h));
+        spec[0] = Complex::from_real(amp[0] * standard_normal(&mut rng));
+        spec[big_n] = Complex::from_real(amp[big_n] * standard_normal(&mut rng));
+        for (slot, &a) in spec[1..big_n].iter_mut().zip(&amp[1..big_n]) {
+            let g = standard_normal(&mut rng);
+            let h = standard_normal(&mut rng);
+            *slot = Complex::new(a * g, -(a * h));
         }
         out.clear();
         out.resize(self.n, 0.0);
@@ -347,6 +343,10 @@ impl FgnPlan {
     /// Gaussians into the full `2N`-bin spectrum, inverted with the
     /// full-size complex FFT. Bit-identical to the seed algorithm for
     /// every `(H, n, seed)` — the determinism suite pins this path.
+    ///
+    /// The plan keeps neither the raw amplitudes nor the full-size
+    /// complex FFT plan, so each call rebuilds both: this path is a
+    /// reference, not a hot path.
     pub fn generate_values_into_legacy(
         &self,
         seed: u64,
@@ -359,20 +359,22 @@ impl FgnPlan {
             out.push(standard_normal_boxmuller(&mut rng));
             return;
         }
-        let (big_n, m) = (self.big_n, self.m);
+        let big_n = self.big_n;
+        let m = 2 * big_n;
+        let fft = FftPlan::new(m);
+        let amp = amplitudes(self.hurst, big_n, &fft);
         let spec = &mut scratch.spec;
         spec.clear();
         spec.resize(m, Complex::ZERO);
-        spec[0] = Complex::from_real(self.amp[0] * standard_normal_boxmuller(&mut rng));
-        spec[big_n] = Complex::from_real(self.amp[big_n] * standard_normal_boxmuller(&mut rng));
+        spec[0] = Complex::from_real(amp[0] * standard_normal_boxmuller(&mut rng));
+        spec[big_n] = Complex::from_real(amp[big_n] * standard_normal_boxmuller(&mut rng));
         for k in 1..big_n {
             let g = standard_normal_boxmuller(&mut rng);
             let h = standard_normal_boxmuller(&mut rng);
-            let amp = self.amp[k];
-            spec[k] = Complex::new(amp * g, amp * h);
+            spec[k] = Complex::new(amp[k] * g, amp[k] * h);
             spec[m - k] = spec[k].conj();
         }
-        self.fft.forward(spec);
+        fft.forward(spec);
         let norm = 1.0 / (m as f64).sqrt();
         out.clear();
         out.reserve(self.n);
@@ -513,19 +515,20 @@ mod tests {
             (0.92, 1 << 14),
         ] {
             let plan = FgnPlan::new(h, n).unwrap();
-            let (big_n, m) = (plan.big_n, plan.m);
+            let big_n = plan.big_n;
+            let m = 2 * big_n;
+            let amp = amplitudes(h, big_n, &FftPlan::new(m));
             for seed in [0u64, 7, 123] {
                 // Reference: full Hermitian spectrum + complex FFT,
                 // same RNG stream and amplitude tables as the plan.
                 let mut rng = rng_from_seed(seed);
                 let mut spec = vec![Complex::ZERO; m];
-                spec[0] = Complex::from_real(plan.amp[0] * standard_normal(&mut rng));
-                spec[big_n] = Complex::from_real(plan.amp[big_n] * standard_normal(&mut rng));
+                spec[0] = Complex::from_real(amp[0] * standard_normal(&mut rng));
+                spec[big_n] = Complex::from_real(amp[big_n] * standard_normal(&mut rng));
                 for k in 1..big_n {
                     let g = standard_normal(&mut rng);
                     let hh = standard_normal(&mut rng);
-                    let amp = plan.amp[k];
-                    spec[k] = Complex::new(amp * g, amp * hh);
+                    spec[k] = Complex::new(amp[k] * g, amp[k] * hh);
                     spec[m - k] = spec[k].conj();
                 }
                 fft_pow2_in_place(&mut spec);
@@ -552,16 +555,17 @@ mod tests {
         use sst_stats::dist::standard_normal_boxmuller;
         let (h, n, seed) = (0.8f64, 500usize, 11u64);
         let plan = FgnPlan::new(h, n).unwrap();
-        let (big_n, m) = (plan.big_n, plan.m);
+        let big_n = plan.big_n;
+        let m = 2 * big_n;
+        let amp = amplitudes(h, big_n, &FftPlan::new(m));
         let mut rng = rng_from_seed(seed);
         let mut spec = vec![Complex::ZERO; m];
-        spec[0] = Complex::from_real(plan.amp[0] * standard_normal_boxmuller(&mut rng));
-        spec[big_n] = Complex::from_real(plan.amp[big_n] * standard_normal_boxmuller(&mut rng));
+        spec[0] = Complex::from_real(amp[0] * standard_normal_boxmuller(&mut rng));
+        spec[big_n] = Complex::from_real(amp[big_n] * standard_normal_boxmuller(&mut rng));
         for k in 1..big_n {
             let g = standard_normal_boxmuller(&mut rng);
             let hh = standard_normal_boxmuller(&mut rng);
-            let amp = plan.amp[k];
-            spec[k] = Complex::new(amp * g, amp * hh);
+            spec[k] = Complex::new(amp[k] * g, amp[k] * hh);
             spec[m - k] = spec[k].conj();
         }
         fft_pow2_in_place(&mut spec);

@@ -7,7 +7,7 @@
 //! fGn + Gaussian-copula pipeline (the default), or via direct on/off
 //! aggregation for cross-validation.
 
-use crate::copula::transform_series;
+use crate::copula::transform_in_place;
 use crate::fgn::FgnPlan;
 use crate::onoff::OnOffModel;
 use sst_stats::dist::Pareto;
@@ -174,11 +174,11 @@ impl SyntheticTraceSpec {
             GeneratorKind::FgnCopula => {
                 // The plan cache makes repeated builds over the same
                 // (H, length) — the Monte-Carlo norm — pay for the
-                // Davies-Harte eigenvalue spectrum exactly once.
-                let fgn = FgnPlan::cached(self.hurst, self.length)
+                // Davies-Harte eigenvalue spectrum exactly once. The
+                // marginal map then runs in place on the fGn buffer.
+                let mut values = FgnPlan::cached(self.hurst, self.length)
                     .expect("validated above")
                     .generate_values(self.seed);
-                let fgn = TimeSeries::from_values(self.dt, fgn);
                 match self.marginal {
                     MarginalSpec::Pareto { alpha, mean } => {
                         assert!(
@@ -186,17 +186,16 @@ impl SyntheticTraceSpec {
                             "Pareto marginal needs alpha > 1 for finite mean"
                         );
                         assert!(mean > 0.0, "mean must be positive");
-                        let marginal = Pareto::with_mean(alpha, mean);
-                        transform_series(&fgn, &marginal)
+                        transform_in_place(&mut values, &Pareto::with_mean(alpha, mean));
                     }
                     MarginalSpec::Gaussian { mean, std } => {
                         assert!(std >= 0.0, "stddev must be non-negative");
-                        TimeSeries::from_values(
-                            self.dt,
-                            fgn.values().iter().map(|&x| mean + std * x).collect(),
-                        )
+                        for x in &mut values {
+                            *x = mean + std * *x;
+                        }
                     }
                 }
+                TimeSeries::from_values(self.dt, values)
             }
             GeneratorKind::OnOff { n_sources } => {
                 let model = OnOffModel::for_hurst(self.hurst, n_sources).expect("validated above");

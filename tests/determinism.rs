@@ -219,3 +219,54 @@ fn parallel_bss_experiment_is_byte_equal_to_sequential() {
     assert_eq!(par.instances, seq.instances);
     assert_eq!(par.sampler, seq.sampler);
 }
+
+/// 64-bit FNV-1a over the little-endian bits of `values`.
+fn fnv1a_f64(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn fgn_bits_match_pinned_digests() {
+    // FNV-1a digests of `FgnPlan::generate_values` and of a
+    // Gaussian-marginal `SyntheticTraceSpec::build`, per (H, n, seed).
+    // They were recorded before the plan dropped its amplitude and
+    // complex-FFT tables and before Gaussians went straight into the
+    // half spectrum. Any change to the draw order, the amplitudes or
+    // the transform moves them; the fast-path test above only checks
+    // to 1e-9.
+    const PINS: [(f64, usize, u64, u64, u64); 4] = [
+        (
+            0.8,
+            1 << 17,
+            101,
+            0x2d0a_c9a9_10d0_ed6a,
+            0x3303_8c75_31cc_6207,
+        ),
+        (0.7, 1000, 7, 0x4c86_771d_c28f_e370, 0xf5b3_ae0f_1e6e_a293),
+        (
+            0.92,
+            4096,
+            4242,
+            0xafc7_f23d_5c60_f406,
+            0x4048_8c1a_ff7a_086e,
+        ),
+        (0.6, 1, 3, 0xf179_3eb6_17d0_6470, 0x8626_4f0c_91cb_fe38),
+    ];
+    for (h, n, seed, fgn_pin, build_pin) in PINS {
+        let fgn = fnv1a_f64(&FgnPlan::new(h, n).expect("valid").generate_values(seed));
+        let build = SyntheticTraceSpec::new()
+            .length(n)
+            .hurst(h)
+            .gaussian_marginal(5.68, 1.5)
+            .seed(seed)
+            .build();
+        let build = fnv1a_f64(build.values());
+        assert_eq!(fgn, fgn_pin, "fGn: H={h} n={n} seed={seed}");
+        assert_eq!(build, build_pin, "build: H={h} n={n} seed={seed}");
+    }
+}

@@ -5,9 +5,11 @@
 //!   complex FFT) against the full complex transforms they replace, on
 //!   the circulant size the 65 536-point Davies-Harte synthesis uses.
 //! * `gaussian` — ziggurat vs Box-Muller standard-normal draws (the fGn
-//!   generator consumes `2N` per Monte-Carlo instance).
+//!   generator consumes `2N` per Monte-Carlo instance), and the raw
+//!   `StdRng::next_u64` words both are built from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rand::RngCore;
 use sst_sigproc::complex::Complex;
 use sst_sigproc::plan::FftPlan;
 use sst_sigproc::rfft::RealFftPlan;
@@ -87,6 +89,16 @@ fn bench_gaussian(c: &mut Criterion) {
             let mut acc = 0.0;
             for _ in 0..DRAWS {
                 acc += standard_normal_boxmuller(&mut rng);
+            }
+            acc
+        });
+    });
+    g.bench_function(BenchmarkId::new("stdrng_next_u64", DRAWS), |b| {
+        let mut rng = rng_from_seed(42);
+        b.iter(|| {
+            let mut acc = 0u64;
+            for _ in 0..DRAWS {
+                acc ^= rng.next_u64();
             }
             acc
         });

@@ -22,7 +22,8 @@
 //!   `ξ = 1/(1−η)` (§V-C's `ξ = 1/η` is a typo for this — it follows
 //!   from `η`'s definition `η = 1 − X_s/X_r`).
 
-use crate::sampler::{Sampler, Samples};
+use crate::experiment::InstanceResult;
+use crate::sampler::{Keep, Sampler, Samples, Tally};
 use crate::theory::{eta_from_samples, l_for_bias};
 use sst_stats::RunningStats;
 
@@ -109,6 +110,15 @@ impl BssOutcome {
     pub fn total_kept(&self) -> usize {
         self.normal_count + self.qualified_count
     }
+}
+
+/// What one BSS selection pass reports besides the samples it keeps.
+struct BssCounts {
+    normal_count: usize,
+    qualified_count: usize,
+    extras_inspected: usize,
+    final_threshold: f64,
+    l_used: usize,
 }
 
 /// The Biased Systematic Sampler.
@@ -262,10 +272,32 @@ impl BssSampler {
 
     /// Runs one BSS instance and returns the full outcome.
     pub fn sample_detailed(&self, values: &[f64], seed: u64) -> BssOutcome {
+        let mut samples = Samples::default();
+        let c = self.select(values, seed, &mut samples);
+        BssOutcome {
+            samples,
+            normal_count: c.normal_count,
+            qualified_count: c.qualified_count,
+            extras_inspected: c.extras_inspected,
+            final_threshold: c.final_threshold,
+            l_used: c.l_used,
+        }
+    }
+
+    /// The experiment record of the instance [`BssSampler::sample_detailed`]
+    /// draws: its mean, total kept and qualified count, bit for bit,
+    /// without building the [`Samples`].
+    pub(crate) fn tally_detailed(&self, values: &[f64], seed: u64) -> InstanceResult {
+        let mut tally = Tally::default();
+        let c = self.select(values, seed, &mut tally);
+        tally.instance(c.qualified_count)
+    }
+
+    /// The BSS selection loop: keeps every normal and qualified sample,
+    /// in index order, into `keep`.
+    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) -> BssCounts {
         let l = self.effective_l(values.len());
         let offset = (seed % self.interval as u64) as usize;
-        let mut indices: Vec<usize> = Vec::new();
-        let mut kept: Vec<f64> = Vec::new();
         let mut normal_count = 0usize;
         let mut qualified_count = 0usize;
         let mut extras_inspected = 0usize;
@@ -281,8 +313,7 @@ impl BssSampler {
         let mut t = offset;
         while t < values.len() {
             let v = values[t];
-            indices.push(t);
-            kept.push(v);
+            keep.keep(t, v);
             normal_count += 1;
             running.push(v);
 
@@ -315,8 +346,7 @@ impl BssSampler {
                     extras_inspected += 1;
                     let w = values[pos];
                     if w > threshold {
-                        indices.push(pos);
-                        kept.push(w);
+                        keep.keep(pos, w);
                         qualified_count += 1;
                         running.push(w);
                     }
@@ -324,11 +354,7 @@ impl BssSampler {
             }
             t += self.interval;
         }
-        // Extras were appended inside their interval, so indices are
-        // already sorted; assert the invariant in debug builds.
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        BssOutcome {
-            samples: Samples::new(indices, kept),
+        BssCounts {
             normal_count,
             qualified_count,
             extras_inspected,
@@ -364,12 +390,9 @@ pub fn calibrate_c_eta(prefix: &[f64], interval: usize, alpha: f64, n_instances:
     let sampler = crate::sampler::SystematicSampler::new(interval);
     let mut etas: Vec<f64> = (0..n_instances)
         .map(|i| {
-            let m = crate::sampler::Sampler::sample(
-                &sampler,
-                prefix,
-                sst_stats::rng::derive_seed(0xCA11B, i as u64),
-            )
-            .mean();
+            let m = sampler
+                .tally(prefix, sst_stats::rng::derive_seed(0xCA11B, i as u64))
+                .mean;
             (1.0 - m / truth).max(0.0)
         })
         .collect();
@@ -414,8 +437,8 @@ pub fn tune_l_on_prefix(
         let mut means: Vec<f64> = (0..n_instances)
             .map(|i| {
                 sampler
-                    .sample_detailed(prefix, sst_stats::rng::derive_seed(0x70E, i as u64))
-                    .mean()
+                    .tally_detailed(prefix, sst_stats::rng::derive_seed(0x70E, i as u64))
+                    .mean
             })
             .collect();
         means.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

@@ -118,6 +118,28 @@ pub(crate) fn validate_experiment_inputs(values: &[f64], n_instances: usize) -> 
     true_mean
 }
 
+/// Instance `i` of an experiment with `sampler` on `values`: its seed
+/// is derived from `base_seed` and `i` alone, so instances can run in
+/// any order or on any thread.
+pub(crate) fn instance<S: Sampler + ?Sized>(
+    values: &[f64],
+    sampler: &S,
+    base_seed: u64,
+    i: usize,
+) -> InstanceResult {
+    sampler.tally(values, derive_seed(base_seed, i as u64))
+}
+
+/// [`instance`] for BSS, keeping the qualified-sample count.
+pub(crate) fn bss_instance(
+    values: &[f64],
+    sampler: &BssSampler,
+    base_seed: u64,
+    i: usize,
+) -> InstanceResult {
+    sampler.tally_detailed(values, derive_seed(base_seed, i as u64))
+}
+
 /// Runs `n_instances` instances of `sampler` on `values`.
 ///
 /// Instance seeds are derived deterministically from `base_seed`, so the
@@ -135,14 +157,7 @@ pub fn run_experiment(
 ) -> ExperimentResult {
     let true_mean = validate_experiment_inputs(values, n_instances);
     let instances = (0..n_instances)
-        .map(|i| {
-            let s = sampler.sample(values, derive_seed(base_seed, i as u64));
-            InstanceResult {
-                mean: s.mean(),
-                n_samples: s.len(),
-                n_qualified: 0,
-            }
-        })
+        .map(|i| instance(values, sampler, base_seed, i))
         .collect();
     ExperimentResult {
         sampler: sampler.name(),
@@ -166,14 +181,7 @@ pub fn run_bss_experiment(
 ) -> ExperimentResult {
     let true_mean = validate_experiment_inputs(values, n_instances);
     let instances = (0..n_instances)
-        .map(|i| {
-            let out = sampler.sample_detailed(values, derive_seed(base_seed, i as u64));
-            InstanceResult {
-                mean: out.mean(),
-                n_samples: out.total_kept(),
-                n_qualified: out.qualified_count,
-            }
-        })
+        .map(|i| bss_instance(values, sampler, base_seed, i))
         .collect();
     ExperimentResult {
         sampler: "bss",

@@ -21,10 +21,11 @@
 //! ```
 
 use crate::bss::BssSampler;
-use crate::experiment::{validate_experiment_inputs, ExperimentResult, InstanceResult};
+use crate::experiment::{
+    bss_instance, instance, validate_experiment_inputs, ExperimentResult, InstanceResult,
+};
 use crate::sampler::Sampler;
 use rayon::prelude::*;
-use sst_stats::rng::derive_seed;
 
 /// Minimum trace elements one submitted task should be responsible for.
 ///
@@ -167,12 +168,7 @@ impl ParallelExperimentRunner {
         }
         let true_mean = validate_experiment_inputs(values, n_instances);
         let instances = self.execute(n_instances, values.len(), |i| {
-            let s = sampler.sample(values, derive_seed(base_seed, i as u64));
-            InstanceResult {
-                mean: s.mean(),
-                n_samples: s.len(),
-                n_qualified: 0,
-            }
+            instance(values, sampler, base_seed, i)
         });
         ExperimentResult {
             sampler: sampler.name(),
@@ -200,12 +196,7 @@ impl ParallelExperimentRunner {
         }
         let true_mean = validate_experiment_inputs(values, n_instances);
         let instances = self.execute(n_instances, values.len(), |i| {
-            let out = sampler.sample_detailed(values, derive_seed(base_seed, i as u64));
-            InstanceResult {
-                mean: out.mean(),
-                n_samples: out.total_kept(),
-                n_qualified: out.qualified_count,
-            }
+            bss_instance(values, sampler, base_seed, i)
         });
         ExperimentResult {
             sampler: "bss",
@@ -253,12 +244,7 @@ impl ParallelExperimentRunner {
             .collect();
         let flat = self.execute(tasks.len(), values.len(), |t| {
             let (r, i) = tasks[t];
-            let s = samplers[r].sample(values, derive_seed(base_seed, i as u64));
-            InstanceResult {
-                mean: s.mean(),
-                n_samples: s.len(),
-                n_qualified: 0,
-            }
+            instance(values, samplers[r].as_ref(), base_seed, i)
         });
         let mut offset = 0usize;
         samplers

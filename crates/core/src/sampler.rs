@@ -13,6 +13,7 @@
 //! different random draws), which is exactly the paper's notion of an
 //! instance when measuring the average variance `E(V)`.
 
+use crate::experiment::InstanceResult;
 use rand::Rng;
 use sst_sigproc::plan::lru_fetch;
 use sst_stats::rng::{derive_seed, rng_from_seed};
@@ -40,6 +41,14 @@ impl Samples {
             "indices must be strictly increasing"
         );
         Samples { indices, values }
+    }
+
+    /// An empty sample set with room for `n` samples.
+    fn with_capacity(n: usize) -> Self {
+        Samples {
+            indices: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
+        }
     }
 
     /// The selected positions in the original process.
@@ -72,6 +81,79 @@ impl Samples {
     }
 }
 
+/// Where a sampler's selection loop puts each sample it keeps, in
+/// increasing index order.
+pub(crate) trait Keep {
+    /// Keeps `value`, found at position `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `index` is above every index kept before.
+    fn keep(&mut self, index: usize, value: f64);
+}
+
+impl Keep for Samples {
+    #[inline]
+    fn keep(&mut self, index: usize, value: f64) {
+        assert!(
+            self.indices.last().is_none_or(|&last| last < index),
+            "indices must be strictly increasing"
+        );
+        self.indices.push(index);
+        self.values.push(value);
+    }
+}
+
+/// The sum and count of the kept values: all an experiment reads of an
+/// instance, without materialising it as [`Samples`].
+///
+/// The sum starts at −0.0 and adds in index order, as
+/// `values.iter().sum::<f64>()` does, so [`Tally::instance`]'s mean is
+/// bit for bit [`Samples::mean`] of the same instance.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tally {
+    sum: f64,
+    count: usize,
+    /// Smallest index the next keep may have.
+    next: usize,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            sum: -0.0,
+            count: 0,
+            next: 0,
+        }
+    }
+}
+
+impl Tally {
+    /// The instance's record, with `n_qualified` qualified samples among
+    /// those kept.
+    pub(crate) fn instance(&self, n_qualified: usize) -> InstanceResult {
+        InstanceResult {
+            mean: if self.count == 0 {
+                0.0
+            } else {
+                self.sum / self.count as f64
+            },
+            n_samples: self.count,
+            n_qualified,
+        }
+    }
+}
+
+impl Keep for Tally {
+    #[inline]
+    fn keep(&mut self, index: usize, value: f64) {
+        assert!(index >= self.next, "indices must be strictly increasing");
+        self.next = index + 1;
+        self.sum += value;
+        self.count += 1;
+    }
+}
+
 /// A sampling technique: a deterministic function of the input process
 /// and an instance seed.
 pub trait Sampler {
@@ -83,6 +165,20 @@ pub trait Sampler {
 
     /// Draws one sampling instance from `values`.
     fn sample(&self, values: &[f64], seed: u64) -> Samples;
+
+    /// Draws the same instance as [`Sampler::sample`] and reduces it to
+    /// what an experiment records: the sampled mean and the sample
+    /// count (`n_qualified` is 0). The result equals
+    /// [`Samples::mean`] and [`Samples::len`] bit for bit; the
+    /// classic samplers override it to skip building the [`Samples`].
+    fn tally(&self, values: &[f64], seed: u64) -> InstanceResult {
+        let s = self.sample(values, seed);
+        InstanceResult {
+            mean: s.mean(),
+            n_samples: s.len(),
+            n_qualified: 0,
+        }
+    }
 }
 
 /// Static systematic sampling with interval `C`: indices
@@ -121,6 +217,19 @@ impl SystematicSampler {
     pub fn interval(&self) -> usize {
         self.interval
     }
+
+    /// The first sample position for instance `seed`.
+    fn offset(&self, seed: u64) -> usize {
+        (seed % self.interval as u64) as usize
+    }
+
+    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) {
+        let mut t = self.offset(seed);
+        while t < values.len() {
+            keep.keep(t, values[t]);
+            t += self.interval;
+        }
+    }
 }
 
 impl Sampler for SystematicSampler {
@@ -133,19 +242,16 @@ impl Sampler for SystematicSampler {
     }
 
     fn sample(&self, values: &[f64], seed: u64) -> Samples {
-        let offset = (seed % self.interval as u64) as usize;
-        let mut indices = Vec::new();
-        let mut sampled = Vec::new();
-        let mut t = offset;
-        while t < values.len() {
-            indices.push(t);
-            sampled.push(values[t]);
-            t += self.interval;
-        }
-        Samples {
-            indices,
-            values: sampled,
-        }
+        let n = values.len().saturating_sub(self.offset(seed));
+        let mut out = Samples::with_capacity(n.div_ceil(self.interval));
+        self.select(values, seed, &mut out);
+        out
+    }
+
+    fn tally(&self, values: &[f64], seed: u64) -> InstanceResult {
+        let mut tally = Tally::default();
+        self.select(values, seed, &mut tally);
+        tally.instance(0)
     }
 }
 
@@ -183,6 +289,17 @@ impl StratifiedSampler {
     pub fn interval(&self) -> usize {
         self.interval
     }
+
+    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) {
+        let mut rng = rng_from_seed(derive_seed(seed, 0x5742));
+        let mut start = 0usize;
+        while start < values.len() {
+            let end = (start + self.interval).min(values.len());
+            let idx = start + rng.gen_range(0..end - start);
+            keep.keep(idx, values[idx]);
+            start = end;
+        }
+    }
 }
 
 impl Sampler for StratifiedSampler {
@@ -195,21 +312,15 @@ impl Sampler for StratifiedSampler {
     }
 
     fn sample(&self, values: &[f64], seed: u64) -> Samples {
-        let mut rng = rng_from_seed(derive_seed(seed, 0x5742));
-        let mut indices = Vec::new();
-        let mut sampled = Vec::new();
-        let mut start = 0usize;
-        while start < values.len() {
-            let end = (start + self.interval).min(values.len());
-            let idx = start + rng.gen_range(0..end - start);
-            indices.push(idx);
-            sampled.push(values[idx]);
-            start = end;
-        }
-        Samples {
-            indices,
-            values: sampled,
-        }
+        let mut out = Samples::with_capacity(values.len().div_ceil(self.interval));
+        self.select(values, seed, &mut out);
+        out
+    }
+
+    fn tally(&self, values: &[f64], seed: u64) -> InstanceResult {
+        let mut tally = Tally::default();
+        self.select(values, seed, &mut tally);
+        tally.instance(0)
     }
 }
 
@@ -217,16 +328,26 @@ impl Sampler for StratifiedSampler {
 /// `P(G = g) = r(1−r)^{g−1}`, `g ≥ 1` (the paper's Eq. (13)).
 ///
 /// The inverse-CDF identity `G = min{g : (1−r)^g ≤ U}` is evaluated
-/// against a precomputed boundary table `(1−r)^g` by binary search, so
-/// the common case costs ~10 comparisons instead of the `ln` + divide
-/// the closed form `⌈ln U / ln(1−r)⌉` pays per kept sample. The table
-/// aims at an `e⁻⁴` fallback tail (≈ 1.8% of draws), subject to a
-/// 1024-entry cap: below `rate ≈ 0.004` the cap binds and the fallback
-/// probability grows to `(1−r)^1024` (≈ 36% at r = 0.001, ≈ 90% at
-/// r = 1e-4) — acceptable there because the per-kept cost is amortized
-/// over ~1/r skipped elements anyway. Gaps beyond the table fall back
-/// to the closed form, whose boundaries the table reproduces (both are
-/// built from the same `ln(1−r)`).
+/// against a precomputed boundary table `(1−r)^g`, so the common case
+/// costs a few comparisons instead of the `ln` + divide the closed form
+/// `⌈ln U / ln(1−r)⌉` pays per kept sample. A 1024-cell guide indexes
+/// the table: cell `c` stores how many boundaries are ≥ `(c+1)/1024`,
+/// all of which exceed every `U` in `[c/1024, (c+1)/1024)`. A lookup
+/// computes `U`'s cell `⌊1024·U⌋` exactly (1024 is a power of two),
+/// starts at that count and scans forward past the boundaries that
+/// share the cell and still exceed `U`, which lands on the gap a binary
+/// search over the whole table finds. Boundaries lie about `r·U` apart
+/// near `U`, so the scan is short: under one step on average for
+/// r ≥ 0.004, and up to ~10 at r = 1e-4, where the cap below packs the
+/// whole table into `[0.90, 1)`.
+///
+/// The table aims at an `e⁻⁴` fallback tail (≈ 1.8% of draws), subject
+/// to a 1024-entry cap: below `rate ≈ 0.004` the cap binds and the
+/// fallback probability grows to `(1−r)^1024` (≈ 36% at r = 0.001,
+/// ≈ 90% at r = 1e-4) — acceptable there because the per-kept cost is
+/// amortized over ~1/r skipped elements anyway. Gaps beyond the table
+/// fall back to the closed form, whose boundaries the table reproduces
+/// (both are built from the same `ln(1−r)`).
 ///
 /// Tables depend only on the rate and are shared process-wide through
 /// [`GeometricGap::cached`] — building one costs up to 1024 `exp`
@@ -242,7 +363,13 @@ pub(crate) struct GeometricGap {
     ln_q: f64,
     /// `boundaries[i] = (1−r)^(i+1)`, strictly decreasing.
     boundaries: Vec<f64>,
+    /// `guide[c]` = number of boundaries ≥ `(c+1)/GUIDE_CELLS`.
+    guide: Vec<u16>,
 }
+
+/// Cells of [`GeometricGap`]'s guide: a power of two, so a draw's cell
+/// is computed exactly.
+const GUIDE_CELLS: usize = 1024;
 
 impl GeometricGap {
     /// Builds the gap table for `rate ∈ (0, 1)`.
@@ -258,10 +385,18 @@ impl GeometricGap {
                 break;
             }
         }
+        let guide = (1..=GUIDE_CELLS)
+            .map(|c| {
+                let edge = c as f64 / GUIDE_CELLS as f64;
+                let above = boundaries.partition_point(|&b| b >= edge);
+                u16::try_from(above).expect("at most 1024 boundaries")
+            })
+            .collect();
         GeometricGap {
             rate_bits: rate.to_bits(),
             ln_q,
             boundaries,
+            guide,
         }
     }
 
@@ -286,9 +421,17 @@ impl GeometricGap {
     fn gap_for(&self, u: f64) -> usize {
         let b = &self.boundaries;
         if u >= b[b.len() - 1] {
-            // Smallest g with (1−r)^g ≤ u; boundaries are descending so
-            // the true-prefix of `x > u` ends exactly there.
-            b.partition_point(|&x| x > u) + 1
+            // Smallest g with (1−r)^g ≤ u: boundaries are descending, so
+            // g − 1 is the length of the prefix above u. The guide's
+            // count for u's cell is a part of that prefix (u = 1 takes
+            // the last cell, whose count is 0); the scan ends at the
+            // last boundary at the latest, since u is not below it.
+            let cell = ((u * GUIDE_CELLS as f64) as usize).min(GUIDE_CELLS - 1);
+            let mut above = usize::from(self.guide[cell]);
+            while b[above] > u {
+                above += 1;
+            }
+            above + 1
         } else {
             (u.ln() / self.ln_q).ceil().max(1.0) as usize
         }
@@ -327,6 +470,33 @@ impl SimpleRandomSampler {
         );
         SimpleRandomSampler { rate }
     }
+
+    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) {
+        if self.rate >= 1.0 {
+            for (t, &v) in values.iter().enumerate() {
+                keep.keep(t, v);
+            }
+            return;
+        }
+        // Skip-ahead via geometric gaps (Vitter-style): O(expected
+        // samples) RNG draws instead of one Bernoulli per element, with
+        // selection statistics identical to per-element thinning (the
+        // `geometric_skips_match_per_element_bernoulli` test pins this).
+        let mut rng = rng_from_seed(derive_seed(seed, 0x51D0));
+        let gaps = GeometricGap::cached(self.rate);
+        let mut t: usize = 0;
+        loop {
+            let gap = gaps.draw(&mut rng);
+            t = match t.checked_add(gap) {
+                Some(v) => v,
+                None => break,
+            };
+            if t > values.len() {
+                break;
+            }
+            keep.keep(t - 1, values[t - 1]);
+        }
+    }
 }
 
 impl Sampler for SimpleRandomSampler {
@@ -339,41 +509,19 @@ impl Sampler for SimpleRandomSampler {
     }
 
     fn sample(&self, values: &[f64], seed: u64) -> Samples {
-        let mut rng = rng_from_seed(derive_seed(seed, 0x51D0));
-        if self.rate >= 1.0 {
-            return Samples {
-                indices: (0..values.len()).collect(),
-                values: values.to_vec(),
-            };
-        }
-        // Skip-ahead via geometric gaps (Vitter-style): O(expected
-        // samples) RNG draws instead of one Bernoulli per element, with
-        // selection statistics identical to per-element thinning (the
-        // `geometric_skips_match_per_element_bernoulli` test pins this).
         // Reserve the expected count plus 4σ of binomial slack so the
         // hot loop almost never reallocates.
         let expect = values.len() as f64 * self.rate;
         let cap = (expect + 4.0 * (expect * (1.0 - self.rate)).sqrt() + 8.0) as usize;
-        let mut indices = Vec::with_capacity(cap.min(values.len()));
-        let mut sampled = Vec::with_capacity(cap.min(values.len()));
-        let gaps = GeometricGap::cached(self.rate);
-        let mut t: usize = 0;
-        loop {
-            let gap = gaps.draw(&mut rng);
-            t = match t.checked_add(gap) {
-                Some(v) => v,
-                None => break,
-            };
-            if t > values.len() {
-                break;
-            }
-            indices.push(t - 1);
-            sampled.push(values[t - 1]);
-        }
-        Samples {
-            indices,
-            values: sampled,
-        }
+        let mut out = Samples::with_capacity(cap.min(values.len()));
+        self.select(values, seed, &mut out);
+        out
+    }
+
+    fn tally(&self, values: &[f64], seed: u64) -> InstanceResult {
+        let mut tally = Tally::default();
+        self.select(values, seed, &mut tally);
+        tally.instance(0)
     }
 }
 
@@ -524,6 +672,31 @@ mod tests {
             for gap in 1..=g.boundaries.len().min(40) {
                 let boundary = (gap as f64 * ln_q).exp();
                 assert_eq!(g.gap_for(boundary), gap, "rate={rate} boundary g={gap}");
+            }
+        }
+    }
+
+    #[test]
+    fn gap_lookup_matches_the_binary_search() {
+        // The table lookup before the guide: a binary search over the
+        // boundaries, then the closed form past the table.
+        fn reference(g: &GeometricGap, u: f64) -> usize {
+            let b = &g.boundaries;
+            if u >= b[b.len() - 1] {
+                b.partition_point(|&x| x > u) + 1
+            } else {
+                (u.ln() / g.ln_q).ceil().max(1.0) as usize
+            }
+        }
+        for rate in [0.5, 0.1, 0.0316, 0.01, 1e-3, 1e-4] {
+            let g = GeometricGap::new(rate);
+            let edges = (0..=1024).map(|c| f64::from(c) / 1024.0);
+            for x in g.boundaries.iter().copied().chain(edges) {
+                for u in [x.next_down(), x, x.next_up()] {
+                    if u > 0.0 && u <= 1.0 {
+                        assert_eq!(g.gap_for(u), reference(&g, u), "rate={rate} u={u:e}");
+                    }
+                }
             }
         }
     }

@@ -356,9 +356,9 @@ impl MonitorEngine {
     /// (plus sampler overhead) and the retired store. The compaction
     /// acceptance tests bound `estimated_state_bytes / keys_seen`.
     ///
-    /// The 384 B sampler term is nominal: it allows for a four-block
-    /// ChaCha generator (304 B), and the random samplers' generator
-    /// buffers one block (112 B). The summaries' nominal terms are
+    /// The 384 B sampler term is nominal: it allows for the random
+    /// samplers' four-block ChaCha generator (304 B), which the
+    /// deterministic samplers do not carry. The summaries' nominal terms are
     /// listed at [`crate::summary::StreamSummary::estimated_bytes`].
     /// The figure stays so the recorded bounds keep meaning what they
     /// did.

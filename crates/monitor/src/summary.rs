@@ -142,9 +142,10 @@ impl Reservoir {
     /// retained items).
     ///
     /// The 304 B generator term is nominal: a reservoir holds a
-    /// pointer inline, and a 112 B generator only from its first draw.
-    /// The term stays because compaction is gated by this figure, and
-    /// compaction's clamps are visible on the wire.
+    /// pointer inline, and its 304 B four-block generator only from its
+    /// first replacement draw. The term stays because compaction is
+    /// gated by this figure, and compaction's clamps are visible on the
+    /// wire.
     pub fn estimated_bytes(&self) -> usize {
         // cap/seed/seen + Vec header + 304 B StdRng + items.
         24 + 24 + 304 + 8 * self.items.capacity()

@@ -12,19 +12,27 @@
 //! yields the value stream real `rand` would produce (the workspace's
 //! statistical test tolerances were calibrated against that stream).
 //!
-//! Upstream buffers four ChaCha blocks per refill; this `StdRng`
-//! buffers one. The buffer length cannot change the value stream: the
-//! keystream is the blocks at counters 0, 1, 2, … laid end to end, and
-//! `rand_core`'s consumption rules read it word by word in order
-//! whatever the buffer holds — `next_u32` takes the next word,
+//! Like upstream `rand_chacha`, `StdRng` buffers four ChaCha blocks
+//! (64 words) per refill. The buffer length cannot change the value
+//! stream: the keystream is the blocks at counters 0, 1, 2, … laid end
+//! to end, and `rand_core`'s consumption rules read it word by word in
+//! order whatever the buffer holds — `next_u32` takes the next word,
 //! `next_u64` the next two (low word first), and a `next_u64` at the
 //! last buffered word takes its high word from the first word of the
-//! next refill, which is the next block's first word either way. So
-//! refilling one block at a time only moves *when* each block is
-//! computed: a generator is 112 bytes instead of 304, and a fresh one's
-//! first draw computes one block instead of four.
+//! next refill, which is the next block's first word either way. So the
+//! buffer length only moves *when* each block is computed.
+//!
+//! Four blocks, because four blocks are computed together: on x86_64 a
+//! refill runs the four ChaCha states side by side, one block per
+//! 32-bit lane of the 128-bit SSE2 registers, in about the time of two
+//! scalar blocks. SSE2 is part of the x86_64 baseline, so this
+//! path needs no runtime feature detection; other architectures compute
+//! the four blocks one after another with the scalar block function,
+//! which is also the reference the SIMD refill is tested against. The
+//! price is size: a generator is 304 bytes (a one-block buffer needs
+//! 112), and a fresh one's first draw computes four blocks.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 use std::ops::Range;
 
@@ -285,9 +293,11 @@ pub mod rngs {
 
     use super::{RngCore, SeedableRng};
 
-    /// Words per refill: one ChaCha block (see the crate docs for why
-    /// this is not upstream's four and still yields its values).
-    const BUF_WORDS: usize = 16;
+    /// Words per ChaCha block.
+    const BLOCK_WORDS: usize = 16;
+
+    /// Words per refill: four ChaCha blocks (see the crate docs).
+    const BUF_WORDS: usize = 4 * BLOCK_WORDS;
 
     /// The standard generator: **ChaCha12**, bit-compatible with
     /// `rand 0.8`'s `StdRng`.
@@ -296,7 +306,7 @@ pub mod rngs {
     /// function with a 64-bit block counter and zero stream id, and
     /// `rand_core`'s `BlockRng` word-consumption rules for
     /// `next_u32`/`next_u64` (including the buffer-straddling edge
-    /// case). Results are buffered one block at a time. Combined with
+    /// case). Results are buffered four blocks at a time. Combined with
     /// the `rand_core`-exact `seed_from_u64`, any seed yields the same
     /// value stream real `rand` would produce.
     #[derive(Clone, Debug)]
@@ -307,21 +317,23 @@ pub mod rngs {
         index: usize,
     }
 
-    macro_rules! quarter_round {
-        ($a:ident, $b:ident, $c:ident, $d:ident) => {
-            $a = $a.wrapping_add($b);
-            $d = ($d ^ $a).rotate_left(16);
-            $c = $c.wrapping_add($d);
-            $b = ($b ^ $c).rotate_left(12);
-            $a = $a.wrapping_add($b);
-            $d = ($d ^ $a).rotate_left(8);
-            $c = $c.wrapping_add($d);
-            $b = ($b ^ $c).rotate_left(7);
-        };
-    }
-
+    /// One ChaCha12 block: the reference the SIMD refill is tested
+    /// against, and the refill itself off x86_64.
+    #[cfg(any(test, not(target_arch = "x86_64")))]
     #[allow(clippy::many_single_char_names)]
     pub(crate) fn chacha12_block(key: &[u32; 8], counter: u64, out: &mut [u32]) {
+        macro_rules! quarter_round {
+            ($a:ident, $b:ident, $c:ident, $d:ident) => {
+                $a = $a.wrapping_add($b);
+                $d = ($d ^ $a).rotate_left(16);
+                $c = $c.wrapping_add($d);
+                $b = ($b ^ $c).rotate_left(12);
+                $a = $a.wrapping_add($b);
+                $d = ($d ^ $a).rotate_left(8);
+                $c = $c.wrapping_add($d);
+                $b = ($b ^ $c).rotate_left(7);
+            };
+        }
         // State in named locals so the 96 quarter-round operations
         // compile to straight-line register code (no bounds checks).
         let (ia, ib, ic, id) = (
@@ -369,10 +381,21 @@ pub mod rngs {
         out[15] = q.wrapping_add(iq);
     }
 
+    /// The four blocks at counters `counter … counter + 3` (wrapping),
+    /// laid end to end.
+    pub(crate) fn chacha12_four_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        #[cfg(target_arch = "x86_64")]
+        crate::sys::chacha12_four_blocks(key, counter, out);
+        #[cfg(not(target_arch = "x86_64"))]
+        for (b, block) in (0u64..).zip(out.chunks_exact_mut(BLOCK_WORDS)) {
+            chacha12_block(key, counter.wrapping_add(b), block);
+        }
+    }
+
     impl StdRng {
         fn refill(&mut self) {
-            chacha12_block(&self.key, self.counter, &mut self.buf);
-            self.counter = self.counter.wrapping_add(1);
+            chacha12_four_blocks(&self.key, self.counter, &mut self.buf);
+            self.counter = self.counter.wrapping_add(4);
             self.index = 0;
         }
     }
@@ -439,6 +462,104 @@ pub mod rngs {
     }
 }
 
+/// The SSE2 refill: the one place this crate uses `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sys {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_cvtsi128_si64, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32,
+        _mm_slli_epi32, _mm_srli_epi32, _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// The four ChaCha12 blocks at counters `counter … counter + 3`
+    /// (wrapping), laid end to end: word for word what four calls of
+    /// the scalar block function produce.
+    pub(crate) fn chacha12_four_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; 64]) {
+        // SAFETY: the callee's only requirement is its
+        // `target_feature(enable = "sse2")`, and SSE2 is part of the
+        // x86_64 baseline, so every x86_64 CPU this code runs on has it.
+        unsafe { four_blocks_sse2(key, counter, out) }
+    }
+
+    /// The ChaCha12 rounds on four states at once: vector `w` holds
+    /// state word `w` of block `b` in 32-bit lane `b`.
+    #[target_feature(enable = "sse2")]
+    fn four_blocks_sse2(key: &[u32; 8], counter: u64, out: &mut [u32; 64]) {
+        macro_rules! rotl {
+            ($v:expr, $n:literal) => {{
+                let v = $v;
+                _mm_or_si128(_mm_slli_epi32::<$n>(v), _mm_srli_epi32::<{ 32 - $n }>(v))
+            }};
+        }
+        macro_rules! quarter_round {
+            ($x:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
+                $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
+                $x[$d] = rotl!(_mm_xor_si128($x[$d], $x[$a]), 16);
+                $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
+                $x[$b] = rotl!(_mm_xor_si128($x[$b], $x[$c]), 12);
+                $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
+                $x[$d] = rotl!(_mm_xor_si128($x[$d], $x[$a]), 8);
+                $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
+                $x[$b] = rotl!(_mm_xor_si128($x[$b], $x[$c]), 7);
+            };
+        }
+        let word = |w: u32| _mm_set1_epi32(w as i32);
+        // Block b's 64-bit counter is `counter + b`: its low words
+        // differ per lane, and its high words too where the low word
+        // carries (or the whole counter wraps).
+        let c = [0u64, 1, 2, 3].map(|b| counter.wrapping_add(b));
+        let lanes = |f: fn(u64) -> u32| {
+            _mm_set_epi32(
+                f(c[3]) as i32,
+                f(c[2]) as i32,
+                f(c[1]) as i32,
+                f(c[0]) as i32,
+            )
+        };
+        let init: [__m128i; 16] = [
+            word(0x6170_7865),
+            word(0x3320_646e),
+            word(0x7962_2d32),
+            word(0x6b20_6574),
+            word(key[0]),
+            word(key[1]),
+            word(key[2]),
+            word(key[3]),
+            word(key[4]),
+            word(key[5]),
+            word(key[6]),
+            word(key[7]),
+            lanes(|c| c as u32),
+            lanes(|c| (c >> 32) as u32),
+            word(0),
+            word(0),
+        ];
+        let mut x = init;
+        for _ in 0..6 {
+            // Column round.
+            quarter_round!(x, 0, 4, 8, 12);
+            quarter_round!(x, 1, 5, 9, 13);
+            quarter_round!(x, 2, 6, 10, 14);
+            quarter_round!(x, 3, 7, 11, 15);
+            // Diagonal round.
+            quarter_round!(x, 0, 5, 10, 15);
+            quarter_round!(x, 1, 6, 11, 12);
+            quarter_round!(x, 2, 7, 8, 13);
+            quarter_round!(x, 3, 4, 9, 14);
+        }
+        for (w, (v, i)) in x.into_iter().zip(init).enumerate() {
+            let v = _mm_add_epi32(v, i);
+            // Lanes 0-1 and 2-3 as two 64-bit moves, low lane first.
+            let lo = _mm_cvtsi128_si64(v) as u64;
+            let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)) as u64;
+            out[w] = lo as u32;
+            out[16 + w] = (lo >> 32) as u32;
+            out[32 + w] = hi as u32;
+            out[48 + w] = (hi >> 32) as u32;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
@@ -489,8 +610,8 @@ mod tests {
     }
 
     /// Reference generator: four blocks per refill, as upstream
-    /// `rand_chacha` buffers — the stream the one-block buffer must
-    /// reproduce word for word.
+    /// `rand_chacha` buffers, each from the scalar block function — the
+    /// stream the SIMD refill must reproduce word for word.
     struct FourBlockRng {
         key: [u32; 8],
         counter: u64,
@@ -586,26 +707,59 @@ mod tests {
     }
 
     #[test]
-    fn one_block_buffer_reproduces_the_four_block_stream() {
-        // A lead of `lead` single words puts every later draw at an odd
-        // or even word offset; each script runs well past three block
-        // boundaries (a block is 16 words), and starts with a `next_u64`
-        // so lead 15 straddles the first boundary.
+    fn four_block_refill_matches_four_scalar_blocks() {
+        // Counters at the start, where the lanes' low words carry into
+        // different high words (2^32 - 1 sits in lane 0, 1, 2 or 3), and
+        // where the 64-bit counter wraps.
+        let edge = 1u64 << 32;
+        let counters = [
+            0,
+            4,
+            edge - 4,
+            edge - 3,
+            edge - 2,
+            edge - 1,
+            edge,
+            u64::MAX - 3,
+            u64::MAX - 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
         for seed in [0u64, 1, 7, 101, 4242, u64::MAX] {
-            for lead in 0..40u64 {
-                let mut one = StdRng::seed_from_u64(seed);
+            let key = FourBlockRng::seed_from_u64(seed).key;
+            for counter in counters {
+                let mut got = [0u32; 64];
+                super::rngs::chacha12_four_blocks(&key, counter, &mut got);
+                let mut want = [0u32; 64];
+                for (b, block) in (0u64..).zip(want.chunks_exact_mut(16)) {
+                    super::rngs::chacha12_block(&key, counter.wrapping_add(b), block);
+                }
+                assert_eq!(got, want, "seed {seed} counter {counter:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn generator_matches_the_scalar_four_block_stream() {
+        // A lead of `lead` single words puts every later draw at an odd
+        // or even word offset; each script runs well past five refills
+        // (a refill is 64 words), and starts with a `next_u64` so lead 63
+        // straddles the first refill boundary.
+        for seed in [0u64, 1, 7, 101, 4242, u64::MAX] {
+            for lead in 0..70u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
                 let mut four = FourBlockRng::seed_from_u64(seed);
                 for _ in 0..lead {
-                    assert_eq!(one.next_u32(), four.next_u32());
+                    assert_eq!(rng.next_u32(), four.next_u32());
                 }
                 let mut state = seed ^ (lead << 32) ^ 0x9E37_79B9_7F4A_7C15;
-                for step in 0..160 {
+                for step in 0..240 {
                     state ^= state << 13;
                     state ^= state >> 7;
                     state ^= state << 17;
                     let op = if step == 0 { 1 } else { state };
                     assert_eq!(
-                        draw(&mut one, op),
+                        draw(&mut rng, op),
                         draw(&mut four, op),
                         "seed {seed} lead {lead} step {step}"
                     );
@@ -615,8 +769,9 @@ mod tests {
     }
 
     #[test]
-    fn generator_holds_one_block() {
-        assert!(std::mem::size_of::<StdRng>() <= 112);
+    fn generator_holds_four_blocks() {
+        // Key, counter, index and a four-block buffer: upstream's size.
+        assert!(std::mem::size_of::<StdRng>() <= 304);
     }
 
     #[test]

@@ -115,6 +115,11 @@ impl FftPlan {
         }
     }
 
+    /// Twiddles of the stage with butterfly span `len` (`2 ≤ len ≤ n`).
+    fn stage(&self, len: usize) -> &[Complex] {
+        &self.twiddles[len / 2 - 1..len - 1]
+    }
+
     fn transform(&self, data: &mut [Complex], inverse: bool) {
         let n = self.n;
         assert_eq!(data.len(), n, "buffer length does not match plan length");
@@ -122,36 +127,39 @@ impl FftPlan {
             return;
         }
         self.permute(data);
-        let mut stage_off = 0usize;
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let stage = &self.twiddles[stage_off..stage_off + half];
-            // Split-borrow butterflies: same operations in the same
-            // order as the historical loop, expressed through iterators
-            // so the hot loop carries no bounds checks. conj() is exact,
-            // so the inverse path matches the original sign-flipped
-            // iterative twiddle product bit for bit.
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                if inverse {
-                    for ((x, y), &tw) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                        let u = *x;
-                        let v = *y * tw.conj();
-                        *x = u + v;
-                        *y = u - v;
-                    }
-                } else {
-                    for ((x, y), &tw) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                        let u = *x;
-                        let v = *y * tw;
-                        *x = u + v;
-                        *y = u - v;
-                    }
-                }
+        if inverse {
+            self.stages::<true>(data);
+        } else {
+            self.stages::<false>(data);
+        }
+    }
+
+    /// Every radix-2 stage, smallest span first, in cache-friendly order.
+    ///
+    /// A stage's butterflies never cross a `len`-aligned block, so the
+    /// stages up to `BLOCK` run chunk by chunk while a chunk stays in
+    /// cache, instead of each stage streaming the whole array. The larger
+    /// stages then run two per pass over the array. Only independent
+    /// butterflies change order, and each one computes the same
+    /// operations on the same inputs, so every output bit is the same as
+    /// running each stage over the whole array in turn.
+    fn stages<const INVERSE: bool>(&self, data: &mut [Complex]) {
+        let n = self.n;
+        let block = n.min(BLOCK);
+        for chunk in data.chunks_exact_mut(block) {
+            let mut len = 2;
+            while len <= block {
+                butterflies::<INVERSE>(chunk, len, self.stage(len));
+                len <<= 1;
             }
-            stage_off += half;
-            len <<= 1;
+        }
+        let mut len = block << 1;
+        while len < n {
+            butterfly_pairs::<INVERSE>(data, len, self.stage(len), self.stage(len << 1));
+            len <<= 2;
+        }
+        if len == n {
+            butterflies::<INVERSE>(data, len, self.stage(len));
         }
     }
 
@@ -180,6 +188,63 @@ impl FftPlan {
     /// In-place inverse FFT without the `1/n` normalization.
     pub fn inverse_unnormalized(&self, data: &mut [Complex]) {
         self.transform(data, true);
+    }
+}
+
+/// Elements per cache block of [`FftPlan`]'s small stages: 64 KiB of
+/// `Complex`, which a core's L2 holds.
+const BLOCK: usize = 4096;
+
+/// One butterfly: `(x, y) ← (x + y·tw, x − y·tw)`, with `tw`
+/// conjugated for the inverse transform. conj() is exact, so the
+/// inverse matches the original sign-flipped iterative twiddle product
+/// bit for bit.
+#[inline(always)]
+fn butterfly<const INVERSE: bool>(x: &mut Complex, y: &mut Complex, tw: Complex) {
+    let tw = if INVERSE { tw.conj() } else { tw };
+    let u = *x;
+    let v = *y * tw;
+    *x = u + v;
+    *y = u - v;
+}
+
+/// One radix-2 stage with butterfly span `len` over `data`, whose length
+/// is a multiple of `len`; `stage` holds its `len / 2` forward twiddles.
+fn butterflies<const INVERSE: bool>(data: &mut [Complex], len: usize, stage: &[Complex]) {
+    // Split borrows and zipped iterators keep the hot loop free of
+    // bounds checks.
+    for block in data.chunks_exact_mut(len) {
+        let (lo, hi) = block.split_at_mut(len / 2);
+        for ((x, y), &tw) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+            butterfly::<INVERSE>(x, y, tw);
+        }
+    }
+}
+
+/// The stages with spans `len` and `2·len` in one pass over `data`
+/// (a multiple of `2·len` long). Position `k` of each quarter of a
+/// `2·len` block feeds two span-`len` butterflies, whose four outputs
+/// are exactly the inputs of the two span-`2·len` butterflies at `k`
+/// and `k + len/2`; `lo` and `hi` hold the twiddles of the two stages.
+fn butterfly_pairs<const INVERSE: bool>(
+    data: &mut [Complex],
+    len: usize,
+    lo: &[Complex],
+    hi: &[Complex],
+) {
+    let quarter = len / 2;
+    let (hi_a, hi_b) = hi.split_at(quarter);
+    for block in data.chunks_exact_mut(2 * len) {
+        let (a, b) = block.split_at_mut(len);
+        let (a0, a1) = a.split_at_mut(quarter);
+        let (b0, b1) = b.split_at_mut(quarter);
+        let quads = a0.iter_mut().zip(a1).zip(b0.iter_mut().zip(b1));
+        for ((((x0, x1), (y0, y1)), &t), (&ta, &tb)) in quads.zip(lo).zip(hi_a.iter().zip(hi_b)) {
+            butterfly::<INVERSE>(x0, x1, t);
+            butterfly::<INVERSE>(y0, y1, t);
+            butterfly::<INVERSE>(x0, y0, ta);
+            butterfly::<INVERSE>(x1, y1, tb);
+        }
     }
 }
 
@@ -526,6 +591,61 @@ mod tests {
                 *z = z.scale(scale);
             }
             assert_eq!(got, want, "inverse n={n}");
+        }
+    }
+
+    /// The plan's stage loop before cache blocking, verbatim: every
+    /// stage over the whole array, smallest `len` first.
+    fn unblocked_transform(plan: &FftPlan, data: &mut [Complex], inverse: bool) {
+        let n = plan.n;
+        if n <= 1 {
+            return;
+        }
+        plan.permute(data);
+        let mut stage_off = 0usize;
+        let mut len = 2usize;
+        while len <= n {
+            let half = len / 2;
+            let stage = &plan.twiddles[stage_off..stage_off + half];
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                if inverse {
+                    for ((x, y), &tw) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                        let u = *x;
+                        let v = *y * tw.conj();
+                        *x = u + v;
+                        *y = u - v;
+                    }
+                } else {
+                    for ((x, y), &tw) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                        let u = *x;
+                        let v = *y * tw;
+                        *x = u + v;
+                        *y = u - v;
+                    }
+                }
+            }
+            stage_off += half;
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn blocked_stages_match_the_unblocked_loop() {
+        for log_n in 1..=18 {
+            let n = 1usize << log_n;
+            let plan = FftPlan::new(n);
+            let orig = ramp(n);
+            for inverse in [false, true] {
+                let mut got = orig.clone();
+                let mut want = orig.clone();
+                plan.transform(&mut got, inverse);
+                unblocked_transform(&plan, &mut want, inverse);
+                let same = got.iter().zip(&want).all(|(a, b)| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                });
+                assert!(same, "n={n} inverse={inverse}");
+            }
         }
     }
 

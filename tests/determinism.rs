@@ -4,8 +4,8 @@
 
 use selfsim::sampling::bss::{BssSampler, OnlineTuning, ThresholdPolicy};
 use selfsim::sampling::{
-    run_bss_experiment, run_experiment, ParallelExperimentRunner, Sampler, SimpleRandomSampler,
-    StratifiedSampler, SystematicSampler,
+    run_bss_experiment, run_experiment, ExperimentResult, ParallelExperimentRunner, Sampler,
+    SimpleRandomSampler, StratifiedSampler, SystematicSampler,
 };
 use selfsim::sigproc::complex::Complex;
 use selfsim::sigproc::fft::{fft_pow2_in_place, next_pow2};
@@ -268,5 +268,102 @@ fn fgn_bits_match_pinned_digests() {
         let build = fnv1a_f64(build.values());
         assert_eq!(fgn, fgn_pin, "fGn: H={h} n={n} seed={seed}");
         assert_eq!(build, build_pin, "build: H={h} n={n} seed={seed}");
+    }
+}
+
+/// 64-bit FNV-1a over every field of each `InstanceResult`, in order.
+fn fnv1a_instances<'a>(results: impl IntoIterator<Item = &'a ExperimentResult>) -> u64 {
+    results
+        .into_iter()
+        .flat_map(|r| &r.instances)
+        .flat_map(|i| [i.mean.to_bits(), i.n_samples as u64, i.n_qualified as u64])
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn sampler_instance_bits_match_pinned_digests() {
+    // FNV-1a digests of the per-instance results of the sequential
+    // experiments (three classic samplers and online BSS) and of a
+    // two-worker rate sweep, over the paper's synthetic rate grid, on a
+    // Gaussian-marginal trace. 100 003 is a multiple of no interval on
+    // the grid, so stratified sampling's final partial bucket is
+    // covered. Recorded before experiments stopped building a `Samples`
+    // per instance; any change to the selection, the draw order or the
+    // summation order moves them.
+    const PINS: [(usize, u64, u64, u64); 2] = [
+        (1 << 17, 101, 0x065a_50d8_8586_8ec4, 0x0a79_8c6d_a83e_6901),
+        (100_003, 7, 0x00c9_2278_9873_bbe7, 0x5495_42ce_7a09_383f),
+    ];
+    let rates: Vec<f64> = (2..9)
+        .map(|i| 10f64.powf(-5.0 + 0.5 * f64::from(i)))
+        .collect();
+    let interval = |r: f64| (1.0 / r).round() as usize;
+    let online = ThresholdPolicy::Online(OnlineTuning {
+        epsilon: 1.0,
+        alpha: 1.5,
+        ..OnlineTuning::default()
+    });
+    for (n, seed, experiment_pin, sweep_pin) in PINS {
+        let trace = SyntheticTraceSpec::new()
+            .length(n)
+            .hurst(0.8)
+            .gaussian_marginal(10.0, 2.0)
+            .seed(seed)
+            .build();
+        let vals = trace.values();
+        let mut experiments = Vec::new();
+        for &r in &rates {
+            let c = interval(r);
+            let per_c = 9.min(c);
+            experiments.push(run_experiment(
+                vals,
+                &SystematicSampler::new(c),
+                per_c,
+                seed,
+            ));
+            experiments.push(run_experiment(
+                vals,
+                &StratifiedSampler::new(c),
+                per_c,
+                seed,
+            ));
+            experiments.push(run_experiment(vals, &SimpleRandomSampler::new(r), 9, seed));
+            let bss = BssSampler::new(c, online).expect("valid");
+            experiments.push(run_bss_experiment(vals, &bss, per_c, seed));
+        }
+        let runner = ParallelExperimentRunner::new().with_jobs(2);
+        let mut sweeps = Vec::new();
+        sweeps.extend(runner.run_rate_sweep(
+            vals,
+            &rates,
+            |r| Box::new(SystematicSampler::new(interval(r))),
+            |r| 9.min(interval(r)),
+            seed,
+        ));
+        sweeps.extend(runner.run_rate_sweep(
+            vals,
+            &rates,
+            |r| Box::new(StratifiedSampler::new(interval(r))),
+            |r| 9.min(interval(r)),
+            seed,
+        ));
+        sweeps.extend(runner.run_rate_sweep(
+            vals,
+            &rates,
+            |r| Box::new(SimpleRandomSampler::new(r)),
+            |_| 9,
+            seed,
+        ));
+        let got = (fnv1a_instances(&experiments), fnv1a_instances(&sweeps));
+        assert_eq!(
+            got,
+            (experiment_pin, sweep_pin),
+            "n={n} seed={seed}: {:#018x} {:#018x}",
+            got.0,
+            got.1
+        );
     }
 }

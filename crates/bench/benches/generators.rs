@@ -28,10 +28,25 @@ fn bench_generators(c: &mut Criterion) {
             b.iter(|| model.generate(n, 7));
         });
     }
-    g.bench_function("bell_labs_packet_trace_60s", |b| {
-        let synth = TraceSynthesizer::bell_labs_like().duration(60.0);
-        b.iter(|| synth.synthesize(7));
-    });
+    // Packet traces count packets: the sparse Bell-Labs preset, and the
+    // online workloads' shape (2000 hosts at 4 MB/s, ~0.85M packets).
+    let traces = [
+        (
+            "bell_labs_packet_trace_60s",
+            TraceSynthesizer::bell_labs_like().duration(60.0),
+        ),
+        (
+            "packet_trace_2000_hosts_120s",
+            TraceSynthesizer::bell_labs_like()
+                .hosts(2000)
+                .mean_rate(4.0e6)
+                .duration(120.0),
+        ),
+    ];
+    for (id, synth) in traces {
+        g.throughput(Throughput::Elements(synth.synthesize(7).len() as u64));
+        g.bench_function(id, |b| b.iter(|| synth.synthesize(7)));
+    }
     g.finish();
 }
 

@@ -378,15 +378,44 @@ fn get_sketch(
 /// section, when present, follows the stream records as a `SKT1`
 /// trailer; without one the bytes are exactly the pre-tier format.
 pub fn encode_snapshot(snap: &EngineSnapshot) -> Bytes {
-    let mut buf = Vec::with_capacity(snapshot_len_hint(snap.stream_count()));
+    let mut buf = Vec::with_capacity(snapshot_len(snap));
     put_snapshot(&mut buf, snap);
     Bytes::from(buf)
 }
 
-/// A capacity guess for [`encode_snapshot`]'s output over `streams`
-/// entries.
-pub(crate) fn snapshot_len_hint(streams: usize) -> usize {
-    MAGIC.len() + 16 + 256 * streams
+/// Exact length of [`encode_snapshot`]'s output.
+pub(crate) fn snapshot_len(snap: &EngineSnapshot) -> usize {
+    entries_len(snap.streams().iter(), snap.sketch())
+}
+
+/// Exact length of what [`put_entries`] appends for `streams` and
+/// `sketch`.
+pub(crate) fn entries_len<'a>(
+    streams: impl Iterator<Item = &'a StreamEntry>,
+    sketch: Option<&SketchSnapshot>,
+) -> usize {
+    let entries: usize = streams.map(|e| summary_entry_len(&e.summary)).sum();
+    MAGIC.len() + 8 + entries + sketch.map_or(0, sketch_len)
+}
+
+/// Exact encoded size of one cumulative entry holding `s`.
+fn summary_entry_len(s: &SummarySnapshot) -> usize {
+    let (thresholds, _, _) = s.tail.raw_parts();
+    encoded_entry_len(&s.hurst, s.reservoir.items.len(), thresholds.len())
+}
+
+/// Exact size of [`put_sketch`]'s section: its sampler and summary are
+/// an entry without the key.
+fn sketch_len(sk: &SketchSnapshot) -> usize {
+    let cascades: usize = sk.projections.cascades().iter().map(cascade_len).sum();
+    SKETCH_MAGIC.len() + summary_entry_len(&sk.summary) - 8
+        + 32
+        + 8 * sk.cm.cells().len()
+        + 16
+        + 24 * sk.heavy.len()
+        + 16
+        + cascades
+        + 16
 }
 
 /// Appends [`encode_snapshot`]'s bytes to `buf`.
@@ -842,12 +871,16 @@ pub(crate) fn encoded_diff_len(d: &StreamDiff) -> usize {
 /// summary) whose summary holds `hurst`, `items` retained reservoir
 /// samples and a tail ladder of `rungs` thresholds.
 pub(crate) fn encoded_entry_len(hurst: &OnlineVarianceTime, items: usize, rungs: usize) -> usize {
-    let (_, levels) = hurst.raw_parts();
-    let carries = levels.iter().filter(|(_, carry)| carry.is_some()).count();
-    let cascade = 16 + levels.len() * 41 + carries * 8;
     let reservoir = 32 + 8 * items;
     let tail = 16 + 16 * rungs;
-    8 + 24 + 40 + cascade + reservoir + tail
+    8 + 24 + 40 + cascade_len(hurst) + reservoir + tail
+}
+
+/// Exact size of [`put_cascade`]'s bytes for `cascade`.
+fn cascade_len(cascade: &OnlineVarianceTime) -> usize {
+    let (_, levels) = cascade.raw_parts();
+    let carries = levels.iter().filter(|(_, carry)| carry.is_some()).count();
+    16 + levels.len() * 41 + carries * 8
 }
 
 #[cfg(test)]
@@ -1053,6 +1086,23 @@ mod tests {
         let mut buf = Vec::new();
         put_diff_payload(&mut buf, diffs);
         buf
+    }
+
+    #[test]
+    fn snapshot_len_is_exact() {
+        let sample = sample_snapshot();
+        for snap in [
+            EngineSnapshot::default(),
+            sample.clone(),
+            tiered_snapshot(),
+            EngineSnapshot::default().with_sketch(tiered_snapshot().sketch().cloned()),
+        ] {
+            assert_eq!(encode_snapshot(&snap).len(), snapshot_len(&snap));
+        }
+        let evicted = &sample.streams()[1..4];
+        let mut buf = Vec::new();
+        put_entries(&mut buf, evicted.iter(), None);
+        assert_eq!(buf.len(), entries_len(evicted.iter(), None));
     }
 
     #[test]

@@ -529,6 +529,12 @@ impl EngineSnapshot {
         self.streams
     }
 
+    /// Consumes the snapshot into its entries (ascending by key) and
+    /// its sketch section, moving both.
+    pub fn into_parts(self) -> (Vec<StreamEntry>, Option<SketchSnapshot>) {
+        (self.streams, self.sketch)
+    }
+
     /// Number of streams.
     pub fn stream_count(&self) -> usize {
         self.streams.len()
@@ -598,8 +604,23 @@ impl EngineSnapshot {
     /// [`MergeableSummary`] (an absent section is the identity).
     /// Associative, so shard → link → network roll-ups compose.
     pub fn merge(self, other: EngineSnapshot) -> EngineSnapshot {
-        let mut all = self.streams;
-        all.extend(other.streams);
+        // Both entry lists strictly ascend: merge them in one pass. A
+        // shared key merges `other`'s entry into `self`'s, which is
+        // what `from_streams` does with the concatenation (its stable
+        // sort puts `self`'s entry first).
+        let mut streams = Vec::with_capacity(self.streams.len() + other.streams.len());
+        let mut theirs = other.streams.into_iter().peekable();
+        for mut e in self.streams {
+            while let Some(t) = theirs.next_if(|t| t.key < e.key) {
+                streams.push(t);
+            }
+            if let Some(t) = theirs.next_if(|t| t.key == e.key) {
+                e.sampler.merge_from(&t.sampler);
+                e.summary.merge_from(&t.summary);
+            }
+            streams.push(e);
+        }
+        streams.extend(theirs);
         let sketch = match (self.sketch, other.sketch) {
             (None, s) | (s, None) => s,
             (Some(mut a), Some(b)) => {
@@ -607,7 +628,7 @@ impl EngineSnapshot {
                 Some(a)
             }
         };
-        EngineSnapshot::from_streams(all).with_sketch(sketch)
+        EngineSnapshot::from_ascending(streams).with_sketch(sketch)
     }
 }
 

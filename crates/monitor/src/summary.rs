@@ -162,6 +162,12 @@ impl Reservoir {
 /// the retained set remains an approximately uniform sample of the
 /// stream (each survivor of a uniform sample of a uniform sample is
 /// itself uniform).
+///
+/// Ordering contract: item `i` draws the `i`-th key, and the survivors
+/// are the `max_items` largest keys, ties going to the lower index —
+/// the first `max_items` of a stable descending sort by key. Only that
+/// set matters (survivors keep their original order), so it is found
+/// by selection, not by sorting every key.
 fn compact_items(items: &mut Vec<f64>, cap: &mut usize, seed: u64, seen: u64, max_items: usize) {
     let max_items = max_items.max(1);
     if items.len() > max_items {
@@ -169,13 +175,11 @@ fn compact_items(items: &mut Vec<f64>, cap: &mut usize, seed: u64, seen: u64, ma
             derive_seed(COMPACT_TAG, seed),
             seen ^ (items.len() as u64).rotate_left(32),
         ));
-        let mut keyed: Vec<(f64, usize)> =
-            (0..items.len()).map(|i| (rng.gen::<f64>(), i)).collect();
-        // Largest-key survivors; total_cmp keeps hostile NaN-free
-        // totality, stable sort breaks (measure-zero) ties by index.
-        keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
-        keyed.truncate(max_items);
-        let mut pick: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+        let mut ranks: Vec<u128> = (0..items.len())
+            .map(|i| key_rank(rng.gen::<f64>(), i))
+            .collect();
+        keep_first_ranks(&mut ranks, max_items);
+        let mut pick: Vec<usize> = ranks.into_iter().map(rank_index).collect();
         pick.sort_unstable();
         *items = pick.into_iter().map(|i| items[i]).collect();
         // collect() may have reused a larger source allocation
@@ -183,6 +187,29 @@ fn compact_items(items: &mut Vec<f64>, cap: &mut usize, seed: u64, seen: u64, ma
         items.shrink_to_fit();
     }
     *cap = (*cap).min(max_items);
+}
+
+/// The sort rank of a merge or compaction key drawn for item `index`:
+/// ascending ranks order keys descending and equal keys by ascending
+/// index, as a stable descending sort by key would. Every such key
+/// lies in `[+0, 1]`, where a double's bit pattern orders like
+/// `f64::total_cmp`.
+fn key_rank(key: f64, index: usize) -> u128 {
+    debug_assert!(key.is_sign_positive() && key <= 1.0, "key {key}");
+    (u128::from(!key.to_bits()) << 64) | index as u128
+}
+
+/// The item index a [`key_rank`] carries.
+fn rank_index(rank: u128) -> usize {
+    rank as u64 as usize
+}
+
+/// Shrinks `ranks` to its `k` smallest, in no particular order.
+fn keep_first_ranks(ranks: &mut Vec<u128>, k: usize) {
+    if ranks.len() > k {
+        ranks.select_nth_unstable(k);
+        ranks.truncate(k);
+    }
 }
 
 /// Plain-data image of a [`Reservoir`]: comparable, codable, mergeable.
@@ -300,6 +327,14 @@ impl ReservoirSnapshot {
     /// `seen/len` originals (Efraimidis-Spirakis keys, largest-key
     /// `cap` survive). The merge RNG derives from both operands' seeds
     /// and counts, so equal inputs always produce equal outputs.
+    ///
+    /// Ordering contract: the items of `self`, then of `other`, draw
+    /// keys `u^(len/seen)` in that order, and the result holds the
+    /// `cap` largest keys' items by descending key, equal keys in item
+    /// order — a stable descending sort by key, truncated to `cap`. The
+    /// keys lie in `[+0, 1]`; only the survivors are sorted. A part
+    /// whose `seen` equals its length keys its items by `u` itself,
+    /// which is `u.powf(1.0)` exactly.
     fn merge_from(&mut self, other: &ReservoirSnapshot) {
         if other.seen == 0 {
             return;
@@ -313,29 +348,35 @@ impl ReservoirSnapshot {
             derive_seed(MERGE_TAG, self.seed ^ other.seed.rotate_left(32)),
             self.seen.wrapping_add(other.seen.rotate_left(17)),
         ));
-        let mut keyed: Vec<(f64, f64)> = Vec::with_capacity(self.items.len() + other.items.len());
+        let mut ranks: Vec<u128> = Vec::with_capacity(self.items.len() + other.items.len());
         for part in [&*self, other] {
             if part.items.is_empty() {
                 continue;
             }
             let w = part.seen as f64 / part.items.len() as f64;
-            for &v in &part.items {
+            let exponent = 1.0 / w;
+            for _ in &part.items {
                 let u: f64 = loop {
                     let u = rng.gen::<f64>();
                     if u > 0.0 {
                         break u;
                     }
                 };
-                keyed.push((u.powf(1.0 / w), v));
+                let key = if exponent == 1.0 { u } else { u.powf(exponent) };
+                ranks.push(key_rank(key, ranks.len()));
             }
         }
-        // Descending by key (total_cmp: keys are finite by
-        // construction, but decoded snapshots are untrusted); index
-        // order breaks (measure-zero) ties deterministically because
-        // the sort is stable.
-        keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
-        keyed.truncate(cap);
-        self.items = keyed.into_iter().map(|(_, v)| v).collect();
+        keep_first_ranks(&mut ranks, cap);
+        ranks.sort_unstable();
+        let mine = self.items.len();
+        let items = ranks
+            .into_iter()
+            .map(|r| match rank_index(r).checked_sub(mine) {
+                None => self.items[rank_index(r)],
+                Some(i) => other.items[i],
+            })
+            .collect();
+        self.items = items;
         self.cap = cap;
         self.seed = derive_seed(self.seed, other.seed);
         self.seen += other.seen;
@@ -1289,6 +1330,169 @@ mod tests {
         // ~10:1 weight ratio: most survivors come from `a` (positive).
         let from_a = m1.items.iter().filter(|&&v| v >= 0.0).count();
         assert!(from_a > 25, "only {from_a}/50 from the 10x-heavier side");
+    }
+
+    /// Survivor order by stable descending sort on `total_cmp`,
+    /// truncated to `k` — the reference for [`key_rank`] selection.
+    fn stable_top(keys: &[f64], k: usize) -> Vec<usize> {
+        let mut keyed: Vec<(f64, usize)> = keys.iter().copied().zip(0..).collect();
+        keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+        keyed.truncate(k);
+        keyed.into_iter().map(|(_, i)| i).collect()
+    }
+
+    fn selected_top(keys: &[f64], k: usize) -> Vec<usize> {
+        let mut ranks: Vec<u128> = keys.iter().zip(0..).map(|(&u, i)| key_rank(u, i)).collect();
+        keep_first_ranks(&mut ranks, k);
+        ranks.sort_unstable();
+        ranks.into_iter().map(rank_index).collect()
+    }
+
+    #[test]
+    fn key_selection_matches_the_stable_sort() {
+        let mut state = 3u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let random: Vec<f64> = (0..200).map(|_| draw()).collect();
+        // Ties: keys from four values, including 0.0 and 1.0.
+        let tied: Vec<f64> = random
+            .iter()
+            .map(|u| [0.0, 0.25, 1.0, 0.5][(u * 4.0) as usize])
+            .collect();
+        let cases: [&[f64]; 6] = [
+            &[],
+            &[0.0],
+            &[0.0; 9],
+            &[1.0, 0.0, 1.0, 0.0, f64::MIN_POSITIVE, 5e-324, 0.0],
+            &random,
+            &tied,
+        ];
+        for keys in cases {
+            for k in [
+                0,
+                1,
+                2,
+                3,
+                7,
+                64,
+                keys.len().saturating_sub(1),
+                keys.len(),
+                500,
+            ] {
+                let want = stable_top(keys, k);
+                assert_eq!(selected_top(keys, k), want, "k {k} of {}", keys.len());
+                // Compaction keeps the same set, in index order.
+                let mut ranks: Vec<u128> =
+                    keys.iter().zip(0..).map(|(&u, i)| key_rank(u, i)).collect();
+                keep_first_ranks(&mut ranks, k);
+                let mut got: Vec<usize> = ranks.into_iter().map(rank_index).collect();
+                got.sort_unstable();
+                let mut want = want;
+                want.sort_unstable();
+                assert_eq!(got, want, "compaction set, k {k} of {}", keys.len());
+            }
+        }
+    }
+
+    /// The reservoir merge as a stable sort over every `powf` key.
+    fn reference_merge(a: &ReservoirSnapshot, b: &ReservoirSnapshot) -> ReservoirSnapshot {
+        if b.seen == 0 {
+            return a.clone();
+        }
+        if a.seen == 0 {
+            return b.clone();
+        }
+        let mut rng = rng_from_seed(derive_seed(
+            derive_seed(MERGE_TAG, a.seed ^ b.seed.rotate_left(32)),
+            a.seen.wrapping_add(b.seen.rotate_left(17)),
+        ));
+        let mut keyed: Vec<(f64, f64)> = Vec::new();
+        for part in [a, b] {
+            if part.items.is_empty() {
+                continue;
+            }
+            let w = part.seen as f64 / part.items.len() as f64;
+            for &v in &part.items {
+                let u: f64 = loop {
+                    let u = rng.gen::<f64>();
+                    if u > 0.0 {
+                        break u;
+                    }
+                };
+                keyed.push((u.powf(1.0 / w), v));
+            }
+        }
+        keyed.sort_by(|x, y| y.0.total_cmp(&x.0));
+        keyed.truncate(a.cap.max(b.cap));
+        ReservoirSnapshot {
+            cap: a.cap.max(b.cap),
+            seed: derive_seed(a.seed, b.seed),
+            seen: a.seen + b.seen,
+            items: keyed.into_iter().map(|(_, v)| v).collect(),
+        }
+    }
+
+    #[test]
+    fn reservoir_merge_matches_the_stable_sort_reference() {
+        let part = |cap: usize, seed: u64, seen: u64, len: usize| ReservoirSnapshot {
+            cap,
+            seed,
+            seen,
+            items: (0..len).map(|i| (seed * 1000 + i as u64) as f64).collect(),
+        };
+        let parts = [
+            part(64, 1, 20, 20),    // never filled: w = 1
+            part(64, 2, 64, 64),    // just full: w = 1
+            part(64, 3, 5_000, 64), // w > 1
+            part(16, 4, 900, 16),   // smaller cap, w > 1
+            part(0, 5, 40, 0),      // cap 0: no items
+            part(8, 6, 3, 3),       // w = 1, few items
+            part(32, 7, 0, 0),      // nothing seen
+            part(0, 10, 50, 5),     // cap 0 with items (untrusted input)
+        ];
+        let bits =
+            |r: &ReservoirSnapshot| -> Vec<u64> { r.items.iter().map(|v| v.to_bits()).collect() };
+        for a in &parts {
+            for b in &parts {
+                let want = reference_merge(a, b);
+                let mut got = a.clone();
+                got.merge_from(b);
+                assert_eq!(
+                    (got.cap, got.seed, got.seen, bits(&got)),
+                    (want.cap, want.seed, want.seen, bits(&want)),
+                    "{a:?} + {b:?}"
+                );
+            }
+        }
+        // cap = 0 on both sides keeps nothing.
+        let mut none = part(0, 8, 10, 3);
+        none.merge_from(&part(0, 9, 10, 4));
+        assert!(none.items.is_empty());
+        assert_eq!(none.seen, 20);
+        // Compaction against the same stable-sort reference.
+        for p in &parts {
+            for max_items in [0, 1, 2, 5, 15, 63, 64, 100] {
+                let mut want = p.items.clone();
+                if want.len() > max_items.max(1) {
+                    let mut rng = rng_from_seed(derive_seed(
+                        derive_seed(COMPACT_TAG, p.seed),
+                        p.seen ^ (want.len() as u64).rotate_left(32),
+                    ));
+                    let keys: Vec<f64> = (0..want.len()).map(|_| rng.gen()).collect();
+                    let mut pick = stable_top(&keys, max_items.max(1));
+                    pick.sort_unstable();
+                    want = pick.into_iter().map(|i| p.items[i]).collect();
+                }
+                let mut got = p.clone();
+                got.compact(max_items);
+                assert_eq!(got.items, want, "{p:?} to {max_items}");
+                assert_eq!(got.cap, p.cap.min(max_items.max(1)));
+            }
+        }
     }
 
     #[test]

@@ -668,8 +668,8 @@ impl Aggregator {
                 // A sketch-bearing Delta replaces the cumulative sketch
                 // view; sketchless Deltas (the non-final chunks of a
                 // flush, or any untiered collector's) leave it alone.
-                let sketch = snap.sketch().cloned();
-                for mut e in snap.into_streams() {
+                let (streams, sketch) = snap.into_parts();
+                for mut e in streams {
                     if let Some(b) = self.compact_budget {
                         e.summary.compact(b);
                     }
@@ -686,9 +686,9 @@ impl Aggregator {
                 // A full snapshot is the entire engine image: the
                 // sketch view is replaced unconditionally (cleared for
                 // an untiered engine).
-                let sketch = snap.sketch().cloned();
+                let (streams, sketch) = snap.into_parts();
                 state.live.clear();
-                for mut e in snap.into_streams() {
+                for mut e in streams {
                     if let Some(b) = self.compact_budget {
                         e.summary.compact(b);
                     }

@@ -64,8 +64,8 @@
 //! time.
 
 use crate::codec::{
-    decode_diff_payload, decode_snapshot, diff_payload_len, encoded_diff_len, put_diff_payload,
-    put_entries, put_snapshot, snapshot_len_hint, SnapshotCodecError,
+    decode_diff_payload, decode_snapshot, diff_payload_len, encoded_diff_len, entries_len,
+    put_diff_payload, put_entries, put_snapshot, snapshot_len, SnapshotCodecError,
 };
 use crate::diff::StreamDiff;
 use crate::engine::{EngineSnapshot, StreamEntry};
@@ -356,20 +356,15 @@ fn evicted_frame(seq: u64, finals: &[StreamEntry]) -> Bytes {
     assemble(
         KIND_EVICTED,
         Some(seq),
-        snapshot_len_hint(sorted.len()),
+        entries_len(sorted.iter().copied(), None),
         |b| put_entries(b, sorted.iter().copied(), None),
     )
 }
 
 fn snapshot_frame(kind: u8, seq: u64, snap: &EngineSnapshot) -> Bytes {
-    assemble(
-        kind,
-        Some(seq),
-        snapshot_len_hint(snap.stream_count()),
-        |b| {
-            put_snapshot(b, snap);
-        },
-    )
+    assemble(kind, Some(seq), snapshot_len(snap), |b| {
+        put_snapshot(b, snap);
+    })
 }
 
 /// One frame: header, the seq when there is one, then the payload

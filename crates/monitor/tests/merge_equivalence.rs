@@ -149,3 +149,71 @@ fn sampled_streams_still_recover_mean_and_tail_shape() {
         "kept ratio {kept_ratio:.4} vs 1/7"
     );
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn rollup_bytes_match_pinned_digests() {
+    // FNV-1a digests of the operator's roll-up, as perfbench's
+    // `rollup_merge` runs it at a smaller shape: four link engines over
+    // one Zipf host population (so busy OD pairs appear on every link),
+    // left-folded from the empty snapshot, compacted to 768 B per
+    // summary and encoded. Reservoir merges mix parts that never filled
+    // (weight 1) with full ones, and the compaction subsamples every
+    // merged reservoir above its budget. Any change to the merge keys,
+    // their order, the entry merge or the compaction moves them.
+    const PINS: [(u64, u64); 2] = [(101, 0xd8c5_79d6_47bb_1ed2), (4242, 0x0d19_449e_920b_0784)];
+    for (seed, pin) in PINS {
+        let config = MonitorConfig::default()
+            .sampler(SamplerSpec::Bss {
+                interval: 10,
+                epsilon: 1.0,
+                n_pre: 16,
+                l: 4,
+            })
+            .shards(1)
+            .seed(seed)
+            .tail_thresholds(vec![64.0, 256.0, 576.0, 1024.0, 1400.0]);
+        let links: Vec<EngineSnapshot> = (0..4u64)
+            .map(|link| {
+                let points = TraceSynthesizer::bell_labs_like()
+                    .hosts(60)
+                    .mean_rate(3.0e5)
+                    .duration(30.0)
+                    .synthesize(seed * 10 + link)
+                    .od_keyed_points();
+                let mut engine = MonitorEngine::new(config.clone());
+                engine.offer_batch(&points);
+                engine.full_snapshot()
+            })
+            .collect();
+        let input_streams: usize = links.iter().map(EngineSnapshot::stream_count).sum();
+        let mut merged = links
+            .into_iter()
+            .fold(EngineSnapshot::default(), |acc, s| acc.merge(s));
+        assert!(
+            merged.stream_count() < input_streams,
+            "seed {seed}: links share no key"
+        );
+        merged.compact(768);
+        assert!(
+            merged.streams().iter().any(
+                |e| e.summary.reservoir.items.len() < e.summary.reservoir.seen.min(64) as usize
+            ),
+            "seed {seed}: compaction kept every item"
+        );
+        let bytes = encode_snapshot(&merged);
+        assert_eq!(
+            fnv1a(&bytes),
+            pin,
+            "seed {seed}: {} streams, {} B",
+            merged.stream_count(),
+            bytes.len()
+        );
+    }
+}

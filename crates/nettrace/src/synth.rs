@@ -17,6 +17,21 @@
 //! `H = (3 − α_d)/2` (Taqqu's limit). Choosing `α_d = 3 − 2·0.62 = 1.76`
 //! pins the Hurst parameter; the burst concurrency then produces a
 //! binned-rate tail that measures ≈ 1.7 like the paper's.
+//!
+//! Packets are emitted flow by flow and then put in time order by a
+//! two-pass distribution sort, not a comparison sort. The coarse pass
+//! scatters them into 256 equal time slices by counting sort (fewer
+//! for traces under 65 536 packets); the fine pass scatters each slice
+//! into buckets of about 2 packets the same way and finishes with an
+//! insertion sort that moves a packet only past strictly later times.
+//! Bucket keys `⌊t·scale⌋` never decrease as `t` grows, and both
+//! scatters keep emission order within a bucket, so packets with equal
+//! times keep their emission order: the result is exactly a stable
+//! sort by time for any finite times, not only distinct ones. The sort
+//! renumbers each packet's flow as it places it. Its memory is one
+//! scratch buffer of packets (16 B per packet) plus counts per slice
+//! and per bucket, and no per-packet keys: the peak is two packet
+//! buffers of the trace's length.
 
 use crate::packet::{FlowKey, Packet, Protocol};
 use crate::trace::PacketTrace;
@@ -27,6 +42,21 @@ use sst_stats::rng::rng_from_seed;
 /// Canonical packet sizes (bytes) and their probabilities — the classic
 /// trimodal Internet mix (ACK / default-MTU / Ethernet-MTU).
 const PACKET_SIZE_MIX: [(u32, f64); 3] = [(40, 0.5), (576, 0.25), (1500, 0.25)];
+
+/// The cumulative probabilities of the first two sizes in
+/// [`PACKET_SIZE_MIX`] (0.5 and 0.75, both exact).
+const SIZE_EDGES: [f64; 2] = [
+    PACKET_SIZE_MIX[0].1,
+    PACKET_SIZE_MIX[0].1 + PACKET_SIZE_MIX[1].1,
+];
+
+/// The largest size in [`PACKET_SIZE_MIX`].
+const MAX_PACKET_SIZE: f64 = PACKET_SIZE_MIX[2].0 as f64;
+
+/// The mean of [`PACKET_SIZE_MIX`], bytes.
+const MEAN_PACKET_SIZE: f64 = PACKET_SIZE_MIX[0].0 as f64 * PACKET_SIZE_MIX[0].1
+    + PACKET_SIZE_MIX[1].0 as f64 * PACKET_SIZE_MIX[1].1
+    + PACKET_SIZE_MIX[2].0 as f64 * PACKET_SIZE_MIX[2].1;
 
 /// Configuration for the flow-level synthesizer.
 ///
@@ -128,8 +158,15 @@ impl TraceSynthesizer {
         let weights: Vec<f64> = (0..self.n_hosts).map(|i| 1.0 / (i + 1) as f64).collect();
         let total_w: f64 = weights.iter().sum();
 
-        let mut flows: Vec<FlowKey> = Vec::new();
-        let mut packets: Vec<Packet> = Vec::new();
+        // Flows that record no packet inside [0, duration] are left out
+        // of the table: `flow_id[i]` is flow i's index in `kept`, or
+        // u32::MAX for a dropped flow, and the sort renumbers packets.
+        let mut kept: Vec<FlowKey> = Vec::new();
+        let mut flow_id: Vec<u32> = Vec::new();
+        // Sized for the target volume with headroom, so the buffer does
+        // not grow by doubling; capacity never written is never resident.
+        let expected = self.mean_rate * self.duration / MEAN_PACKET_SIZE;
+        let mut packets: Vec<Packet> = Vec::with_capacity((1.25 * expected) as usize + 64);
         // Warm-up before t=0 so long flows already in progress at the
         // trace start contribute (stationarity).
         let warmup = (5.0 * self.mean_flow_bytes / self.min_flow_rate).max(30.0);
@@ -141,35 +178,19 @@ impl TraceSynthesizer {
                 let start = t + rng.gen::<f64>() * dt_arrivals;
                 let bytes = size_dist.sample(&mut rng);
                 let key = self.random_flow_key(&mut rng, &weights, total_w);
-                let flow_id = flows.len() as u32;
-                flows.push(key);
-                trains.emit_flow(&mut rng, &mut packets, flow_id, start, bytes, self.duration);
+                let recorded = packets.len();
+                let id = flow_id.len() as u32;
+                trains.emit_flow(&mut rng, &mut packets, id, start, bytes, self.duration);
+                if packets.len() > recorded {
+                    flow_id.push(kept.len() as u32);
+                    kept.push(key);
+                } else {
+                    flow_id.push(u32::MAX);
+                }
             }
             t += dt_arrivals;
         }
-        packets.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
-        // Drop flows that produced no packets inside [0, duration] to keep
-        // the table tight: rebuild the index mapping.
-        let mut used = vec![false; flows.len()];
-        for p in &packets {
-            used[p.flow as usize] = true;
-        }
-        let mut remap = vec![u32::MAX; flows.len()];
-        let mut kept: Vec<FlowKey> = Vec::new();
-        for (i, flag) in used.iter().enumerate() {
-            if *flag {
-                remap[i] = kept.len() as u32;
-                kept.push(flows[i]);
-            }
-        }
-        let packets: Vec<Packet> = packets
-            .into_iter()
-            .map(|p| Packet {
-                time: p.time,
-                size: p.size,
-                flow: remap[p.flow as usize],
-            })
-            .collect();
+        sort_by_time(&mut packets, self.duration, &flow_id);
         PacketTrace::new(kept, packets, self.duration)
     }
 
@@ -273,7 +294,14 @@ impl TrainModel {
             let mut shipped = 0.0f64;
             while shipped < volume {
                 let size = draw_packet_size(rng);
-                let effective = size.min((volume - shipped).ceil() as u32).max(40);
+                // With a full-size packet's worth left, the clamp below
+                // is the identity (40 ≤ size ≤ 1500 ≤ ⌈rest⌉).
+                let rest = volume - shipped;
+                let effective = if rest >= MAX_PACKET_SIZE {
+                    size
+                } else {
+                    size.min(rest.ceil() as u32).max(40)
+                };
                 if t >= 0.0 {
                     if t > horizon {
                         return;
@@ -296,16 +324,100 @@ impl TrainModel {
     }
 }
 
+/// Draws a size from [`PACKET_SIZE_MIX`]: the first size whose
+/// cumulative probability exceeds a uniform `x`. The cumulative sums
+/// are exact doubles and `x < 1`, so counting the edges `x` has reached
+/// picks the same size as scanning the table.
 fn draw_packet_size(rng: &mut impl Rng) -> u32 {
     let x: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (size, p) in PACKET_SIZE_MIX {
-        acc += p;
-        if x < acc {
-            return size;
+    let [(s0, _), (s1, _), (s2, _)] = PACKET_SIZE_MIX;
+    [s0, s1, s2][usize::from(x >= SIZE_EDGES[0]) + usize::from(x >= SIZE_EDGES[1])]
+}
+
+/// Time slices of [`sort_by_time`]'s coarse pass, at most.
+const TIME_SLICES: usize = 256;
+
+/// The coarse pass's slice count for `n` packets: 256, or fewer so a
+/// short trace pays no per-slice cost for slices of a packet or two.
+fn slice_count(n: usize) -> usize {
+    (n / TIME_SLICES).clamp(1, TIME_SLICES)
+}
+
+/// Packets per bucket, on average, in [`sort_by_time`]'s fine pass.
+const PACKETS_PER_BUCKET: usize = 2;
+
+/// Sorts `packets` stably by time and renumbers each packet's flow as
+/// `flow_id[flow]` on the way: the result equals a stable
+/// `sort_by(partial_cmp)` on time followed by the renumbering, for any
+/// finite times (see the module docs).
+///
+/// `horizon` sets the slice and bucket scale only; times outside
+/// `[0, horizon]` land in the first or last slice and are still
+/// ordered correctly.
+fn sort_by_time(packets: &mut [Packet], horizon: f64, flow_id: &[u32]) {
+    let n = packets.len();
+    // Coarse pass: stable counting scatter into equal time slices.
+    let slices = slice_count(n);
+    let scale = slices as f64 / horizon;
+    let slice_of = |t: f64| ((t * scale) as usize).min(slices - 1);
+    let mut starts = [0usize; TIME_SLICES + 1];
+    for p in packets.iter() {
+        starts[slice_of(p.time) + 1] += 1;
+    }
+    for j in 0..slices {
+        starts[j + 1] += starts[j];
+    }
+    let mut scratch = vec![
+        Packet {
+            time: 0.0,
+            size: 0,
+            flow: 0,
+        };
+        n
+    ];
+    let mut next = starts;
+    for p in packets.iter() {
+        let slot = &mut next[slice_of(p.time)];
+        scratch[*slot] = Packet {
+            flow: flow_id[p.flow as usize],
+            ..*p
+        };
+        *slot += 1;
+    }
+    // Fine pass, per slice: stable counting scatter back into
+    // `packets` over buckets of about `PACKETS_PER_BUCKET`, then an
+    // insertion sort that never moves a packet past an equal time.
+    let mut counts: Vec<usize> = Vec::new();
+    for j in 0..slices {
+        let (lo, hi) = (starts[j], starts[j + 1]);
+        let (src, dst) = (&scratch[lo..hi], &mut packets[lo..hi]);
+        let buckets = src.len() / PACKETS_PER_BUCKET + 1;
+        let fine = scale * buckets as f64;
+        let first = j * buckets;
+        let bucket_of = |t: f64| ((t * fine) as usize).saturating_sub(first).min(buckets - 1);
+        counts.clear();
+        counts.resize(buckets + 1, 0);
+        for p in src {
+            counts[bucket_of(p.time) + 1] += 1;
+        }
+        for b in 0..buckets {
+            counts[b + 1] += counts[b];
+        }
+        for p in src {
+            let slot = &mut counts[bucket_of(p.time)];
+            dst[*slot] = *p;
+            *slot += 1;
+        }
+        for i in 1..dst.len() {
+            let p = dst[i];
+            let mut k = i;
+            while k > 0 && dst[k - 1].time > p.time {
+                dst[k] = dst[k - 1];
+                k -= 1;
+            }
+            dst[k] = p;
         }
     }
-    1500
 }
 
 #[cfg(test)]
@@ -397,6 +509,104 @@ mod tests {
             let (m1, m2) = (16usize, 1024usize);
             let (v1, v2) = (agg(m1), agg(m2));
             1.0 + ((v2 / v1).ln() / ((m2 as f64 / m1 as f64).ln())) / 2.0
+        }
+    }
+
+    /// `sort_by_time` against a stable `sort_by(partial_cmp)` then the
+    /// renumbering, bit for bit: each packet's size is its emission
+    /// index, so any reordering of equal times shows.
+    fn check_sort(times: &[f64], horizon: f64) {
+        let flow_id = [3u32, 1, 4, 0, 6, 2, 5];
+        let packets: Vec<Packet> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &time)| Packet {
+                time,
+                size: i as u32 + 1,
+                flow: (i % flow_id.len()) as u32,
+            })
+            .collect();
+        let mut want = packets.clone();
+        want.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite"));
+        for p in &mut want {
+            p.flow = flow_id[p.flow as usize];
+        }
+        let mut got = packets;
+        sort_by_time(&mut got, horizon, &flow_id);
+        let bits = |v: &[Packet]| -> Vec<(u64, u32, u32)> {
+            v.iter()
+                .map(|p| (p.time.to_bits(), p.size, p.flow))
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "horizon {horizon}");
+    }
+
+    /// A small deterministic generator for the sort tests.
+    fn lcg(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn time_sort_matches_stable_sort_on_edge_cases() {
+        // Zero packets, one packet, all times equal.
+        check_sort(&[], 1.0);
+        check_sort(&[0.25], 1.0);
+        check_sort(&[7.5; 300], 10.0);
+        check_sort(&[0.0; 50], 10.0);
+        // 0.0 and -0.0 compare equal and keep their order, and
+        // t == horizon lands in the last slice.
+        check_sort(&[0.0, -0.0, 10.0, 0.0, -0.0, 10.0, 5.0, -0.0], 10.0);
+        // Times exactly on slice edges (and the float neighbours of
+        // each), emitted in reverse, then forwards, and repeated so the
+        // trace is long enough for all 256 slices.
+        for horizon in [1.0, 120.0, 0.05, 3.0] {
+            let mut edges = Vec::new();
+            for k in (0..=TIME_SLICES).rev() {
+                let edge = k as f64 * horizon / TIME_SLICES as f64;
+                edges.extend([edge.next_up(), edge, edge.next_down().max(0.0)]);
+            }
+            edges.extend(edges.clone().iter().rev());
+            let times = edges.repeat(TIME_SLICES * TIME_SLICES / edges.len() + 1);
+            assert_eq!(slice_count(times.len()), TIME_SLICES);
+            check_sort(&times, horizon);
+        }
+        // Bucket edges: a trace of 300 packets is one slice of 151
+        // buckets, whose edges are the multiples of horizon / 151.
+        let horizon = 2.0;
+        let buckets = 300 / PACKETS_PER_BUCKET + 1;
+        let times: Vec<f64> = (0..300)
+            .map(|i| ((i * 7) % buckets) as f64 * horizon / buckets as f64)
+            .collect();
+        assert_eq!(slice_count(times.len()), 1);
+        check_sort(&times, horizon);
+    }
+
+    #[test]
+    fn time_sort_matches_stable_sort_on_random_and_tied_times() {
+        let mut state = 17;
+        for (n, horizon, distinct) in [
+            (5_000, 60.0, None),
+            (5_000, 60.0, Some(40)),
+            (2_000, 0.05, Some(3)),
+            (20_000, 120.0, Some(2_000)),
+        ] {
+            // Equal times across flows: draw from `distinct` values.
+            let grid: Vec<f64> = (0..distinct.unwrap_or(0))
+                .map(|_| lcg(&mut state) * horizon)
+                .collect();
+            let times: Vec<f64> = (0..n)
+                .map(|_| match distinct {
+                    Some(k) => grid[(lcg(&mut state) * k as f64) as usize],
+                    None => lcg(&mut state) * horizon,
+                })
+                .collect();
+            check_sort(&times, horizon);
+            // A burst: every time inside one slice.
+            let burst: Vec<f64> = times.iter().map(|t| 0.5 + t / horizon * 1e-3).collect();
+            check_sort(&burst, horizon);
         }
     }
 

@@ -23,9 +23,9 @@
 //!   from `η`'s definition `η = 1 − X_s/X_r`).
 
 use crate::experiment::InstanceResult;
-use crate::sampler::{Keep, Sampler, Samples, Tally};
+use crate::sampler::{drive, Keep, Sampler, Samples, Tally};
+use crate::stream::StreamingBss;
 use crate::theory::{eta_from_samples, l_for_bias};
-use sst_stats::RunningStats;
 
 /// How BSS obtains its threshold `a_th` (and, online, its `L`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -99,11 +99,7 @@ impl BssOutcome {
 
     /// The paper's §VI overhead metric: qualified / normal (`L′/N`).
     pub fn overhead(&self) -> f64 {
-        if self.normal_count == 0 {
-            0.0
-        } else {
-            self.qualified_count as f64 / self.normal_count as f64
-        }
+        overhead(self.qualified_count, self.normal_count)
     }
 
     /// Total samples kept, `N + L′`.
@@ -112,16 +108,8 @@ impl BssOutcome {
     }
 }
 
-/// What one BSS selection pass reports besides the samples it keeps.
-struct BssCounts {
-    normal_count: usize,
-    qualified_count: usize,
-    extras_inspected: usize,
-    final_threshold: f64,
-    l_used: usize,
-}
-
-/// The Biased Systematic Sampler.
+/// The Biased Systematic Sampler: [`StreamingBss`]'s rule driven over
+/// a slice, with `L` derived from the slice length unless fixed.
 ///
 /// # Examples
 ///
@@ -164,6 +152,47 @@ impl std::fmt::Display for BssConfigError {
 
 impl std::error::Error for BssConfigError {}
 
+/// The paper's §VI overhead metric `L′/N`: `qualified` per `normal`
+/// sample, 0 without normal samples.
+pub(crate) fn overhead(qualified: usize, normal: usize) -> f64 {
+    if normal == 0 {
+        0.0
+    } else {
+        qualified as f64 / normal as f64
+    }
+}
+
+/// Rejects a zero interval (bucket length) C.
+pub(crate) fn check_interval(interval: usize) -> Result<(), BssConfigError> {
+    if interval == 0 {
+        return Err(BssConfigError::new("interval must be >= 1"));
+    }
+    Ok(())
+}
+
+/// Validates a BSS configuration (see [`BssSampler::new`]).
+pub(crate) fn check_config(interval: usize, policy: ThresholdPolicy) -> Result<(), BssConfigError> {
+    check_interval(interval)?;
+    let what = match policy {
+        ThresholdPolicy::FixedAbsolute(a) if !(a.is_finite() && a > 0.0) => {
+            "threshold must be positive"
+        }
+        ThresholdPolicy::RelativeToMean { epsilon, mean } if !(epsilon > 0.0 && mean > 0.0) => {
+            "epsilon and mean must be positive"
+        }
+        ThresholdPolicy::Online(t) if t.epsilon.is_nan() || t.epsilon <= 0.0 => {
+            "epsilon must be positive"
+        }
+        ThresholdPolicy::Online(t) if t.n_pre == 0 => "need at least one pre-sample",
+        ThresholdPolicy::Online(t) if !(t.alpha > 1.0 && t.alpha < 2.0) => "alpha must be in (1,2)",
+        ThresholdPolicy::Online(t) if t.c_eta.is_nan() || t.c_eta <= 0.0 => {
+            "c_eta must be positive"
+        }
+        _ => return Ok(()),
+    };
+    Err(BssConfigError { what })
+}
+
 impl BssSampler {
     /// Creates a BSS sampler with interval `C` and the given threshold
     /// policy. `L` defaults to: derived online (online policy) or 10
@@ -174,49 +203,7 @@ impl BssSampler {
     /// Rejects `interval == 0`, non-positive thresholds/ε, online α
     /// outside `(1,2)`, or `n_pre == 0`.
     pub fn new(interval: usize, policy: ThresholdPolicy) -> Result<Self, BssConfigError> {
-        if interval == 0 {
-            return Err(BssConfigError {
-                what: "interval must be >= 1",
-            });
-        }
-        match policy {
-            ThresholdPolicy::FixedAbsolute(a) => {
-                if !(a.is_finite() && a > 0.0) {
-                    return Err(BssConfigError {
-                        what: "threshold must be positive",
-                    });
-                }
-            }
-            ThresholdPolicy::RelativeToMean { epsilon, mean } => {
-                if !(epsilon > 0.0 && mean > 0.0) {
-                    return Err(BssConfigError {
-                        what: "epsilon and mean must be positive",
-                    });
-                }
-            }
-            ThresholdPolicy::Online(t) => {
-                if t.epsilon.is_nan() || t.epsilon <= 0.0 {
-                    return Err(BssConfigError {
-                        what: "epsilon must be positive",
-                    });
-                }
-                if t.n_pre == 0 {
-                    return Err(BssConfigError {
-                        what: "need at least one pre-sample",
-                    });
-                }
-                if !(t.alpha > 1.0 && t.alpha < 2.0) {
-                    return Err(BssConfigError {
-                        what: "alpha must be in (1,2)",
-                    });
-                }
-                if t.c_eta.is_nan() || t.c_eta <= 0.0 {
-                    return Err(BssConfigError {
-                        what: "c_eta must be positive",
-                    });
-                }
-            }
-        }
+        check_config(interval, policy)?;
         let l_extra = match policy {
             ThresholdPolicy::Online(_) => None,
             _ => Some(10),
@@ -273,14 +260,14 @@ impl BssSampler {
     /// Runs one BSS instance and returns the full outcome.
     pub fn sample_detailed(&self, values: &[f64], seed: u64) -> BssOutcome {
         let mut samples = Samples::default();
-        let c = self.select(values, seed, &mut samples);
+        let s = self.run(values, seed, &mut samples);
         BssOutcome {
             samples,
-            normal_count: c.normal_count,
-            qualified_count: c.qualified_count,
-            extras_inspected: c.extras_inspected,
-            final_threshold: c.final_threshold,
-            l_used: c.l_used,
+            normal_count: s.normal_count(),
+            qualified_count: s.qualified_count(),
+            extras_inspected: s.extras_inspected(),
+            final_threshold: s.threshold,
+            l_used: s.l,
         }
     }
 
@@ -289,78 +276,17 @@ impl BssSampler {
     /// without building the [`Samples`].
     pub(crate) fn tally_detailed(&self, values: &[f64], seed: u64) -> InstanceResult {
         let mut tally = Tally::default();
-        let c = self.select(values, seed, &mut tally);
-        tally.instance(c.qualified_count)
+        let s = self.run(values, seed, &mut tally);
+        tally.instance(s.qualified_count())
     }
 
-    /// The BSS selection loop: keeps every normal and qualified sample,
-    /// in index order, into `keep`.
-    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) -> BssCounts {
+    /// Runs instance `seed` over `values` into `keep`; returns the
+    /// sampler as the end of the slice left it.
+    fn run(&self, values: &[f64], seed: u64, keep: &mut impl Keep) -> StreamingBss {
         let l = self.effective_l(values.len());
-        let offset = (seed % self.interval as u64) as usize;
-        let mut normal_count = 0usize;
-        let mut qualified_count = 0usize;
-        let mut extras_inspected = 0usize;
-
-        // Online-mode state.
-        let mut running = RunningStats::new();
-        let (mut threshold, online): (f64, Option<OnlineTuning>) = match self.policy {
-            ThresholdPolicy::FixedAbsolute(a) => (a, None),
-            ThresholdPolicy::RelativeToMean { epsilon, mean } => (epsilon * mean, None),
-            ThresholdPolicy::Online(t) => (f64::INFINITY, Some(t)),
-        };
-
-        let mut t = offset;
-        while t < values.len() {
-            let v = values[t];
-            keep.keep(t, v);
-            normal_count += 1;
-            running.push(v);
-
-            // Online: refresh a_th from the running mean once warmed up.
-            // The threshold is then *frozen* for this interval's extras
-            // ("whether or not to take extra samples in a sampling
-            //  interval should be based on the same threshold").
-            if let Some(tuning) = online {
-                if running.count() as usize >= tuning.n_pre {
-                    threshold = tuning.epsilon * running.mean();
-                } else {
-                    threshold = f64::INFINITY;
-                }
-            }
-
-            if v > threshold && l > 0 {
-                let end = (t + self.interval).min(values.len());
-                // L extra positions evenly spaced strictly inside (t, t+C)
-                // — spacing C/(L+1), so none collides with the next normal
-                // sample. When C ≤ L several positions collapse under
-                // integer division; the monotone guard keeps indices
-                // strictly increasing and duplicate-free.
-                let mut prev = t;
-                for k in 1..=l {
-                    let pos = t + k * self.interval / (l + 1).max(1);
-                    if pos <= prev || pos >= end {
-                        continue;
-                    }
-                    prev = pos;
-                    extras_inspected += 1;
-                    let w = values[pos];
-                    if w > threshold {
-                        keep.keep(pos, w);
-                        qualified_count += 1;
-                        running.push(w);
-                    }
-                }
-            }
-            t += self.interval;
-        }
-        BssCounts {
-            normal_count,
-            qualified_count,
-            extras_inspected,
-            final_threshold: threshold,
-            l_used: l,
-        }
+        let mut s = StreamingBss::start(self.interval, self.policy, l, seed);
+        drive(&mut s, values, keep);
+        s
     }
 }
 

@@ -87,14 +87,7 @@ impl ExperimentResult {
         }
         self.instances
             .iter()
-            .map(|i| {
-                let normal = i.n_samples - i.n_qualified;
-                if normal == 0 {
-                    0.0
-                } else {
-                    i.n_qualified as f64 / normal as f64
-                }
-            })
+            .map(|i| crate::bss::overhead(i.n_qualified, i.n_samples - i.n_qualified))
             .sum::<f64>()
             / self.instances.len() as f64
     }

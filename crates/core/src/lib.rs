@@ -24,10 +24,11 @@
 //! * [`adaptive`] — the Choi-Park-Zhang adaptive random sampler, the
 //!   related-work baseline that adapts the *rate* instead of biasing the
 //!   *selection* (compared against BSS in the ablation experiments).
-//! * [`stream`] — push-based (one decision per arriving point) streaming
-//!   counterparts of every sampler, exactly equivalent to the offline
-//!   forms — what a router line card deploys — with state snapshots
-//!   ([`SamplerSnapshot`]) for online monitoring.
+//! * [`stream`] — the one implementation of each sampler's rule, as a
+//!   push-based schedule (one decision per arriving point — what a
+//!   router line card deploys) that the offline samplers also drive
+//!   over a slice, with state snapshots ([`SamplerSnapshot`]) for
+//!   online monitoring.
 //! * [`sketch`] — fixed-memory frequency sketches (count-min,
 //!   SpaceSaving) with integer cells, so merges are exact cell-wise
 //!   addition — the long-tail tier under `sst-monitor`'s exact

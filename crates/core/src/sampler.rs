@@ -12,11 +12,14 @@
 //! selects the *sampling instance* (different systematic offsets,
 //! different random draws), which is exactly the paper's notion of an
 //! instance when measuring the average variance `E(V)`.
+//!
+//! Each sampler's rule lives in [`crate::stream`]; [`Sampler::sample`]
+//! and [`Sampler::tally`] run it over the slice through one driver.
 
 use crate::experiment::InstanceResult;
+use crate::stream::{Schedule, StreamingSimpleRandom, StreamingStratified, StreamingSystematic};
 use rand::Rng;
 use sst_sigproc::plan::lru_fetch;
-use sst_stats::rng::{derive_seed, rng_from_seed};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The output of one sampling instance: the selected positions and the
@@ -154,6 +157,36 @@ impl Keep for Tally {
     }
 }
 
+/// Runs one sampler instance over `values`: jumps from one position
+/// `schedule` names to the next, putting each point it keeps into
+/// `keep`, until the schedule passes the end of the slice.
+pub(crate) fn drive(schedule: &mut impl Schedule, values: &[f64], keep: &mut impl Keep) {
+    loop {
+        let t = schedule.next();
+        let Some(&value) = values.get(t) else {
+            return;
+        };
+        if schedule.decide(value).is_kept() {
+            keep.keep(t, value);
+        }
+    }
+}
+
+/// [`Sampler::sample`] of the instance `schedule`, with room for
+/// `capacity` samples.
+fn sample_with(mut schedule: impl Schedule, values: &[f64], capacity: usize) -> Samples {
+    let mut out = Samples::with_capacity(capacity);
+    drive(&mut schedule, values, &mut out);
+    out
+}
+
+/// [`Sampler::tally`] of the instance `schedule`.
+fn tally_with(mut schedule: impl Schedule, values: &[f64]) -> InstanceResult {
+    let mut tally = Tally::default();
+    drive(&mut schedule, values, &mut tally);
+    tally.instance(0)
+}
+
 /// A sampling technique: a deterministic function of the input process
 /// and an instance seed.
 pub trait Sampler {
@@ -217,19 +250,6 @@ impl SystematicSampler {
     pub fn interval(&self) -> usize {
         self.interval
     }
-
-    /// The first sample position for instance `seed`.
-    fn offset(&self, seed: u64) -> usize {
-        (seed % self.interval as u64) as usize
-    }
-
-    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) {
-        let mut t = self.offset(seed);
-        while t < values.len() {
-            keep.keep(t, values[t]);
-            t += self.interval;
-        }
-    }
 }
 
 impl Sampler for SystematicSampler {
@@ -242,16 +262,12 @@ impl Sampler for SystematicSampler {
     }
 
     fn sample(&self, values: &[f64], seed: u64) -> Samples {
-        let n = values.len().saturating_sub(self.offset(seed));
-        let mut out = Samples::with_capacity(n.div_ceil(self.interval));
-        self.select(values, seed, &mut out);
-        out
+        let schedule = StreamingSystematic::start(self.interval, seed);
+        sample_with(schedule, values, values.len().div_ceil(self.interval))
     }
 
     fn tally(&self, values: &[f64], seed: u64) -> InstanceResult {
-        let mut tally = Tally::default();
-        self.select(values, seed, &mut tally);
-        tally.instance(0)
+        tally_with(StreamingSystematic::start(self.interval, seed), values)
     }
 }
 
@@ -289,17 +305,6 @@ impl StratifiedSampler {
     pub fn interval(&self) -> usize {
         self.interval
     }
-
-    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) {
-        let mut rng = rng_from_seed(derive_seed(seed, 0x5742));
-        let mut start = 0usize;
-        while start < values.len() {
-            let end = (start + self.interval).min(values.len());
-            let idx = start + rng.gen_range(0..end - start);
-            keep.keep(idx, values[idx]);
-            start = end;
-        }
-    }
 }
 
 impl Sampler for StratifiedSampler {
@@ -312,15 +317,13 @@ impl Sampler for StratifiedSampler {
     }
 
     fn sample(&self, values: &[f64], seed: u64) -> Samples {
-        let mut out = Samples::with_capacity(values.len().div_ceil(self.interval));
-        self.select(values, seed, &mut out);
-        out
+        let schedule = StreamingStratified::bounded(self.interval, seed, values.len());
+        sample_with(schedule, values, values.len().div_ceil(self.interval))
     }
 
     fn tally(&self, values: &[f64], seed: u64) -> InstanceResult {
-        let mut tally = Tally::default();
-        self.select(values, seed, &mut tally);
-        tally.instance(0)
+        let schedule = StreamingStratified::bounded(self.interval, seed, values.len());
+        tally_with(schedule, values)
     }
 }
 
@@ -354,9 +357,9 @@ impl Sampler for StratifiedSampler {
 /// calls, far more than the handful of draws a single low-rate
 /// `sample()` call makes.
 ///
-/// Shared by [`SimpleRandomSampler`] and
-/// [`crate::stream::StreamingSimpleRandom`], which keeps the offline
-/// and streaming forms exactly equivalent.
+/// Drawn by [`crate::stream::StreamingSimpleRandom`], the one
+/// implementation of simple random sampling, whether
+/// [`SimpleRandomSampler`] feeds it a slice or a monitor a stream.
 #[derive(Clone, Debug)]
 pub(crate) struct GeometricGap {
     rate_bits: u64,
@@ -470,33 +473,6 @@ impl SimpleRandomSampler {
         );
         SimpleRandomSampler { rate }
     }
-
-    fn select(&self, values: &[f64], seed: u64, keep: &mut impl Keep) {
-        if self.rate >= 1.0 {
-            for (t, &v) in values.iter().enumerate() {
-                keep.keep(t, v);
-            }
-            return;
-        }
-        // Skip-ahead via geometric gaps (Vitter-style): O(expected
-        // samples) RNG draws instead of one Bernoulli per element, with
-        // selection statistics identical to per-element thinning (the
-        // `geometric_skips_match_per_element_bernoulli` test pins this).
-        let mut rng = rng_from_seed(derive_seed(seed, 0x51D0));
-        let gaps = GeometricGap::cached(self.rate);
-        let mut t: usize = 0;
-        loop {
-            let gap = gaps.draw(&mut rng);
-            t = match t.checked_add(gap) {
-                Some(v) => v,
-                None => break,
-            };
-            if t > values.len() {
-                break;
-            }
-            keep.keep(t - 1, values[t - 1]);
-        }
-    }
 }
 
 impl Sampler for SimpleRandomSampler {
@@ -513,21 +489,19 @@ impl Sampler for SimpleRandomSampler {
         // hot loop almost never reallocates.
         let expect = values.len() as f64 * self.rate;
         let cap = (expect + 4.0 * (expect * (1.0 - self.rate)).sqrt() + 8.0) as usize;
-        let mut out = Samples::with_capacity(cap.min(values.len()));
-        self.select(values, seed, &mut out);
-        out
+        let schedule = StreamingSimpleRandom::start(self.rate, seed);
+        sample_with(schedule, values, cap.min(values.len()))
     }
 
     fn tally(&self, values: &[f64], seed: u64) -> InstanceResult {
-        let mut tally = Tally::default();
-        self.select(values, seed, &mut tally);
-        tally.instance(0)
+        tally_with(StreamingSimpleRandom::start(self.rate, seed), values)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sst_stats::rng::{derive_seed, rng_from_seed};
 
     fn ramp(n: usize) -> Vec<f64> {
         (0..n).map(|i| i as f64).collect()

@@ -1,13 +1,17 @@
-//! Streaming (push-based) counterparts of the offline samplers — the
-//! form a router or monitoring tap actually deploys, where points arrive
-//! one at a time and each must be kept or dropped immediately.
+//! The paper's four samplers as push-based rules — the form a router
+//! or monitoring tap deploys, where each arriving point is kept or
+//! dropped at once.
 //!
-//! Every streaming sampler is drop-in equivalent to its offline sibling:
-//! feeding the same trace point-by-point reproduces exactly the samples
-//! `Sampler::sample` would select with the same seed (stratified random
-//! may differ on the final *partial* bucket — the offline version knows
-//! where the trace ends, a stream does not; see
-//! [`StreamingStratified`]).
+//! Each rule is implemented once, here. A sampler struct holds a
+//! schedule: the next position it must inspect, and its decision there.
+//! Fed a stream, it checks that position once per offered point; fed a
+//! slice, as the offline [`crate::Sampler`]s and
+//! [`crate::bss::BssSampler`] feed it, a driver jumps from one scheduled
+//! position to the next. A stream has no end (`usize::MAX`); a slice
+//! ends at its length. Only stratified sampling reads the end: its last
+//! bucket is `min(C, end − start)` long (see [`StreamingStratified`]).
+//! Any other schedule's positions past the end are just never reached,
+//! which is how BSS's extras stop at `min(t + C, end)`.
 //!
 //! ```
 //! use sst_core::stream::{StreamDecision, StreamSampler, StreamingSystematic};
@@ -19,10 +23,13 @@
 //! assert_eq!(kept, [true, false, false, true, false, false, true]);
 //! ```
 
-use crate::bss::{OnlineTuning, ThresholdPolicy};
+use crate::bss::{check_config, check_interval, BssConfigError, OnlineTuning, ThresholdPolicy};
+use crate::sampler::GeometricGap;
+use rand::rngs::StdRng;
 use rand::Rng;
 use sst_stats::rng::{derive_seed, rng_from_seed};
 use sst_stats::RunningStats;
+use std::sync::Arc;
 
 /// What a streaming sampler did with one offered point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,28 +136,72 @@ pub trait StreamSampler {
     fn snapshot(&self) -> SamplerSnapshot;
 }
 
-/// Streaming systematic sampling: keep positions `offset + k·C`.
+/// A sampler's rule as a schedule over input positions: every point
+/// before [`Schedule::next`] is skipped unseen, and the point there is
+/// decided. A stream checks the scheduled position once per offered
+/// point; [`crate::sampler::drive`] jumps a slice from one scheduled
+/// position to the next.
+pub(crate) trait Schedule {
+    /// The next position the sampler must inspect (`usize::MAX` once
+    /// it will inspect none).
+    fn next(&self) -> usize;
+
+    /// Decides the point at [`Schedule::next`], whose value is `value`,
+    /// and schedules the position after it.
+    fn decide(&mut self, value: f64) -> StreamDecision;
+}
+
+/// A stream's decision on the point at `pos`: decided when the
+/// schedule names it, skipped unseen otherwise.
+#[inline]
+fn offer_at(pos: usize, schedule: &mut impl Schedule, value: f64) -> StreamDecision {
+    if pos == schedule.next() {
+        schedule.decide(value)
+    } else {
+        StreamDecision::Skip
+    }
+}
+
+/// Systematic sampling: keep positions `offset + k·C`, where the
+/// offset is `seed mod C`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamingSystematic {
     interval: usize,
-    offset: usize,
     pos: usize,
+    next: usize,
 }
 
 impl StreamingSystematic {
-    /// Creates the sampler; `seed` selects the phase, matching
+    /// Creates the sampler; `seed` selects the phase, as for
     /// [`crate::SystematicSampler`].
     ///
     /// # Errors
     ///
     /// Returns `Err` when `interval == 0`.
-    pub fn new(interval: usize, seed: u64) -> Result<Self, crate::bss::BssConfigError> {
-        crate::bss::BssSampler::new(interval, ThresholdPolicy::FixedAbsolute(1.0))?;
-        Ok(StreamingSystematic {
+    pub fn new(interval: usize, seed: u64) -> Result<Self, BssConfigError> {
+        check_interval(interval)?;
+        Ok(StreamingSystematic::start(interval, seed))
+    }
+
+    /// [`StreamingSystematic::new`] for an interval known to be ≥ 1.
+    pub(crate) fn start(interval: usize, seed: u64) -> Self {
+        StreamingSystematic {
             interval,
-            offset: (seed % interval as u64) as usize,
             pos: 0,
-        })
+            next: (seed % interval as u64) as usize,
+        }
+    }
+}
+
+impl Schedule for StreamingSystematic {
+    fn next(&self) -> usize {
+        self.next
+    }
+
+    #[inline]
+    fn decide(&mut self, _value: f64) -> StreamDecision {
+        self.next = self.next.saturating_add(self.interval);
+        StreamDecision::KeepNormal
     }
 }
 
@@ -159,14 +210,9 @@ impl StreamSampler for StreamingSystematic {
         "streaming-systematic"
     }
 
-    fn offer(&mut self, _value: f64) -> StreamDecision {
-        let keep = self.pos % self.interval == self.offset;
+    fn offer(&mut self, value: f64) -> StreamDecision {
         self.pos += 1;
-        if keep {
-            StreamDecision::KeepNormal
-        } else {
-            StreamDecision::Skip
-        }
+        offer_at(self.pos - 1, self, value)
     }
 
     fn position(&self) -> usize {
@@ -174,12 +220,8 @@ impl StreamSampler for StreamingSystematic {
     }
 
     fn snapshot(&self) -> SamplerSnapshot {
-        // Kept positions are offset, offset+C, …: count in [0, pos).
-        let kept = if self.pos > self.offset {
-            (self.pos - 1 - self.offset) / self.interval + 1
-        } else {
-            0
-        };
+        // `next` is offset + k·C after k kept points, offset < C.
+        let kept = self.next / self.interval;
         SamplerSnapshot {
             offered: self.pos,
             kept,
@@ -188,40 +230,79 @@ impl StreamSampler for StreamingSystematic {
     }
 }
 
-/// Streaming stratified random sampling: at each bucket boundary, draw
-/// the bucket's single sample position in advance.
+/// Stratified random sampling: one uniform pick per bucket of length
+/// C, drawn when the bucket's schedule starts.
 ///
-/// Matches [`crate::StratifiedSampler`] exactly on every *full* bucket;
-/// on a final partial bucket the offline version redraws within the
-/// shortened range while the stream (not knowing the end) may place its
-/// target past the end and keep nothing.
+/// A bucket is `min(C, end − start)` long, where the end is the input
+/// end. A stream has none, so every pick is drawn over C positions and
+/// one that lands past where the stream stops keeps nothing. On a
+/// slice ([`crate::StratifiedSampler`]) the final partial bucket is
+/// drawn over the positions the slice holds, so it always yields its
+/// one sample. Both agree on every full bucket.
 #[derive(Clone, Debug)]
 pub struct StreamingStratified {
     interval: usize,
+    /// The input end: `usize::MAX` for a stream, the slice length
+    /// offline.
+    end: usize,
+    /// First position of the current bucket; one pick per bucket
+    /// before it was kept.
+    start: usize,
     pos: usize,
-    target: usize,
-    kept: usize,
-    rng: rand::rngs::StdRng,
+    next: usize,
+    rng: StdRng,
 }
 
 impl StreamingStratified {
-    /// Creates the sampler with the same seed derivation as the offline
-    /// sibling.
+    /// Creates the sampler with the seed derivation of
+    /// [`crate::StratifiedSampler`].
     ///
     /// # Errors
     ///
     /// Returns `Err` when `interval == 0`.
-    pub fn new(interval: usize, seed: u64) -> Result<Self, crate::bss::BssConfigError> {
-        crate::bss::BssSampler::new(interval, ThresholdPolicy::FixedAbsolute(1.0))?;
-        let mut rng = rng_from_seed(derive_seed(seed, 0x5742));
-        let target = rng.gen_range(0..interval);
-        Ok(StreamingStratified {
+    pub fn new(interval: usize, seed: u64) -> Result<Self, BssConfigError> {
+        check_interval(interval)?;
+        Ok(StreamingStratified::bounded(interval, seed, usize::MAX))
+    }
+
+    /// The sampler over an input that ends at `end`, for an interval
+    /// known to be ≥ 1.
+    pub(crate) fn bounded(interval: usize, seed: u64, end: usize) -> Self {
+        let mut s = StreamingStratified {
             interval,
+            end,
+            start: 0,
             pos: 0,
-            target,
-            kept: 0,
-            rng,
-        })
+            next: usize::MAX,
+            rng: rng_from_seed(derive_seed(seed, 0x5742)),
+        };
+        s.draw();
+        s
+    }
+
+    /// Schedules the pick of the bucket at `start`: one uniform draw
+    /// over its `min(C, end − start)` positions, none past the end.
+    #[inline]
+    fn draw(&mut self) {
+        self.next = if self.start < self.end {
+            let len = self.interval.min(self.end - self.start);
+            self.start + self.rng.gen_range(0..len)
+        } else {
+            usize::MAX
+        };
+    }
+}
+
+impl Schedule for StreamingStratified {
+    fn next(&self) -> usize {
+        self.next
+    }
+
+    #[inline]
+    fn decide(&mut self, _value: f64) -> StreamDecision {
+        self.start = self.start.saturating_add(self.interval);
+        self.draw();
+        StreamDecision::KeepNormal
     }
 }
 
@@ -230,20 +311,9 @@ impl StreamSampler for StreamingStratified {
         "streaming-stratified"
     }
 
-    fn offer(&mut self, _value: f64) -> StreamDecision {
-        let in_bucket = self.pos % self.interval;
-        let keep = in_bucket == self.target;
+    fn offer(&mut self, value: f64) -> StreamDecision {
         self.pos += 1;
-        if self.pos.is_multiple_of(self.interval) {
-            // Entering a new bucket: draw its target.
-            self.target = self.rng.gen_range(0..self.interval);
-        }
-        if keep {
-            self.kept += 1;
-            StreamDecision::KeepNormal
-        } else {
-            StreamDecision::Skip
-        }
+        offer_at(self.pos - 1, self, value)
     }
 
     fn position(&self) -> usize {
@@ -251,62 +321,83 @@ impl StreamSampler for StreamingStratified {
     }
 
     fn snapshot(&self) -> SamplerSnapshot {
+        // One pick kept per bucket the schedule has moved past.
+        let kept = self.start / self.interval;
         SamplerSnapshot {
             offered: self.pos,
-            kept: self.kept,
-            inspected: self.kept,
+            kept,
+            inspected: kept,
         }
     }
 }
 
-/// Streaming simple random sampling via geometric skip-ahead — O(1) RNG
-/// work per *kept* sample, not per offered point (and no transcendental
-/// per draw: the gap comes from the shared table-driven
-/// `GeometricGap`).
+/// Simple random sampling (Bernoulli thinning at `rate`) via geometric
+/// skip-ahead: O(1) RNG work per *kept* point, not per offered one, and
+/// no transcendental per draw — the gap comes from the shared
+/// table-driven `GeometricGap`.
 #[derive(Clone, Debug)]
 pub struct StreamingSimpleRandom {
-    /// Shared per-rate gap table (one per process, not per stream).
-    gaps: Option<std::sync::Arc<crate::sampler::GeometricGap>>,
+    /// Shared per-rate gap table (one per process, not per stream);
+    /// `None` at rate 1, where every point is kept.
+    gaps: Option<Arc<GeometricGap>>,
     pos: usize,
-    /// Position (0-based) of the next point to keep.
-    next_keep: usize,
+    next: usize,
     kept: usize,
-    take_all: bool,
-    rng: rand::rngs::StdRng,
+    rng: StdRng,
 }
 
 impl StreamingSimpleRandom {
-    /// Creates the sampler; reproduces [`crate::SimpleRandomSampler`]
-    /// exactly for the same `(rate, seed)`.
+    /// Creates the sampler with the seed derivation of
+    /// [`crate::SimpleRandomSampler`].
     ///
     /// # Errors
     ///
     /// Returns `Err` for rates outside `(0, 1]`.
-    pub fn new(rate: f64, seed: u64) -> Result<Self, crate::bss::BssConfigError> {
+    pub fn new(rate: f64, seed: u64) -> Result<Self, BssConfigError> {
         if !(rate > 0.0 && rate <= 1.0) {
-            return Err(crate::bss::BssConfigError::new("rate must be in (0,1]"));
+            return Err(BssConfigError::new("rate must be in (0,1]"));
         }
-        let take_all = rate >= 1.0;
-        let mut s = StreamingSimpleRandom {
-            gaps: (!take_all).then(|| crate::sampler::GeometricGap::cached(rate)),
-            pos: 0,
-            next_keep: 0,
-            kept: 0,
-            take_all,
-            rng: rng_from_seed(derive_seed(seed, 0x51D0)),
-        };
-        if !s.take_all {
-            s.next_keep = s.draw_gap() - 1;
-        }
-        Ok(s)
+        Ok(StreamingSimpleRandom::start(rate, seed))
     }
 
-    /// Geometric(r) gap ≥ 1, identical arithmetic to the offline sampler.
-    fn draw_gap(&mut self) -> usize {
-        self.gaps
-            .as_ref()
-            .expect("gap table exists unless take_all")
-            .draw(&mut self.rng)
+    /// [`StreamingSimpleRandom::new`] for a rate known to be in
+    /// `(0, 1]`.
+    pub(crate) fn start(rate: f64, seed: u64) -> Self {
+        let mut s = StreamingSimpleRandom {
+            gaps: (rate < 1.0).then(|| GeometricGap::cached(rate)),
+            pos: 0,
+            next: 0,
+            kept: 0,
+            rng: rng_from_seed(derive_seed(seed, 0x51D0)),
+        };
+        s.next = s.gap() - 1;
+        s
+    }
+
+    /// The distance to the next kept point: a Geometric(r) gap ≥ 1, or
+    /// 1 at rate 1.
+    // Forced, as is `decide`: with two callers the inliner leaves both
+    // as calls in the slice driver's loop, one per kept point.
+    #[inline(always)]
+    fn gap(&mut self) -> usize {
+        match &self.gaps {
+            Some(gaps) => gaps.draw(&mut self.rng),
+            None => 1,
+        }
+    }
+}
+
+impl Schedule for StreamingSimpleRandom {
+    fn next(&self) -> usize {
+        self.next
+    }
+
+    #[inline(always)]
+    fn decide(&mut self, _value: f64) -> StreamDecision {
+        self.kept += 1;
+        let gap = self.gap();
+        self.next = self.next.saturating_add(gap);
+        StreamDecision::KeepNormal
     }
 }
 
@@ -315,19 +406,9 @@ impl StreamSampler for StreamingSimpleRandom {
         "streaming-simple-random"
     }
 
-    fn offer(&mut self, _value: f64) -> StreamDecision {
-        let keep = self.take_all || self.pos == self.next_keep;
-        if keep && !self.take_all {
-            let gap = self.draw_gap();
-            self.next_keep += gap;
-        }
+    fn offer(&mut self, value: f64) -> StreamDecision {
         self.pos += 1;
-        if keep {
-            self.kept += 1;
-            StreamDecision::KeepNormal
-        } else {
-            StreamDecision::Skip
-        }
+        offer_at(self.pos - 1, self, value)
     }
 
     fn position(&self) -> usize {
@@ -343,26 +424,30 @@ impl StreamSampler for StreamingSimpleRandom {
     }
 }
 
-/// Streaming Biased Systematic Sampling: the deployable form of the
-/// paper's sampler. When a normal sample exceeds the (possibly online-
-/// tuned) threshold, the positions of the `L` extras inside the current
-/// interval are scheduled and inspected as the stream reaches them.
+/// Biased Systematic Sampling, the paper's sampler (§V-C): systematic
+/// normal samples at `offset + j·C`; when one exceeds the (possibly
+/// online-tuned) threshold, the `L` extras at `t + k·C/(L+1)`,
+/// `k = 1…L`, are inspected and those above the threshold kept.
 ///
-/// Equivalent to [`crate::bss::BssSampler::sample_detailed`] given the
-/// same `(interval, policy, L, seed)`.
+/// Extras that collapse onto one position (C ≤ L) are inspected once.
+/// Every extra lies strictly before `t + C`, so the schedule needs only
+/// the trigger position `t` and the next extra's `k`.
 #[derive(Clone, Debug)]
 pub struct StreamingBss {
     interval: usize,
-    offset: usize,
-    l: usize,
+    pub(crate) l: usize,
     pos: usize,
-    threshold: f64,
-    frozen_threshold: f64,
+    next: usize,
+    /// Position of the current interval's normal sample.
+    normal: usize,
+    /// `k` of the current interval's next extra; above `L` when no
+    /// extra is left.
+    k: usize,
+    /// The threshold in force, set at each normal sample and frozen
+    /// for that interval's extras ("based on the same threshold").
+    pub(crate) threshold: f64,
     online: Option<OnlineTuning>,
     running: RunningStats,
-    /// Scheduled extra positions for the current interval (ascending;
-    /// consumed front to back).
-    pending: std::collections::VecDeque<usize>,
     normal_count: usize,
     qualified_count: usize,
     extras_inspected: usize,
@@ -380,27 +465,33 @@ impl StreamingBss {
         policy: ThresholdPolicy,
         l: usize,
         seed: u64,
-    ) -> Result<Self, crate::bss::BssConfigError> {
-        crate::bss::BssSampler::new(interval, policy)?;
+    ) -> Result<Self, BssConfigError> {
+        check_config(interval, policy)?;
+        Ok(StreamingBss::start(interval, policy, l, seed))
+    }
+
+    /// [`StreamingBss::new`] for a configuration known to be valid.
+    pub(crate) fn start(interval: usize, policy: ThresholdPolicy, l: usize, seed: u64) -> Self {
         let (threshold, online) = match policy {
             ThresholdPolicy::FixedAbsolute(a) => (a, None),
             ThresholdPolicy::RelativeToMean { epsilon, mean } => (epsilon * mean, None),
             ThresholdPolicy::Online(t) => (f64::INFINITY, Some(t)),
         };
-        Ok(StreamingBss {
+        let offset = (seed % interval as u64) as usize;
+        StreamingBss {
             interval,
-            offset: (seed % interval as u64) as usize,
             l,
             pos: 0,
+            next: offset,
+            normal: offset,
+            k: usize::MAX,
             threshold,
-            frozen_threshold: threshold,
             online,
             running: RunningStats::new(),
-            pending: std::collections::VecDeque::new(),
             normal_count: 0,
             qualified_count: 0,
             extras_inspected: 0,
-        })
+        }
     }
 
     /// Normal (systematic) samples kept so far.
@@ -420,11 +511,62 @@ impl StreamingBss {
 
     /// The paper's overhead metric so far (`L′/N`).
     pub fn overhead(&self) -> f64 {
-        if self.normal_count == 0 {
-            0.0
-        } else {
-            self.qualified_count as f64 / self.normal_count as f64
+        crate::bss::overhead(self.qualified_count, self.normal_count)
+    }
+
+    /// Schedules the position after `next`: the current interval's
+    /// next extra past it or, when none is left, the next interval's
+    /// normal sample.
+    #[inline]
+    fn schedule_next(&mut self) {
+        while self.k <= self.l {
+            let p = self.normal + self.k * self.interval / (self.l + 1);
+            self.k += 1;
+            if p > self.next {
+                self.next = p;
+                return;
+            }
         }
+        self.normal = self.normal.saturating_add(self.interval);
+        self.next = self.normal;
+    }
+}
+
+impl Schedule for StreamingBss {
+    fn next(&self) -> usize {
+        self.next
+    }
+
+    fn decide(&mut self, value: f64) -> StreamDecision {
+        let decision = if self.next == self.normal {
+            self.normal_count += 1;
+            self.running.push(value);
+            // Online: refresh a_th from the running mean of every kept
+            // sample once warmed up.
+            if let Some(t) = self.online {
+                self.threshold = if self.running.count() as usize >= t.n_pre {
+                    t.epsilon * self.running.mean()
+                } else {
+                    f64::INFINITY
+                };
+            }
+            // No extra is left from the last interval: k > L here.
+            if value > self.threshold {
+                self.k = 1;
+            }
+            StreamDecision::KeepNormal
+        } else {
+            self.extras_inspected += 1;
+            if value > self.threshold {
+                self.qualified_count += 1;
+                self.running.push(value);
+                StreamDecision::KeepQualified
+            } else {
+                StreamDecision::InspectOnly
+            }
+        };
+        self.schedule_next();
+        decision
     }
 }
 
@@ -434,54 +576,8 @@ impl StreamSampler for StreamingBss {
     }
 
     fn offer(&mut self, value: f64) -> StreamDecision {
-        let pos = self.pos;
         self.pos += 1;
-
-        // Scheduled extra?
-        if self.pending.front() == Some(&pos) {
-            self.pending.pop_front();
-            self.extras_inspected += 1;
-            if value > self.frozen_threshold {
-                self.qualified_count += 1;
-                self.running.push(value);
-                return StreamDecision::KeepQualified;
-            }
-            return StreamDecision::InspectOnly;
-        }
-
-        if pos % self.interval != self.offset {
-            return StreamDecision::Skip;
-        }
-
-        // Normal systematic sample. Arrival of the next normal sample
-        // cancels any extras left over from the previous interval (they
-        // were beyond the stream end in the offline formulation).
-        self.pending.clear();
-        self.normal_count += 1;
-        self.running.push(value);
-        if let Some(t) = self.online {
-            self.threshold = if self.running.count() as usize >= t.n_pre {
-                t.epsilon * self.running.mean()
-            } else {
-                f64::INFINITY
-            };
-        }
-        // Freeze the threshold for this interval's extras, mirroring the
-        // offline sampler ("based on the same threshold").
-        self.frozen_threshold = self.threshold;
-
-        if value > self.frozen_threshold && self.l > 0 {
-            let mut prev = pos;
-            for k in 1..=self.l {
-                let p = pos + k * self.interval / (self.l + 1);
-                if p <= prev || p >= pos + self.interval {
-                    continue;
-                }
-                prev = p;
-                self.pending.push_back(p);
-            }
-        }
-        StreamDecision::KeepNormal
+        offer_at(self.pos - 1, self, value)
     }
 
     fn position(&self) -> usize {
@@ -722,32 +818,52 @@ mod tests {
             fn all_streams_match_offline(
                 seed in 0u64..1000,
                 interval in 1usize..32,
-                n in 0usize..600,
+                n in 0usize..20_000,
             ) {
-                let vals = bursty(n.max(1) * interval); // full buckets
+                // Any length: the final bucket is partial unless C | n.
+                let vals = bursty(n);
                 // Systematic.
                 let off = SystematicSampler::new(interval).sample(&vals, seed);
                 let mut s = StreamingSystematic::new(interval, seed).unwrap();
-                let (idx, _) = collect(&mut s, &vals);
-                prop_assert_eq!(idx, off.indices());
-                // Stratified (full buckets only, by construction).
+                let (idx, kept) = collect(&mut s, &vals);
+                prop_assert_eq!(&idx, off.indices());
+                prop_assert_eq!(&kept, off.values());
+                // Simple random at rate 1/C.
+                let rate = 1.0 / interval as f64;
+                let off = SimpleRandomSampler::new(rate).sample(&vals, seed);
+                let mut s = StreamingSimpleRandom::new(rate, seed).unwrap();
+                let (idx, kept) = collect(&mut s, &vals);
+                prop_assert_eq!(&idx, off.indices());
+                prop_assert_eq!(&kept, off.values());
+                // Stratified: equal on every full bucket; the offline
+                // pick of a partial final bucket lies inside it.
+                let full = n - n % interval;
                 let off = StratifiedSampler::new(interval).sample(&vals, seed);
                 let mut s = StreamingStratified::new(interval, seed).unwrap();
                 let (idx, _) = collect(&mut s, &vals);
-                prop_assert_eq!(idx, off.indices());
-                // BSS with fixed threshold.
-                let off = BssSampler::new(interval, ThresholdPolicy::FixedAbsolute(50.0))
-                    .unwrap()
-                    .with_l(4)
-                    .sample_detailed(&vals, seed);
-                let mut s = StreamingBss::new(
-                    interval,
-                    ThresholdPolicy::FixedAbsolute(50.0),
-                    4,
-                    seed,
-                ).unwrap();
-                let (idx, _) = collect(&mut s, &vals);
-                prop_assert_eq!(idx, off.samples.indices());
+                let in_full = |i: &[usize]| i.iter().copied().filter(|&i| i < full).collect::<Vec<_>>();
+                prop_assert_eq!(in_full(&idx), in_full(off.indices()));
+                let partial = &off.indices()[in_full(off.indices()).len()..];
+                prop_assert_eq!(partial.len(), usize::from(full < n));
+                prop_assert!(partial.iter().all(|&i| (full..n).contains(&i)));
+                // BSS with a fixed threshold and with the online policy
+                // (its L derived from the trace length).
+                let online = ThresholdPolicy::Online(OnlineTuning {
+                    n_pre: 4,
+                    ..OnlineTuning::default()
+                });
+                for policy in [ThresholdPolicy::FixedAbsolute(50.0), online] {
+                    let offline = BssSampler::new(interval, policy).unwrap();
+                    let l = offline.effective_l(n);
+                    let off = offline.sample_detailed(&vals, seed);
+                    let mut s = StreamingBss::new(interval, policy, l, seed).unwrap();
+                    let (idx, kept) = collect(&mut s, &vals);
+                    prop_assert_eq!(&idx, off.samples.indices());
+                    prop_assert_eq!(&kept, off.samples.values());
+                    prop_assert_eq!(s.normal_count(), off.normal_count);
+                    prop_assert_eq!(s.qualified_count(), off.qualified_count);
+                    prop_assert_eq!(s.extras_inspected(), off.extras_inspected);
+                }
             }
         }
     }

@@ -1,10 +1,11 @@
 //! # sst-monitor — layered online monitoring with mergeable summaries
 //!
-//! Everything downstream of `sst-core::stream` used to be offline
-//! batch; this crate is the deployable counterpart: a push-based engine
-//! that multiplexes thousands of concurrent keyed streams (OD flows,
-//! link ids, 5-tuples) over the existing
-//! [`sst_core::stream::StreamSampler`] implementations and keeps, per
+//! `sst-core`'s samplers are one implementation each
+//! ([`sst_core::stream`]), which the offline reproduction drives over a
+//! slice; this crate is the deployable side: a push-based engine that
+//! feeds them one point at a time, multiplexing thousands of concurrent
+//! keyed streams (OD flows, link ids, 5-tuples) over
+//! [`sst_core::stream::StreamSampler`]s, and keeps, per
 //! stream and with bounded memory, Welford moments, a mergeable
 //! reservoir, online dyadic variance-time Hurst state, and
 //! tail-exceedance counters.

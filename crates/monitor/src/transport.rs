@@ -565,10 +565,11 @@ enum SessionEnd {
 
 /// What every loop of one serve run shares: the completion count, the
 /// stop/timeout flags, the idle clock, the id-admission registry, the
-/// session-token allocator, and one wake pipe per worker so a loop
+/// session-token allocator, one wake pipe per worker so a loop
 /// blocked in `epoll_wait` can be nudged (for a handed-off session or
-/// a stop). A standalone [`EventLoopServer`] owns a private one, so
-/// each stop condition has one code path.
+/// a stop), and the dispatcher's wake pipe, nudged when a worker exits
+/// or a stop is requested. A standalone [`EventLoopServer`] owns a
+/// private one, so each stop condition has one code path.
 struct ServeShared {
     start: Instant,
     completed: AtomicUsize,
@@ -588,10 +589,13 @@ struct ServeShared {
     /// Workers whose `run()` returned (so the dispatcher does not wait
     /// for handoffs nobody will take).
     exited: AtomicUsize,
+    /// Write end of the dispatcher's wake pipe (none for a standalone
+    /// loop).
+    dispatcher_waker: Option<UnixStream>,
 }
 
 impl ServeShared {
-    fn new(wakers: Vec<UnixStream>) -> ServeShared {
+    fn new(wakers: Vec<UnixStream>, dispatcher_waker: Option<UnixStream>) -> ServeShared {
         ServeShared {
             start: Instant::now(),
             completed: AtomicUsize::new(0),
@@ -602,6 +606,7 @@ impl ServeShared {
             next_token: AtomicU64::new(TOKEN_BASE),
             wakers,
             exited: AtomicUsize::new(0),
+            dispatcher_waker,
         }
     }
 
@@ -615,6 +620,14 @@ impl ServeShared {
 
     fn wake_all(&self) {
         for mut w in &self.wakers {
+            let _ = w.write(&[1]);
+        }
+    }
+
+    /// Nudges the dispatcher out of its `epoll_wait` to recheck the
+    /// stop and exit flags.
+    fn wake_dispatcher(&self) {
+        if let Some(mut w) = self.dispatcher_waker.as_ref() {
             let _ = w.write(&[1]);
         }
     }
@@ -641,6 +654,7 @@ impl ServeShared {
         }
         self.stop.store(true, Ordering::SeqCst);
         self.wake_all();
+        self.wake_dispatcher();
     }
 
     fn stopped(&self) -> bool {
@@ -660,10 +674,25 @@ struct Intake {
     open: bool,
 }
 
+/// Swallows every pending byte of a wake pipe's read end. `Ok(false)`
+/// means EOF: every write end is gone.
+fn drain_wake(mut wake: &UnixStream) -> io::Result<bool> {
+    let mut buf = [0u8; 64];
+    loop {
+        match wake.read(&mut buf) {
+            Ok(0) => return Ok(false),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// A loop's token space: sessions get unique tokens from
 /// [`TOKEN_BASE`] up and the intake wake pipe takes the top value, so
 /// one `u64` names either. (The dispatcher's own epoll names listeners
-/// by index.)
+/// by index and its wake pipe by the top value too.)
 const TOKEN_WAKE: u64 = u64::MAX;
 
 /// First session token. Tokens only need to be unique and to stay
@@ -714,7 +743,8 @@ impl EventLoopServer {
     /// (pre-configure its compaction budget there) under the given
     /// stop conditions.
     pub fn new(agg: Aggregator, opts: ServeOptions) -> Self {
-        Self::with_shared(agg, opts, 0, Arc::new(ServeShared::new(Vec::new())), None)
+        let shared = Arc::new(ServeShared::new(Vec::new(), None));
+        Self::with_shared(agg, opts, 0, shared, None)
     }
 
     /// Loop `worker` of a serve run coordinated through `shared`.
@@ -863,22 +893,12 @@ impl EventLoopServer {
         let Some(intake) = self.intake.as_mut() else {
             return Ok(());
         };
-        let mut buf = [0u8; 64];
-        loop {
-            match intake.wake.read(&mut buf) {
-                Ok(0) => {
-                    // Every waker write end is gone (teardown): drop
-                    // out of the interest set or level-triggered epoll
-                    // would spin on the EOF.
-                    epoll.deregister(intake.wake.as_raw_fd())?;
-                    intake.open = false;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        if !drain_wake(&intake.wake)? {
+            // Every waker write end is gone (teardown): drop out of
+            // the interest set or level-triggered epoll would spin on
+            // the EOF.
+            epoll.deregister(intake.wake.as_raw_fd())?;
+            intake.open = false;
         }
         while let Some(intake) = self.intake.as_mut() {
             match intake.rx.try_recv() {
@@ -1177,6 +1197,10 @@ impl MultiLoopServer {
         for (i, l) in listeners.iter().enumerate() {
             epoll.register(l.as_raw_fd(), i as u64)?;
         }
+        let (dispatcher_waker, dispatcher_wake) = UnixStream::pair()?;
+        dispatcher_waker.set_nonblocking(true)?;
+        dispatcher_wake.set_nonblocking(true)?;
+        epoll.register(dispatcher_wake.as_raw_fd(), TOKEN_WAKE)?;
 
         let mut wakers = Vec::with_capacity(n);
         let mut intakes = Vec::with_capacity(n);
@@ -1194,7 +1218,7 @@ impl MultiLoopServer {
             });
             senders.push(tx);
         }
-        let shared = Arc::new(ServeShared::new(wakers));
+        let shared = Arc::new(ServeShared::new(wakers, Some(dispatcher_waker)));
         let mut workers: Vec<EventLoopServer> = aggs
             .into_iter()
             .zip(intakes)
@@ -1219,6 +1243,7 @@ impl MultiLoopServer {
                     scope.spawn(move || {
                         let res = server.run();
                         sh.exited.fetch_add(1, Ordering::SeqCst);
+                        sh.wake_dispatcher();
                         res
                     })
                 })
@@ -1232,7 +1257,8 @@ impl MultiLoopServer {
                 // through the shared clock.
                 Ok(())
             } else {
-                Self::dispatch(&listeners, &mut epoll, &senders, &shared, &opts, n)
+                let wake = &dispatcher_wake;
+                Self::dispatch(&listeners, wake, &mut epoll, &senders, &shared, &opts, n)
             };
             // Hang up the handoff queues — workers drain what is
             // queued, then see `Disconnected` and finish — and nudge
@@ -1282,9 +1308,12 @@ impl MultiLoopServer {
     /// The dispatcher loop: waits on the listeners, accepts, and deals
     /// connections round-robin to the workers. Also the idle-deadline
     /// authority of last resort — it re-checks the shared clock even
-    /// when every worker is parked on an empty loop.
+    /// when every worker is parked on an empty loop. It blocks until a
+    /// connection, a byte on `wake` (a worker exited or a stop was
+    /// requested) or the idle deadline.
     fn dispatch(
         listeners: &[Listener],
+        wake: &UnixStream,
         epoll: &mut Epoll,
         senders: &[mpsc::Sender<SessionStream>],
         shared: &ServeShared,
@@ -1297,8 +1326,6 @@ impl MultiLoopServer {
             if shared.stopped() || shared.exited.load(Ordering::SeqCst) >= n {
                 return Ok(());
             }
-            // Cap the wait so stop/exited flags are noticed within a
-            // tick even without a readiness event.
             let timeout_ms = match opts.accept_timeout {
                 Some(t) => {
                     let idle = shared.idle_for();
@@ -1306,15 +1333,23 @@ impl MultiLoopServer {
                         shared.request_stop(true);
                         return Ok(());
                     }
-                    (t - idle).as_millis().min(100) as i32 + 1
+                    // As in the worker loop: +1 against spinning,
+                    // clamped clear of the negative-means-infinite
+                    // encoding.
+                    (t - idle).as_millis().min(i32::MAX as u128 - 1) as i32 + 1
                 }
-                None => 100,
+                None => -1,
             };
             ready.clear();
             if epoll.wait(timeout_ms, &mut ready)? == 0 {
                 continue;
             }
             for &token in &ready {
+                if token == TOKEN_WAKE {
+                    // The flags are rechecked at the top of the loop.
+                    drain_wake(wake)?;
+                    continue;
+                }
                 let Some(listener) = listeners.get(token as usize) else {
                     continue;
                 };
@@ -1736,6 +1771,47 @@ mod tests {
             "must not block forever"
         );
         assert_eq!(aggs.collector_count(), 1);
+    }
+
+    #[test]
+    fn multi_loop_returns_when_its_sessions_end_not_at_the_deadline() {
+        // Both sessions end at once while the dispatcher is blocked in
+        // `epoll_wait` on a listener nobody connects to. The finishing
+        // worker's stop and the workers' exits wake it, so run()
+        // returns long before the 10 s idle deadline would.
+        let dir = std::env::temp_dir().join(format!("sst_mls_exit_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("socket dir");
+        let path = dir.join("quiet.sock");
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let points = keyed_points(6000, 12);
+        let mut server = MultiLoopServer::new(
+            (0..2).map(|_| Aggregator::new()).collect(),
+            ServeOptions {
+                collectors: 2,
+                accept_timeout: Some(Duration::from_secs(10)),
+            },
+        );
+        server.add_unix_listener(listener).expect("register");
+        for part in 0..2u64 {
+            let mine: Vec<_> = points
+                .iter()
+                .filter(|&&(k, _)| k % 2 == part)
+                .copied()
+                .collect();
+            server.add_session(loaded_stream(&session_bytes(part, &mine)));
+        }
+        let start = Instant::now();
+        let (aggs, report) = server.run().expect("serve");
+        let elapsed = start.elapsed();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(report.completed, 2);
+        assert!(!report.timed_out);
+        assert_eq!(aggs.collector_count(), 2);
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "run() returned {elapsed:?} after its sessions ended"
+        );
     }
 
     #[test]

@@ -163,6 +163,10 @@ pub trait SampleUniform: Sized {
 macro_rules! impl_sample_uniform_int {
     ($($t:ty => ($unsigned:ty, $large:ty, $wide:ty)),* $(,)?) => {$(
         impl SampleUniform for $t {
+            // A caller that draws once per sample (a stratified pick)
+            // must not pay a call for it wherever it draws from two
+            // sites.
+            #[inline]
             fn sample_inclusive<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
                 assert!(lo <= hi, "cannot sample from an empty range");
                 let range = (hi as $unsigned).wrapping_sub(lo as $unsigned).wrapping_add(1) as $large;

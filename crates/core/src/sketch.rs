@@ -16,13 +16,18 @@
 //! byte-identity guarantees the exact tier already provides.
 
 use crate::summary::MergeableSummary;
+use sst_stats::hash::U64Map;
 use sst_stats::rng::derive_seed;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Domain tag mixed into row-seed derivation so count-min row hashes
 /// never collide with other `derive_seed` users on the same base seed.
 const CM_ROW_TAG: u64 = 0x434d_524f_5753; // "CMROWS"
+
+/// Most rows a [`CountMinSketch`] holds (a snapshot decoder's bound
+/// too), so one key's cells fit a stack array.
+pub const MAX_DEPTH: usize = 16;
 
 /// A count-min sketch over `u64` keys with `u64` counts.
 ///
@@ -55,10 +60,11 @@ fn row_seeds(seed: u64, depth: usize) -> Vec<u64> {
 }
 
 impl CountMinSketch {
-    /// Creates a sketch with exactly `depth × width` cells; `width` is
-    /// rounded up to a power of two (minimum 16).
+    /// Creates a sketch with exactly `depth × width` cells; `depth` is
+    /// clamped to `1..=`[`MAX_DEPTH`] and `width` rounded up to a power
+    /// of two (minimum 16).
     pub fn new(depth: usize, width: usize, seed: u64) -> Self {
-        let depth = depth.max(1);
+        let depth = depth.clamp(1, MAX_DEPTH);
         let width = width.max(16).next_power_of_two();
         Self {
             width,
@@ -71,9 +77,10 @@ impl CountMinSketch {
     }
 
     /// Creates the widest `depth`-row sketch that fits in `bytes` of
-    /// cell storage (width rounded *down* to a power of two, min 16).
+    /// cell storage (width rounded *down* to a power of two, min 16;
+    /// `depth` clamped as in [`CountMinSketch::new`]).
     pub fn with_budget(bytes: usize, depth: usize, seed: u64) -> Self {
-        let depth = depth.max(1);
+        let depth = depth.clamp(1, MAX_DEPTH);
         let per_row = bytes / (8 * depth);
         let width = if per_row < 16 {
             16
@@ -110,7 +117,8 @@ impl CountMinSketch {
     }
 
     /// Rebuilds a sketch from codec-decoded parts. Returns `None` when
-    /// `cells.len() != depth × width` or `width` is not a power of two.
+    /// `cells.len() != depth × width`, `depth` is outside
+    /// `1..=`[`MAX_DEPTH`] or `width` is not a power of two.
     pub fn from_raw_parts(
         depth: usize,
         width: usize,
@@ -118,7 +126,7 @@ impl CountMinSketch {
         cells: Vec<u64>,
         total: u64,
     ) -> Option<Self> {
-        if depth == 0 || width == 0 || !width.is_power_of_two() {
+        if depth == 0 || depth > MAX_DEPTH || width == 0 || !width.is_power_of_two() {
             return None;
         }
         if cells.len() != depth.checked_mul(width)? {
@@ -141,11 +149,7 @@ impl CountMinSketch {
 
     /// Adds `count` to `key`'s cell in every row.
     pub fn increment(&mut self, key: u64, count: u64) {
-        for row in 0..self.depth {
-            let i = self.index(row, key);
-            self.cells[i] = self.cells[i].saturating_add(count);
-        }
-        self.total = self.total.saturating_add(count);
+        self.increment_if(key, count, |_| true);
     }
 
     /// Point estimate for `key`: the minimum cell over rows (never an
@@ -155,6 +159,27 @@ impl CountMinSketch {
             .map(|row| self.cells[self.index(row, key)])
             .min()
             .unwrap_or(0)
+    }
+
+    /// Shows `admit` the [`CountMinSketch::estimate`] for `key` and,
+    /// when it returns `true`, adds `count` to `key`'s cell in every
+    /// row, as [`CountMinSketch::increment`] would. One hash per row
+    /// serves both. Returns what `admit` returned.
+    pub fn increment_if(&mut self, key: u64, count: u64, admit: impl FnOnce(u64) -> bool) -> bool {
+        let mut cells = [0usize; MAX_DEPTH];
+        let cells = &mut cells[..self.depth];
+        for (row, cell) in cells.iter_mut().enumerate() {
+            *cell = self.index(row, key);
+        }
+        let estimate = cells.iter().map(|&i| self.cells[i]).min().unwrap_or(0);
+        if !admit(estimate) {
+            return false;
+        }
+        for &i in cells.iter() {
+            self.cells[i] = self.cells[i].saturating_add(count);
+        }
+        self.total = self.total.saturating_add(count);
+        true
     }
 
     /// Linear-counting estimate of the number of distinct keys seen,
@@ -212,16 +237,21 @@ impl MergeableSummary for CountMinSketch {
 /// present.
 ///
 /// The table is an indexed binary min-heap: fixed slots hold the
-/// entries, a keyed hash map finds a key's slot, and a heap of slot ids
+/// entries, a hash map finds a key's slot, and a heap of slot ids
 /// ordered by `(count, key)` keeps the victim at its root. Keys are
 /// unique, so that order is total and the victim is the same whatever
-/// the heap's layout. An increment is one hash probe and a sift-down
-/// (counts only grow); an eviction rewrites the root slot in place.
+/// the heap's layout. The map hashes with [`sst_stats::hash::KeyedU64`]
+/// under a random per-table key: adversarial keys cannot be picked to
+/// collide, and since the map is only ever probed, never iterated, no
+/// output depends on its layout. An increment is one hash probe and a
+/// sift-down (counts only grow); an eviction rewrites the root slot in
+/// place. [`SpaceSaving::offer_if`] serves a lookup and the offer that
+/// depends on it with that one probe.
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,
     /// key → slot id.
-    slot_of: HashMap<u64, u32>,
+    slot_of: U64Map<u32>,
     /// The entries; a slot is rewritten in place, never freed.
     slots: Vec<Slot>,
     /// Slot ids as a binary min-heap on `(count, key)`.
@@ -252,7 +282,7 @@ impl SpaceSaving {
         let capacity = capacity.max(4);
         Self {
             capacity,
-            slot_of: HashMap::with_capacity(capacity),
+            slot_of: U64Map::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
             heap: Vec::with_capacity(capacity),
             pos: Vec::with_capacity(capacity),
@@ -276,22 +306,41 @@ impl SpaceSaving {
 
     /// Offers `count` observations of `key`.
     pub fn offer(&mut self, key: u64, count: u64) {
+        self.offer_if(key, count, |_| true);
+    }
+
+    /// Shows `admit` the [`SpaceSaving::candidate`] pair for `key` and,
+    /// when it returns `true`, offers `count` observations of `key`, as
+    /// [`SpaceSaving::offer`] would. One table probe serves both.
+    /// Returns what `admit` returned.
+    pub fn offer_if(
+        &mut self,
+        key: u64,
+        count: u64,
+        admit: impl FnOnce(Option<(u64, u64)>) -> bool,
+    ) -> bool {
         let vacant = match self.slot_of.entry(key) {
             Entry::Occupied(e) => {
                 let slot = *e.get() as usize;
                 let s = &mut self.slots[slot];
+                if !admit(Some((s.count, s.err))) {
+                    return false;
+                }
                 s.count = s.count.saturating_add(count);
                 self.sift_down(self.pos[slot] as usize);
-                return;
+                return true;
             }
             Entry::Vacant(e) => e,
         };
+        if !admit(None) {
+            return false;
+        }
         if self.slots.len() < self.capacity {
             let id = u32::try_from(self.slots.len()).expect("capacity fits u32");
             vacant.insert(id);
             self.push_slot(Slot { count, key, err: 0 });
             self.sift_up(self.heap.len() - 1);
-            return;
+            return true;
         }
         // Deterministic victim: smallest count, then smallest key — the
         // heap's root. The newcomer takes over its slot.
@@ -305,6 +354,7 @@ impl SpaceSaving {
             err: victim.count,
         };
         self.sift_down(0);
+        true
     }
 
     /// Upper-bound count for `key`, or 0 if untracked.

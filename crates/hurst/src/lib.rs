@@ -42,7 +42,7 @@ pub mod wavelet;
 pub use acffit::AcfFitEstimator;
 pub use classic::{RsEstimator, VarianceTimeEstimator};
 pub use dfa::DfaEstimator;
-pub use online::{OnlineVarianceTime, ProjectionBank};
+pub use online::{OnlineVarianceTime, ProjectionBank, MAX_PROJECTIONS};
 pub use report::{EstimateError, HurstEstimate, Method};
 pub use spectral::{LocalWhittleEstimator, PeriodogramEstimator};
 pub use timedomain::{AbsoluteMomentEstimator, HiguchiEstimator, ResidualVarianceEstimator};

@@ -165,6 +165,12 @@ impl OnlineVarianceTime {
         OnlineVarianceTime { count, levels }
     }
 
+    /// Releases the level vector's spare capacity, as a clone would
+    /// hold none.
+    pub fn shrink_to_fit(&mut self) {
+        self.levels.shrink_to_fit();
+    }
+
     /// Number of dyadic levels currently held (including levels whose
     /// block-mean stats are still empty).
     pub fn level_count(&self) -> usize {
@@ -321,6 +327,21 @@ impl OnlineVarianceTime {
     }
 }
 
+/// Most cascades a [`ProjectionBank`] holds — a snapshot decoder's
+/// bound too — so a push keeps its per-cascade sums on the stack.
+pub const MAX_PROJECTIONS: usize = 16;
+
+/// Values a [`ProjectionBank`] level holds per cascade: its block-mean
+/// Welford mean, m2, min and max, then its carry sum.
+const FIELDS: usize = 5;
+
+/// Field indices within a level: field `f`'s `r` lanes start at `f · r`.
+const MEAN: usize = 0;
+const M2: usize = 1;
+const MIN: usize = 2;
+const MAX: usize = 3;
+const CARRY: usize = 4;
+
 /// A bank of `r` sign-projection variance-time cascades over a *keyed*
 /// stream — the sketch-tier counterpart of [`OnlineVarianceTime`].
 ///
@@ -337,23 +358,80 @@ impl OnlineVarianceTime {
 /// partitioned stream into mergeable state: [`ProjectionBank::merge_from`]
 /// pools the cascades level by level exactly as
 /// [`OnlineVarianceTime::merge_from`] does.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// ## Lockstep layout
+///
+/// Every cascade sees every value, so all `r` share one count, and
+/// therefore one binary-counter carry pattern and one completed-block
+/// count per level: a push closes the same levels in each. The bank
+/// stores the cascades interleaved, level by level — per level one
+/// block count, one carry bit, and `r` lanes each of Welford mean, m2,
+/// min, max and carry sum, field by field — and a push computes the
+/// `r` signs once, then climbs the levels once, updating every lane of
+/// a level together. Each lane's operations are those of
+/// [`OnlineVarianceTime::push`] (and [`RunningStats::push`]) fed
+/// `σ_j(key) · value`, in the same order, so cascade `j`
+/// ([`ProjectionBank::cascades`]) is bit for bit that cascade. Cascades
+/// that do not share count, level count, block counts and carry
+/// pattern are no bank: [`ProjectionBank::from_raw_parts`] refuses
+/// them.
+#[derive(Clone, Debug)]
 pub struct ProjectionBank {
     seed: u64,
     /// Cached `derive_seed(seed, j)` per cascade.
     cascade_seeds: Vec<u64>,
-    cascades: Vec<OnlineVarianceTime>,
+    /// Values absorbed (or merged in) — every cascade's count.
+    count: u64,
+    /// Bit `k` set: level `k` holds a carry sum in every cascade. Bits
+    /// at and above the level count are clear.
+    carried: u64,
+    /// `blocks[k]`: completed level-`k` blocks, in every cascade.
+    blocks: Vec<u64>,
+    /// Level `k`'s `FIELDS · r` values from `k · FIELDS · r`: field
+    /// `f`'s lanes from `f · r` within the level, cascade `j` at lane
+    /// `j`. A carry lane is meaningful only while the level's bit in
+    /// `carried` is set.
+    lanes: Vec<f64>,
+}
+
+/// Banks are equal when their cascades are: carry lanes count only
+/// where a carry is held.
+impl PartialEq for ProjectionBank {
+    fn eq(&self, other: &Self) -> bool {
+        let r = self.len();
+        self.seed == other.seed
+            && r == other.len()
+            && self.count == other.count
+            && self.carried == other.carried
+            && self.blocks == other.blocks
+            && self
+                .lanes
+                .chunks_exact(FIELDS * r)
+                .zip(other.lanes.chunks_exact(FIELDS * r))
+                .enumerate()
+                .all(|(k, (a, b))| {
+                    let held = if self.carried >> k & 1 != 0 {
+                        FIELDS
+                    } else {
+                        CARRY
+                    };
+                    a[..held * r] == b[..held * r]
+                })
+    }
 }
 
 impl ProjectionBank {
-    /// Creates a bank of `r` cascades (min 1) whose signs derive from
-    /// `seed`.
+    /// Creates a bank of `r` cascades (clamped to
+    /// `1..=`[`MAX_PROJECTIONS`]) whose signs derive from `seed`.
     pub fn new(r: usize, seed: u64) -> Self {
-        let r = r.max(1);
+        let r = r.clamp(1, MAX_PROJECTIONS);
         ProjectionBank {
             seed,
             cascade_seeds: (0..r as u64).map(|j| derive_seed(seed, j)).collect(),
-            cascades: vec![OnlineVarianceTime::new(); r],
+            count: 0,
+            carried: 0,
+            blocks: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -364,50 +442,147 @@ impl ProjectionBank {
 
     /// Number of cascades in the bank.
     pub fn len(&self) -> usize {
-        self.cascades.len()
+        self.cascade_seeds.len()
     }
 
     /// True when no value has been absorbed (or merged in).
     pub fn is_empty(&self) -> bool {
-        self.cascades.iter().all(|c| c.count() == 0)
+        self.count == 0
     }
 
     /// Values absorbed so far (each value feeds every cascade once).
     pub fn count(&self) -> u64 {
-        self.cascades.first().map_or(0, |c| c.count())
+        self.count
+    }
+
+    /// Appends an empty level: every lane a fresh [`RunningStats`].
+    fn push_level(&mut self) {
+        let (_, mean, m2, min, max) = RunningStats::new().raw_parts();
+        self.blocks.push(0);
+        for fill in [mean, m2, min, max, 0.0] {
+            self.lanes.extend(std::iter::repeat_n(fill, self.len()));
+        }
     }
 
     /// Absorbs one keyed value: cascade `j` receives
     /// `σ_j(key) · value` with `σ_j(key) = ±1` from seed parity.
     pub fn push(&mut self, key: u64, value: f64) {
-        for (j, cascade) in self.cascades.iter_mut().enumerate() {
-            let sign = if derive_seed(self.cascade_seeds[j], key) & 1 == 0 {
+        let r = self.len();
+        let mut sums = [0.0; MAX_PROJECTIONS];
+        let sums = &mut sums[..r];
+        for (sum, &cascade_seed) in sums.iter_mut().zip(&self.cascade_seeds) {
+            let sign = if derive_seed(cascade_seed, key) & 1 == 0 {
                 1.0
             } else {
                 -1.0
             };
-            cascade.push(sign * value);
+            *sum = sign * value;
         }
+        self.count += 1;
+        // The climb of `OnlineVarianceTime::push`, every lane at once.
+        let mut scale = 1.0;
+        for k in 0..MAX_LEVELS {
+            if self.blocks.len() <= k {
+                self.push_level();
+            }
+            self.blocks[k] += 1;
+            let n = self.blocks[k] as f64;
+            let level = &mut self.lanes[k * FIELDS * r..(k + 1) * FIELDS * r];
+            let (mean, rest) = level.split_at_mut(r);
+            let (m2, rest) = rest.split_at_mut(r);
+            let (min, rest) = rest.split_at_mut(r);
+            let (max, carry) = rest.split_at_mut(r);
+            // `RunningStats::push` of `sum * scale` on every lane.
+            let welford = mean
+                .iter_mut()
+                .zip(m2.iter_mut())
+                .zip(min.iter_mut().zip(max));
+            for (((mean, m2), (min, max)), &sum) in welford.zip(sums.iter()) {
+                let x = sum * scale;
+                let delta = x - *mean;
+                *mean += delta / n;
+                *m2 += delta * (x - *mean);
+                *min = min.min(x);
+                *max = max.max(x);
+            }
+            let bit = 1u64 << k;
+            if self.carried & bit != 0 {
+                // Every sibling (earlier half) was waiting: each
+                // parent block is complete; carry its sum upward.
+                self.carried &= !bit;
+                for (sum, &first_half) in sums.iter_mut().zip(carry.iter()) {
+                    *sum += first_half;
+                }
+                scale *= 0.5;
+            } else {
+                self.carried |= bit;
+                carry.copy_from_slice(sums);
+                break;
+            }
+        }
+    }
+
+    /// Cascade `j`'s state at level `k`, as [`OnlineVarianceTime`]
+    /// holds a level.
+    fn lane(&self, k: usize, j: usize) -> (RunningStats, Option<f64>) {
+        let at = |field: usize| self.lanes[(k * FIELDS + field) * self.len() + j];
+        let stats =
+            RunningStats::from_raw_parts(self.blocks[k], at(MEAN), at(M2), at(MIN), at(MAX));
+        (stats, (self.carried >> k & 1 != 0).then(|| at(CARRY)))
     }
 
     /// The per-cascade states, for serialization.
-    pub fn cascades(&self) -> &[OnlineVarianceTime] {
-        &self.cascades
+    pub fn cascades(&self) -> Vec<OnlineVarianceTime> {
+        (0..self.len())
+            .map(|j| {
+                let levels = (0..self.blocks.len()).map(|k| self.lane(k, j)).collect();
+                OnlineVarianceTime::from_raw_parts(self.count, levels)
+            })
+            .collect()
     }
 
     /// Rebuilds a bank from codec-decoded cascades. Returns `None` on
-    /// an empty cascade list.
+    /// an empty cascade list, more than [`MAX_PROJECTIONS`] cascades or
+    /// more than 64 levels, and on cascades that disagree in count,
+    /// level count, any level's block count or carry pattern — no
+    /// sequence of pushes and merges makes such a bank.
     pub fn from_raw_parts(seed: u64, cascades: Vec<OnlineVarianceTime>) -> Option<Self> {
-        if cascades.is_empty() {
+        let (count, first) = cascades.first()?.raw_parts();
+        if cascades.len() > MAX_PROJECTIONS || first.len() > 64 {
             return None;
         }
-        Some(ProjectionBank {
-            seed,
-            cascade_seeds: (0..cascades.len() as u64)
-                .map(|j| derive_seed(seed, j))
-                .collect(),
-            cascades,
-        })
+        let lockstep = cascades.iter().all(|c| {
+            let (n, levels) = c.raw_parts();
+            n == count
+                && levels.len() == first.len()
+                && levels.iter().zip(first).all(|((s, carry), (f, f_carry))| {
+                    s.count() == f.count() && carry.is_some() == f_carry.is_some()
+                })
+        });
+        if !lockstep {
+            return None;
+        }
+        let mut bank = ProjectionBank::new(cascades.len(), seed);
+        let r = bank.len();
+        bank.count = count;
+        for (k, (stats, carry)) in first.iter().enumerate() {
+            bank.push_level();
+            bank.blocks[k] = stats.count();
+            bank.carried |= u64::from(carry.is_some()) << k;
+        }
+        for (j, c) in cascades.iter().enumerate() {
+            for (k, &(stats, carry)) in c.raw_parts().1.iter().enumerate() {
+                let (_, mean, m2, min, max) = stats.raw_parts();
+                let level = &mut bank.lanes[k * FIELDS * r..(k + 1) * FIELDS * r];
+                for (field, v) in [mean, m2, min, max, carry.unwrap_or(0.0)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    level[field * r + j] = v;
+                }
+            }
+        }
+        Some(bank)
     }
 
     /// Pools another bank's cascades into this one, level by level.
@@ -415,6 +590,8 @@ impl ProjectionBank {
     /// family); a mismatched bank is skipped entirely — a projection
     /// under a different sign family cannot be pooled meaningfully.
     /// An empty `other` is an identity; an empty `self` adopts `other`.
+    /// Carries stay as they were: `other`'s open partial blocks have no
+    /// sibling here to complete with.
     pub fn merge_from(&mut self, other: &ProjectionBank) {
         if other.is_empty() {
             return;
@@ -423,30 +600,44 @@ impl ProjectionBank {
             *self = other.clone();
             return;
         }
-        if self.seed != other.seed || self.cascades.len() != other.cascades.len() {
+        if self.seed != other.seed || self.len() != other.len() {
             return;
         }
-        for (mine, theirs) in self.cascades.iter_mut().zip(&other.cascades) {
-            mine.merge_from(theirs);
+        let r = self.len();
+        self.count += other.count;
+        while self.blocks.len() < other.blocks.len() {
+            self.push_level();
+        }
+        for k in 0..other.blocks.len() {
+            for j in 0..r {
+                let (mut mine, _) = self.lane(k, j);
+                mine.merge(&other.lane(k, j).0);
+                let (_, mean, m2, min, max) = mine.raw_parts();
+                let level = &mut self.lanes[k * FIELDS * r..(k + 1) * FIELDS * r];
+                for (field, v) in [mean, m2, min, max].into_iter().enumerate() {
+                    level[field * r + j] = v;
+                }
+            }
+            self.blocks[k] += other.blocks[k];
         }
     }
 
     /// Bounds every cascade at `max_levels` dyadic levels (see
     /// [`OnlineVarianceTime::prune_levels`]).
     pub fn prune_levels(&mut self, max_levels: usize) {
-        for c in &mut self.cascades {
-            c.prune_levels(max_levels);
-        }
+        let keep = max_levels.min(MAX_LEVELS);
+        self.lanes.truncate(keep * FIELDS * self.len());
+        self.blocks.truncate(keep);
+        self.carried &= (1u64 << keep) - 1;
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// Approximate in-memory footprint in bytes: what `r` separate
+    /// [`OnlineVarianceTime`]s would report, plus the bank's header and
+    /// seeds. The figure is nominal for the interleaved layout; it stays
+    /// because sketch compaction budgets around it.
     pub fn estimated_bytes(&self) -> usize {
-        48 + 8 * self.cascade_seeds.len()
-            + self
-                .cascades
-                .iter()
-                .map(|c| c.estimated_bytes())
-                .sum::<usize>()
+        let r = self.len();
+        48 + 8 * r + r * (8 + 48 + self.blocks.len() * (40 + 16))
     }
 
     /// The bank's Hurst estimate: the median over the cascades'
@@ -460,7 +651,7 @@ impl ProjectionBank {
     pub fn estimate(&self) -> Result<HurstEstimate, EstimateError> {
         let mut ok = Vec::new();
         let mut first_err = None;
-        for c in &self.cascades {
+        for c in self.cascades() {
             match c.estimate() {
                 Ok(e) => ok.push(e),
                 Err(e) => {
@@ -728,6 +919,197 @@ mod tests {
         let back = ProjectionBank::from_raw_parts(bank.seed(), bank.cascades().to_vec()).unwrap();
         assert_eq!(back, bank);
         assert!(ProjectionBank::from_raw_parts(13, Vec::new()).is_none());
+    }
+
+    /// Bit image of a whole cascade: its count and every level, each
+    /// NaN as one pattern. When an operation meets two NaNs, which
+    /// payload it returns is left open by Rust (the compiler may
+    /// commute an addition), so two separately compiled pushes agree on
+    /// NaN-ness, not on the payload. Every other bit must match,
+    /// signed zeros and infinities included.
+    type CascadeBits = (u64, Vec<(u64, u64, u64, u64, u64, Option<u64>)>);
+
+    fn cascade_bits(c: &OnlineVarianceTime) -> CascadeBits {
+        let nan = |bits: u64| {
+            if f64::from_bits(bits).is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                bits
+            }
+        };
+        let (count, levels) = c.raw_parts();
+        let levels = levels
+            .iter()
+            .map(|&(s, carry)| {
+                let (n, mean, m2, min, max, carry) = level_bits(&s, carry);
+                (n, nan(mean), nan(m2), nan(min), nan(max), carry.map(nan))
+            })
+            .collect();
+        (count, levels)
+    }
+
+    /// The bank's specification: `r` independent cascades, cascade `j`
+    /// fed `σ_j(key) · value` with `σ_j` the parity of
+    /// `derive_seed(derive_seed(seed, j), key)`.
+    struct SeparateCascades {
+        seed: u64,
+        cascades: Vec<OnlineVarianceTime>,
+    }
+
+    impl SeparateCascades {
+        fn new(r: usize, seed: u64) -> Self {
+            SeparateCascades {
+                seed,
+                cascades: vec![OnlineVarianceTime::new(); r],
+            }
+        }
+
+        fn push(&mut self, key: u64, value: f64) {
+            for (j, c) in self.cascades.iter_mut().enumerate() {
+                let odd = derive_seed(derive_seed(self.seed, j as u64), key) & 1 == 1;
+                c.push(if odd { -1.0 } else { 1.0 } * value);
+            }
+        }
+    }
+
+    /// Every level of every cascade, bit for bit, and the byte figure.
+    fn assert_bank_is(bank: &ProjectionBank, spec: &SeparateCascades, what: &str) {
+        let cascades = bank.cascades();
+        assert_eq!(cascades.len(), spec.cascades.len(), "{what}");
+        assert_eq!(bank.count(), spec.cascades[0].count(), "{what}");
+        for (j, (got, want)) in cascades.iter().zip(&spec.cascades).enumerate() {
+            assert_eq!(cascade_bits(got), cascade_bits(want), "{what}: cascade {j}");
+        }
+        let separate: usize = spec.cascades.iter().map(|c| c.estimated_bytes()).sum();
+        assert_eq!(
+            bank.estimated_bytes(),
+            48 + 8 * spec.cascades.len() + separate,
+            "{what}"
+        );
+    }
+
+    /// Keyed test streams over a few dozen keys. Family 0 stays finite
+    /// and tiny — signed zeros and subnormals, whose sums stay
+    /// subnormal — so every level keeps exact, comparable bits. Family
+    /// 1 sprinkles infinities, NaN payloads and ±1e308 through
+    /// ordinary values, so coarse levels overflow and go NaN.
+    fn wild_points(family: u8, n: usize, salt: u64) -> Vec<(u64, f64)> {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0ABC),
+            f64::from_bits(0xFFF8_0000_0000_1234),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::from_bits(1),
+            1e308,
+            -1e308,
+        ];
+        (0..n)
+            .map(|i| {
+                let key = derive_seed(salt, (i / 7) as u64 % 37);
+                let v = match (family, i % 97) {
+                    (0, 0) => -0.0,
+                    (0, 1) => 0.0,
+                    (0, r) => f64::from_bits(1 + r as u64) * if r % 3 == 0 { -1.0 } else { 1.0 },
+                    (_, r @ 0..=10) if i > 2000 => specials[r],
+                    _ => (i as f64 * 0.37).sin() * 100.0 + (i % 5) as f64,
+                };
+                (key, v)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn projection_bank_is_separate_cascades_bit_for_bit() {
+        let seed = 0x5EED;
+        for (family, r) in [0, 1]
+            .into_iter()
+            .flat_map(|f| [1, 2, 3, 4, 5, 8].map(|r| (f, r)))
+        {
+            let what = |step: &str| format!("family {family}, r={r}: {step}");
+            let points = |n, salt| wild_points(family, n, salt);
+            let mut bank = ProjectionBank::new(r, seed);
+            let mut spec = SeparateCascades::new(r, seed);
+            for (key, v) in points(6000, 1) {
+                bank.push(key, v);
+                spec.push(key, v);
+            }
+            assert_bank_is(&bank, &spec, &what("pushed"));
+
+            bank.prune_levels(5);
+            spec.cascades.iter_mut().for_each(|c| c.prune_levels(5));
+            assert_bank_is(&bank, &spec, &what("pruned"));
+            for (key, v) in points(1500, 2) {
+                bank.push(key, v);
+                spec.push(key, v);
+            }
+            assert_bank_is(&bank, &spec, &what("regrown"));
+
+            // Merge in a longer bank (more levels, other carries), then
+            // keep pushing over the merged carries.
+            let mut other = ProjectionBank::new(r, seed);
+            let mut other_spec = SeparateCascades::new(r, seed);
+            for (key, v) in points(20_000, 3) {
+                other.push(key, v);
+                other_spec.push(key, v);
+            }
+            bank.merge_from(&other);
+            for (mine, theirs) in spec.cascades.iter_mut().zip(&other_spec.cascades) {
+                mine.merge_from(theirs);
+            }
+            assert_bank_is(&bank, &spec, &what("merged"));
+            for (key, v) in points(777, 4) {
+                bank.push(key, v);
+                spec.push(key, v);
+            }
+            assert_bank_is(&bank, &spec, &what("pushed after merge"));
+
+            // The codec's round trip: cascades out, bank back.
+            let mut back = ProjectionBank::from_raw_parts(seed, bank.cascades()).unwrap();
+            assert_bank_is(&back, &spec, &what("round trip"));
+            for (key, v) in points(3000, 5) {
+                back.push(key, v);
+                spec.push(key, v);
+            }
+            assert_bank_is(&back, &spec, &what("pushed after round trip"));
+        }
+    }
+
+    #[test]
+    fn projection_bank_refuses_cascades_out_of_lockstep() {
+        let mut bank = ProjectionBank::new(3, 8);
+        for i in 0..1000u64 {
+            bank.push(i % 5, (i % 13) as f64);
+        }
+        let good = bank.cascades();
+        assert!(ProjectionBank::from_raw_parts(8, good.clone()).is_some());
+        let mut shifted = good.clone();
+        shifted[1].push(1.0); // count and carry pattern both move
+        assert!(ProjectionBank::from_raw_parts(8, shifted).is_none());
+        let mut recounted = good.clone();
+        let (count, levels) = recounted[2].raw_parts();
+        recounted[2] = OnlineVarianceTime::from_raw_parts(count + 2, levels.to_vec());
+        assert!(ProjectionBank::from_raw_parts(8, recounted).is_none());
+        let mut uncarried = good.clone();
+        let (count, levels) = uncarried[0].raw_parts();
+        let levels = levels.iter().map(|&(s, _)| (s, None)).collect();
+        uncarried[0] = OnlineVarianceTime::from_raw_parts(count, levels);
+        assert!(ProjectionBank::from_raw_parts(8, uncarried).is_none());
+        let mut reblocked = good.clone();
+        let (count, levels) = reblocked[1].raw_parts();
+        let mut levels = levels.to_vec();
+        let (n, mean, m2, min, max) = levels[2].0.raw_parts();
+        levels[2].0 = RunningStats::from_raw_parts(n + 1, mean, m2, min, max);
+        reblocked[1] = OnlineVarianceTime::from_raw_parts(count, levels);
+        assert!(ProjectionBank::from_raw_parts(8, reblocked).is_none());
+        let mut pruned = good.clone();
+        pruned[0].prune_levels(3);
+        assert!(ProjectionBank::from_raw_parts(8, pruned).is_none());
+        let many = vec![good[0].clone(); MAX_PROJECTIONS + 1];
+        assert!(ProjectionBank::from_raw_parts(8, many).is_none());
     }
 
     /// Reference cascade: parallel stats and carry vectors, each block

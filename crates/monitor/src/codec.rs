@@ -21,10 +21,10 @@ use crate::summary::{
     ReservoirPatch, ReservoirSnapshot, SummaryPatch, SummarySnapshot, TailCounter,
 };
 use bytes::{Buf, BufMut, Bytes};
-use sst_core::sketch::CountMinSketch;
+use sst_core::sketch::{CountMinSketch, MAX_DEPTH};
 use sst_core::stream::SamplerSnapshot;
 use sst_hurst::online::{CascadePatch, OnlineVarianceTime};
-use sst_hurst::ProjectionBank;
+use sst_hurst::{ProjectionBank, MAX_PROJECTIONS};
 use sst_stats::RunningStats;
 use std::fmt;
 use std::sync::Arc;
@@ -280,7 +280,7 @@ fn put_sketch(buf: &mut Vec<u8>, sk: &SketchSnapshot) {
     // Sign-projection cascades.
     buf.put_u64_le(sk.projections.seed());
     buf.put_u64_le(sk.projections.len() as u64);
-    for cascade in sk.projections.cascades() {
+    for cascade in &sk.projections.cascades() {
         put_cascade(buf, cascade);
     }
     buf.put_u64_le(sk.promotions);
@@ -307,7 +307,7 @@ fn get_sketch(
     let width = usize_len(buf.get_u64_le(), "sketch width")?;
     let cm_seed = buf.get_u64_le();
     let cm_total = buf.get_u64_le();
-    if depth == 0 || depth > 16 || !width.is_power_of_two() || width > (1 << 26) {
+    if depth == 0 || depth > MAX_DEPTH || !width.is_power_of_two() || width > (1 << 26) {
         return Err(SnapshotCodecError::Corrupt("count-min geometry"));
     }
     let n_cells = depth * width;
@@ -348,7 +348,7 @@ fn get_sketch(
     }
     let proj_seed = buf.get_u64_le();
     let n_proj = usize_len(buf.get_u64_le(), "projection count")?;
-    if n_proj == 0 || n_proj > 16 {
+    if n_proj == 0 || n_proj > MAX_PROJECTIONS {
         return Err(SnapshotCodecError::Corrupt("projection count"));
     }
     let mut cascades = Vec::with_capacity(n_proj);

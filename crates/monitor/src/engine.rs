@@ -277,11 +277,9 @@ impl MonitorEngine {
             return decision;
         }
         if self.shards.stream_count() >= tier.max_exact() {
-            if !tier.would_promote(key) {
-                tier.absorb(key, value);
+            if !tier.route(key, value) {
                 return StreamDecision::KeepNormal;
             }
-            tier.note_promoted();
             self.demote_coldest();
         }
         self.shards.offer(&self.config, key, value, tick)
@@ -305,7 +303,7 @@ impl MonitorEngine {
         if let Some((_, _, key)) = victim {
             if let Some(state) = self.shards.remove(key) {
                 self.lifecycle
-                    .retire(state.entry(key), &self.config.lifecycle);
+                    .retire(state.into_entry(key), &self.config.lifecycle);
                 self.tier
                     .as_mut()
                     .expect("demotion implies tiering")

@@ -43,8 +43,8 @@ use sst_core::stream::{
     SamplerSnapshot, StreamDecision, StreamSampler, StreamingBss, StreamingSimpleRandom,
     StreamingStratified, StreamingSystematic,
 };
+use sst_stats::hash::U64Map;
 use sst_stats::rng::derive_seed;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Domain-separation tag for shard routing.
@@ -224,6 +224,17 @@ impl StreamState {
             summary: self.summary.snapshot(),
         }
     }
+
+    /// The final entry of a stream that retires under `key`: what
+    /// [`StreamState::entry`] returns, built from the state it consumes
+    /// (see [`StreamSummary::into_snapshot`]).
+    pub(crate) fn into_entry(self, key: u64) -> StreamEntry {
+        StreamEntry {
+            key,
+            sampler: self.sampler.snapshot(),
+            summary: self.summary.into_snapshot(),
+        }
+    }
 }
 
 /// Lists `key` on the dirty list on its stream's first point of the
@@ -240,7 +251,7 @@ fn mark_touched(state: &mut StreamState, epoch: u64, dirty: &mut Vec<u64>, key: 
 /// since the last flush when dirty tracking is on.
 #[derive(Default)]
 pub(crate) struct Shard {
-    pub(crate) streams: HashMap<u64, StreamState>,
+    pub(crate) streams: U64Map<StreamState>,
     /// The engine's tail ladder, which every stream's tail counter
     /// shares.
     ladder: Arc<[f64]>,
@@ -343,9 +354,11 @@ struct Grouping {
     /// Memo slot → a recent group id. Checked against `keys`, so a
     /// stale id (from an earlier pass) is just a miss.
     memo: Vec<u32>,
-    /// The pass's key → group id index, consulted on a memo miss
-    /// (std's keyed hasher, as the stream table itself uses).
-    index: HashMap<u64, u32>,
+    /// The pass's key → group id index, consulted on a memo miss. Its
+    /// hasher is keyed with a random per-table key, as the stream
+    /// table's is, so keys picked to collide in the memo cannot also
+    /// be picked to collide here.
+    index: U64Map<u32>,
     /// Group id → key.
     keys: Vec<u64>,
     /// Group id → index in the pass of the group's last point.
@@ -363,7 +376,7 @@ impl Default for Grouping {
     fn default() -> Self {
         Grouping {
             memo: vec![0; MEMO_SLOTS],
-            index: HashMap::new(),
+            index: U64Map::default(),
             keys: Vec::new(),
             last: Vec::new(),
             ends: Vec::new(),
@@ -459,9 +472,13 @@ impl ShardSet {
         }
     }
 
-    /// The shard a key routes to.
+    /// The shard a key routes to. With one shard that is shard 0, and
+    /// the key's hash and its remainder are skipped.
     pub(crate) fn shard_index(&self, key: u64) -> usize {
-        (derive_seed(SHARD_TAG, key) % self.shards.len() as u64) as usize
+        match self.shards.len() {
+            1 => 0,
+            n => (derive_seed(SHARD_TAG, key) % n as u64) as usize,
+        }
     }
 
     /// Offers one point of stream `key` at engine tick `tick`.

@@ -169,16 +169,13 @@ impl LifecycleState {
         victims.sort_unstable_by_key(|&(_, k)| k);
         victims.dedup_by_key(|&mut (_, k)| k);
         for (_, key) in victims {
-            let state = shards.remove(key).expect("victim key is live");
-            let mut summary = state.summary.snapshot();
+            let mut entry = shards
+                .remove(key)
+                .expect("victim key is live")
+                .into_entry(key);
             if let Some(budget) = config.compact_budget {
-                summary.compact(budget);
+                entry.summary.compact(budget);
             }
-            let entry = StreamEntry {
-                key,
-                sampler: state.sampler.snapshot(),
-                summary,
-            };
             self.evicted += 1;
             if config.retain_evicted {
                 // Standalone engine: the retired store *is* the record

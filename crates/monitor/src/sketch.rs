@@ -33,6 +33,20 @@
 //! arrival order and seed-derived hashes, so tiered snapshots stay
 //! bit-for-bit identical across shard counts.
 //!
+//! ## One pass per sketched point
+//!
+//! A point of a key without a live stream costs the exact tier one
+//! missed table probe, then one pass through the tier
+//! (`SketchTier::route`): the key's count-min cells are hashed once
+//! and serve both the promotion estimate and the increment, one
+//! SpaceSaving probe serves both the guaranteed-count check and the
+//! offer, and the projection bank climbs its cascades in lockstep —
+//! the `r` signs computed once, every cascade's lane of a level
+//! updated together (see [`ProjectionBank`]). The routing decisions,
+//! count-min cells and candidate table are those of separate lookups,
+//! and every cascade is bit for bit a separate `OnlineVarianceTime`,
+//! so no snapshot or wire byte depends on the fusion.
+//!
 //! ## What stays exact
 //!
 //! Totals are sacred, exactly as in [`Compactable`]: the tier counts
@@ -161,8 +175,14 @@ impl SketchTier {
         self.max_exact
     }
 
-    /// Whether the arriving point for an *unadmitted* `key` should
-    /// trigger promotion. Two independent signals must agree:
+    /// Routes the arriving point of an *unadmitted* `key`: returns
+    /// `true` when the key is promoted — the tier then holds nothing of
+    /// the point, which the caller gives to the exact tier — and
+    /// otherwise absorbs the point (exact counters, aggregate summary,
+    /// projections, and the per-key frequency structures) and returns
+    /// `false`.
+    ///
+    /// Promotion needs two independent signals to agree:
     ///
     /// * the count-min estimate (plus this point) reaches the
     ///   threshold — never under-counts, but hash collisions
@@ -176,35 +196,35 @@ impl SketchTier {
     /// The conjunction keeps count-min's no-false-negative promotion
     /// latency for genuinely hot keys while filtering the collision
     /// promotions that waste exact-tier slots (and force demotions).
-    pub(crate) fn would_promote(&self, key: u64) -> bool {
-        if self.max_exact == 0 || self.cm.estimate(key).saturating_add(1) < self.promote_after {
-            return false;
+    ///
+    /// The key is located once per structure: its count-min cells serve
+    /// both the estimate and the increment, and one SpaceSaving probe
+    /// serves both the candidate check and the offer.
+    pub(crate) fn route(&mut self, key: u64, value: f64) -> bool {
+        let (max_exact, promote_after) = (self.max_exact, self.promote_after);
+        let absorbed = self.cm.increment_if(key, 1, |estimate| {
+            let hot = max_exact > 0 && estimate.saturating_add(1) >= promote_after;
+            self.heavy.offer_if(key, 1, |candidate| {
+                let (count, err) = candidate.unwrap_or((0, 0));
+                !hot || count.saturating_sub(err).saturating_add(1) < promote_after
+            })
+        });
+        if !absorbed {
+            self.promotions += 1;
+            return true;
         }
-        let (count, err) = self.heavy.candidate(key).unwrap_or((0, 0));
-        count.saturating_sub(err).saturating_add(1) >= self.promote_after
-    }
-
-    /// Absorbs one sketched point: exact counters, aggregate summary,
-    /// projections, and the per-key frequency structures.
-    pub(crate) fn absorb(&mut self, key: u64, value: f64) {
         self.sampler.offered += 1;
         self.sampler.kept += 1;
         self.sampler.inspected += 1;
         self.summary.push(value);
         self.projections.push(key, value);
-        self.cm.increment(key, 1);
-        self.heavy.offer(key, 1);
+        false
     }
 
     /// Records a demotion (the victim's final retired through the
     /// lifecycle store; see [`crate::MonitorEngine`]).
     pub(crate) fn note_demoted(&mut self) {
         self.demotions += 1;
-    }
-
-    /// Records a promotion (the key's future points go exact).
-    pub(crate) fn note_promoted(&mut self) {
-        self.promotions += 1;
     }
 
     /// Compacts the tier's variable-size state (the aggregate summary)
@@ -387,7 +407,7 @@ mod tests {
                 .sketch_bytes(1 << 14),
         );
         for i in 0..5000u64 {
-            tier.absorb(i % 97, (i % 11) as f64 + 1.0);
+            tier.route(i % 97, (i % 11) as f64 + 1.0);
         }
         let snap = tier.snapshot();
         assert!(!snap.is_empty());
@@ -399,6 +419,93 @@ mod tests {
         assert_eq!(empty, snap);
     }
 
+    /// Routing with a lookup per question, as the tier routed before
+    /// `SketchTier::route` shared them: count-min `estimate` and then
+    /// `increment`, SpaceSaving `candidate` and then `offer`.
+    struct SeparateLookups {
+        max_exact: usize,
+        promote_after: u64,
+        cm: CountMinSketch,
+        heavy: SpaceSaving,
+    }
+
+    impl SeparateLookups {
+        fn would_promote(&self, key: u64) -> bool {
+            if self.max_exact == 0 || self.cm.estimate(key).saturating_add(1) < self.promote_after {
+                return false;
+            }
+            let (count, err) = self.heavy.candidate(key).unwrap_or((0, 0));
+            count.saturating_sub(err).saturating_add(1) >= self.promote_after
+        }
+
+        fn route(&mut self, key: u64) -> bool {
+            if self.would_promote(key) {
+                return true;
+            }
+            self.cm.increment(key, 1);
+            self.heavy.offer(key, 1);
+            false
+        }
+    }
+
+    #[test]
+    fn shared_lookups_route_like_separate_ones() {
+        let config = MonitorConfig::default()
+            .seed(17)
+            .max_exact_keys(8)
+            .sketch_bytes(1 << 14)
+            .promote_after(16);
+        let mut tier = SketchTier::new(&config);
+        let mut separate = SeparateLookups {
+            max_exact: tier.max_exact,
+            promote_after: tier.promote_after,
+            cm: tier.cm.clone(),
+            heavy: tier.heavy.clone(),
+        };
+        // The engine's side, reduced to a key set: first-sight admission
+        // below the cap, and a promotion demotes the smallest key.
+        let mut exact = std::collections::BTreeSet::new();
+        // Points count-min calls hot and SpaceSaving's guaranteed count
+        // vetoes: the path where the two lookups' answers combine.
+        let (mut promoted, mut absorbed, mut vetoed) = (0, 0, 0);
+        for i in 0..60_000u64 {
+            // One-shot keys, 24 hot keys (three times the exact cap),
+            // and warm keys that come and go.
+            let key = match i % 4 {
+                0 => (1 << 40) | i,
+                1 | 2 => derive_seed(3, (i / 2) % 24),
+                _ => derive_seed(5, i / 400),
+            };
+            if exact.contains(&key) {
+                continue;
+            }
+            if exact.len() < tier.max_exact() {
+                exact.insert(key);
+                continue;
+            }
+            let cm_hot = separate.cm.estimate(key) + 1 >= separate.promote_after;
+            let fused = tier.route(key, (i % 11) as f64);
+            vetoed += u64::from(cm_hot && !fused);
+            assert_eq!(fused, separate.route(key), "point {i}, key {key}");
+            assert_eq!(tier.cm.cells(), separate.cm.cells(), "point {i}");
+            assert_eq!(tier.cm.total(), separate.cm.total(), "point {i}");
+            assert_eq!(tier.heavy.entries(), separate.heavy.entries(), "point {i}");
+            if fused {
+                promoted += 1;
+                exact.pop_first();
+                exact.insert(key);
+            } else {
+                absorbed += 1;
+            }
+        }
+        assert!(
+            promoted > 1000 && absorbed > 10_000 && vetoed > 1000,
+            "{promoted} promoted, {absorbed} absorbed, {vetoed} vetoed"
+        );
+        assert_eq!(tier.promotions, promoted);
+        assert_eq!(tier.sampler.offered, absorbed);
+    }
+
     #[test]
     fn merge_preserves_totals_and_cm_exactness() {
         let config = MonitorConfig::default().max_exact_keys(0).seed(5);
@@ -407,11 +514,11 @@ mod tests {
         let mut b = SketchTier::new(&config);
         for i in 0..20_000u64 {
             let (k, v) = (i % 331, (i % 7) as f64);
-            whole.absorb(k, v);
+            whole.route(k, v);
             if k % 2 == 0 {
-                a.absorb(k, v);
+                a.route(k, v);
             } else {
-                b.absorb(k, v);
+                b.route(k, v);
             }
         }
         let mut merged = a.snapshot();
@@ -434,7 +541,7 @@ mod tests {
                 .sketch_bytes(1 << 14),
         );
         for i in 0..50_000u64 {
-            tier.absorb(i, 2.0);
+            tier.route(i, 2.0);
         }
         let before = tier.snapshot();
         let mut compacted = before.clone();

@@ -519,6 +519,46 @@ fn tiered_bytes_match_pinned_digests() {
     }
 }
 
+#[test]
+fn eight_table_keys_one_snapshot() {
+    // Every stream table, grouping index and SpaceSaving table draws
+    // its own random hash key, so eight engines alive at once lay the
+    // same keys out eight ways. No byte may depend on that layout,
+    // whatever the shard count.
+    let config = |shards| {
+        tiered(16)
+            .seed(3)
+            .shards(shards)
+            .sketch_bytes(1 << 14)
+            .promote_after(24)
+            .evict_idle_after(20_000)
+            .compact_budget(768)
+            .sweep_every(2_000)
+    };
+    let pts = churn_points(3);
+    let mut engines: Vec<MonitorEngine> = [1usize, 2, 8, 1, 2, 8, 1, 2]
+        .into_iter()
+        .map(|shards| MonitorEngine::new(config(shards)))
+        .collect();
+    for chunk in pts.chunks(2_000) {
+        for engine in &mut engines {
+            engine.offer_batch(chunk);
+        }
+    }
+    assert!(engines[0].tier_stats().unwrap().promotions >= 100);
+    let bytes: Vec<Vec<u8>> = engines
+        .iter()
+        .map(|e| encode_snapshot(&e.full_snapshot()).to_vec())
+        .collect();
+    for (i, b) in bytes.iter().enumerate() {
+        assert!(
+            *b == bytes[0],
+            "engine {i} ({} shards) differs",
+            engines[i].config().n_shards
+        );
+    }
+}
+
 /// OD-keyed packet sizes (40..1500 B, many repeats) from a short
 /// Bell-Labs-like trace: thousands of points per busy key.
 fn steady_points(seed: u64) -> Vec<(u64, f64)> {

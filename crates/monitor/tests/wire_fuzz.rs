@@ -9,8 +9,8 @@ use sst_monitor::topology::SeqOutcome;
 use sst_monitor::wire::{encode_frame_seq, HelloResume, SeqFrame};
 use sst_monitor::{
     decode_frames, decode_snapshot, diff_entry, encode_frame, encode_snapshot, Aggregator,
-    EngineSnapshot, Frame, FrameDecoder, MonitorConfig, MonitorEngine, SamplerSpec, StreamDiff,
-    WIRE_VERSION,
+    EngineSnapshot, Frame, FrameDecoder, MonitorConfig, MonitorEngine, SamplerSpec,
+    SnapshotCodecError, StreamDiff, WIRE_VERSION,
 };
 use std::sync::OnceLock;
 
@@ -106,6 +106,57 @@ fn valid_sketch_stream() -> Vec<u8> {
             Frame::Bye,
         ],
     )
+}
+
+/// A sketch image whose projection cascades disagree in count is no
+/// bank a sequence of pushes and merges could make: the snapshot
+/// decoder refuses it, in a `.ssm` file and inside a frame, and never
+/// panics on it.
+#[test]
+fn sketch_cascades_out_of_lockstep_decode_to_an_error() {
+    let mut engine = MonitorEngine::new(
+        MonitorConfig::default()
+            .seed(2)
+            .max_exact_keys(4)
+            .sketch_bytes(1 << 12),
+    );
+    for i in 0..5_000u64 {
+        engine.offer(i % 64, (i % 31) as f64);
+    }
+    let snap = engine.full_snapshot();
+    let bytes = encode_snapshot(&snap).to_vec();
+    assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
+    // The section ends with the cascades, then promotions and
+    // demotions (8 B each). Every cascade has the same encoded length,
+    // so the last one starts one cascade length before those.
+    let cascades = snap.sketch().unwrap().projections.cascades();
+    assert!(cascades.len() >= 2);
+    let (_, levels) = cascades[0].raw_parts();
+    let carries = levels.iter().filter(|(_, c)| c.is_some()).count();
+    let cascade_len = 16 + 41 * levels.len() + 8 * carries;
+    let last = bytes.len() - 16 - cascade_len;
+    let count = u64::from_le_bytes(bytes[last..last + 8].try_into().unwrap());
+    assert_eq!(count, cascades[0].count(), "located the last cascade");
+    for bump in [1u64, u64::MAX] {
+        let mut bad = bytes.clone();
+        bad[last..last + 8].copy_from_slice(&count.wrapping_add(bump).to_le_bytes());
+        assert!(
+            matches!(
+                decode_snapshot(&bad),
+                Err(SnapshotCodecError::Corrupt("projection bank"))
+            ),
+            "count {count} + {bump}"
+        );
+        let mut framed = fresh_session(3, &[Frame::FullSnapshot(snap.clone())]);
+        let at = framed.len() - bytes.len();
+        assert_eq!(framed[at..], bytes[..], "the frame ends with the image");
+        framed[at..].copy_from_slice(&bad);
+        assert!(
+            decode_frames(&framed).is_err(),
+            "framed, count {count} + {bump}"
+        );
+        decode_every_way(&framed);
+    }
 }
 
 /// A representative bidirectional byte soup: a replay Hello,

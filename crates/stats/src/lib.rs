@@ -18,6 +18,7 @@
 //! * [`model`] — `R(τ) = τ^{-β}` autocorrelation model, H/β/α
 //!   conversions, Cochran's δτ.
 //! * [`rng`] — seeded RNG construction and seed derivation.
+//! * [`hash`] — a keyed hasher for `u64`-keyed tables.
 //! * [`ziggurat`] — transcendental-free standard-normal sampling for
 //!   the Monte-Carlo hot paths.
 //!
@@ -41,6 +42,7 @@ pub mod burst;
 pub mod describe;
 pub mod dist;
 pub mod ecdf;
+pub mod hash;
 pub mod model;
 pub mod rng;
 pub mod series;

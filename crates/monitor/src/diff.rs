@@ -20,9 +20,11 @@
 //! layer) in time proportional to what changed.
 //!
 //! Every diff names the baseline it applies to through a cheap integer
-//! [`BaseFingerprint`]; a mismatch (the receiver compacted, lost, or
-//! re-baselined its copy) fails [`apply_diff`] so the session degrades
-//! to a `Resync{from_seq}` re-baseline rather than corrupt state.
+//! [`BaseFingerprint`]; a mismatch (the receiver lost or re-baselined
+//! its copy, or the patch is corrupt) fails [`apply_diff`], and the
+//! session recovers through a `Resync{from_seq}` re-baseline rather
+//! than corrupt state. The aggregator never rewrites a live entry
+//! between frames, so on a clean link every diff finds its base.
 
 use crate::engine::StreamEntry;
 use crate::summary::SummaryPatch;
@@ -30,9 +32,9 @@ use crate::summary::SummaryPatch;
 /// Integer fingerprint of the baseline entry a [`StreamDiff`] applies
 /// to: the monotone counters plus the two compactable lengths. Any
 /// divergence between sender baseline and receiver live state — a
-/// missed frame, a server-side compaction, a restart — moves at least
-/// one of these, because every kept point advances the counters and
-/// compaction shrinks a length.
+/// missed frame, a restart — moves at least one of these, because
+/// every kept point advances the counters and compaction shrinks a
+/// length.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BaseFingerprint {
     /// Baseline's kept-sample (Welford) count.

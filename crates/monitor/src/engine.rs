@@ -7,7 +7,7 @@
 //! assembly in [`crate::topology`]. This module keeps the original
 //! single-process API ([`MonitorEngine::offer`] / `offer_batch` /
 //! `snapshot`) source-compatible while exposing the lifecycle surface
-//! (`full_snapshot`, `drain_evicted`, `maintain`).
+//! (`full_snapshot`, `maintain`).
 //!
 //! ## Determinism / merge-equivalence contract
 //!
@@ -101,12 +101,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Replaces the whole lifecycle policy.
-    pub fn lifecycle(mut self, l: LifecycleConfig) -> Self {
-        self.lifecycle = l;
-        self
-    }
-
     /// Evicts streams idle for at least `ticks` points.
     pub fn evict_idle_after(mut self, ticks: u64) -> Self {
         self.lifecycle.idle_after = Some(ticks);
@@ -131,13 +125,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Controls whether evicted finals are retained locally (see
-    /// [`LifecycleConfig::retain_evicted`]).
-    pub fn retain_evicted(mut self, keep: bool) -> Self {
-        self.lifecycle.retain_evicted = keep;
-        self
-    }
-
     /// Enables the sketch tier: at most `n` exact live streams, every
     /// further key absorbed by the fixed-memory sketch tier (see
     /// [`crate::sketch`]).
@@ -156,12 +143,6 @@ impl MonitorConfig {
     /// exact tier.
     pub fn promote_after(mut self, count: u64) -> Self {
         self.tier.promote_after = count;
-        self
-    }
-
-    /// Replaces the whole tier policy.
-    pub fn tier(mut self, t: TierConfig) -> Self {
-        self.tier = t;
         self
     }
 }
@@ -290,7 +271,7 @@ impl MonitorEngine {
     /// snapshot through the lifecycle store, exactly like an eviction.
     ///
     /// Demotion finals take the eviction path (retired store, or the
-    /// `Evicted` outbox in transport mode) rather than folding into the
+    /// `Evicted` outbox of a collector's engine) rather than folding into the
     /// sketch, so an aggregator that already holds the stream's last
     /// cumulative `Delta` entry replaces it instead of double-counting;
     /// the key's *future* points are what the sketch absorbs.
@@ -341,12 +322,20 @@ impl MonitorEngine {
         self.lifecycle.stats()
     }
 
+    /// Sends evicted and demoted finals to an outbox that
+    /// [`MonitorEngine::drain_evicted`] empties, instead of the retired
+    /// store: the engine's collector ships them as `Evicted` frames and
+    /// the aggregator owns them.
+    pub(crate) fn queue_evicted(&mut self) {
+        self.lifecycle.queue_evicted();
+    }
+
     /// Takes the final snapshots of streams evicted since the last
-    /// drain (transport collectors frame these as `Evicted`). Only
-    /// populated when `retain_evicted` is **off**; with it on (the
-    /// default) finals live in the retired store and are served by
+    /// drain, which a collector frames as `Evicted`. Empty unless
+    /// [`MonitorEngine::queue_evicted`] was called; a standalone
+    /// engine's finals live in the retired store and are served by
     /// [`MonitorEngine::full_snapshot`] instead.
-    pub fn drain_evicted(&mut self) -> Vec<StreamEntry> {
+    pub(crate) fn drain_evicted(&mut self) -> Vec<StreamEntry> {
         self.lifecycle.drain_evicted()
     }
 
@@ -438,9 +427,10 @@ impl MonitorEngine {
 
     /// The live snapshot plus every retained evicted final, merged
     /// per key (retired state first, then the live reincarnation).
-    /// With `retain_evicted` on, totals — offered/kept counters, tail
+    /// For a standalone engine, totals — offered/kept counters, tail
     /// totals, moment counts — are exactly what a never-evicting engine
-    /// would report.
+    /// would report; a collector's engine ships its finals instead and
+    /// retains none.
     pub fn full_snapshot(&self) -> EngineSnapshot {
         let live = self.snapshot();
         let mut entries: Vec<StreamEntry> = self.lifecycle.retired().cloned().collect();
@@ -798,5 +788,72 @@ mod tests {
         assert_eq!(plain.snapshot(), swept.snapshot());
         assert_eq!(swept.snapshot(), swept.full_snapshot());
         assert_eq!(swept.lifecycle_stats().evicted, 0);
+    }
+
+    #[test]
+    fn collector_engines_route_finals_to_the_outbox_instead() {
+        // A standalone engine retires its finals into the retired store
+        // and never fills the outbox; an engine switched to queueing (a
+        // collector's) holds the finals for the wire and no retired
+        // copy (full_snapshot == live snapshot).
+        for queue in [false, true] {
+            let mut engine = MonitorEngine::new(
+                MonitorConfig::default()
+                    .seed(9)
+                    .evict_idle_after(100)
+                    .sweep_every(50),
+            );
+            if queue {
+                engine.queue_evicted();
+            }
+            for i in 0..300u64 {
+                engine.offer(42, (i % 13) as f64);
+            }
+            for i in 0..300u64 {
+                engine.offer(7, i as f64);
+            }
+            engine.maintain();
+            if !queue {
+                assert!(engine.drain_evicted().is_empty(), "standalone: no outbox");
+                let full = engine.full_snapshot();
+                let final42 = full.streams().iter().find(|e| e.key == 42);
+                assert_eq!(final42.expect("retired final").sampler.offered, 300);
+                continue;
+            }
+            let finals = engine.drain_evicted();
+            let final42 = finals.iter().find(|e| e.key == 42).expect("outbox final");
+            assert_eq!(final42.sampler.offered, 300);
+            assert!(engine.drain_evicted().is_empty(), "drain takes everything");
+            assert_eq!(engine.full_snapshot(), engine.snapshot(), "nothing retired");
+        }
+    }
+
+    #[test]
+    fn a_second_sweep_without_points_compacts_nothing() {
+        // A compacted live summary stays above the budget by its
+        // nominal generator term, so the byte gate alone would compact
+        // every stream again at each sweep. A sweep after no new points
+        // must find nothing to drop and change no bit.
+        let budget = 768;
+        let mut engine = MonitorEngine::new(
+            MonitorConfig::default()
+                .sampler(SamplerSpec::SimpleRandom { rate: 0.5 })
+                .shards(2)
+                .seed(5)
+                .compact_budget(budget)
+                .sweep_every(u64::MAX),
+        );
+        engine.offer_batch(&points(50_000, 32));
+        let sweep = |e: &mut MonitorEngine| e.lifecycle.sweep(&e.config.lifecycle, &mut e.shards);
+        assert_eq!(sweep(&mut engine), 32, "every stream outgrew the budget");
+        let once = engine.snapshot();
+        let over = engine
+            .shards
+            .iter()
+            .filter(|(_, st)| st.summary.estimated_bytes() > budget)
+            .count();
+        assert_eq!(over, 32, "compacted summaries stay above the budget");
+        assert_eq!(sweep(&mut engine), 0, "nothing left to compact");
+        assert_eq!(engine.snapshot(), once);
     }
 }

@@ -133,8 +133,8 @@ pub(crate) struct StreamState {
     dirty_epoch: u64,
     /// The stream's last ship, set by a collector's seal
     /// ([`StreamState::mark_shipped`]). `None` on an engine that ships
-    /// nothing, for a stream never shipped, and once its collector has
-    /// stopped diffing — then pushes journal nothing.
+    /// nothing and for a stream never shipped — then pushes journal
+    /// nothing.
     ship: Option<Box<ShipRecord>>,
 }
 
@@ -157,10 +157,11 @@ impl StreamState {
     }
 
     /// Compacts the summary toward `budget_bytes` (see
-    /// [`StreamSummary::compact`]), journaling what it drops.
-    pub(crate) fn compact(&mut self, budget_bytes: usize) {
+    /// [`StreamSummary::compact`]), journaling what it drops. Returns
+    /// whether the compaction had anything to drop.
+    pub(crate) fn compact(&mut self, budget_bytes: usize) -> bool {
         let journal = self.ship.as_deref_mut().map(|s| &mut s.summary);
-        self.summary.compact_journaled(budget_bytes, journal);
+        self.summary.compact_journaled(budget_bytes, journal)
     }
 
     /// Ships the stream's current state under `key`: returns the diff
@@ -203,17 +204,6 @@ impl StreamState {
                 }));
             }
         }
-    }
-
-    /// Drops the ship record: the stream's next ship is cumulative.
-    pub(crate) fn forget_shipped(&mut self) {
-        self.ship = None;
-    }
-
-    /// Whether the stream keeps a ship record.
-    #[cfg(test)]
-    pub(crate) fn is_shipped(&self) -> bool {
-        self.ship.is_some()
     }
 
     /// The stream's cumulative entry under `key`.

@@ -12,15 +12,17 @@
 //!   the live table exceeds `max_streams`.
 //! * **Compaction** prunes each summary (reservoir items, coarse dyadic
 //!   Hurst levels — [`Compactable`]) toward `compact_budget` bytes so
-//!   steady-state per-stream memory amortizes below the budget.
+//!   steady-state per-stream memory amortizes below the budget. A live
+//!   summary that already holds no more than the budget's levels and
+//!   items is skipped: compacting it again would change nothing.
 //!
 //! An evicted stream emits a **final snapshot** — its cumulative
-//! [`StreamEntry`] at the moment of eviction. With `retain_evicted` on
-//! (the default, for standalone engines) finals fold into the local
-//! *retired* store that [`crate::MonitorEngine::full_snapshot`] serves
-//! back; with it off (transport mode) they queue in the *outbox* for a
-//! [`crate::topology::Collector`] to drain as `Evicted` frames —
-//! exactly one of the two holds each final, so neither standalone nor
+//! [`StreamEntry`] at the moment of eviction. A standalone engine folds
+//! its finals into the local *retired* store that
+//! [`crate::MonitorEngine::full_snapshot`] serves back; the engine a
+//! [`crate::topology::Collector`] owns queues them in the *outbox*
+//! instead, for the collector to drain as `Evicted` frames — exactly
+//! one of the two holds each final, so neither standalone nor
 //! collector engines double-store and an engine nobody drains never
 //! grows its outbox. Either way eviction never loses totals: offered/kept counters,
 //! tail totals, and moment counts of the full snapshot stay exactly
@@ -57,11 +59,6 @@ pub struct LifecycleConfig {
     pub compact_budget: Option<usize>,
     /// Ticks between maintenance sweeps (≥ 1).
     pub sweep_every: u64,
-    /// Keep evicted finals in the engine's retired store (so
-    /// `full_snapshot` stays total-exact). Collectors that forward
-    /// finals over the wire turn this off to avoid holding state the
-    /// aggregator already owns.
-    pub retain_evicted: bool,
 }
 
 impl Default for LifecycleConfig {
@@ -71,7 +68,6 @@ impl Default for LifecycleConfig {
             max_streams: None,
             compact_budget: None,
             sweep_every: 4096,
-            retain_evicted: true,
         }
     }
 }
@@ -91,7 +87,8 @@ pub struct LifecycleStats {
     pub ticks: u64,
     /// Streams evicted so far (idle + LRU).
     pub evicted: u64,
-    /// Retired keys currently held (`retain_evicted` store).
+    /// Retired keys currently held (a standalone engine's retired
+    /// store).
     pub retired: usize,
     /// Maintenance sweeps run.
     pub sweeps: u64,
@@ -104,13 +101,17 @@ pub(crate) struct LifecycleState {
     last_sweep: u64,
     sweeps: u64,
     evicted: u64,
+    /// Finals go to the outbox, not the retired store: set once, by
+    /// the [`crate::topology::Collector`] that owns the engine.
+    queue_evicted: bool,
     /// Evicted finals awaiting [`drain`](LifecycleState::drain_evicted)
-    /// (ascending key order within each sweep). Populated only when
-    /// `retain_evicted` is off — the transport mode, where a collector
-    /// drains between flushes, keeping this bounded.
+    /// (ascending key order within each sweep). Populated only under
+    /// `queue_evicted`, where a collector drains between flushes,
+    /// keeping this bounded.
     outbox: Vec<StreamEntry>,
-    /// Evicted finals folded per key (`retain_evicted`); reappearing
-    /// keys merge their successive finals in eviction order.
+    /// Evicted finals folded per key (a standalone engine's record);
+    /// reappearing keys merge their successive finals in eviction
+    /// order.
     retired: BTreeMap<u64, StreamEntry>,
 }
 
@@ -134,12 +135,19 @@ impl LifecycleState {
         config.enabled() && self.tick - self.last_sweep >= config.sweep_every.max(1)
     }
 
+    /// Routes every later final to the outbox instead of the retired
+    /// store (see [`LifecycleState::drain_evicted`]).
+    pub(crate) fn queue_evicted(&mut self) {
+        self.queue_evicted = true;
+    }
+
     /// Runs one maintenance sweep: idle eviction, LRU eviction, then
     /// compaction of the surviving live summaries and the retired
     /// store. Deterministic: decisions depend only on ticks and
     /// per-stream state, never on shard layout or iteration order
     /// (eviction candidates are canonically sorted before removal).
-    pub(crate) fn sweep(&mut self, config: &LifecycleConfig, shards: &mut ShardSet) {
+    /// Returns how many live summaries the compaction changed.
+    pub(crate) fn sweep(&mut self, config: &LifecycleConfig, shards: &mut ShardSet) -> usize {
         self.sweeps += 1;
         self.last_sweep = self.tick;
         let mut victims: Vec<(u64, u64)> = Vec::new(); // (last_touch, key)
@@ -169,32 +177,19 @@ impl LifecycleState {
         victims.sort_unstable_by_key(|&(_, k)| k);
         victims.dedup_by_key(|&mut (_, k)| k);
         for (_, key) in victims {
-            let mut entry = shards
-                .remove(key)
-                .expect("victim key is live")
-                .into_entry(key);
-            if let Some(budget) = config.compact_budget {
-                entry.summary.compact(budget);
-            }
+            let state = shards.remove(key).expect("victim key is live");
+            self.retire(state.into_entry(key), config);
             self.evicted += 1;
-            if config.retain_evicted {
-                // Standalone engine: the retired store *is* the record
-                // (served by full_snapshot); nothing goes to the
-                // outbox, so an engine nobody drains cannot grow it.
-                self.absorb_retired(entry, config.compact_budget);
-            } else {
-                // Transport mode: a collector drains these as Evicted
-                // frames; the aggregator owns the retired state.
-                self.outbox.push(entry);
-            }
         }
+        let mut compacted = 0;
         if let Some(budget) = config.compact_budget {
             for (_, state) in shards.iter_mut() {
-                if state.summary.estimated_bytes() > budget {
-                    state.compact(budget);
+                if state.summary.estimated_bytes() > budget && state.compact(budget) {
+                    compacted += 1;
                 }
             }
         }
+        compacted
     }
 
     fn absorb_retired(&mut self, entry: StreamEntry, budget: Option<usize>) {
@@ -214,20 +209,25 @@ impl LifecycleState {
         }
     }
 
-    /// Retires one stream's final outside a sweep — the sketch tier
-    /// demotes an exact stream to free its slot for a promoted key.
-    /// Bookkeeping is identical to a sweep eviction (compaction budget,
-    /// retained store vs. outbox), so demotion finals flow through the
-    /// same `Evicted` wire path and never double-count downstream; only
-    /// the `evicted` counter is left to the tier's own `demotions`.
+    /// Files one stream's final, compacted to the budget: a sweep's
+    /// evictions, and the sketch tier's demotions of an exact stream to
+    /// free its slot for a promoted key, so demotion finals flow through
+    /// the same `Evicted` wire path and never double-count downstream.
+    /// Only the `evicted` counter is left to the caller (the tier keeps
+    /// its own `demotions`).
     pub(crate) fn retire(&mut self, mut entry: StreamEntry, config: &LifecycleConfig) {
         if let Some(budget) = config.compact_budget {
             entry.summary.compact(budget);
         }
-        if config.retain_evicted {
-            self.absorb_retired(entry, config.compact_budget);
-        } else {
+        if self.queue_evicted {
+            // A collector drains these as Evicted frames; the
+            // aggregator owns the retired state.
             self.outbox.push(entry);
+        } else {
+            // Standalone engine: the retired store *is* the record
+            // (served by full_snapshot); nothing goes to the outbox, so
+            // an engine nobody drains cannot grow it.
+            self.absorb_retired(entry, config.compact_budget);
         }
     }
 

@@ -815,18 +815,26 @@ impl StreamSummary {
     }
 
     /// [`StreamSummary::compact`], noting in `journal`, when there is
-    /// one, the cascade levels it drops.
+    /// one, the cascade levels it drops. Returns whether there was
+    /// anything to drop: a summary already within the plan's levels and
+    /// items (a live summary compacted before stays one generator above
+    /// the budget) is left as it is, journal included.
     pub(crate) fn compact_journaled(
         &mut self,
         budget_bytes: usize,
         journal: Option<&mut SummaryJournal>,
-    ) {
+    ) -> bool {
         let (levels, items) = compaction_plan(budget_bytes, self.fixed_bytes());
+        let r = &self.reservoir;
+        if self.hurst.level_count() <= levels && r.items.len() <= items && r.cap <= items {
+            return false;
+        }
         if let Some(j) = journal {
             j.cascade.note_prune(levels, &self.hurst);
         }
         self.hurst.prune_levels(levels);
         self.reservoir.compact(items);
+        true
     }
 
     /// The fixed-size core [`compaction_plan`] budgets around.

@@ -58,10 +58,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
-/// A [`Collector`]'s session state: the unacked replay window, the
-/// eviction log behind resumable sessions, and whether differential
-/// flushes are still on. What each live key last shipped lives with
-/// its stream in the engine, not here.
+/// A [`Collector`]'s session state: the unacked replay window and the
+/// eviction log behind resumable sessions. What each live key last
+/// shipped — the base its next `DeltaDiff` is computed against — lives
+/// with its stream in the engine, not here.
 struct SeqState {
     /// Sequence number the next sealed data frame gets.
     next_seq: u64,
@@ -82,21 +82,8 @@ struct SeqState {
     bye_sealed: bool,
     /// `Resync` round-trips served this session. Each one says the
     /// aggregator's live view diverged from what this collector
-    /// shipped (lost frames, a restart, or server-side compaction
-    /// rewriting entries under us).
+    /// shipped (lost frames or an aggregator restart).
     resyncs: u32,
-    /// Ship differential frames where they are smaller. Cleared past
-    /// [`RESYNC_DIFF_LIMIT`]: against a peer that keeps diverging
-    /// (e.g. an aggregator compacting its live entries), diffs only
-    /// buy resync storms — cumulative `Delta`s are then strictly
-    /// better.
-    ///
-    /// While it is set, every live stream that has shipped keeps the
-    /// record of its last ship — what the aggregator's live view holds
-    /// for it under the seq watermark, and the base its next
-    /// `DeltaDiff` is computed against. The collector keeps no copy of
-    /// the shipped entries.
-    diff_enabled: bool,
 }
 
 impl SeqState {
@@ -108,7 +95,6 @@ impl SeqState {
             evicted_log: Vec::new(),
             bye_sealed: false,
             resyncs: 0,
-            diff_enabled: true,
         }
     }
 
@@ -166,15 +152,6 @@ pub struct Collector {
 /// because entries are cumulative (`Delta`) or per-key finals
 /// (`Evicted`).
 const TARGET_FRAME_BYTES: usize = 16 << 20;
-
-/// Resyncs a session tolerates before concluding the peer can't hold
-/// its baseline (most likely a server-side `compact_budget` rewriting
-/// live entries between flushes) and dropping back to cumulative
-/// `Delta` frames for the rest of the session. One resync is normal
-/// after a fault or aggregator restart; repeated ones mean every
-/// differential flush costs a full re-baseline — strictly worse than
-/// never diffing.
-const RESYNC_DIFF_LIMIT: u32 = 2;
 
 /// Estimated frame footprint of a `Delta`/`Evicted` entry.
 fn entry_frame_bytes(e: &StreamEntry) -> usize {
@@ -250,19 +227,20 @@ impl Collector {
     /// session lifetime so any suffix of the session can be resynced —
     /// the price of surviving aggregator restarts byte-identically.
     ///
-    /// The engine's `retain_evicted` is forced **off**: evicted finals
-    /// leave through `Evicted` frames and the aggregator owns them —
-    /// holding a second copy here would defeat the memory bound. For
-    /// the same reason the collector keeps no copy of the live entries
-    /// it shipped: the engine lists the keys touched between seals, and
-    /// each shipped stream carries a record of its last ship from which
-    /// the next seal builds its diff.
+    /// The engine queues its evicted finals in an outbox instead of its
+    /// retired store: they leave through `Evicted` frames and the
+    /// aggregator owns them — holding a second copy here would defeat
+    /// the memory bound. For the same reason the collector keeps no
+    /// copy of the live entries it shipped: the engine lists the keys
+    /// touched between seals, and each shipped stream carries a record
+    /// of its last ship from which the next seal builds its diff.
     ///
     /// # Panics
     ///
     /// As [`MonitorEngine::new`] (invalid sampler spec or shard count).
     pub fn new_sequenced(id: u64, config: MonitorConfig) -> Self {
-        let mut engine = MonitorEngine::new(config.retain_evicted(false));
+        let mut engine = MonitorEngine::new(config);
+        engine.queue_evicted();
         engine.track_dirty();
         Collector {
             id,
@@ -310,12 +288,11 @@ impl Collector {
     /// [`Collector::unsent_window`] and trims it via
     /// [`Collector::ack`].
     ///
-    /// A dirty entry ships as a diff only when all of: diffing is
-    /// still on (it turns off for the session after more than two
-    /// resyncs, `RESYNC_DIFF_LIMIT`), the stream has shipped before
-    /// (and was not evicted since — an evicted stream's state, ship
-    /// record included, is gone, and the aggregator drops the key from
-    /// its live view), the pair is structurally diffable (counters only
+    /// This is the one ship mode, for every seal of the session. A
+    /// dirty entry ships as a diff only when all of: the stream has
+    /// shipped before (and was not evicted since — an evicted stream's
+    /// state, ship record included, is gone, and the aggregator drops
+    /// the key from its live view), the pair is structurally diffable (counters only
     /// grew, reservoir/cascade never shrank), and the encoded diff is
     /// strictly smaller than the encoded cumulative entry. Anything
     /// else falls back to the cumulative `Delta` path — correctness
@@ -335,13 +312,8 @@ impl Collector {
         let budget = self.engine.config().lifecycle.compact_budget;
         let st = &mut self.seq;
         st.seal_evicted(evicted);
-        let diff_enabled = st.diff_enabled;
         let (mut diffs, mut lens, mut full) = (Vec::new(), Vec::new(), Vec::new());
         self.engine.for_each_dirty(|key, state| {
-            if !diff_enabled {
-                full.push(state.entry(key));
-                return;
-            }
             let diff = state
                 .reship(key, budget)
                 .map(|d| (encoded_diff_len(&d), d))
@@ -412,8 +384,7 @@ impl Collector {
     /// before the rebuilt window.
     ///
     /// The `FullSnapshot` ships every live stream, so each one's ship
-    /// record restarts at its current state — or is dropped, with its
-    /// journal, once diffing has stopped for the session.
+    /// record restarts at its current state.
     pub fn handle_resync(&mut self, from_seq: u64) -> Frame {
         // Everything pending joins the re-baseline: dirty keys are in
         // the full snapshot, pending evictions seal first.
@@ -439,20 +410,11 @@ impl Collector {
         st.seal_evicted(resend);
         // The FullSnapshot re-baselines both sides at once: the
         // aggregator's live view becomes exactly these entries, so
-        // they are what future diffs must be computed against. Repeated
-        // resyncs mean the peer can't hold a baseline (most likely
-        // server-side compaction) — give up on diffing for the session.
+        // they are what future diffs must be computed against.
         st.resyncs += 1;
-        if st.resyncs > RESYNC_DIFF_LIMIT {
-            st.diff_enabled = false;
-        }
         let budget = self.engine.config().lifecycle.compact_budget;
         for (_, state) in self.engine.live_states_mut() {
-            if st.diff_enabled {
-                state.mark_shipped(budget);
-            } else {
-                state.forget_shipped();
-            }
+            state.mark_shipped(budget);
         }
         st.seal(&Frame::FullSnapshot(snap));
         if st.bye_sealed {
@@ -543,8 +505,6 @@ pub enum SeqOutcome {
 #[derive(Default)]
 pub struct Aggregator {
     collectors: BTreeMap<u64, CollectorState>,
-    /// Optional byte budget applied to incoming summaries.
-    compact_budget: Option<usize>,
     /// Per-collector retired-store cap; overflow entries demote into
     /// the collector's absorbed sketch.
     max_exact_keys: Option<usize>,
@@ -556,13 +516,6 @@ impl Aggregator {
     /// Creates an empty aggregator.
     pub fn new() -> Self {
         Aggregator::default()
-    }
-
-    /// Compacts every incoming summary toward `bytes` (bounds
-    /// aggregator memory under huge fan-in; totals stay exact).
-    pub fn compact_budget(mut self, bytes: usize) -> Self {
-        self.compact_budget = Some(bytes);
-        self
     }
 
     /// Caps each collector's **retired** store at `n` keys: beyond it,
@@ -669,10 +622,7 @@ impl Aggregator {
                 // view; sketchless Deltas (the non-final chunks of a
                 // flush, or any untiered collector's) leave it alone.
                 let (streams, sketch) = snap.into_parts();
-                for mut e in streams {
-                    if let Some(b) = self.compact_budget {
-                        e.summary.compact(b);
-                    }
+                for e in streams {
                     state.live.insert(e.key, e);
                 }
                 if let Some(mut sk) = sketch {
@@ -688,10 +638,7 @@ impl Aggregator {
                 // an untiered engine).
                 let (streams, sketch) = snap.into_parts();
                 state.live.clear();
-                for mut e in streams {
-                    if let Some(b) = self.compact_budget {
-                        e.summary.compact(b);
-                    }
+                for e in streams {
                     state.live.insert(e.key, e);
                 }
                 state.sketch = sketch.map(|mut sk| {
@@ -702,10 +649,7 @@ impl Aggregator {
                 });
             }
             Frame::Evicted(entries) => {
-                for mut e in entries {
-                    if let Some(b) = self.compact_budget {
-                        e.summary.compact(b);
-                    }
+                for e in entries {
                     state.live.remove(&e.key);
                     match state.retired.entry(e.key) {
                         Entry::Vacant(v) => {
@@ -715,9 +659,6 @@ impl Aggregator {
                             let held = o.get_mut();
                             held.sampler.merge_from(&e.sampler);
                             held.summary.merge_from(&e.summary);
-                            if let Some(b) = self.compact_budget {
-                                held.summary.compact(b);
-                            }
                         }
                     }
                 }
@@ -745,9 +686,8 @@ impl Aggregator {
             }
             Frame::DeltaDiff(diffs) => {
                 // Diffs apply in-place against the live view. Any
-                // failure — unknown key, baseline fingerprint mismatch
-                // (e.g. our compact_budget rewrote the entry), or a
-                // structurally invalid patch — turns into a resync at
+                // failure — unknown key, baseline fingerprint mismatch,
+                // or a structurally invalid patch — turns into a resync at
                 // this frame's seq: the watermark has not advanced, so
                 // the collector re-baselines from here. A frame that
                 // fails partway may leave earlier entries updated;
@@ -761,10 +701,6 @@ impl Aggregator {
                     if !applied {
                         state.awaiting_resync = true;
                         return Ok(SeqOutcome::NeedResync { from_seq: seq });
-                    }
-                    if let Some(b) = self.compact_budget {
-                        let e = state.live.get_mut(&d.key).expect("applied above");
-                        e.summary.compact(b);
                     }
                 }
             }
@@ -1784,13 +1720,12 @@ mod tests {
     /// against the comparison rule, moving `shipped` — the model of
     /// the aggregator's live view — along. Returns how many entries
     /// shipped as diffs, and cumulatively as first sightings, as
-    /// undiffable pairs, as diffs not strictly smaller, and after
-    /// diffing stopped.
+    /// undiffable pairs, and as diffs not strictly smaller.
     fn check_window(
         c: &Collector,
         from_seq: u64,
         shipped: &mut BTreeMap<u64, StreamEntry>,
-    ) -> [usize; 5] {
+    ) -> [usize; 4] {
         let live: BTreeMap<u64, StreamEntry> = c
             .engine()
             .snapshot()
@@ -1798,8 +1733,7 @@ mod tests {
             .into_iter()
             .map(|e| (e.key, e))
             .collect();
-        let diffing = c.resyncs() <= RESYNC_DIFF_LIMIT;
-        let mut counts = [0; 5];
+        let mut counts = [0; 4];
         for (_, bytes) in c.unsent_window(from_seq) {
             let mut dec = FrameDecoder::new();
             dec.push(bytes);
@@ -1816,7 +1750,6 @@ mod tests {
                     shipped.extend(snap.into_streams().into_iter().map(|e| (e.key, e)));
                 }
                 Frame::DeltaDiff(diffs) => {
-                    assert!(diffing, "no diff ships once diffing stopped");
                     for d in diffs {
                         let now = &live[&d.key];
                         let base = shipped.get(&d.key).expect("a diff has a shipped base");
@@ -1829,7 +1762,6 @@ mod tests {
                     for e in snap.into_streams() {
                         assert_eq!(&e, &live[&e.key]);
                         let reason = match shipped.get(&e.key) {
-                            _ if !diffing => 4,
                             None => 1,
                             Some(base) => match crate::diff_entry(base, &e) {
                                 None => 2,
@@ -1870,7 +1802,7 @@ mod tests {
         // reservoir capacities either side of 64. After every seal the
         // sealed frames must be exactly what comparing each key's
         // current entry with its last shipped entry decides.
-        let (mut stopped, mut not_smaller) = (0, 0);
+        let mut not_smaller = 0;
         let arms = [
             (1u64, 64usize, true),
             (2, 200, false),
@@ -1895,7 +1827,7 @@ mod tests {
             }
             let mut c = Collector::new_sequenced(1, config);
             let mut shipped = BTreeMap::new();
-            let mut totals = [0; 5];
+            let mut totals = [0; 4];
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = |n: u64| {
                 rng ^= rng << 13;
@@ -1934,7 +1866,7 @@ mod tests {
                 }
                 c.ack(c.next_seq().saturating_sub(1));
             }
-            let [diffs, first, undiffable, larger, after_limit] = totals;
+            let [diffs, first, undiffable, larger] = totals;
             not_smaller += larger;
             assert!(diffs > 200, "seed {seed}: {diffs} diffs");
             assert!(first > 30, "seed {seed}: {first} first sightings");
@@ -1944,14 +1876,7 @@ mod tests {
                 "seed {seed}: {undiffable} undiffable"
             );
             assert!(c.engine().lifecycle_stats().evicted > 0, "seed {seed}");
-            if c.resyncs() > RESYNC_DIFF_LIMIT {
-                // Once diffing stops, no stream keeps a ship record.
-                assert!(after_limit > 0);
-                stopped += 1;
-                assert!(c.engine.live_states_mut().all(|(_, st)| !st.is_shipped()));
-            }
         }
-        assert!(stopped > 0, "some session outlives its diffing");
         assert!(not_smaller > 0, "no diff lost on size");
     }
 }

@@ -740,8 +740,8 @@ pub struct EventLoopServer {
 
 impl EventLoopServer {
     /// A standalone serve loop that will assemble into `agg`
-    /// (pre-configure its compaction budget there) under the given
-    /// stop conditions.
+    /// (pre-configure its retired-store cap and sketch budget there)
+    /// under the given stop conditions.
     pub fn new(agg: Aggregator, opts: ServeOptions) -> Self {
         let shared = Arc::new(ServeShared::new(Vec::new(), None));
         Self::with_shared(agg, opts, 0, shared, None)
@@ -1126,7 +1126,7 @@ pub struct MultiLoopServer {
 
 impl MultiLoopServer {
     /// A serve with one worker loop per aggregator in `aggs`
-    /// (pre-configure compaction budgets there).
+    /// (pre-configure retired-store caps and sketch budgets there).
     pub fn new(aggs: Vec<Aggregator>, opts: ServeOptions) -> Self {
         MultiLoopServer {
             aggs,

@@ -1,22 +1,17 @@
-//! ISSUE 9 integration pins: differential wire frames (`DeltaDiff`,
-//! wire v4).
+//! Differential wire frames (`DeltaDiff`, wire v4):
 //!
 //! * Steady-state flushes of slowly-changing streams ship ≥5× fewer
-//!   payload bytes than the cumulative `Delta` path, measured on the
-//!   actual sealed wire frames — while the assembled snapshot stays
-//!   **bit-for-bit identical** to the unsharded engine.
+//!   payload bytes than the cumulative `Delta` frames carrying the same
+//!   entries, measured on the actual wire frames — while the assembled
+//!   snapshot stays **bit-for-bit identical** to the unsharded engine.
 //! * A corrupt patch (bad fingerprint, impossible reservoir length)
 //!   turns into `Resync{from_seq}` recovery, never wrong bytes.
-//! * Against an aggregator that compacts live entries server-side
-//!   (`compact_budget`), the collector detects the resync storm and
-//!   degrades to cumulative frames — correctness never depends on the
-//!   peer holding a baseline.
 
 mod duplex;
 
 use duplex::{open_session, pump};
 use sst_monitor::topology::SeqOutcome;
-use sst_monitor::wire::HelloResume;
+use sst_monitor::wire::{encode_frame_seq, HelloResume};
 use sst_monitor::{
     diff_entry, encode_frame, encode_snapshot, Aggregator, Collector, Frame, MonitorConfig,
     MonitorEngine, SamplerSpec, SessionDriver, StreamDiff, WIRE_VERSION,
@@ -43,35 +38,19 @@ const POINTS_PER_ROUND: u64 = 8;
 
 /// The headline pin: after a warmup that fills every reservoir, each
 /// steady-state round adds ≤8 points per stream. The differential
-/// session must ship ≥5× fewer bytes for those rounds than an
-/// identical session whose collector has stopped diffing — and both
-/// must assemble to the unsharded engine's exact bytes.
+/// session must ship ≥5× fewer bytes for those rounds than the
+/// cumulative `Delta` frames that would carry the same rounds' entries
+/// — and both must assemble to the unsharded engine's exact bytes.
 #[test]
 fn steady_state_diff_flushes_ship_5x_fewer_bytes_and_identical_bits() {
     let mut reference = MonitorEngine::new(config());
     let mut diffing = Collector::new_sequenced(1, config());
-    // A collector stops diffing for the session once it has served
-    // more than two resyncs (`RESYNC_DIFF_LIMIT`): force three before
-    // any data, and open its session with the last re-baseline's
-    // `Resync`-mode Hello.
-    let mut cumulative = Collector::new_sequenced(1, config());
-    let mut cum_hello = cumulative.hello();
-    for _ in 0..3 {
-        cum_hello = cumulative.handle_resync(0);
-    }
-    assert_eq!(cumulative.resyncs(), 3);
-
-    let offer_round = |tick0: u64,
-                       per_stream: u64,
-                       reference: &mut MonitorEngine,
-                       a: &mut Collector,
-                       b: &mut Collector| {
+    let offer_round = |tick0: u64, per_stream: u64, r: &mut MonitorEngine, c: &mut Collector| {
         for t in 0..per_stream {
             for k in 0..STREAMS {
                 let v = value(k, tick0 + t);
-                reference.offer(k, v);
-                a.offer(k, v);
-                b.offer(k, v);
+                r.offer(k, v);
+                c.offer(k, v);
             }
         }
     };
@@ -80,33 +59,29 @@ fn steady_state_diff_flushes_ship_5x_fewer_bytes_and_identical_bits() {
     let mut drv_diff = SessionDriver::new();
     let mut sent_diff = 0u64;
     open_session(&diffing, &mut drv_diff, &mut agg_diff).unwrap();
+    // The cumulative side: every round's entries as the `Delta` frame a
+    // seal of the touched streams (here all of them) would carry,
+    // replayed through a second aggregator.
     let mut agg_cum = Aggregator::new();
     let mut drv_cum = SessionDriver::new();
-    let Frame::Hello {
-        resume: Some(HelloResume::Resync { first_seq }),
-        ..
-    } = cum_hello
-    else {
-        panic!("a resync answers with a Resync-mode hello, got {cum_hello:?}");
-    };
-    let mut sent_cum = first_seq;
     drv_cum
-        .push(&encode_frame(&cum_hello), &mut agg_cum)
+        .push(&encode_frame(&diffing.hello()), &mut agg_cum)
         .unwrap();
+    let mut cum_seq = 0;
+    let mut ship_cumulative = |reference: &MonitorEngine| {
+        let bytes = encode_frame_seq(cum_seq, &Frame::Delta(reference.snapshot()));
+        cum_seq += 1;
+        drv_cum.push(&bytes, &mut agg_cum).unwrap();
+        bytes.len() as u64
+    };
 
     // Warmup: fill the reservoirs (cap 256, one kept per 2 offered) so
-    // steady state is the slowly-changing regime the issue targets.
-    offer_round(
-        0,
-        WARMUP_PER_STREAM,
-        &mut reference,
-        &mut diffing,
-        &mut cumulative,
-    );
+    // steady state is the slowly-changing regime differential frames
+    // target.
+    offer_round(0, WARMUP_PER_STREAM, &mut reference, &mut diffing);
     diffing.seal_flush();
-    cumulative.seal_flush();
     pump(&mut diffing, &mut sent_diff, &mut drv_diff, &mut agg_diff);
-    pump(&mut cumulative, &mut sent_cum, &mut drv_cum, &mut agg_cum);
+    ship_cumulative(&reference);
 
     let mut diff_bytes = 0u64;
     let mut cum_bytes = 0u64;
@@ -116,22 +91,18 @@ fn steady_state_diff_flushes_ship_5x_fewer_bytes_and_identical_bits() {
             POINTS_PER_ROUND,
             &mut reference,
             &mut diffing,
-            &mut cumulative,
         );
         diffing.seal_flush();
-        cumulative.seal_flush();
         diff_bytes += pump(&mut diffing, &mut sent_diff, &mut drv_diff, &mut agg_diff);
-        cum_bytes += pump(&mut cumulative, &mut sent_cum, &mut drv_cum, &mut agg_cum);
+        cum_bytes += ship_cumulative(&reference);
     }
 
     diffing.seal_finish();
-    cumulative.seal_finish();
     pump(&mut diffing, &mut sent_diff, &mut drv_diff, &mut agg_diff);
-    pump(&mut cumulative, &mut sent_cum, &mut drv_cum, &mut agg_cum);
 
     // Byte pin: the differential path wins by at least 5× in steady
-    // state (it is ~10× at these parameters; 5× leaves headroom for
-    // codec evolution without masking a regression to parity).
+    // state (5× leaves headroom for codec evolution without masking a
+    // regression to parity).
     assert!(
         diff_bytes > 0 && cum_bytes >= 5 * diff_bytes,
         "steady-state rounds: diff path shipped {diff_bytes} B, \
@@ -279,53 +250,4 @@ fn diff_frames_are_rejected_in_unsequenced_sessions() {
         .unwrap();
     assert!(agg.feed_seq(1, None, Frame::DeltaDiff(diffs)).is_err());
     assert_eq!(agg.last_seq(1), None, "nothing applied");
-}
-
-/// An aggregator that compacts live entries (`compact_budget`) can't
-/// hold the collector's baseline: every differential flush costs a
-/// resync. The collector must notice (resync counter past the limit),
-/// drop to cumulative frames, and converge — with totals exact.
-#[test]
-fn server_side_compaction_degrades_diffing_to_cumulative() {
-    let mut agg = Aggregator::new().compact_budget(256);
-    let mut collector = Collector::new_sequenced(7, config());
-    let mut driver = SessionDriver::new();
-    let mut sent = 0u64;
-    open_session(&collector, &mut driver, &mut agg).unwrap();
-
-    let mut offered = 0usize;
-    let mut offer_round = |c: &mut Collector, tick0: u64| {
-        for t in 0..32 {
-            for k in 0..64u64 {
-                c.offer(k, value(k, tick0 + t));
-                offered += 1;
-            }
-        }
-    };
-    for round in 0..8u64 {
-        offer_round(&mut collector, round * 32);
-        collector.seal_flush();
-        pump(&mut collector, &mut sent, &mut driver, &mut agg);
-    }
-    assert!(
-        collector.resyncs() >= 1,
-        "server-side compaction must have broken at least one diff"
-    );
-    let resyncs_at_steady = collector.resyncs();
-
-    // Once degraded, cumulative rounds apply cleanly: no new resyncs.
-    for round in 8..12u64 {
-        offer_round(&mut collector, round * 32);
-        collector.seal_flush();
-        pump(&mut collector, &mut sent, &mut driver, &mut agg);
-    }
-    assert_eq!(
-        collector.resyncs(),
-        resyncs_at_steady,
-        "cumulative fallback must not keep resyncing"
-    );
-    collector.seal_finish();
-    pump(&mut collector, &mut sent, &mut driver, &mut agg);
-    // Compaction approximates distributions, never totals.
-    assert_eq!(agg.snapshot().sampler_totals().offered, offered);
 }

@@ -32,9 +32,8 @@ fn evicted_key_resumes_as_a_fresh_stream() {
     engine.maintain();
     let live: Vec<u64> = engine.snapshot().streams().iter().map(|e| e.key).collect();
     assert!(!live.contains(&42), "42 must be evicted, live: {live:?}");
-    // retain_evicted defaults on: the final lives in the retired store
-    // (served by full_snapshot), and the transport outbox stays empty.
-    assert!(engine.drain_evicted().is_empty(), "standalone: no outbox");
+    // A standalone engine keeps the final in its retired store, served
+    // by full_snapshot.
     let full = engine.full_snapshot();
     let final42 = full
         .streams()
@@ -64,31 +63,6 @@ fn evicted_key_resumes_as_a_fresh_stream() {
     let full = engine.full_snapshot();
     let merged42 = full.streams().iter().find(|e| e.key == 42).unwrap();
     assert_eq!(merged42.sampler.offered, 800);
-}
-
-#[test]
-fn transport_mode_routes_finals_to_the_outbox_instead() {
-    // retain_evicted(false): finals queue for the wire and the engine
-    // holds no retired copy (full_snapshot == live snapshot).
-    let mut engine = MonitorEngine::new(
-        MonitorConfig::default()
-            .seed(9)
-            .evict_idle_after(100)
-            .sweep_every(50)
-            .retain_evicted(false),
-    );
-    for i in 0..300u64 {
-        engine.offer(42, (i % 13) as f64);
-    }
-    for i in 0..300u64 {
-        engine.offer(7, i as f64);
-    }
-    engine.maintain();
-    let finals = engine.drain_evicted();
-    let final42 = finals.iter().find(|e| e.key == 42).expect("outbox final");
-    assert_eq!(final42.sampler.offered, 300);
-    assert!(engine.drain_evicted().is_empty(), "drain takes everything");
-    assert_eq!(engine.full_snapshot(), engine.snapshot(), "nothing retired");
 }
 
 #[test]

@@ -58,13 +58,14 @@ fn drive_collector(
 
 /// As [`drive_collector`], but straight into `agg` over a duplex link
 /// that carries the aggregator's acks and resync requests back.
+/// Returns the finished collector.
 fn drive_duplex(
     mut collector: Collector,
     points: &[(u64, f64)],
     part: u64,
     n_parts: u64,
     agg: &mut Aggregator,
-) {
+) -> Collector {
     let mut driver = SessionDriver::new();
     let mut sent = 0u64;
     open_session(&collector, &mut driver, agg).expect("hello");
@@ -78,6 +79,7 @@ fn drive_duplex(
     collector.seal_finish();
     pump(&mut collector, &mut sent, &mut driver, agg);
     driver.finish(agg).expect("clean eof");
+    collector
 }
 
 /// The keys of partition `part` of `n_parts`.
@@ -270,41 +272,60 @@ fn evicting_collectors_reassemble_the_never_evicting_bits() {
 }
 
 #[test]
-fn aggregator_compact_budget_keeps_totals_exact() {
-    // A compacting aggregator trades reservoir/Hurst detail for
-    // memory but must never lose counts.
+fn a_clean_duplex_link_never_resyncs() {
+    // Collectors that compact, idle-evict and tier, over a lossless
+    // link that carries the aggregator's acks and resync requests back:
+    // every diff finds its base, so no session ever resyncs, and the
+    // aggregator assembles exactly what the same sessions written down
+    // one-way pipes do.
     let points = trace_points();
-    let spec = SamplerSpec::TakeAll;
-    let mut plain = Aggregator::new();
-    let mut compacting = Aggregator::new().compact_budget(512);
+    let config = config(SamplerSpec::Bss {
+        interval: 5,
+        epsilon: 1.0,
+        n_pre: 8,
+        l: 2,
+    })
+    .shards(2)
+    .max_exact_keys(24)
+    .sketch_bytes(1 << 14)
+    .promote_after(16)
+    .evict_idle_after(4_000)
+    .compact_budget(768)
+    .sweep_every(1_000);
+    let mut duplex = Aggregator::new();
+    let mut piped = Aggregator::new();
     for part in 0..2u64 {
+        let c = drive_duplex(
+            Collector::new_sequenced(part, config.clone()),
+            &points,
+            part,
+            2,
+            &mut duplex,
+        );
+        assert_eq!(c.resyncs(), 0, "collector {part}");
+        let stats = c.engine().lifecycle_stats();
+        assert!(
+            stats.evicted > 0 && stats.sweeps > 0,
+            "collector {part}: {stats:?}"
+        );
+        let tier = c.engine().tier_stats().expect("tiered");
+        assert!(tier.demotions > 0, "collector {part}: {tier:?}");
         let mut pipe: Vec<u8> = Vec::new();
         drive_collector(
-            Collector::new_sequenced(part, config(spec)),
+            Collector::new_sequenced(part, config.clone()),
             &points,
             part,
             2,
             &mut pipe,
         );
-        ingest(&mut plain, &pipe).unwrap();
-        // Compaction rewrites the live entries that differential
-        // flushes patch, so this collector must hear the resync
-        // requests: the same partition over a duplex link.
-        drive_duplex(
-            Collector::new_sequenced(part, config(spec)),
-            &points,
-            part,
-            2,
-            &mut compacting,
-        );
+        ingest(&mut piped, &pipe).expect("ingest");
     }
-    let a = plain.snapshot();
-    let b = compacting.snapshot();
-    assert_eq!(a.stream_count(), b.stream_count());
-    assert_eq!(a.sampler_totals(), b.sampler_totals());
-    assert_eq!(a.aggregate().moments.count(), b.aggregate().moments.count());
-    assert_eq!(a.aggregate().tail.total(), b.aggregate().tail.total());
-    assert!(compacting.estimated_state_bytes() <= plain.estimated_state_bytes());
+    assert!(duplex.all_done());
+    assert_eq!(duplex.snapshot(), piped.snapshot());
+    assert_eq!(
+        encode_snapshot(&duplex.snapshot()),
+        encode_snapshot(&piped.snapshot())
+    );
 }
 
 #[test]

@@ -457,18 +457,16 @@ pub fn poisson(rng: &mut dyn rand::RngCore, lambda: f64) -> u64 {
 /// keeps `&mut dyn RngCore` callers working.
 ///
 /// The ziggurat is distribution-exact but consumes a different RNG
-/// stream than the historical Box-Muller implementation; callers that
-/// must reproduce the legacy value stream bit-for-bit (the determinism
-/// suite, the seed-algorithm benchmarks) use
+/// stream than the historical Box-Muller implementation,
 /// [`standard_normal_boxmuller`].
 pub fn standard_normal<R: rand::RngCore + ?Sized>(rng: &mut R) -> f64 {
     crate::ziggurat::standard_normal_ziggurat(rng)
 }
 
 /// Draws a standard normal via Box-Muller (polar-free, uses two
-/// uniforms) — the workspace's historical Gaussian path, kept verbatim
-/// so the seed-determinism suite can pin the legacy algorithms
-/// bit-for-bit. New code should prefer [`standard_normal`].
+/// uniforms) — the workspace's historical Gaussian path, kept as the
+/// baseline the `gaussian/boxmuller` benchmark row times the ziggurat
+/// against. New code should prefer [`standard_normal`].
 pub fn standard_normal_boxmuller<R: rand::RngCore + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = loop {
         let u = rng.gen::<f64>();

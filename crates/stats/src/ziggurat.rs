@@ -15,9 +15,8 @@
 //! The sampler is *distribution-exact* (the accept/reject structure
 //! introduces no approximation), but it consumes a different RNG stream
 //! than Box-Muller, so a given seed yields different — equally Gaussian
-//! — values. The legacy stream remains available as
-//! [`crate::dist::standard_normal_boxmuller`] for the determinism
-//! suite.
+//! — values. Box-Muller remains available as
+//! [`crate::dist::standard_normal_boxmuller`], the benchmark baseline.
 
 use rand::{Rng, RngCore};
 use std::sync::OnceLock;

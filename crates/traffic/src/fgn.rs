@@ -16,7 +16,7 @@ use sst_sigproc::complex::Complex;
 use sst_sigproc::fft::next_pow2;
 use sst_sigproc::plan::{lru_fetch, FftPlan};
 use sst_sigproc::rfft::{real_plan_for, RealFftPlan};
-use sst_stats::dist::{standard_normal, standard_normal_boxmuller};
+use sst_stats::dist::standard_normal;
 use sst_stats::model::FgnAcf;
 use sst_stats::rng::rng_from_seed;
 use sst_stats::TimeSeries;
@@ -96,9 +96,7 @@ impl FgnGenerator {
     /// Monte-Carlo hot path) compute the circulant eigenvalue spectrum
     /// once, and runs the Hermitian half-spectrum synthesis (ziggurat
     /// Gaussians + real inverse FFT). Output is bit-identical to a
-    /// freshly built plan; the historical Box-Muller/full-FFT value
-    /// stream remains available as
-    /// [`FgnPlan::generate_values_into_legacy`].
+    /// freshly built plan.
     pub fn generate_values(&self, n: usize, seed: u64) -> Vec<f64> {
         assert!(n >= 1, "cannot generate an empty trace");
         FgnPlan::cached(self.hurst, n)
@@ -148,14 +146,8 @@ pub struct FgnScratch {
 /// straight into the packed half-spectrum buffer, and inverted through
 /// [`sst_sigproc::rfft::RealFftPlan::c2r_prefix`].
 ///
-/// The historical Box-Muller/full-complex-FFT synthesis is retained as
-/// [`FgnPlan::generate_values_into_legacy`], which rebuilds the
-/// amplitudes and the full-size complex plan on every call; the
-/// determinism suite pins it bit-for-bit against the seed algorithm.
-/// The fast path is validated against the same full-spectrum transform
-/// to ≤1e-9 and is distribution-exact, but consumes a different RNG
-/// stream, so a given seed yields different (equally exact) traces
-/// than the legacy path.
+/// The path is validated against the full-spectrum complex transform
+/// of the same draws to ≤1e-9 and is distribution-exact.
 ///
 /// # Examples
 ///
@@ -300,8 +292,8 @@ impl FgnPlan {
     /// This is the fast path: ziggurat Gaussians drawn directly into
     /// the packed `N+1`-bin half-spectrum, inverted with a half-size
     /// real FFT ([`sst_sigproc::rfft::RealFftPlan::c2r_prefix`]). The
-    /// draw order matches the legacy path (bin 0, bin N, then the
-    /// interior `(g, h)` pairs), and the imaginary parts are negated as
+    /// draws go to bin 0, bin N, then the interior `(g, h)` pairs, in
+    /// that order, and the imaginary parts are negated as
     /// they are stored so the packed buffer holds `conj(S)` — the
     /// inverse transform of the conjugate spectrum equals the forward
     /// transform of `S`, which is what Davies-Harte prescribes.
@@ -336,56 +328,6 @@ impl FgnPlan {
         let mut out = Vec::new();
         let mut scratch = FgnScratch::default();
         self.generate_values_into(seed, &mut out, &mut scratch);
-        out
-    }
-
-    /// The historical Davies-Harte synthesis, verbatim: Box-Muller
-    /// Gaussians into the full `2N`-bin spectrum, inverted with the
-    /// full-size complex FFT. Bit-identical to the seed algorithm for
-    /// every `(H, n, seed)` — the determinism suite pins this path.
-    ///
-    /// The plan keeps neither the raw amplitudes nor the full-size
-    /// complex FFT plan, so each call rebuilds both: this path is a
-    /// reference, not a hot path.
-    pub fn generate_values_into_legacy(
-        &self,
-        seed: u64,
-        out: &mut Vec<f64>,
-        scratch: &mut FgnScratch,
-    ) {
-        let mut rng = rng_from_seed(seed);
-        if self.n == 1 {
-            out.clear();
-            out.push(standard_normal_boxmuller(&mut rng));
-            return;
-        }
-        let big_n = self.big_n;
-        let m = 2 * big_n;
-        let fft = FftPlan::new(m);
-        let amp = amplitudes(self.hurst, big_n, &fft);
-        let spec = &mut scratch.spec;
-        spec.clear();
-        spec.resize(m, Complex::ZERO);
-        spec[0] = Complex::from_real(amp[0] * standard_normal_boxmuller(&mut rng));
-        spec[big_n] = Complex::from_real(amp[big_n] * standard_normal_boxmuller(&mut rng));
-        for k in 1..big_n {
-            let g = standard_normal_boxmuller(&mut rng);
-            let h = standard_normal_boxmuller(&mut rng);
-            spec[k] = Complex::new(amp[k] * g, amp[k] * h);
-            spec[m - k] = spec[k].conj();
-        }
-        fft.forward(spec);
-        let norm = 1.0 / (m as f64).sqrt();
-        out.clear();
-        out.reserve(self.n);
-        out.extend(spec.iter().take(self.n).map(|z| z.re * norm));
-    }
-
-    /// Allocating variant of [`FgnPlan::generate_values_into_legacy`].
-    pub fn generate_values_legacy(&self, seed: u64) -> Vec<f64> {
-        let mut out = Vec::new();
-        let mut scratch = FgnScratch::default();
-        self.generate_values_into_legacy(seed, &mut out, &mut scratch);
         out
     }
 }
@@ -543,35 +485,6 @@ mod tests {
                 assert!(err <= 1e-9, "H={h} n={n} seed={seed}: max err {err}");
             }
         }
-    }
-
-    /// The legacy entry point must keep producing the historical
-    /// Box-Muller/full-FFT value stream (spot check against a verbatim
-    /// inline copy of the seed algorithm; the cross-crate determinism
-    /// suite pins more cases).
-    #[test]
-    fn legacy_path_is_preserved() {
-        use sst_sigproc::fft::fft_pow2_in_place;
-        use sst_stats::dist::standard_normal_boxmuller;
-        let (h, n, seed) = (0.8f64, 500usize, 11u64);
-        let plan = FgnPlan::new(h, n).unwrap();
-        let big_n = plan.big_n;
-        let m = 2 * big_n;
-        let amp = amplitudes(h, big_n, &FftPlan::new(m));
-        let mut rng = rng_from_seed(seed);
-        let mut spec = vec![Complex::ZERO; m];
-        spec[0] = Complex::from_real(amp[0] * standard_normal_boxmuller(&mut rng));
-        spec[big_n] = Complex::from_real(amp[big_n] * standard_normal_boxmuller(&mut rng));
-        for k in 1..big_n {
-            let g = standard_normal_boxmuller(&mut rng);
-            let hh = standard_normal_boxmuller(&mut rng);
-            spec[k] = Complex::new(amp[k] * g, amp[k] * hh);
-            spec[m - k] = spec[k].conj();
-        }
-        fft_pow2_in_place(&mut spec);
-        let norm = 1.0 / (m as f64).sqrt();
-        let want: Vec<f64> = spec.iter().take(n).map(|z| z.re * norm).collect();
-        assert_eq!(plan.generate_values_legacy(seed), want);
     }
 
     #[test]

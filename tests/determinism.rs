@@ -9,50 +9,11 @@ use selfsim::sampling::{
 };
 use selfsim::sigproc::complex::Complex;
 use selfsim::sigproc::fft::{fft_pow2_in_place, next_pow2};
-use selfsim::stats::dist::{standard_normal, standard_normal_boxmuller};
+use selfsim::stats::dist::standard_normal;
 use selfsim::stats::model::FgnAcf;
 use selfsim::stats::rng::rng_from_seed;
 use selfsim::traffic::fgn::{FgnPlan, FgnScratch};
 use selfsim::traffic::{FgnGenerator, SyntheticTraceSpec};
-
-/// The original (pre-plan) Davies-Harte generation algorithm, kept
-/// verbatim as the reference: derives the circulant eigenvalue spectrum
-/// from scratch on every call with Box-Muller Gaussians (the seed's
-/// `standard_normal`, now exported as `standard_normal_boxmuller`).
-fn reference_davies_harte(hurst: f64, n: usize, seed: u64) -> Vec<f64> {
-    assert!(n >= 1);
-    if n == 1 {
-        let mut rng = rng_from_seed(seed);
-        return vec![standard_normal_boxmuller(&mut rng)];
-    }
-    let big_n = next_pow2(n);
-    let m = 2 * big_n;
-    let acf = FgnAcf::new(hurst);
-    let mut row = vec![Complex::ZERO; m];
-    for (k, slot) in row.iter_mut().enumerate().take(big_n + 1) {
-        *slot = Complex::from_real(acf.at(k as u64));
-    }
-    for k in 1..big_n {
-        row[m - k] = Complex::from_real(acf.at(k as u64));
-    }
-    fft_pow2_in_place(&mut row);
-    let lambda: Vec<f64> = row.iter().map(|z| z.re.max(0.0)).collect();
-
-    let mut rng = rng_from_seed(seed);
-    let mut spec = vec![Complex::ZERO; m];
-    spec[0] = Complex::from_real((lambda[0]).sqrt() * standard_normal_boxmuller(&mut rng));
-    spec[big_n] = Complex::from_real((lambda[big_n]).sqrt() * standard_normal_boxmuller(&mut rng));
-    for k in 1..big_n {
-        let g = standard_normal_boxmuller(&mut rng);
-        let h = standard_normal_boxmuller(&mut rng);
-        let amp = (lambda[k] / 2.0).sqrt();
-        spec[k] = Complex::new(amp * g, amp * h);
-        spec[m - k] = spec[k].conj();
-    }
-    fft_pow2_in_place(&mut spec);
-    let norm = 1.0 / (m as f64).sqrt();
-    spec.into_iter().take(n).map(|z| z.re * norm).collect()
-}
 
 /// The fast half-spectrum path, re-derived independently: the same
 /// ziggurat draws placed in the full Hermitian spectrum and inverted
@@ -92,34 +53,6 @@ fn reference_davies_harte_ziggurat(hurst: f64, n: usize, seed: u64) -> Vec<f64> 
     fft_pow2_in_place(&mut spec);
     let norm = 1.0 / (m as f64).sqrt();
     spec.into_iter().take(n).map(|z| z.re * norm).collect()
-}
-
-#[test]
-fn fgn_legacy_paths_are_bit_identical_to_reference() {
-    // Several (H, n, seed) triples spanning short/long, pow2/non-pow2.
-    let cases = [
-        (0.55f64, 64usize, 0u64),
-        (0.7, 100, 1),
-        (0.8, 1 << 12, 42),
-        (0.8, 1 << 12, 43),
-        (0.92, 1023, 2024),
-        (0.6, 1, 7),
-    ];
-    let mut out = Vec::new();
-    let mut scratch = FgnScratch::default();
-    for &(h, n, seed) in &cases {
-        let want = reference_davies_harte(h, n, seed);
-        // Fresh plan, legacy buffer-reuse entry point: must reproduce
-        // the seed algorithm bit for bit.
-        let plan = FgnPlan::new(h, n).expect("valid");
-        plan.generate_values_into_legacy(seed, &mut out, &mut scratch);
-        assert_eq!(out, want, "legacy plan: H={h} n={n} seed={seed}");
-        assert_eq!(
-            plan.generate_values_legacy(seed),
-            want,
-            "legacy alloc: H={h} n={n} seed={seed}"
-        );
-    }
 }
 
 #[test]
